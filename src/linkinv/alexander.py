@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import LaurentPolynomial, divexact_var_minus_one
-from .diagram import DiagramError, LinkDiagram
+from .diagram import DiagramError, LinkDiagram, uf_find, uf_union
 from .skein import conway
 
 VIA_NABLA = "via-nabla"
@@ -48,30 +48,18 @@ class WirtingerPresentation:
 
 def wirtinger(d: LinkDiagram) -> WirtingerPresentation:
     uf: dict = {}
-
-    def find(a):
-        root = a
-        while uf.get(root, root) != root:
-            root = uf[root]
-        while uf.get(a, a) != a:
-            uf[a], a = root, uf[a]
-        return root
-
     for ci, rec in enumerate(d.crossings):
         o = d.over_in[ci]
-        a, b = find(rec[o]), find(rec[(o + 2) % 4])
-        if a != b:
-            ra, rb = (a, b) if a < b else (b, a)
-            uf[rb] = ra
+        uf_union(uf, rec[o], rec[(o + 2) % 4])
 
-    reps = sorted({find(a) for cyc in d.components for a in cyc})
+    reps = sorted({uf_find(uf, a) for cyc in d.components for a in cyc})
     index = {r: i for i, r in enumerate(reps)}
     colors = tuple(d.colors[d.comp_of_arc[r]] for r in reps)
     relations = []
     for ci, rec in enumerate(d.crossings):
-        a = index[find(rec[0])]
-        c = index[find(rec[2])]
-        b = index[find(rec[d.over_in[ci]])]
+        a = index[uf_find(uf, rec[0])]
+        c = index[uf_find(uf, rec[2])]
+        b = index[uf_find(uf, rec[d.over_in[ci]])]
         if d.sign(ci) == 1:
             word = ((c, 1), (b, 1), (a, -1), (b, -1))
         else:
@@ -247,30 +235,13 @@ def _pin_sign(h: LaurentPolynomial, d: LinkDiagram, nabla: LaurentPolynomial):
             return -1, VIA_NABLA
         raise ArithmeticError("potential function does not match the Conway polynomial")
 
-    lm = d.linking_matrix()
     for i in range(m):
-        color = d.colors[i]
-        if d.colors.count(color) != 1:
+        if d.colors.count(d.colors[i]) != 1:
             continue
-        sub = d.delete_component(i)
-        om2 = potential_function(sub)
+        om2 = potential_function(d.delete_component(i))
         if om2.sign_provenance == AMBIGUOUS or om2.is_zero:
             continue
-        remaining = sorted(set(d.colors) - {color})
-        rename = {f"x{k + 1}": f"y{k + 1}" for k in range(len(remaining))}
-        back = {f"y{k + 1}": f"x{remaining[k]}" for k in range(len(remaining))}
-        sub_num = om2.numerator.rename_variables(rename).rename_variables(back)
-        lvec = d.total_linking(i)
-        monvars = tuple(f"x{c}" for c in remaining)
-        mon = LaurentPolynomial.monomial(
-            monvars, tuple(lvec.get(c, 0) for c in remaining), 1)
-        factor = mon - mon ** -1
-        lhs0 = h.set_variable_to_one(f"x{color}")
-        rhs0 = factor * sub_num
-        if om2.pole:
-            v = f"x{remaining[0]}"
-            xv = LaurentPolynomial.gen((v,), v)
-            lhs0 = lhs0 * (xv - xv ** -1)
+        lhs0, rhs0 = _deletion_sides(h, d, i, om2)
         if rhs0.is_zero and lhs0.is_zero:
             continue
         if lhs0 == rhs0:
@@ -325,23 +296,34 @@ def deletion_check(omega: PotentialFunction, d: LinkDiagram, i: int) -> bool:
     color = d.colors[i]
     if d.colors.count(color) != 1:
         raise DiagramError("component is not alone in its color")
-    sub = d.delete_component(i)
-    om2 = potential_function(sub)
+    lhs, rhs = _deletion_sides(omega.numerator, d, i,
+                               potential_function(d.delete_component(i)))
+    return lhs == rhs
+
+
+def _deletion_sides(numerator: LaurentPolynomial, d: LinkDiagram, i: int,
+                    om2: PotentialFunction):
+    """Both sides of the component-deletion formula for component i of d,
+    alone in its color, given om2 = the potential function of d without it:
+    the numerator with that color's variable set to 1, and the linking
+    monomial difference times om2 on the remaining colors.  When om2 is a
+    knot's, its pole is cleared by multiplying the left side instead."""
+    color = d.colors[i]
     remaining = sorted(set(d.colors) - {color})
+    # the sublink's x1..x(n-1) are the remaining colors, renamed in two steps
     rename = {f"x{k + 1}": f"y{k + 1}" for k in range(len(remaining))}
     back = {f"y{k + 1}": f"x{remaining[k]}" for k in range(len(remaining))}
     sub_num = om2.numerator.rename_variables(rename).rename_variables(back)
     lvec = d.total_linking(i)
     monvars = tuple(f"x{c}" for c in remaining)
     mon = LaurentPolynomial.monomial(monvars, tuple(lvec.get(c, 0) for c in remaining), 1)
-    factor = mon - mon ** -1
-    lhs = omega.numerator.set_variable_to_one(f"x{color}")
-    rhs = factor * sub_num
+    lhs = numerator.set_variable_to_one(f"x{color}")
+    rhs = (mon - mon ** -1) * sub_num
     if om2.pole:
         v = f"x{remaining[0]}"
         xv = LaurentPolynomial.gen((v,), v)
         lhs = lhs * (xv - xv ** -1)
-    return lhs == rhs
+    return lhs, rhs
 
 
 def connected_sum_check(da: LinkDiagram, db: LinkDiagram, color: int) -> bool:

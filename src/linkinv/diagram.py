@@ -31,6 +31,91 @@ class ParseError(DiagramError):
         super().__init__(message)
 
 
+# -- union-find and tracing ---------------------------------------------------
+
+def uf_find(parent: dict, a):
+    """Root of a's class in a dict-backed union-find, compressing the path."""
+    root = a
+    while parent.get(root, root) != root:
+        root = parent[root]
+    while parent.get(a, a) != a:
+        parent[a], a = root, parent[a]
+    return root
+
+
+def uf_union(parent: dict, a, b) -> bool:
+    """Merge the classes of a and b under the smaller root, so every root
+    is the minimum of its class; False when they were already one class."""
+    a, b = uf_find(parent, a), uf_find(parent, b)
+    if a == b:
+        return False
+    if a < b:
+        parent[b] = a
+    else:
+        parent[a] = b
+    return True
+
+
+def _trace_oriented(crossings, over_in):
+    """Arc cycles of the components that touch a crossing, each followed
+    along the stored directions from its minimal arc, ordered by that arc."""
+    heads = {}
+    for k, rec in enumerate(crossings):
+        heads[rec[UNDER_IN]] = (k, UNDER_IN)
+        heads[rec[over_in[k]]] = (k, over_in[k])
+    comps = []
+    seen = set()
+    for arc in sorted(heads):
+        if arc in seen:
+            continue
+        cyc = []
+        cur = arc
+        while cur not in seen:
+            seen.add(cur)
+            cyc.append(cur)
+            k, s = heads[cur]
+            cur = crossings[k][(s + 2) % 4]
+        comps.append(tuple(cyc))
+    return comps
+
+
+def _trace_unoriented(crossings):
+    """Arc cycles ignoring stored directions, each walked from its minimal
+    arc, with the records rotated so slot 0 is again the incoming
+    under-strand: returns (crossings, over_in, cycles)."""
+    endpoints: dict = {}
+    for k, rec in enumerate(crossings):
+        for s, arc in enumerate(rec):
+            endpoints.setdefault(arc, []).append((k, s))
+    rotate = set()
+    over_entry: dict = {}
+    comps = []
+    seen = set()
+    for arc in sorted(endpoints):
+        if arc in seen:
+            continue
+        cyc = []
+        cur = arc
+        behind = endpoints[arc][0]
+        while cur not in seen:
+            seen.add(cur)
+            cyc.append(cur)
+            ends = endpoints[cur]
+            k, s = ends[1] if ends[0] == behind else ends[0]
+            if s == UNDER_OUT:
+                rotate.add(k)
+            elif s in (1, 3):
+                over_entry[k] = s
+            behind = (k, (s + 2) % 4)
+            cur = crossings[k][behind[1]]
+        comps.append(tuple(cyc))
+    new_crossings = [(rec[2], rec[3], rec[0], rec[1]) if k in rotate else rec
+                     for k, rec in enumerate(crossings)]
+    over_in = [(over_entry[k] + 2) % 4 if k in rotate else over_entry[k]
+               for k in range(len(crossings))]
+    return new_crossings, over_in, comps
+
+
 class LinkDiagram:
     """Oriented, colored PD-coded link diagram.
 
@@ -230,21 +315,19 @@ class LinkDiagram:
             return False
         if any(len(cyc) == 1 and cyc[0] not in self.heads for cyc in self.components):
             return True  # a crossing-free circle next to anything else is split
-        # union components sharing a crossing
-        parent = list(range(self.m))
+        return len(self._component_groups()) > 1
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for ci in range(len(self.crossings)):
-            a, b = self.strands_at(ci)
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        return len({find(k) for k in range(self.m)}) > 1
+    def _component_groups(self):
+        """Component indices grouped by the connected parts of the diagram
+        graph, each part listed in index order, parts by first index."""
+        parent: dict = {}
+        comp_of_arc = self.comp_of_arc
+        for rec in self.crossings:
+            uf_union(parent, comp_of_arc[rec[UNDER_IN]], comp_of_arc[rec[1]])
+        groups: dict = {}
+        for k in range(self.m):
+            groups.setdefault(uf_find(parent, k), []).append(k)
+        return list(groups.values())
 
     def __eq__(self, other):
         if not isinstance(other, LinkDiagram):
@@ -302,139 +385,62 @@ class LinkDiagram:
     def smooth_oriented(self, ci: int) -> "LinkDiagram":
         """Oriented smoothing; the component count changes by exactly one."""
         self._check_crossing(ci)
+        rec = self.crossings[ci]
         o_in = self.over_in[ci]
-        o_out = (o_in + 2) % 4
-        pairs = ((UNDER_IN, o_out), (o_in, UNDER_OUT))
-        return self._resolve(ci, pairs, reorient=False)
+        merges = ((rec[UNDER_IN], rec[(o_in + 2) % 4]), (rec[o_in], rec[UNDER_OUT]))
+        return self._resolve({ci}, merges, (), False)
 
     def smooth_infinity(self, ci: int) -> "LinkDiagram":
         """The other planar smoothing; orientations are re-derived, so the
         result should be treated as unoriented downstream."""
         self._check_crossing(ci)
-        o_in = self.over_in[ci]
-        o_out = (o_in + 2) % 4
-        pairs = ((UNDER_IN, o_in), (UNDER_OUT, o_out))
-        return self._resolve(ci, pairs, reorient=True)
-
-    def _resolve(self, ci, pairs, reorient: bool):
-        uf: dict = {}
-
-        def find(a):
-            root = a
-            while uf.get(root, root) != root:
-                root = uf[root]
-            while uf.get(a, a) != a:
-                uf[a], a = root, uf[a]
-            return root
-
-        loops = []  # colors of new crossing-free circles
         rec = self.crossings[ci]
-        for s1, s2 in pairs:
-            a, b = find(rec[s1]), find(rec[s2])
-            if a == b:
-                loops.append((a, self.colors[self.comp_of_arc[rec[s1]]]))
-            else:
-                ra, rb = (a, b) if a < b else (b, a)
-                uf[rb] = ra
+        o_in = self.over_in[ci]
+        merges = ((rec[UNDER_IN], rec[o_in]), (rec[UNDER_OUT], rec[(o_in + 2) % 4]))
+        return self._resolve({ci}, merges, (), True)
 
-        kept = [j for j in range(len(self.crossings)) if j != ci]
-        new_crossings = [tuple(find(a) for a in self.crossings[j]) for j in kept]
-        new_over_in = [self.over_in[j] for j in kept]
+    def _resolve(self, dropped, merges, gone, reorient: bool):
+        """The one rebuild after arcs merge, shared by every surgery: drop
+        the crossings in `dropped`, join each arc pair in `merges`, and
+        forget the arcs in `gone` (those of deleted components).
 
-        merged_color: dict = {}
+        The labels are canonical, which is what lets different skein
+        descent paths reach equal memo keys: merged arcs keep the minimal
+        id of their class, a pair that is already one class closes off a
+        crossing-free circle, each component starts at its minimal arc and
+        components are ordered by it, a component takes the least color of
+        its arcs, and colors are renumbered onto 1..n in their old order.
+        With `reorient` the directions are re-derived by walking each
+        cycle from its minimal arc (the unoriented smoothing).
+        """
+        parent: dict = {}
+        loops = self._free_loops(gone)
+        for a, b in merges:
+            if not uf_union(parent, a, b):
+                loops.append(uf_find(parent, a))
+        crossings, over_in = [], []
+        for k, rec in enumerate(self.crossings):
+            if k not in dropped:
+                crossings.append(tuple(uf_find(parent, a) for a in rec))
+                over_in.append(self.over_in[k])
+        color_of_root: dict = {}
         for arc, comp in self.comp_of_arc.items():
-            root = find(arc)
-            c = self.colors[comp]
-            merged_color[root] = min(merged_color.get(root, c), c)
-
-        if not reorient:
-            comps, colors = self._rebuild_oriented(new_crossings, new_over_in,
-                                                   merged_color, loops)
-            return LinkDiagram(new_crossings, comps, colors, over_in=new_over_in)
-        return self._rebuild_reoriented(new_crossings, merged_color, loops)
-
-    def _free_loops(self, skip_arcs=()):
-        out = []
-        for k, cyc in enumerate(self.components):
-            if len(cyc) == 1 and cyc[0] not in self.heads and cyc[0] not in skip_arcs:
-                out.append((cyc[0], self.colors[k]))
-        return out
-
-    def _rebuild_oriented(self, crossings, over_in, color_of_root, new_loops):
-        """Recompute components by following preserved arc directions."""
-        heads = {}
-        for k, rec in enumerate(crossings):
-            heads[rec[UNDER_IN]] = (k, UNDER_IN)
-            heads[rec[over_in[k]]] = (k, over_in[k])
-        comps = []
-        colors = []
-        seen = set()
-        for arc in sorted(heads):
-            if arc in seen:
-                continue
-            cyc = []
-            cur = arc
-            while cur not in seen:
-                seen.add(cur)
-                cyc.append(cur)
-                k, s = heads[cur]
-                cur = crossings[k][(s + 2) % 4]
-            comps.append(tuple(cyc))
-            colors.append(min(color_of_root.get(a, 10 ** 9) for a in cyc))
-        for arc, color in self._free_loops() + new_loops:
-            comps.append((arc,))
-            colors.append(color_of_root.get(arc, color))
-        return self._canon_components(comps, colors)
-
-    def _rebuild_reoriented(self, crossings, color_of_root, new_loops):
-        """Recompute components ignoring stored directions, then rotate
-        crossing records so slot 0 is again the incoming under-strand."""
-        endpoints: dict = {}
-        for k, rec in enumerate(crossings):
-            for s, arc in enumerate(rec):
-                endpoints.setdefault(arc, []).append((k, s))
-        rotate = set()
-        over_entry: dict = {}
-        comps = []
-        colors = []
-        seen = set()
-        for arc in sorted(endpoints):
-            if arc in seen:
-                continue
-            cyc = []
-            cur = arc
-            behind = endpoints[arc][0]
-            while True:
-                if cur in seen:
-                    break
-                seen.add(cur)
-                cyc.append(cur)
-                ends = endpoints[cur]
-                ahead = ends[1] if ends[0] == behind else ends[0]
-                k, s = ahead
-                if s == UNDER_OUT:
-                    rotate.add(k)
-                elif s in (1, 3):
-                    over_entry[k] = s
-                exit_slot = (s + 2) % 4
-                nxt = crossings[k][exit_slot]
-                behind = (k, exit_slot)
-                cur = nxt
-            comps.append(tuple(cyc))
-            colors.append(min(color_of_root.get(a, 10 ** 9) for a in cyc))
-        new_crossings = [
-            (rec[2], rec[3], rec[0], rec[1]) if k in rotate else rec
-            for k, rec in enumerate(crossings)
-        ]
-        over_in = []
-        for k in range(len(crossings)):
-            s = over_entry[k]
-            over_in.append((s + 2) % 4 if k in rotate else s)
-        for arc, color in self._free_loops() + new_loops:
-            comps.append((arc,))
-            colors.append(color_of_root.get(arc, color))
+            if arc not in gone:
+                root = uf_find(parent, arc)
+                c = self.colors[comp]
+                color_of_root[root] = min(color_of_root.get(root, c), c)
+        if reorient:
+            crossings, over_in, comps = _trace_unoriented(crossings)
+        else:
+            comps = _trace_oriented(crossings, over_in)
+        comps += [(arc,) for arc in loops]
+        colors = [min(color_of_root[a] for a in cyc) for cyc in comps]
         comps, colors = self._canon_components(comps, colors)
-        return LinkDiagram(new_crossings, comps, colors, over_in=over_in)
+        return LinkDiagram(crossings, comps, colors, over_in=over_in)
+
+    def _free_loops(self, skip_arcs):
+        return [cyc[0] for cyc in self.components
+                if len(cyc) == 1 and cyc[0] not in self.heads and cyc[0] not in skip_arcs]
 
     @staticmethod
     def _canon_components(comps, colors):
@@ -479,73 +485,34 @@ class LinkDiagram:
         """Remove one component, healing the crossings it participated in."""
         if not 0 <= i < self.m:
             raise DiagramError(f"component index {i} out of range")
-        gone = set(self.components[i])
-        uf: dict = {}
+        return self._delete(set(self.components[i]))
 
-        def find(a):
-            root = a
-            while uf.get(root, root) != root:
-                root = uf[root]
-            while uf.get(a, a) != a:
-                uf[a], a = root, uf[a]
-            return root
+    def component(self, j: int) -> "LinkDiagram":
+        """Component j alone: every other component deleted in one pass,
+        labelled as deleting them one at a time would label it."""
+        if not 0 <= j < self.m:
+            raise DiagramError(f"component index {j} out of range")
+        if self.m == 1:
+            return self
+        return self._delete({a for k, cyc in enumerate(self.components) if k != j
+                             for a in cyc})
 
-        loops = []
-        kept = []
+    def _delete(self, gone):
+        """Drop every crossing that touches the arcs in `gone`; where only
+        one strand goes, the other one heals across the crossing."""
+        dropped = set()
+        merges = []
         for ci, rec in enumerate(self.crossings):
             under_gone = rec[UNDER_IN] in gone
             over_gone = rec[1] in gone
-            if under_gone and over_gone:
-                continue
-            if not under_gone and not over_gone:
-                kept.append(ci)
-                continue
-            if under_gone:
+            if under_gone or over_gone:
+                dropped.add(ci)
+            if under_gone and not over_gone:
                 o_in = self.over_in[ci]
-                h, t = rec[o_in], rec[(o_in + 2) % 4]
-            else:
-                h, t = rec[UNDER_IN], rec[UNDER_OUT]
-            a, b = find(h), find(t)
-            if a == b:
-                loops.append((a, self.colors[self.comp_of_arc[h]]))
-            else:
-                ra, rb = (a, b) if a < b else (b, a)
-                uf[rb] = ra
-
-        new_crossings = [tuple(find(a) for a in self.crossings[j]) for j in kept]
-        new_over_in = [self.over_in[j] for j in kept]
-        color_of_root: dict = {}
-        for arc, comp in self.comp_of_arc.items():
-            if arc in gone:
-                continue
-            root = find(arc)
-            c = self.colors[comp]
-            color_of_root[root] = min(color_of_root.get(root, c), c)
-        free = [(arc, col) for arc, col in self._free_loops(skip_arcs=gone)]
-        heads = {}
-        for k, rec in enumerate(new_crossings):
-            heads[rec[UNDER_IN]] = (k, UNDER_IN)
-            heads[rec[new_over_in[k]]] = (k, new_over_in[k])
-        comps = []
-        colors = []
-        seen = set()
-        for arc in sorted(heads):
-            if arc in seen:
-                continue
-            cyc = []
-            cur = arc
-            while cur not in seen:
-                seen.add(cur)
-                cyc.append(cur)
-                k, s = heads[cur]
-                cur = new_crossings[k][(s + 2) % 4]
-            comps.append(tuple(cyc))
-            colors.append(min(color_of_root.get(a, 10 ** 9) for a in cyc))
-        for arc, color in free + loops:
-            comps.append((arc,))
-            colors.append(color_of_root.get(arc, color))
-        comps, colors = self._canon_components(comps, colors)
-        return LinkDiagram(new_crossings, comps, colors, over_in=new_over_in)
+                merges.append((rec[o_in], rec[(o_in + 2) % 4]))
+            elif over_gone and not under_gone:
+                merges.append((rec[UNDER_IN], rec[UNDER_OUT]))
+        return self._resolve(dropped, merges, gone, False)
 
     def disjoint_union(self, other: "LinkDiagram") -> "LinkDiagram":
         """Place two diagrams side by side; the second palette is appended."""
@@ -644,9 +611,7 @@ class LinkDiagram:
 
     def render_pd(self) -> str:
         toks = [f"X[{a},{b},{c},{d}]" for (a, b, c, d) in self.crossings]
-        free = [cyc[0] for cyc in self.components
-                if len(cyc) == 1 and cyc[0] not in self.heads]
-        toks += [f"O[{a}]" for a in free]
+        toks += [f"O[{a}]" for a in self._free_loops(())]
         comp_str = "[" + ",".join("[" + ",".join(map(str, cyc)) + "]"
                                   for cyc in self.components) + "]"
         col_str = "[" + ",".join(map(str, self.colors)) + "]"
@@ -672,25 +637,8 @@ class LinkDiagram:
 
 def _graph_parts(d: LinkDiagram):
     """Connected parts of the diagram graph, free loops separate."""
-    m = d.m
-    parent = list(range(m))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for ci in range(len(d.crossings)):
-        a, b = d.strands_at(ci)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict = {}
-    for k in range(m):
-        groups.setdefault(find(k), []).append(k)
     parts = []
-    for ks in groups.values():
+    for ks in d._component_groups():
         comp_set = set(ks)
         crossings = tuple(ci for ci in range(len(d.crossings))
                           if d.comp_of_arc[d.crossings[ci][0]] in comp_set)
@@ -755,6 +703,17 @@ def _serialize_from(part, comp_idx, rot) -> str:
 
 _TOKEN = re.compile(r"([XOS])\[([^\]]*)\]")
 _SECTION = re.compile(r"(components|colors|overin|name)\s*:\s*(.*)")
+_ECHO_LIMIT = 40  # characters of bad input quoted in an error message
+
+
+def _excerpt(raw: str) -> str:
+    if len(raw) <= _ECHO_LIMIT:
+        return repr(raw)
+    return repr(raw[:_ECHO_LIMIT]) + "..."
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(type(v) is int for v in value)
 
 
 def _parse_sections(text: str):
@@ -775,11 +734,18 @@ def _parse_sections(text: str):
             if key == "name":
                 name = raw
                 continue
+            where = text.index(raw) if raw else None
             try:
                 value = ast.literal_eval(raw)
-            except (SyntaxError, ValueError):
-                raise ParseError(f"cannot parse {key} block: {raw!r}",
-                                 text.index(raw) if raw and raw in text else None)
+            except (SyntaxError, ValueError, RecursionError, MemoryError):
+                # the last two: nesting too deep for the Python parser
+                raise ParseError(f"cannot parse {key} block: {_excerpt(raw)}", where)
+            if key == "components":
+                if not (isinstance(value, (list, tuple)) and all(map(_is_int_list, value))):
+                    raise ParseError("components block must be a list of lists of integers",
+                                     where)
+            elif not _is_int_list(value):
+                raise ParseError(f"{key} block must be a list of integers", where)
             if key == "components":
                 components = value
             elif key == "overin":
@@ -796,12 +762,12 @@ def _parse_sections(text: str):
             offset = text.index(line) + pos + lead
             mo = _TOKEN.match(chunk)
             if not mo:
-                raise ParseError(f"unrecognized token {chunk.split()[0]!r}", offset)
+                raise ParseError(f"unrecognized token {_excerpt(chunk.split()[0])}", offset)
             kind, body = mo.group(1), mo.group(2)
             try:
                 nums = [int(s) for s in body.split(",")] if body.strip() else []
             except ValueError:
-                raise ParseError(f"non-integer arc label in {mo.group(0)!r}", offset)
+                raise ParseError(f"non-integer arc label in {_excerpt(mo.group(0))}", offset)
             if kind == "O":
                 if len(nums) != 1:
                     raise ParseError("O token takes exactly one arc", offset)
@@ -868,18 +834,12 @@ class SingularLink:
         return d
 
     def render_pd(self) -> str:
-        base = self.base
-        toks = []
-        for ci, (a, b, c, dd) in enumerate(base.crossings):
-            kind = "S" if ci in self.marked else "X"
-            toks.append(f"{kind}[{a},{b},{c},{dd}]")
-        free = [cyc[0] for cyc in base.components
-                if len(cyc) == 1 and cyc[0] not in base.heads]
-        toks += [f"O[{a}]" for a in free]
-        comp_str = "[" + ",".join("[" + ",".join(map(str, cyc)) + "]"
-                                  for cyc in base.components) + "]"
-        col_str = "[" + ",".join(map(str, base.colors)) + "]"
-        return "\n".join([" ".join(toks), f"components: {comp_str}", f"colors: {col_str}"])
+        """The base diagram's rendering with S tokens at the marked crossings."""
+        first, _, rest = self.base.render_pd().partition("\n")
+        toks = first.split(" ")
+        for ci in self.marked:
+            toks[ci] = "S" + toks[ci][1:]
+        return " ".join(toks) + "\n" + rest
 
 
 def parse_singular(text: str) -> SingularLink:
@@ -930,7 +890,7 @@ def parse_braid(text: str) -> BraidWord:
         try:
             word.append(int(t))
         except ValueError:
-            raise ParseError(f"bad braid letter {tok!r}", text.index(tok))
+            raise ParseError(f"bad braid letter {_excerpt(tok)}", text.index(tok))
     return BraidWord(strands, word)
 
 
@@ -961,34 +921,12 @@ def braid_closure(b: BraidWord, colors=None, name=None) -> LinkDiagram:
         else:
             crossings.append((a_right, a_left, out_left, out_right))
         current[i], current[i + 1] = out_left, out_right
-    # close up: final arc at each position merges with the start arc there
-    rename = {}
-    for p in range(n):
-        rename[current[p]] = start[p] if current[p] != start[p] else current[p]
-    def rn(a):
-        return rename.get(a, a)
-    crossings = [tuple(rn(a) for a in rec) for rec in crossings]
-
-    heads = {}
-    for k, rec in enumerate(crossings):
-        heads[rec[UNDER_IN]] = (k, UNDER_IN)
+    # close up: the final arc at each position is the start arc there
+    rename = dict(zip(current, start))
+    crossings = [tuple(rename.get(a, a) for a in rec) for rec in crossings]
     # over-in slot per record construction: positive -> slot 3, negative -> slot 1
-    for k, (rec, w) in enumerate(zip(crossings, b.word)):
-        heads[rec[3 if w > 0 else 1]] = (k, 3 if w > 0 else 1)
-
-    comps = []
-    seen = set()
-    for arc in sorted(heads) or []:
-        if arc in seen:
-            continue
-        cyc = []
-        cur = arc
-        while cur not in seen:
-            seen.add(cur)
-            cyc.append(cur)
-            k, s = heads[cur]
-            cur = crossings[k][(s + 2) % 4]
-        comps.append(tuple(cyc))
+    over_in = [3 if w > 0 else 1 for w in b.word]
+    comps = _trace_oriented(crossings, over_in)
     # strands that never cross become free loops
     crossing_arcs = {a for rec in crossings for a in rec}
     for p in range(n):
@@ -999,5 +937,4 @@ def braid_closure(b: BraidWord, colors=None, name=None) -> LinkDiagram:
         colors = (1,) * len(comps)
     if len(colors) != len(comps):
         raise DiagramError("coloring arity mismatch for braid closure")
-    over_in = [3 if w > 0 else 1 for w in b.word]
     return LinkDiagram(crossings, comps, colors, name, over_in=over_in)

@@ -173,12 +173,6 @@ def self_point_family(points: int, extra_twists: int = 0) -> SingularLink:
     return SingularLink(base, list(range(points)))
 
 
-def monochrome_family(points: int, twists: int | None = None) -> SingularLink:
-    """Monochromatic 2-component family with marked inter-component points."""
-    s = clasp_family(points, twists)
-    return s
-
-
 # -- the three-self-point witness construction ---------------------------------
 
 _PATTERNS = {

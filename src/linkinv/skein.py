@@ -18,7 +18,7 @@ results are deterministic regardless of schedule.
 from __future__ import annotations
 
 from .algebra import LaurentPolynomial
-from .diagram import LinkDiagram
+from .diagram import LinkDiagram, uf_find, uf_union
 
 ZVARS = ("z",)
 XYVARS = ("x", "y")
@@ -228,25 +228,12 @@ def _ud_switch(ud: _UD, ci: int) -> _UD:
 
 def _ud_smooth(ud: _UD, ci: int, pairs) -> _UD:
     uf: dict = {}
-
-    def find(a):
-        root = a
-        while uf.get(root, root) != root:
-            root = uf[root]
-        while uf.get(a, a) != a:
-            uf[a], a = root, uf[a]
-        return root
-
     rec = ud.crossings[ci]
     loops = ud.loops
     for s1, s2 in pairs:
-        a, b = find(rec[s1]), find(rec[s2])
-        if a == b:
+        if not uf_union(uf, rec[s1], rec[s2]):
             loops += 1
-        else:
-            ra, rb = (a, b) if a < b else (b, a)
-            uf[rb] = ra
-    kept = [tuple(find(a) for a in ud.crossings[j])
+    kept = [tuple(uf_find(uf, a) for a in ud.crossings[j])
             for j in range(len(ud.crossings)) if j != ci]
     return _UD(kept, loops)
 

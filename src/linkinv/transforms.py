@@ -59,13 +59,7 @@ class SeriesWithPole:
 
 def component_conways(d: LinkDiagram):
     """Conway polynomials of the individual components, with their colors."""
-    out = []
-    for j in range(d.m):
-        sub = d
-        for k in sorted(set(range(d.m)) - {j}, reverse=True):
-            sub = sub.delete_component(k)
-        out.append((conway(sub), d.colors[j]))
-    return out
+    return [(conway(d.component(j)), d.colors[j]) for j in range(d.m)]
 
 
 def potential_series(om: PotentialFunction, cap: int = DEFAULT_CAP,
@@ -549,27 +543,19 @@ def exp_expand_kauffman(f_poly: LaurentPolynomial, cap: int = DEFAULT_CAP) -> Co
     return CoefficientTable(dict(s.terms), "kauffman-exp", cap)
 
 
+def _exp_quotient(d: LinkDiagram, poly, shift: int, cap: int) -> CHSeries:
+    out = substitute_exponential(poly(d), shift, cap)
+    for j in range(d.m):
+        out = out * substitute_exponential(poly(d.component(j)), shift, cap).invert()
+    return out
+
+
 def homfly_exp_quotient(d: LinkDiagram, cap: int = DEFAULT_CAP) -> CHSeries:
     """H of the link over the product of the component H's, after the
     exponential substitution (the division happens in the h-adic ring)."""
-    num = substitute_exponential(homfly(d), 0, cap)
-    out = num
-    for j in range(d.m):
-        sub = d
-        for k in sorted(set(range(d.m)) - {j}, reverse=True):
-            sub = sub.delete_component(k)
-        den = substitute_exponential(homfly(sub), 0, cap)
-        out = out * den.invert()
-    return out
+    return _exp_quotient(d, homfly, 0, cap)
 
 
 def kauffman_exp_quotient(d: LinkDiagram, cap: int = DEFAULT_CAP) -> CHSeries:
-    num = substitute_exponential(kauffman_f(d), -1, cap)
-    out = num
-    for j in range(d.m):
-        sub = d
-        for k in sorted(set(range(d.m)) - {j}, reverse=True):
-            sub = sub.delete_component(k)
-        den = substitute_exponential(kauffman_f(sub), -1, cap)
-        out = out * den.invert()
-    return out
+    """The same quotient for the Dubrovnik version F of the Kauffman polynomial."""
+    return _exp_quotient(d, kauffman_f, -1, cap)

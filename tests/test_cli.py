@@ -151,3 +151,35 @@ def test_budget_applies_to_invariants_too(capsys):
         assert code == 3
     finally:
         set_default_budget(None)
+
+
+HOPF_CROSSINGS = "X[1,3,2,4] X[3,1,4,2]\n"
+LONG = "q" * 300
+
+
+MALFORMED = {
+    "components-int": HOPF_CROSSINGS + "components: 5\n",
+    "components-flat": HOPF_CROSSINGS + "components: [1]\n",
+    "components-float": HOPF_CROSSINGS + "components: [[1,2],[3,4.0]]\n",
+    "colors-int": HOPF_CROSSINGS + "components: [[1,2],[3,4]]\ncolors: 5\n",
+    "colors-nested": HOPF_CROSSINGS + "components: [[1,2],[3,4]]\ncolors: [[1]]\n",
+    "colors-float": HOPF_CROSSINGS + "components: [[1,2],[3,4]]\ncolors: [1.5,2]\n",
+    "overin-int": HOPF_CROSSINGS + "components: [[1,2],[3,4]]\noverin: 5\n",
+    "long-block": HOPF_CROSSINGS + "components: [[1,2],[3,4]]\ncolors: [" + LONG + "]\n",
+    "long-token": HOPF_CROSSINGS + LONG + "\ncomponents: [[1,2],[3,4]]\n",
+    "long-arc": "X[1,3,2," + LONG + "]\ncomponents: [[1,2],[3,4]]\n",
+    "long-braid-letter": "braid(2): 1 " + LONG + "\n",
+    "deep-nesting": HOPF_CROSSINGS + "components: [[1,2],[3,4]]\ncolors: " + "-" * 5000 + "1\n",
+    "parser-overflow": HOPF_CROSSINGS + "components: " + "-" * 100000 + "1\n",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_exits_2_with_short_message(tmp_path, capsys, text):
+    path = tmp_path / "bad.pd"
+    path.write_text(text)
+    code, out, err = run(capsys, "invariants", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert len(err) < 160

@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkinv.diagram import (
     BraidWord,
     DiagramError,
     ParseError,
+    SingularLink,
     braid_closure,
     parse_braid,
     parse_pd,
@@ -283,3 +286,60 @@ def test_random_surgery_fuzz():
             else:
                 d = d.reverse_component(rng.randrange(d.m))
             assert parse_pd(d.render_pd()) == d or d.crossings == ()
+
+
+def _singular_round_trips(s):
+    back = parse_singular(s.render_pd())
+    return back.base == s.base and back.marked == s.marked and back.base.name == s.base.name
+
+
+def test_singular_render_round_trip():
+    # over-strand directions that the cycles alone leave open need the
+    # overin block, and the name line survives too
+    s = SingularLink(braid_closure(parse_braid("braid(2): -1 1"), name="ribbon"), [])
+    assert _singular_round_trips(s)
+    import random
+    rng = random.Random(20261018)
+    for _ in range(300):
+        strands = rng.randrange(2, 6)
+        word = [rng.choice([1, -1]) * rng.randrange(1, strands)
+                for _ in range(rng.randrange(0, 15))]
+        base = braid_closure(BraidWord(strands, word))
+        marks = [ci for ci in range(len(word)) if rng.random() < 0.3]
+        assert _singular_round_trips(SingularLink(base, marks))
+
+
+braid_words = st.integers(2, 5).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.integers(1, n - 1).flatmap(lambda g: st.sampled_from((g, -g))),
+             max_size=14)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(braid_words)
+def test_component_matches_iterated_deletion(sw):
+    d = braid_closure(BraidWord(*sw))
+    for j in range(d.m):
+        sub = d
+        for k in sorted(set(range(d.m)) - {j}, reverse=True):
+            sub = sub.delete_component(k)
+        assert d.component(j).structural_key() == sub.structural_key()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(braid_words)
+def test_delete_component_round_trip_and_invariants(sw):
+    d = braid_closure(BraidWord(*sw))
+    d = d.recolor(tuple(range(1, d.m + 1)))
+    lm = d.linking_matrix()
+    for i in range(d.m):
+        s = d.delete_component(i)
+        assert s.m == d.m - 1
+        assert s.colors == tuple(range(1, s.m + 1))
+        assert parse_pd(s.render_pd()) == s
+        # the survivors keep their order, self-crossings and linking
+        keep = [k for k in range(d.m) if k != i]
+        assert s.linking_matrix() == [[lm[a][b] for b in keep] for a in keep]
+        touching = sum(d.signs[ci] for ci in range(len(d.crossings))
+                       if i in d.strands_at(ci))
+        assert s.writhe() == d.writhe() - touching
