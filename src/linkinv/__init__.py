@@ -9,7 +9,6 @@ from .algebra import (
     bar_substitute,
     brace,
     bracket,
-    exp_series,
     x_of_z,
 )
 from .alexander import (

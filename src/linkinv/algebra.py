@@ -600,17 +600,6 @@ def substitute_series(f: LaurentPolynomial, images: Mapping[str, tuple], cap: in
 
 # -- special series ---------------------------------------------------------
 
-def binomial_series(exponent: Fraction, scale, cap: int, var: str = "y") -> TruncatedSeries:
-    """(1 + scale*var)^exponent expanded by the binomial series."""
-    terms = {}
-    scale = _coeff(scale)
-    for k in range(cap + 1):
-        c = binom_frac(exponent, k) * scale ** k
-        if c:
-            terms[(k,)] = c
-    return TruncatedSeries((var,), cap, terms)
-
-
 def x_of_z(cap: int, var: str = "z") -> tuple[TruncatedSeries, TruncatedSeries]:
     """The unit root x(z) of x - x^-1 = z with leading term +1, and its reciprocal.
 
@@ -629,39 +618,3 @@ def x_of_z(cap: int, var: str = "z") -> tuple[TruncatedSeries, TruncatedSeries]:
     x = TruncatedSeries((var,), cap, terms)
     xinv = x - TruncatedSeries.gen((var,), var, cap)
     return x, xinv
-
-
-def exp_series(h_mult, cap: int, c_mult=0, hvar: str = "h", cvar: str = "c") -> TruncatedSeries:
-    """The formal exponential sum of t^n/n! with t = (h_mult + c_mult*c) * h.
-
-    The cap counts powers of h; when the polynomial parameter c is present
-    the returned series carries total-degree cap 2*cap so that the c^k h^k
-    terms fit.
-    """
-    h_mult = _coeff(h_mult)
-    c_mult = _coeff(c_mult)
-    if c_mult == 0:
-        terms = {}
-        fact = Fraction(1)
-        for n in range(cap + 1):
-            if n:
-                fact /= n
-            terms[(n,)] = h_mult ** n * fact
-        return TruncatedSeries((hvar,), cap, terms)
-    variables = tuple(sorted((cvar, hvar)))
-    ci = variables.index(cvar)
-    terms = {}
-    fact = Fraction(1)
-    for n in range(cap + 1):
-        if n:
-            fact /= n
-        # ((h_mult + c_mult*c))^n expanded binomially, times h^n / n!
-        for j in range(n + 1):
-            c = binom_frac(Fraction(n), j) * c_mult ** j * h_mult ** (n - j) * fact
-            if c == 0:
-                continue
-            vec = [n, n]
-            vec[ci] = j
-            key = tuple(vec)
-            terms[key] = terms.get(key, Fraction(0)) + c
-    return TruncatedSeries(variables, 2 * cap, terms)

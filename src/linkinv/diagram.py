@@ -79,36 +79,46 @@ def _trace_oriented(crossings, over_in):
     return comps
 
 
-def _trace_unoriented(crossings):
-    """Arc cycles ignoring stored directions, each walked from its minimal
-    arc, with the records rotated so slot 0 is again the incoming
-    under-strand: returns (crossings, over_in, cycles)."""
+def walk_unoriented(crossings):
+    """The one walk that ignores stored directions: circles in order of
+    their minimal arc, each walked from that arc towards its first
+    (crossing, slot) endpoint.  Yields (circle, arc, crossing, slot) for
+    every arc, with the endpoint the arc enters."""
     endpoints: dict = {}
     for k, rec in enumerate(crossings):
         for s, arc in enumerate(rec):
             endpoints.setdefault(arc, []).append((k, s))
-    rotate = set()
-    over_entry: dict = {}
-    comps = []
     seen = set()
+    cid = 0
     for arc in sorted(endpoints):
         if arc in seen:
             continue
-        cyc = []
-        cur = arc
-        behind = endpoints[arc][0]
-        while cur not in seen:
-            seen.add(cur)
-            cyc.append(cur)
-            ends = endpoints[cur]
+        behind = endpoints[arc][1]
+        while arc not in seen:
+            seen.add(arc)
+            ends = endpoints[arc]
             k, s = ends[1] if ends[0] == behind else ends[0]
-            if s == UNDER_OUT:
-                rotate.add(k)
-            elif s in (1, 3):
-                over_entry[k] = s
+            yield cid, arc, k, s
             behind = (k, (s + 2) % 4)
-            cur = crossings[k][behind[1]]
-        comps.append(tuple(cyc))
+            arc = crossings[k][behind[1]]
+        cid += 1
+
+
+def _trace_unoriented(crossings):
+    """Arc cycles of `walk_unoriented`, with the records rotated so slot 0
+    is again the incoming under-strand: returns (crossings, over_in,
+    cycles)."""
+    rotate = set()
+    over_entry: dict = {}
+    comps = []
+    for cid, arc, k, s in walk_unoriented(crossings):
+        if cid == len(comps):
+            comps.append([])
+        comps[cid].append(arc)
+        if s == UNDER_OUT:
+            rotate.add(k)
+        elif s in (1, 3):
+            over_entry[k] = s
     new_crossings = [(rec[2], rec[3], rec[0], rec[1]) if k in rotate else rec
                      for k, rec in enumerate(crossings)]
     over_in = [(over_entry[k] + 2) % 4 if k in rotate else over_entry[k]
@@ -719,7 +729,7 @@ def _is_int_list(value) -> bool:
 def _parse_sections(text: str):
     crossings = []
     marks = []
-    free = []
+    free = []  # (arc, offset) of each O token
     components = None
     colors = None
     over_in = None
@@ -771,7 +781,7 @@ def _parse_sections(text: str):
             if kind == "O":
                 if len(nums) != 1:
                     raise ParseError("O token takes exactly one arc", offset)
-                free.append(nums[0])
+                free.append((nums[0], offset))
             else:
                 if len(nums) != 4:
                     raise ParseError(f"{kind} token takes exactly four arcs", offset)
@@ -781,13 +791,22 @@ def _parse_sections(text: str):
             pos = pos + lead + mo.end()
     if components is None:
         raise ParseError("missing components block")
+    crossing_arcs = {a for rec in crossings for a in rec}
+    loops = {cyc[0] for cyc in components if len(cyc) == 1} - crossing_arcs
+    seen = set()
+    for arc, offset in free:
+        if arc in seen:
+            raise ParseError(f"repeated O[{arc}]", offset)
+        if arc not in loops:
+            raise ParseError(f"O[{arc}] is not a crossing-free one-arc component", offset)
+        seen.add(arc)
     if colors is None:
         colors = [1] * len(components)
-    return crossings, marks, free, components, colors, over_in, name
+    return crossings, marks, components, colors, over_in, name
 
 
 def parse_pd(text: str) -> LinkDiagram:
-    crossings, marks, free, components, colors, over_in, name = _parse_sections(text)
+    crossings, marks, components, colors, over_in, name = _parse_sections(text)
     if marks:
         raise ParseError("S tokens present: use parse_singular for singular links")
     return LinkDiagram(crossings, components, colors, name, over_in=over_in)
@@ -843,7 +862,7 @@ class SingularLink:
 
 
 def parse_singular(text: str) -> SingularLink:
-    crossings, marks, free, components, colors, over_in, name = _parse_sections(text)
+    crossings, marks, components, colors, over_in, name = _parse_sections(text)
     base = LinkDiagram(crossings, components, colors, name, over_in=over_in)
     return SingularLink(base, marks)
 

@@ -1,5 +1,5 @@
 """Skein-recursion engines for the Conway, HOMFLY and Dubrovnik/Kauffman
-polynomials.
+polynomials, all run by one memoized descent, `_descend`.
 
 The descent strategy is the standard guaranteed-terminating one: fix a
 traversal (components in order, each cycle from its stored basepoint) and
@@ -7,6 +7,17 @@ locate crossings whose first visit passes under.  Switching such a crossing
 strictly reduces the number of violations, smoothing reduces the crossing
 count, and a diagram without violations is descending, hence an unlink
 (split) after isotopy.
+
+`_descend` looks a node up in a memo table, spends one unit of the node
+budget on each miss and stores what the engine's step returns.  There are
+two steps:
+
+- the oriented rule x*P(L+) - x^-1*P(L-) = y*P(L0) on `LinkDiagram` nodes,
+  split unknot worth (x - x^-1)/y.  It is HOMFLY as written and Conway at
+  x = 1, y = z, where a split unknot is worth 0; with that value a split
+  diagram is 0 before its memo lookup and costs no node;
+- the unoriented Dubrovnik rule on (crossings, loops) nodes, walked by
+  `diagram.walk_unoriented`.
 
 Values are memoized in shared write-once tables keyed by the exact labeled
 structure; different descent paths reaching the same sub-diagram produce
@@ -17,21 +28,19 @@ results are deterministic regardless of schedule.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .algebra import LaurentPolynomial
-from .diagram import LinkDiagram, uf_find, uf_union
+from .diagram import LinkDiagram, uf_find, uf_union, walk_unoriented
 
 ZVARS = ("z",)
 XYVARS = ("x", "y")
 
 _Z = LaurentPolynomial.gen(ZVARS, "z")
-_ONE_Z = LaurentPolynomial.one(ZVARS)
-_ZERO_Z = LaurentPolynomial.zero(ZVARS)
 _X = LaurentPolynomial.gen(XYVARS, "x")
 _Y = LaurentPolynomial.gen(XYVARS, "y")
-# (x - x^-1)/y, the value a split unknot contributes to H
-_DELTA_H = (_X - _X ** -1) * _Y ** -1
-# 1 + (x - x^-1)/y, the same for the Dubrovnik polynomial
-_DELTA_D = LaurentPolynomial.one(XYVARS) + _DELTA_H
+# 1 + (x - x^-1)/y, the value a split unknot contributes to D
+_DELTA_D = LaurentPolynomial.one(XYVARS) + (_X - _X ** -1) * _Y ** -1
 
 
 class SkeinBudgetError(RuntimeError):
@@ -76,6 +85,39 @@ def clear_memo():
     _DUBROVNIK_MEMO.clear()
 
 
+def _descend(root, key, step, table, budget):
+    """The one memoized skein recursion: the value of a node is table[key],
+    and a miss spends one budget unit and stores step(node, val), where
+    val evaluates the node's children the same way."""
+    book = _Budget(budget)
+
+    def val(node):
+        k = key(node)
+        hit = table.get(k)
+        if hit is not None:
+            return hit
+        book.spend()
+        out = table[k] = step(node, val)
+        return out
+
+    return val(root)
+
+
+# -- oriented rule: Conway and HOMFLY -----------------------------------------
+
+def _oriented_rule(x, y):
+    """x*P(L+) - x^-1*P(L-) = y*P(L0) solved for the diagram at hand: the
+    (switch, smoothing) factors by crossing sign, and the value of a split
+    unknot."""
+    factors = {1: (x ** -2, x ** -1 * y), -1: (x ** 2, -(x * y))}
+    return factors, (x - x ** -1) * y ** -1
+
+
+# x = 1 as a number, so Conway's factors multiply as scalars
+_CONWAY_RULE = _oriented_rule(Fraction(1), _Z)
+_HOMFLY_RULE = _oriented_rule(_X, _Y)
+
+
 def _key(d: LinkDiagram):
     return (d.crossings, d.components, d.over_in)
 
@@ -97,181 +139,103 @@ def _bad_crossings(d: LinkDiagram):
     return bads
 
 
-def conway(d: LinkDiagram, budget=None, memo=None, rng=None) -> LaurentPolynomial:
-    """Conway polynomial in z, normalized to 1 on the unknot (0 on split links)."""
-    d = d.monochrome()
-    table = _CONWAY_MEMO if memo is None else memo
-    book = _Budget(budget)
+def _oriented(d: LinkDiagram, rule, table, budget, rng) -> LaurentPolynomial:
+    factors, delta = rule
+    prune = delta.is_zero
+    unlinks: dict = {}  # m -> delta^(m - 1), the m-component unlink
 
-    def val(d):
-        if d.m > 1 and d.is_split():
-            return _ZERO_Z
-        key = _key(d)
-        hit = table.get(key)
-        if hit is not None:
-            return hit
-        book.spend()
+    def value(d, val):
+        # a split diagram's value is a multiple of delta, so with delta = 0
+        # it is known without a lookup and costs no node
+        if prune and d.m > 1 and d.is_split():
+            return delta
+        return val(d)
+
+    def step(d, val):
         bads = _bad_crossings(d)
         if not bads:
-            out = _ONE_Z if d.m == 1 else _ZERO_Z
-        else:
-            ci = bads[0] if rng is None else rng.choice(bads)
-            branch = val(d.switch(ci)) + d.sign(ci) * (_Z * val(d.smooth_oriented(ci)))
-            out = branch
-        table[key] = out
-        return out
+            if d.m not in unlinks:
+                unlinks[d.m] = delta ** (d.m - 1)
+            return unlinks[d.m]
+        ci = bads[0] if rng is None else rng.choice(bads)
+        at_switch, at_smooth = factors[d.sign(ci)]
+        return at_switch * value(d.switch(ci), val) \
+            + at_smooth * value(d.smooth_oriented(ci), val)
 
-    return val(d)
+    return value(d.monochrome(), lambda root: _descend(root, _key, step, table, budget))
+
+
+def conway(d: LinkDiagram, budget=None, memo=None, rng=None) -> LaurentPolynomial:
+    """Conway polynomial in z, normalized to 1 on the unknot (0 on split links)."""
+    table = _CONWAY_MEMO if memo is None else memo
+    return _oriented(d, _CONWAY_RULE, table, budget, rng)
 
 
 def homfly(d: LinkDiagram, budget=None, memo=None, rng=None) -> LaurentPolynomial:
     """HOMFLY polynomial in x, y with x*H(L+) - x^-1*H(L-) = y*H(L0)."""
-    d = d.monochrome()
     table = _HOMFLY_MEMO if memo is None else memo
-    book = _Budget(budget)
-
-    def val(d):
-        key = _key(d)
-        hit = table.get(key)
-        if hit is not None:
-            return hit
-        book.spend()
-        bads = _bad_crossings(d)
-        if not bads:
-            out = _DELTA_H ** (d.m - 1)
-        else:
-            ci = bads[0] if rng is None else rng.choice(bads)
-            if d.sign(ci) == 1:
-                out = (_X ** -2) * val(d.switch(ci)) \
-                    + (_X ** -1) * _Y * val(d.smooth_oriented(ci))
-            else:
-                out = (_X ** 2) * val(d.switch(ci)) \
-                    - _X * _Y * val(d.smooth_oriented(ci))
-        table[key] = out
-        return out
-
-    return val(d)
+    return _oriented(d, _HOMFLY_RULE, table, budget, rng)
 
 
-# -- Dubrovnik engine on unoriented diagrams ----------------------------------
+# -- unoriented rule: Dubrovnik ------------------------------------------------
 
-class _UD:
-    """Unoriented diagram: crossing records with under-strand at slots {0,2},
-    plus a count of crossing-free circles."""
-
-    __slots__ = ("crossings", "loops")
-
-    def __init__(self, crossings, loops):
-        self.crossings = tuple(tuple(rec) for rec in crossings)
-        self.loops = int(loops)
-
-    def key(self):
-        return (self.crossings, self.loops)
-
-    @classmethod
-    def from_diagram(cls, d: LinkDiagram) -> "_UD":
-        loops = sum(1 for cyc in d.components
-                    if len(cyc) == 1 and cyc[0] not in d.heads)
-        return cls(d.crossings, loops)
+def _identity(node):
+    return node
 
 
-def _ud_traverse(ud: _UD):
-    """Canonical traversal: circles ordered by minimal arc, walked from it.
-
-    Returns (ncircles, bads, selfwrithe, entries) where entries[ci] is a
-    dict slot->circle for the two entry slots of each crossing.
-    """
-    endpoints: dict = {}
-    for ci, rec in enumerate(ud.crossings):
-        for s, arc in enumerate(rec):
-            endpoints.setdefault(arc, []).append((ci, s))
-    seen_arcs = set()
-    entries: dict = {}
-    first_entry: dict = {}
-    visit_bad = []
-    ncircles = 0
-    for start in sorted(endpoints):
-        if start in seen_arcs:
-            continue
-        cid = ncircles
-        ncircles += 1
-        cur = start
-        behind = endpoints[start][1]
-        while cur not in seen_arcs:
-            seen_arcs.add(cur)
-            ends = endpoints[cur]
-            ahead = ends[1] if ends[0] == behind else ends[0]
-            ci, s = ahead
-            entries.setdefault(ci, []).append((cid, s))
-            if ci not in first_entry:
-                first_entry[ci] = s
-                if s in (0, 2):
-                    visit_bad.append(ci)
-            exit_slot = (s + 2) % 4
-            behind = (ci, exit_slot)
-            cur = ud.crossings[ci][exit_slot]
-    selfw = 0
-    for ci, pair in entries.items():
-        (c1, s1), (c2, s2) = pair
-        u = s1 if s1 in (0, 2) else s2
-        o = s1 if s1 in (1, 3) else s2
-        if c1 == c2:
-            selfw += 1 if o == (u + 3) % 4 else -1
-    return ncircles, visit_bad, selfw, entries
-
-
-def _ud_switch(ud: _UD, ci: int) -> _UD:
-    rec = ud.crossings[ci]
-    new = (rec[1], rec[2], rec[3], rec[0])
-    return _UD(ud.crossings[:ci] + (new,) + ud.crossings[ci + 1:], ud.loops)
-
-
-def _ud_smooth(ud: _UD, ci: int, pairs) -> _UD:
+def _smooth(crossings, loops, ci, pairs):
+    """Smooth crossing ci by joining its slots in pairs; a pair already
+    joined closes off a crossing-free circle."""
     uf: dict = {}
-    rec = ud.crossings[ci]
-    loops = ud.loops
+    rec = crossings[ci]
     for s1, s2 in pairs:
         if not uf_union(uf, rec[s1], rec[s2]):
             loops += 1
-    kept = [tuple(uf_find(uf, a) for a in ud.crossings[j])
-            for j in range(len(ud.crossings)) if j != ci]
-    return _UD(kept, loops)
+    kept = tuple(tuple(uf_find(uf, a) for a in crossings[j])
+                 for j in range(len(crossings)) if j != ci)
+    return kept, loops
 
 
-def dubrovnik(d_or_ud, budget=None, memo=None) -> LaurentPolynomial:
+def _unoriented_step(node, val):
+    """One Dubrovnik node: (crossings, loops), crossing records with the
+    under-strand at slots {0, 2} plus a count of crossing-free circles."""
+    crossings, loops = node
+    if not crossings:
+        return _DELTA_D ** (loops - 1)
+    entries: dict = {}  # crossing -> [(circle, entry slot)] in visit order
+    bads = []
+    ncircles = 0
+    for cid, _, ci, s in walk_unoriented(crossings):
+        ncircles = cid + 1
+        seen = entries.setdefault(ci, [])
+        if not seen and s in (0, 2):
+            bads.append(ci)
+        seen.append((cid, s))
+    if not bads:
+        selfw = 0
+        for (c1, s1), (c2, s2) in entries.values():
+            if c1 == c2:
+                u, o = (s1, s2) if s1 in (0, 2) else (s2, s1)
+                selfw += 1 if o == (u + 3) % 4 else -1
+        return (_X ** selfw) * _DELTA_D ** (ncircles + loops - 1)
+    ci = bads[0]
+    (_, s1), (_, s2) = entries[ci]
+    u, o = (s1, s2) if s1 in (0, 2) else (s2, s1)
+    sgn = 1 if o == (u + 3) % 4 else -1
+    rec = crossings[ci]
+    switched = crossings[:ci] + ((rec[1], rec[2], rec[3], rec[0]),) + crossings[ci + 1:]
+    sm0 = _smooth(crossings, loops, ci, ((u, (o + 2) % 4), (o, (u + 2) % 4)))
+    sm_inf = _smooth(crossings, loops, ci, ((u, o), ((u + 2) % 4, (o + 2) % 4)))
+    return val((switched, loops)) + sgn * (_Y * val(sm0)) - sgn * (_Y * val(sm_inf))
+
+
+def dubrovnik(d: LinkDiagram, budget=None, memo=None) -> LaurentPolynomial:
     """Regular-isotopy Dubrovnik polynomial of the underlying unoriented
     diagram: D+ - D- = y(D0 - Dinf), positive kink multiplies by x, and a
     split unknot contributes 1 + (x - x^-1)/y."""
-    ud = d_or_ud if isinstance(d_or_ud, _UD) else _UD.from_diagram(d_or_ud)
+    loops = sum(1 for cyc in d.components if len(cyc) == 1 and cyc[0] not in d.heads)
     table = _DUBROVNIK_MEMO if memo is None else memo
-    book = _Budget(budget)
-
-    def val(ud):
-        key = ud.key()
-        hit = table.get(key)
-        if hit is not None:
-            return hit
-        book.spend()
-        if not ud.crossings:
-            out = _DELTA_D ** (ud.loops - 1)
-        else:
-            ncircles, bads, selfw, entries = _ud_traverse(ud)
-            if not bads:
-                out = (_X ** selfw) * _DELTA_D ** (ncircles + ud.loops - 1)
-            else:
-                ci = bads[0]
-                (c1, s1), (c2, s2) = entries[ci]
-                u = s1 if s1 in (0, 2) else s2
-                o = s1 if s1 in (1, 3) else s2
-                sgn = 1 if o == (u + 3) % 4 else -1
-                sm0 = _ud_smooth(ud, ci, ((u, (o + 2) % 4), (o, (u + 2) % 4)))
-                sm_inf = _ud_smooth(ud, ci, ((u, o), ((u + 2) % 4, (o + 2) % 4)))
-                out = val(_ud_switch(ud, ci)) \
-                    + sgn * (_Y * val(sm0)) - sgn * (_Y * val(sm_inf))
-        table[key] = out
-        return out
-
-    return val(ud)
+    return _descend((d.crossings, loops), _identity, _unoriented_step, table, budget)
 
 
 def kauffman_f(d: LinkDiagram, budget=None, memo=None) -> LaurentPolynomial:

@@ -7,11 +7,9 @@ from linkinv.algebra import (
     LaurentPolynomial,
     TruncatedSeries,
     bar_substitute,
-    binomial_series,
     brace,
     bracket,
     divexact_var_minus_one,
-    exp_series,
     rewrite_in_difference,
     substitute_series,
     x_of_z,
@@ -144,12 +142,6 @@ def test_x_of_z_degree_four_term():
     assert x.coefficient((3,)) == 0
 
 
-def test_binomial_series_inverse_sqrt_integrality():
-    s = binomial_series(Fraction(-1, 2), 4, 20)
-    for exps, coeff in s.terms.items():
-        assert coeff.denominator == 1, (exps, coeff)
-
-
 def test_x_of_four_y_is_odd_constant_plus_even_terms():
     x, _ = x_of_z(20)
     scaled = {}
@@ -161,16 +153,6 @@ def test_x_of_four_y_is_odd_constant_plus_even_terms():
             assert c % 2 == 1
         else:
             assert c % 2 == 0
-
-
-def test_exp_series_values():
-    e1 = exp_series(1, 2)
-    assert e1 == TruncatedSeries(("h",), 2, {(0,): 1, (1,): 1, (2,): Fraction(1, 2)})
-    ehalf = exp_series(Fraction(1, 2), 8)
-    eneg = exp_series(Fraction(-1, 2), 8)
-    assert ehalf * eneg == TruncatedSeries.one(("h",), 8)
-    ech = exp_series(0, 1, c_mult=Fraction(1, 2))
-    assert ech == TruncatedSeries(("c", "h"), 2, {(0, 0): 1, (1, 1): Fraction(1, 2)})
 
 
 def test_substitute_series_with_inverses():

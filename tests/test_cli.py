@@ -171,6 +171,8 @@ MALFORMED = {
     "long-braid-letter": "braid(2): 1 " + LONG + "\n",
     "deep-nesting": HOPF_CROSSINGS + "components: [[1,2],[3,4]]\ncolors: " + "-" * 5000 + "1\n",
     "parser-overflow": HOPF_CROSSINGS + "components: " + "-" * 100000 + "1\n",
+    "stray-free-loop": "X[1,3,2,4] X[3,1,4,2] O[9] O[9]\ncomponents: [[1,2],[3,4]]\n",
+    "repeated-free-loop": "O[1] O[1]\ncomponents: [[1]]\n",
 }
 
 

@@ -107,12 +107,13 @@ def test_conway_multiplicative_under_connected_sum():
         assert conway(s) == conway(base) * conway(t)
 
 
-def test_conway_descent_independence():
+@pytest.mark.parametrize("engine", [conway, homfly], ids=["conway", "homfly"])
+def test_conway_descent_independence(engine):
     for make in (trefoil, whitehead, borromean):
         d = make()
-        base = conway(d, memo={})
+        base = engine(d, memo={})
         for seed in range(10):
-            assert conway(d, memo={}, rng=random.Random(seed)) == base
+            assert engine(d, memo={}, rng=random.Random(seed)) == base
 
 
 def test_conway_skein_relation_everywhere():
@@ -127,8 +128,29 @@ def test_conway_skein_relation_everywhere():
 
 
 def test_budget_error():
-    with pytest.raises(SkeinBudgetError):
-        conway(borromean(), budget=2, memo={})
+    for engine in (conway, homfly, kauffman_f):
+        with pytest.raises(SkeinBudgetError):
+            engine(borromean(), budget=2, memo={})
+
+
+# Nodes each engine stores on a cold table: the descent order, Conway's
+# split pruning (split nodes never reach the table) and the memo keys all
+# show in these counts.
+NODE_COUNTS = [
+    (lambda: braid_closure(BraidWord(2, [1] * 6)), (40, 41, 541)),
+    (borromean, (30, 35, 335)),
+    (whitehead, (18, 21, 157)),
+]
+
+
+@pytest.mark.parametrize("make,counts", NODE_COUNTS, ids=["T(2,6)", "borromean", "whitehead"])
+def test_cold_memo_node_counts(make, counts):
+    sizes = []
+    for engine in (conway, homfly, kauffman_f):
+        memo = {}
+        engine(make(), memo=memo)
+        sizes.append(len(memo))
+    assert tuple(sizes) == counts
 
 
 def test_homfly_unknot_and_unlinks():
