@@ -8,6 +8,9 @@ every operation returns a new value.
 Operands over different variable lists are aligned automatically by
 embedding both into the union of the variable lists, ordered
 lexicographically.
+
+`TruncatedSeries` is the package's one power-series type; the exponential
+expansions in Q[c][[h]] use it too, over (a, h) with a = c*h.
 """
 
 from __future__ import annotations
@@ -400,14 +403,15 @@ class TruncatedSeries:
                 coeff = _coeff(coeff)
                 if coeff == 0:
                     continue
-                exps = tuple(int(e) for e in exps)
+                exps = tuple(map(int, exps))
                 if len(exps) != nv:
                     raise ValueError("exponent vector length mismatch")
-                if any(e < 0 for e in exps):
+                if exps and min(exps) < 0:
                     raise ValueError("negative exponent in a power series")
                 if sum(exps) > cap:
                     continue
-                clean[exps] = clean.get(exps, Fraction(0)) + coeff
+                prev = clean.get(exps)
+                clean[exps] = coeff if prev is None else prev + coeff
             clean = {e: c for e, c in clean.items() if c != 0}
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "cap", int(cap))
@@ -470,9 +474,12 @@ class TruncatedSeries:
                                _embed_terms(self.terms, self.variables, variables))
 
     def _aligned(self, other):
-        nv = _merge_vars(self.variables, other.variables)
         cap = min(self.cap, other.cap)
-        return nv, cap, self.embed(nv).terms, other.embed(nv).terms
+        if self.variables == other.variables:
+            return self.variables, cap, self.terms, other.terms
+        nv = _merge_vars(self.variables, other.variables)
+        return (nv, cap, _embed_terms(self.terms, self.variables, nv),
+                _embed_terms(other.terms, other.variables, nv))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -515,14 +522,16 @@ class TruncatedSeries:
             return TruncatedSeries(self.variables, self.cap,
                                    {e: c * v for e, v in self.terms.items()})
         nv, cap, a, b = self._aligned(other)
+        right = sorted((sum(eb), eb, cb) for eb, cb in b.items())
         out: dict = {}
         for ea, ca in a.items():
-            da = sum(ea)
-            for eb, cb in b.items():
-                if da + sum(eb) > cap:
-                    continue
+            room = cap - sum(ea)
+            for db, eb, cb in right:
+                if db > room:
+                    break
                 key = tuple(x + y for x, y in zip(ea, eb))
-                out[key] = out.get(key, Fraction(0)) + ca * cb
+                prev = out.get(key)
+                out[key] = ca * cb if prev is None else prev + ca * cb
         return TruncatedSeries(nv, cap, out)
 
     __rmul__ = __mul__
@@ -541,19 +550,30 @@ class TruncatedSeries:
         return out
 
     def invert(self) -> "TruncatedSeries":
-        """Multiplicative inverse up to the cap; the constant term must be nonzero."""
+        """Multiplicative inverse up to the cap; the constant term c0 must be
+        nonzero.  Degree by degree: inv_k = -(1/c0) * sum_j self_j * inv_(k-j)."""
         c0 = self.constant_term()
         if c0 == 0:
             raise ZeroDivisionError("series with zero constant term has no inverse")
-        u = (self * (Fraction(1) / c0)) - 1  # valuation >= 1
-        out = TruncatedSeries.one(self.variables, self.cap)
-        power = TruncatedSeries.one(self.variables, self.cap)
-        for _ in range(self.cap):
-            power = power * u
-            if power.is_zero:
-                break
-            out = out + (power if _ % 2 == 1 else -power)
-        return out * (Fraction(1) / c0)
+        q = 1 / c0
+        by_deg: dict = {}
+        for e, c in self.terms.items():
+            if any(e):
+                by_deg.setdefault(sum(e), []).append((e, c))
+        levels = [{(0,) * len(self.variables): q}]
+        for k in range(1, self.cap + 1):
+            acc: dict = {}
+            for j, part in by_deg.items():
+                if j > k:
+                    continue
+                for eb, cb in levels[k - j].items():
+                    for ea, ca in part:
+                        key = tuple(x + y for x, y in zip(ea, eb))
+                        prev = acc.get(key)
+                        acc[key] = ca * cb if prev is None else prev + ca * cb
+            levels.append({e: -v * q for e, v in acc.items() if v})
+        return TruncatedSeries(self.variables, self.cap,
+                               {e: c for level in levels for e, c in level.items()})
 
     def render(self) -> str:
         return _render(self.terms, self.variables)

@@ -119,6 +119,13 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY if failed else EXIT_OK
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"budget must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="linkinv",
@@ -132,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap", type=int, default=DEFAULT_CAP,
                        help="total-degree bound for series (default 12)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--budget", type=int, default=None,
+        p.add_argument("--budget", type=nonnegative_int, default=None,
                        help="skein node budget (default 10^6)")
 
     p = sub.add_parser("invariants", help="full invariant report")
@@ -163,7 +170,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     from .skein import set_default_budget
     try:
-        if getattr(args, "budget", None):
+        if getattr(args, "budget", None) is not None:
             set_default_budget(args.budget)
         return args.fn(args)
     except SkeinBudgetError as exc:

@@ -6,7 +6,8 @@ Laurent polynomial over brace monomials, the reduced polynomial obtained
 by doubling the sum of the decomposition parts, the starred quotients by
 the component Conway polynomials, the two-variable expansion in
 y_i = x_i^2 - 1, and the exponential expansions of the HOMFLY and
-Dubrovnik/Kauffman polynomials.
+Dubrovnik/Kauffman polynomials.  Every series here is a TruncatedSeries;
+Q[c][[h]] is held over (a, h) with a = c*h.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ def parity_vector(d: LinkDiagram) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SeriesWithPole:
-    """A truncated series together with a pole order in its variable;
-    the value is series / z^pole_order."""
+    """A truncated series together with a pole order; the value is
+    series / z^pole_order (or / h^pole_order for the exponential layer)."""
 
     series: TruncatedSeries
     pole_order: int = 0
@@ -357,205 +358,95 @@ def traldi_expand(om: PotentialFunction, cap: int = DEFAULT_CAP) -> CoefficientT
 
 # -- exponential expansions ---------------------------------------------------
 
-_BIG = 10 ** 9
+_CH = ("a", "h")  # Q[c][[h]] over a = c*h: the total degree is the h-degree
 
 
-class CHSeries:
-    """Laurent series in h whose coefficients are polynomials in c, exact
-    through orders below `prec`."""
-
-    __slots__ = ("terms", "prec")
-
-    def __init__(self, terms, prec):
-        clean: dict = {}
-        for (he, ce), co in terms.items():
-            if co and he < prec:
-                clean[(he, ce)] = co
-        self.terms = clean
-        self.prec = prec
-
-    @classmethod
-    def constant(cls, value, prec):
-        return cls({(0, 0): Fraction(value)}, prec)
-
-    @property
-    def val(self):
-        if not self.terms:
-            return _BIG
-        return min(h for h, _ in self.terms)
-
-    def __add__(self, other):
-        prec = min(self.prec, other.prec)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return CHSeries(out, prec)
-
-    def __sub__(self, other):
-        return self + (other * -1)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CHSeries({k: v * other for k, v in self.terms.items()}, self.prec)
-        prec = min(self.prec + other.val, other.prec + self.val, _BIG)
-        out: dict = {}
-        for (h1, c1), v1 in self.terms.items():
-            for (h2, c2), v2 in other.terms.items():
-                if h1 + h2 >= prec:
-                    continue
-                key = (h1 + h2, c1 + c2)
-                out[key] = out.get(key, Fraction(0)) + v1 * v2
-        return CHSeries(out, prec)
-
-    __rmul__ = __mul__
-
-    def shift(self, k):
-        return CHSeries({(h + k, c): v for (h, c), v in self.terms.items()},
-                        min(self.prec + k, _BIG))
-
-    def power(self, n):
-        out = CHSeries.constant(1, _BIG)
-        base = self
-        if n < 0:
-            base = base.invert()
-            n = -n
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
-
-    def invert(self):
-        if self.val != 0:
-            raise ZeroDivisionError("inverse needs valuation 0")
-        head = {c: v for (h, c), v in self.terms.items() if h == 0}
-        if set(head) != {0}:
-            raise ZeroDivisionError("leading coefficient must be a rational constant")
-        q = head[0]
-        by_h: dict = {}
-        for (h, c), v in self.terms.items():
-            by_h.setdefault(h, {})[c] = v
-        inv_by_h = {0: {0: Fraction(1) / q}}
-        prec = self.prec if self.prec < _BIG else 1
-        for k in range(1, prec):
-            acc: dict = {}
-            for j in range(1, k + 1):
-                a = by_h.get(j)
-                if not a:
-                    continue
-                b = inv_by_h.get(k - j)
-                if not b:
-                    continue
-                for ca, va in a.items():
-                    for cb, vb in b.items():
-                        acc[ca + cb] = acc.get(ca + cb, Fraction(0)) + va * vb
-            inv_by_h[k] = {c: -v / q for c, v in acc.items() if v}
-        out = {}
-        for h, bucket in inv_by_h.items():
-            for c, v in bucket.items():
-                if v:
-                    out[(h, c)] = v
-        return CHSeries(out, self.prec)
-
-    def coefficient(self, h, c) -> Fraction:
-        return self.terms.get((h, c), Fraction(0))
-
-    def equal_to_order(self, other, order) -> bool:
-        if self.prec <= order or other.prec <= order:
-            raise ValueError("series not computed to the requested order")
-        a = {k: v for k, v in self.terms.items() if k[0] <= order}
-        b = {k: v for k, v in other.terms.items() if k[0] <= order}
-        return a == b
-
-
-def _exp_linear(k: int, shift: int, prec: int) -> CHSeries:
-    """exp(k*(c + shift)*h/2) as a CHSeries exact through orders < prec."""
+def _exp_sum(row, shift: int, cap: int) -> TruncatedSeries:
+    """The sum of coeff * e^(kx*(a + shift*h)/2) over the (kx, coeff) pairs
+    in row, through total degree cap."""
     terms = {}
     fact = Fraction(1)
-    for j in range(prec):
+    for j in range(cap + 1):
         if j:
             fact /= j
-        scale = Fraction(k, 2) ** j * fact
-        if scale == 0 and j > 0:
-            continue
-        for i in range(j + 1):
-            c = scale * comb(j, i) * Fraction(shift) ** (j - i)
-            if c:
-                terms[(j, i)] = terms.get((j, i), Fraction(0)) + c
-    return CHSeries(terms, prec)
+        moment = fact * sum(coeff * Fraction(kx, 2) ** j for kx, coeff in row)
+        if moment:
+            for i in range(j + 1):
+                terms[(i, j - i)] = moment * comb(j, i) * Fraction(shift) ** (j - i)
+    return TruncatedSeries(_CH, cap, terms)
 
 
-def _sinh_double(prec: int) -> CHSeries:
-    """e^(h/2) - e^(-h/2) exact through orders < prec."""
+def _sinh_unit(cap: int) -> TruncatedSeries:
+    """s = (e^(h/2) - e^(-h/2)) / h, a unit, through h-degree cap."""
     terms = {}
     fact = Fraction(1)
-    for j in range(prec):
-        if j:
-            fact /= j
-        if j % 2 == 1:
-            terms[(j, 0)] = 2 * Fraction(1, 2) ** j * fact
-    return CHSeries(terms, prec)
+    for j in range(1, cap + 2):
+        fact /= j
+        if j % 2:
+            terms[(0, j - 1)] = 2 * Fraction(1, 2) ** j * fact
+    return TruncatedSeries(_CH, cap, terms)
 
 
-def substitute_exponential(f: LaurentPolynomial, shift: int, cap: int) -> CHSeries:
-    """Substitute x -> e^((c+shift)h/2), y -> e^(h/2) - e^(-h/2) into a
-    Laurent polynomial in (x, y); the result must be a genuine power
-    series in h (the poles contributed by negative powers of y cancel)."""
+def substitute_exponential(f: LaurentPolynomial, shift: int, cap: int) -> SeriesWithPole:
+    """Substitute x -> e^((c+shift)h/2), y -> e^(h/2) - e^(-h/2) = h*s into
+    a Laurent polynomial in (x, y).
+
+    With pad = -(least power of y), the value is G / h^pad for the power
+    series G = sum coeff * e^(kx(a + shift*h)/2) * s^ky * h^(ky + pad),
+    returned as SeriesWithPole(G, pad) through total degree cap + pad, so
+    that the value is exact through h-degree cap.
+    """
     if f.is_zero:
-        return CHSeries({}, cap + 1)
+        return SeriesWithPole(TruncatedSeries.zero(_CH, cap), 0)
     xi = f.variables.index("x")
     yi = f.variables.index("y")
-    ymin = min(e[yi] for e in f.terms)
-    pad = max(0, -ymin)
-    prec = cap + 1 + pad
-    u = _sinh_double(prec + 1)
-    s_unit = u.shift(-1)  # u / h, a unit
-    s_inv = s_unit.invert()
-    out = CHSeries({}, prec)
-    xcache: dict = {}
-    ycache: dict = {}
+    pad = max(0, -min(e[yi] for e in f.terms))
+    prec = cap + pad
+    by_y: dict = {}
     for exps, coeff in f.terms.items():
-        kx, ky = exps[xi], exps[yi]
-        if kx not in xcache:
-            xcache[kx] = _exp_linear(kx, shift, prec)
-        if ky not in ycache:
-            if ky >= 0:
-                ycache[ky] = u.power(ky)
-            else:
-                ycache[ky] = s_inv.power(-ky).shift(ky)
-        out = out + (xcache[kx] * ycache[ky]) * coeff
-    if out.val < 0:
-        raise ArithmeticError("negative powers of h did not cancel")
-    if out.prec <= cap:
-        raise ArithmeticError("internal precision bookkeeping failed")
-    return CHSeries(out.terms, cap + 1)
+        by_y.setdefault(exps[yi], []).append((exps[xi], coeff))
+    s = _sinh_unit(prec)
+    h = TruncatedSeries.gen(_CH, "h", prec)
+    out = TruncatedSeries.zero(_CH, prec)
+    for ky, row in by_y.items():
+        out = out + _exp_sum(row, shift, prec) * s ** ky * h ** (ky + pad)
+    return SeriesWithPole(out, pad)
+
+
+def _read_off(sp: SeriesWithPole, provenance: str, cap: int) -> CoefficientTable:
+    """Table (h-degree, c-degree) -> coefficient of series / h^pole_order:
+    a^i h^j lands at (i + j - pole_order, i)."""
+    entries = {}
+    for (i, j), coeff in sp.series.terms.items():
+        if i + j < sp.pole_order:
+            raise ArithmeticError("negative powers of h did not cancel")
+        entries[(i + j - sp.pole_order, i)] = coeff
+    return CoefficientTable(entries, provenance, cap)
 
 
 def exp_expand_homfly(h_poly: LaurentPolynomial, cap: int = DEFAULT_CAP) -> CoefficientTable:
-    s = substitute_exponential(h_poly, 0, cap)
-    return CoefficientTable(dict(s.terms), "homfly-exp", cap)
+    return _read_off(substitute_exponential(h_poly, 0, cap), "homfly-exp", cap)
 
 
 def exp_expand_kauffman(f_poly: LaurentPolynomial, cap: int = DEFAULT_CAP) -> CoefficientTable:
-    s = substitute_exponential(f_poly, -1, cap)
-    return CoefficientTable(dict(s.terms), "kauffman-exp", cap)
+    return _read_off(substitute_exponential(f_poly, -1, cap), "kauffman-exp", cap)
 
 
-def _exp_quotient(d: LinkDiagram, poly, shift: int, cap: int) -> CHSeries:
-    out = substitute_exponential(poly(d), shift, cap)
+def _exp_quotient(d: LinkDiagram, poly, shift: int, cap: int, provenance: str) -> CoefficientTable:
+    num = substitute_exponential(poly(d), shift, cap)
+    out = num.series
     for j in range(d.m):
-        out = out * substitute_exponential(poly(d.component(j)), shift, cap).invert()
-    return out
+        comp = substitute_exponential(poly(d.component(j)), shift, cap + num.pole_order)
+        out = out * comp.series.invert()
+    return _read_off(SeriesWithPole(out, num.pole_order), provenance, cap)
 
 
-def homfly_exp_quotient(d: LinkDiagram, cap: int = DEFAULT_CAP) -> CHSeries:
+def homfly_exp_quotient(d: LinkDiagram, cap: int = DEFAULT_CAP) -> CoefficientTable:
     """H of the link over the product of the component H's, after the
     exponential substitution (the division happens in the h-adic ring)."""
-    return _exp_quotient(d, homfly, 0, cap)
+    return _exp_quotient(d, homfly, 0, cap, "homfly-exp-quotient")
 
 
-def kauffman_exp_quotient(d: LinkDiagram, cap: int = DEFAULT_CAP) -> CHSeries:
+def kauffman_exp_quotient(d: LinkDiagram, cap: int = DEFAULT_CAP) -> CoefficientTable:
     """The same quotient for the Dubrovnik version F of the Kauffman polynomial."""
-    return _exp_quotient(d, kauffman_f, -1, cap)
+    return _exp_quotient(d, kauffman_f, -1, cap, "kauffman-exp-quotient")

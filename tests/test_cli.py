@@ -143,14 +143,25 @@ def test_corpus_loads_and_round_trips():
         assert len(link.crossings) <= 16
 
 
-def test_budget_applies_to_invariants_too(capsys):
+@pytest.mark.parametrize("budget", ["1", "0"])
+def test_budget_applies_to_invariants_too(capsys, budget):
     from linkinv.skein import clear_memo, set_default_budget
     clear_memo()
     try:
-        code, _, err = run(capsys, "invariants", BORROMEAN, "--budget", "1")
+        code, _, err = run(capsys, "invariants", BORROMEAN, "--budget", budget)
         assert code == 3
     finally:
         set_default_budget(None)
+
+
+@pytest.mark.parametrize("command", [
+    ["invariants", HOPF], ["polys", HOPF, "--which", "conway"],
+    ["decompose", HOPF], ["verify", "--suite", "lemma41"]])
+def test_negative_budget_is_input_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--budget", "-5"])
+    assert exc.value.code == 2
+    assert "budget must be >= 0" in capsys.readouterr().err
 
 
 HOPF_CROSSINGS = "X[1,3,2,4] X[3,1,4,2]\n"

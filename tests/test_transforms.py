@@ -8,7 +8,6 @@ from linkinv.alexander import potential_function
 from linkinv.diagram import BraidWord, braid_closure, parse_pd
 from linkinv.skein import conway, homfly, kauffman_f
 from linkinv.transforms import (
-    CHSeries,
     Decomposition,
     component_conways,
     conway_quotient,
@@ -29,6 +28,10 @@ from linkinv.transforms import (
     traldi_expand,
     zvars,
 )
+
+
+X = LaurentPolynomial.gen(("x", "y"), "x")
+Y = LaurentPolynomial.gen(("x", "y"), "y")
 
 
 def unknot():
@@ -381,7 +384,23 @@ def test_traldi_integer_entries():
 
 def test_substitute_exponential_unknot():
     s = substitute_exponential(homfly(unknot()), 0, 6)
-    assert s.terms == {(0, 0): Fraction(1)}
+    assert s.pole_order == 0
+    assert s.series.terms == {(0, 0): Fraction(1)}
+    assert exp_expand_homfly(homfly(unknot()), 6).entries == {(0, 0): Fraction(1)}
+
+
+def test_exp_unlink2_closed_form():
+    # (x - x^-1)/y -> sinh(ch/2)/sinh(h/2): the pole in y cancels
+    assert homfly(unlink(2)) == (X - X ** -1) * Y ** -1
+    table = exp_expand_homfly(homfly(unlink(2)), 4)
+    assert table.entries == {
+        (0, 1): 1, (2, 1): Fraction(-1, 24), (2, 3): Fraction(1, 24),
+        (4, 1): Fraction(7, 5760), (4, 3): Fraction(-1, 576), (4, 5): Fraction(1, 1920)}
+
+
+def test_exp_uncancelled_pole_raises():
+    with pytest.raises(ArithmeticError, match="did not cancel"):
+        exp_expand_homfly(Y ** -1, 4)
 
 
 def test_exp_base_rows_match_component_count():
@@ -404,12 +423,14 @@ def test_exp_hopf_first_rows():
     assert row1  # the h-degree-1 row is nontrivial
 
 
-def test_chseries_invert_round_trip():
-    s = substitute_exponential(homfly(trefoil()), 0, 8)
-    inv = s.invert()
-    prod = s * inv
-    one = CHSeries.constant(1, 9)
-    assert prod.equal_to_order(one, 8)
+def test_exp_quotient_separates_hopf_from_unlink():
+    hq = homfly_exp_quotient(hopf(), 6)
+    uq = homfly_exp_quotient(unlink(2), 6)
+    assert hq.provenance == uq.provenance == "homfly-exp-quotient"
+    assert hq.get(0, 1) == uq.get(0, 1) == 1
+    assert hq != uq
+    # a knot over itself: the component series times its inverse is 1
+    assert homfly_exp_quotient(trefoil(), 8).entries == {(0, 0): 1}
 
 
 def test_exp_quotients_pl_invariance():
@@ -417,11 +438,11 @@ def test_exp_quotients_pl_invariance():
     knotted = base.connected_sum(trefoil(), 1, 0)
     cap = 6
     a = homfly_exp_quotient(base, cap)
-    b = homfly_exp_quotient(knotted, cap)
-    assert a.equal_to_order(b, cap)
+    assert a == homfly_exp_quotient(knotted, cap)
+    assert a.entries == exp_expand_homfly(homfly(base), cap).entries  # unknotted components
     fa = kauffman_exp_quotient(base, cap)
-    fb = kauffman_exp_quotient(knotted, cap)
-    assert fa.equal_to_order(fb, cap)
+    assert fa.provenance == "kauffman-exp-quotient"
+    assert fa == kauffman_exp_quotient(knotted, cap)
 
 
 def test_component_conways():
