@@ -1,13 +1,17 @@
 """Multivariable Alexander polynomial via Wirtinger presentation and Fox
 calculus, and its normalization into the Conway potential function.
 
-The Alexander polynomial is computed up to units (+-monomials).  The
+The Alexander polynomial is computed up to units (+-monomials), from a
+Fox minor whose determinant is taken by fraction-free Bareiss elimination
+over Z[t^+-1] (polynomial time; every division is exact and checked).  The
 potential function pins the monomial shift by the symmetry requirement
-under inverting all variables, and the residual sign by matching the
-monochromatic specialization against the skein-computed Conway polynomial,
-falling back to the component-deletion formula against a sublink; when
-both strategies are inapplicable the value is returned with an explicit
-ambiguity flag rather than a silent choice.
+under inverting all variables, and the residual sign through the Conway
+bridge (x - x^-1) * Omega(x, ..., x) = conway(x - x^-1), tried in order:
+the lowest Conway coefficient a_(m-1), a cofactor of the linking matrix,
+against the bridge's z^(m-1) coefficient; the whole skein-computed Conway
+polynomial, only when that cofactor is 0; the component-deletion formula
+against a sublink; and, when none applies, an explicit ambiguity flag
+rather than a silent choice.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import LaurentPolynomial, divexact_var_minus_one
+from .algebra import LaurentPolynomial, divexact_var_minus_one, rewrite_in_difference
 from .diagram import DiagramError, LinkDiagram, uf_find, uf_union
 from .skein import conway
 
@@ -96,34 +100,85 @@ def fox_matrix(p: WirtingerPresentation):
     ]
 
 
+def _int_terms(entry: LaurentPolynomial) -> dict:
+    out = {}
+    for exps, coeff in entry.terms.items():
+        if coeff.denominator != 1:
+            raise ValueError("Fox matrix entries must have integer coefficients")
+        out[exps] = int(coeff)
+    return out
+
+
+def _add_product(out: dict, a: dict, b: dict, sign: int = 1) -> dict:
+    """out += sign * a * b on {exponent tuple: int} dicts."""
+    for ea, ca in a.items():
+        ca *= sign
+        for eb, cb in b.items():
+            e = tuple([x + y for x, y in zip(ea, eb)])
+            out[e] = out.get(e, 0) + ca * cb
+    return out
+
+
+def _exact_quotient(num: dict, den: dict) -> dict:
+    """num / den over Z[t^+-1], cancelling num's lex-leading term each step
+    (lex order on Z^n is a group order); raises ArithmeticError on a
+    remainder.  An exact quotient's exponents lie in the per-variable
+    degree box checked below, which also bounds the loop."""
+    num = {e: c for e, c in num.items() if c}
+    if not num:
+        return num
+    lo = [a - b for a, b in zip(map(min, zip(*num)), map(min, zip(*den)))]
+    hi = [a - b for a, b in zip(map(max, zip(*num)), map(max, zip(*den)))]
+    lead = max(den)
+    lc = den[lead]
+    out = {}
+    while num:
+        top = max(num)
+        qe = tuple([x - y for x, y in zip(top, lead)])
+        q, r = divmod(num[top], lc)
+        if r or not all(a <= x <= b for a, x, b in zip(lo, qe, hi)):
+            raise ArithmeticError("inexact division in the Bareiss elimination")
+        out[qe] = q
+        for e, c in den.items():
+            k = tuple([x + y for x, y in zip(qe, e)])
+            v = num.get(k, 0) - q * c
+            if v:
+                num[k] = v
+            else:
+                del num[k]
+    return out
+
+
 def fox_determinant(rows, ncols: int, variables) -> LaurentPolynomial:
-    """Determinant by column-subset dynamic programming (no division)."""
-    if ncols == 0:
-        return LaurentPolynomial.one(variables)
-    sparse = []
-    for row in rows:
-        entries = [(c, e) for c, e in enumerate(row) if not e.is_zero]
-        sparse.append(entries)
-    layer = {0: LaurentPolynomial.one(variables)}
-    for entries in sparse:
-        new: dict = {}
-        for mask, acc in layer.items():
-            for c, e in entries:
-                if mask >> c & 1:
-                    continue
-                flips = bin(mask >> (c + 1)).count("1")
-                term = acc * e
-                if flips % 2:
-                    term = -term
-                key = mask | 1 << c
-                if key in new:
-                    new[key] = new[key] + term
-                else:
-                    new[key] = term
-        layer = new
-        if not layer:
+    """Determinant of a square matrix over Z[t^+-1] by fraction-free Bareiss
+    elimination: step k replaces each entry below and right of the pivot by
+    (pivot * entry - column entry * pivot-row entry) / previous pivot, a
+    division that is exact.  The pivot is the entry of the column with the
+    fewest terms; each row swap flips the sign."""
+    if len(rows) != ncols or any(len(row) != ncols for row in rows):
+        raise ValueError("square matrix expected")
+    mat = [[_int_terms(e) for e in row] for row in rows]
+    sign = 1
+    prev = {(0,) * len(variables): 1}
+    for k in range(ncols):
+        nonzero = [i for i in range(k, ncols) if mat[i][k]]
+        if not nonzero:
             return LaurentPolynomial.zero(variables)
-    return layer.get((1 << ncols) - 1, LaurentPolynomial.zero(variables))
+        p = min(nonzero, key=lambda i: len(mat[i][k]))
+        if p != k:
+            mat[k], mat[p] = mat[p], mat[k]
+            sign = -sign
+        pivot_row = mat[k]
+        pivot = pivot_row[k]
+        for row in mat[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, ncols):
+                num = _add_product({}, pivot, row[j])
+                if lead and pivot_row[j]:
+                    _add_product(num, lead, pivot_row[j], -1)
+                row[j] = _exact_quotient(num, prev)
+        prev = pivot
+    return LaurentPolynomial(variables, {e: sign * c for e, c in prev.items()})
 
 
 def alexander_poly(d: LinkDiagram) -> LaurentPolynomial:
@@ -207,8 +262,6 @@ def _symmetrize(f: LaurentPolynomial, m: int):
         if (lo + hi) % 2:
             raise ArithmeticError("no integral symmetrizing shift exists")
         lam.append(-(lo + hi) // 2)
-    n = len(f.variables)
-    images = [(1, tuple(lam[k] if k == i else 0 for k in range(n))) for i in range(n)]
     shift = LaurentPolynomial.monomial(f.variables, tuple(lam), 1)
     h = shift * f
     want = 1 if m == 1 else (-1) ** m
@@ -218,15 +271,45 @@ def _symmetrize(f: LaurentPolynomial, m: int):
     return h, tuple(lam)
 
 
+def _bridge_lhs(h: LaurentPolynomial, m: int) -> LaurentPolynomial:
+    """The candidate's side of the Conway bridge, a polynomial in x that
+    equals +-conway(x - x^-1): the knot numerator, or (x - x^-1) times the
+    link numerator with every variable set to x."""
+    if m == 1:
+        return h.rename_variables({h.variables[0]: "x"})
+    x = LaurentPolynomial.gen(("x",), "x")
+    return (x - x ** -1) * h.collapse_variables("x")
+
+
+def linking_cofactor(d: LinkDiagram) -> Fraction:
+    """The lowest Conway coefficient a_(m-1) from linking numbers alone
+    (Hoste, Proc. AMS 95, 1985): 1 for a knot; for a link, an (m-1)-cofactor
+    of L with L_ij = -lk(i, j) and L_ii = sum over j != i of lk(i, j)."""
+    lk = d.linking_matrix()
+    rows = [[LaurentPolynomial.constant((), sum(lk[i]) if i == j else -lk[i][j])
+             for j in range(1, d.m)] for i in range(1, d.m)]
+    return fox_determinant(rows, d.m - 1, ()).constant_term()
+
+
+def _pin_by_linking(h: LaurentPolynomial, d: LinkDiagram) -> int:
+    """The sign that makes the candidate's z^(m-1) bridge coefficient equal
+    the linking cofactor, or 0 when the cofactor vanishes and cannot pin."""
+    a = linking_cofactor(d)
+    if not a:
+        return 0
+    lowest = rewrite_in_difference(_bridge_lhs(h, d.m)).coefficient((d.m - 1,))
+    if lowest == a:
+        return 1
+    if lowest == -a:
+        return -1
+    raise ArithmeticError("potential function does not match the Conway polynomial")
+
+
 def _pin_sign(h: LaurentPolynomial, d: LinkDiagram, nabla: LaurentPolynomial):
     """Fix the residual +-1 by the Conway bridge, else by component deletion
     against a sublink with known sign, else flag the value ambiguous."""
     m = d.m
-    if m == 1:
-        lhs = h.rename_variables({h.variables[0]: "x"})
-    else:
-        x = LaurentPolynomial.gen(("x",), "x")
-        lhs = (x - x ** -1) * h.collapse_variables("x")
+    lhs = _bridge_lhs(h, m)
     rhs = conway_in_x(nabla)
     if not rhs.is_zero:
         if lhs == rhs:
@@ -278,7 +361,9 @@ def potential_function(d: LinkDiagram) -> PotentialFunction:
         images.append((1, tuple(2 if k == i else 0 for k in range(n))))
     f = delta.monomial_substitute(variables, images)
     h, lam = _symmetrize(f, m)
-    eps, provenance = _pin_sign(h, d, conway(d))
+    eps, provenance = _pin_by_linking(h, d), VIA_NABLA
+    if not eps:
+        eps, provenance = _pin_sign(h, d, conway(d))
     out = PotentialFunction(variables, eps * h, m == 1, lam, provenance)
     _POTENTIAL_CACHE[key] = out
     return out

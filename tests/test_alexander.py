@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkinv.algebra import LaurentPolynomial, bar_substitute
 from linkinv.alexander import (
@@ -10,10 +14,14 @@ from linkinv.alexander import (
     deletion_check,
     fox_matrix,
     fox_determinant,
+    linking_cofactor,
     potential_function,
+    tvars,
     wirtinger,
+    _exact_quotient,
     _pin_sign,
 )
+from linkinv.corpus import load_corpus
 from linkinv.diagram import BraidWord, braid_closure, parse_pd
 from linkinv.skein import conway
 
@@ -89,6 +97,37 @@ def test_fox_fundamental_identity():
             assert total.is_zero
 
 
+def subset_dp_determinant(rows, ncols, variables):
+    """Determinant by column-subset dynamic programming (no division): the
+    exponential-time oracle for the Bareiss `fox_determinant`."""
+    if ncols == 0:
+        return LaurentPolynomial.one(variables)
+    sparse = []
+    for row in rows:
+        entries = [(c, e) for c, e in enumerate(row) if not e.is_zero]
+        sparse.append(entries)
+    layer = {0: LaurentPolynomial.one(variables)}
+    for entries in sparse:
+        new: dict = {}
+        for mask, acc in layer.items():
+            for c, e in entries:
+                if mask >> c & 1:
+                    continue
+                flips = bin(mask >> (c + 1)).count("1")
+                term = acc * e
+                if flips % 2:
+                    term = -term
+                key = mask | 1 << c
+                if key in new:
+                    new[key] = new[key] + term
+                else:
+                    new[key] = term
+        layer = new
+        if not layer:
+            return LaurentPolynomial.zero(variables)
+    return layer.get((1 << ncols) - 1, LaurentPolynomial.zero(variables))
+
+
 def test_fox_determinant_matches_dense_example():
     t = LaurentPolynomial.gen(("t",), "t")
     one = LaurentPolynomial.one(("t",))
@@ -97,6 +136,54 @@ def test_fox_determinant_matches_dense_example():
     assert fox_determinant(rows, 2, ("t",)) == t * (t - 1)
     rows = [[t, one], [t, one]]
     assert fox_determinant(rows, 2, ("t",)).is_zero
+    # zero leading pivot: the elimination must swap rows and flip the sign
+    rows = [[zero, t, one], [one - t, one, t ** -1], [t, zero, t - 1]]
+    det = fox_determinant(rows, 3, ("t",))
+    assert det == subset_dp_determinant(rows, 3, ("t",))
+    assert det == t ** 3 - 2 * t ** 2 + t
+    # a zero column makes the matrix singular
+    rows = [[t, zero, one], [one, zero, t - 1], [t ** 2, zero, t]]
+    assert fox_determinant(rows, 3, ("t",)).is_zero
+
+
+def test_exact_quotient_raises_on_remainder():
+    # (t^2 + 1) / (t - 1) and (s + t) / (s - t) leave remainders
+    with pytest.raises(ArithmeticError):
+        _exact_quotient({(2,): 1, (0,): 1}, {(1,): 1, (0,): -1})
+    with pytest.raises(ArithmeticError):
+        _exact_quotient({(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): -1})
+    # 2t / (3t) divides as polynomials over Q but not over Z
+    with pytest.raises(ArithmeticError):
+        _exact_quotient({(1,): 2}, {(1,): 3})
+    # (s^2 - t^2) / (s^-1 t - 1) = -s^2 - s t is exact
+    assert _exact_quotient({(2, 0): 1, (0, 2): -1}, {(-1, 1): 1, (0, 0): -1}) == \
+        {(2, 0): -1, (1, 1): -1}
+
+
+def test_fox_determinant_matches_subset_dp_oracle():
+    def square(d):
+        p = wirtinger(d)
+        return d.crossings and len(p.generators) == len(p.relations)
+
+    corpus = [e.diagram for e in load_corpus() if not e.singular]
+    corpus += [d.monochrome() for d in corpus if d.n_colors > 1]
+    diagrams = [d for d in corpus if square(d)]
+    assert len(diagrams) == 25
+    rng = random.Random(20261018)
+    while len(diagrams) < 25 + 60:
+        n = rng.randint(2, 4)
+        word = [rng.choice((1, -1)) * rng.randint(1, n - 1)
+                for _ in range(rng.randint(1, 12))]
+        d = braid_closure(BraidWord(n, word))
+        k = rng.randint(1, min(3, d.m))
+        d = d.recolor(tuple(range(1, k + 1)) + tuple(rng.randint(1, k) for _ in range(d.m - k)))
+        if square(d):
+            diagrams.append(d)
+    for d in diagrams:
+        minor = [row[:-1] for row in fox_matrix(wirtinger(d))[:-1]]
+        variables = tvars(d.n_colors)
+        assert fox_determinant(minor, len(minor), variables) == \
+            subset_dp_determinant(minor, len(minor), variables), d.name
 
 
 def _up_to_units(f, g):
@@ -328,3 +415,43 @@ def test_delete_component_of_borromean_kills_potential():
         assert sub.m == 2
         assert potential_function(sub).is_zero
         assert conway(sub).is_zero
+
+
+def test_linking_cofactor_is_lowest_conway_coefficient():
+    # Hoste: a_(m-1) is a cofactor of the linking matrix; it pins the sign
+    # where nonzero and leaves Whitehead and Borromean to the skein Conway
+    entries = {e.name: e.diagram for e in load_corpus()}
+    diagrams = [entries[name] for name in (
+        "hopf-plus", "hopf-minus", "chain-3comp", "triangle", "whitehead", "borromean")]
+    rng = random.Random(17)
+    while len(diagrams) < 40:
+        n = rng.randint(2, 4)
+        word = [rng.choice((1, -1)) * rng.randint(1, n - 1)
+                for _ in range(rng.randint(2, 10))]
+        d = braid_closure(BraidWord(n, word))
+        if 2 <= d.m <= 4:
+            diagrams.append(d)
+    cofactors = [linking_cofactor(d) for d in diagrams]
+    for d, a in zip(diagrams, cofactors):
+        assert a == conway(d).coefficient((d.m - 1,)), d.name
+    assert cofactors[:6] == [1, -1, 1, 3, 0, 0]
+    assert sum(1 for a in cofactors[6:] if a) >= 10
+
+
+braid_words = st.integers(2, 4).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.integers(1, n - 1).flatmap(lambda g: st.sampled_from((g, -g))),
+             max_size=12),
+    st.integers(1, n - 1).flatmap(lambda g: st.sampled_from((g, -g))),
+    st.sampled_from((1, -1))))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(braid_words)
+def test_monochrome_potential_markov_invariance(case):
+    n, word, g, e = case
+    om = potential_function(braid_closure(BraidWord(n, word)))
+    conjugate = braid_closure(BraidWord(n, [g] + word + [-g]))
+    stabilized = braid_closure(BraidWord(n + 1, word + [e * n]))
+    for d in (conjugate, stabilized):
+        assert potential_function(d).numerator == om.numerator

@@ -154,6 +154,27 @@ def test_budget_applies_to_invariants_too(capsys, budget):
         set_default_budget(None)
 
 
+@pytest.mark.parametrize("text, code", [
+    ("braid(3): 1 1 2 -1 2 2 2\n", 0),  # linking numbers pin the sign
+    (None, 3),  # Whitehead: linking numbers vanish, the skein Conway pins it
+])
+def test_omega_spends_skein_budget_only_on_fallback(tmp_path, capsys, monkeypatch, text, code):
+    import linkinv.alexander as alexander
+    from linkinv.skein import clear_memo, set_default_budget
+    clear_memo()
+    monkeypatch.setattr(alexander, "_POTENTIAL_CACHE", {})
+    path = os.path.join(DATA_DIR, "whitehead.pd")
+    if text:
+        path = tmp_path / "link.braid"
+        path.write_text(text)
+    try:
+        got, out, err = run(capsys, "polys", str(path), "--which", "omega", "--budget", "0")
+    finally:
+        set_default_budget(None)
+    assert got == code, err
+    assert ("budget" in err) == (code == 3)
+
+
 @pytest.mark.parametrize("command", [
     ["invariants", HOPF], ["polys", HOPF, "--which", "conway"],
     ["decompose", HOPF], ["verify", "--suite", "lemma41"]])
