@@ -339,23 +339,14 @@ def _pin_sign(h: LaurentPolynomial, d: LinkDiagram, nabla: LaurentPolynomial):
     return eps, AMBIGUOUS
 
 
-_POTENTIAL_CACHE: dict = {}
-
-
 def potential_function(d: LinkDiagram) -> PotentialFunction:
-    key = d.structural_key()
-    hit = _POTENTIAL_CACHE.get(key)
-    if hit is not None:
-        return hit
     n = d.n_colors
     m = d.m
     variables = xvars(n)
     delta = alexander_poly(d)
     if delta.is_zero:
-        out = PotentialFunction(variables, LaurentPolynomial.zero(variables),
-                                m == 1, (0,) * n, VIA_NABLA)
-        _POTENTIAL_CACHE[key] = out
-        return out
+        return PotentialFunction(variables, LaurentPolynomial.zero(variables),
+                                 m == 1, (0,) * n, VIA_NABLA)
     images = []
     for i in range(n):
         images.append((1, tuple(2 if k == i else 0 for k in range(n))))
@@ -364,9 +355,7 @@ def potential_function(d: LinkDiagram) -> PotentialFunction:
     eps, provenance = _pin_by_linking(h, d), VIA_NABLA
     if not eps:
         eps, provenance = _pin_sign(h, d, conway(d))
-    out = PotentialFunction(variables, eps * h, m == 1, lam, provenance)
-    _POTENTIAL_CACHE[key] = out
-    return out
+    return PotentialFunction(variables, eps * h, m == 1, lam, provenance)
 
 
 def deletion_check(omega: PotentialFunction, d: LinkDiagram, i: int) -> bool:

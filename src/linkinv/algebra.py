@@ -293,9 +293,6 @@ class LaurentPolynomial:
         exps = [e[idx] for e in self.terms]
         return (min(exps), max(exps))
 
-    def total_degrees(self):
-        return sorted({sum(e) for e in self.terms})
-
     def render(self) -> str:
         return _render(self.terms, self.variables)
 

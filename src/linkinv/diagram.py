@@ -354,9 +354,6 @@ class LinkDiagram:
         tag = f" {self.name!r}" if self.name else ""
         return f"<LinkDiagram{tag}: {len(self.crossings)} crossings, {self.m} components>"
 
-    def structural_key(self):
-        return (self.crossings, self.components, self.colors, self.over_in)
-
     # -- recoloring and reassembly helpers ---------------------------------
 
     def recolor(self, colors) -> "LinkDiagram":
@@ -596,27 +593,6 @@ class LinkDiagram:
         return LinkDiagram(crossings, comps2, colors2,
                            over_in=self.over_in + other.over_in)
 
-    # -- canonical code ----------------------------------------------------
-
-    def canonical_code(self) -> str:
-        """Deterministic relabeling key: equal for arc-relabelings of the
-        same labeled structure (minimal serialization over all traversal
-        starts, split parts sorted)."""
-        parts = _graph_parts(self)
-        blobs = []
-        for part in parts:
-            if part["crossings"] == () and len(part["comps"]) == 1:
-                blobs.append(f"O({part['colors'][0]})")
-                continue
-            best = None
-            for k, cyc in enumerate(part["comps"]):
-                for rot in range(len(cyc)):
-                    ser = _serialize_from(part, k, rot)
-                    if best is None or ser < best:
-                        best = ser
-            blobs.append(best)
-        return "|".join(sorted(blobs))
-
     # -- rendering -----------------------------------------------------------
 
     def render_pd(self) -> str:
@@ -643,70 +619,6 @@ class LinkDiagram:
             "colors": list(self.colors),
             "name": self.name,
         })
-
-
-def _graph_parts(d: LinkDiagram):
-    """Connected parts of the diagram graph, free loops separate."""
-    parts = []
-    for ks in d._component_groups():
-        comp_set = set(ks)
-        crossings = tuple(ci for ci in range(len(d.crossings))
-                          if d.comp_of_arc[d.crossings[ci][0]] in comp_set)
-        parts.append({
-            "comps": [d.components[k] for k in ks],
-            "colors": [d.colors[k] for k in ks],
-            "crossings": crossings,
-            "diagram": d,
-        })
-    return parts
-
-
-def _serialize_from(part, comp_idx, rot) -> str:
-    d: LinkDiagram = part["diagram"]
-    comps = part["comps"]
-    colors = part["colors"]
-    comp_index_of_arc = {a: k for k, cyc in enumerate(comps) for a in cyc}
-    label: dict = {}
-    order = []
-
-    def walk(k, start_arc):
-        cyc = comps[k]
-        i = cyc.index(start_arc)
-        for arc in cyc[i:] + cyc[:i]:
-            label[arc] = len(label) + 1
-            order.append(arc)
-
-    visited = {comp_idx}
-    walk(comp_idx, comps[comp_idx][rot])
-    while len(visited) < len(comps):
-        found = None
-        for arc in order:
-            for pos in (d.heads.get(arc), d.tails.get(arc)):
-                if pos is None:
-                    continue
-                for s in range(4):
-                    other = d.crossings[pos[0]][s]
-                    k = comp_index_of_arc[other]
-                    if k not in visited:
-                        found = (k, other)
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found is None:
-            break
-        visited.add(found[0])
-        walk(*found)
-    recs = sorted(tuple(label[a] for a in d.crossings[ci]) + (d.signs[ci],)
-                  for ci in part["crossings"])
-    comp_ser = []
-    for k, cyc in enumerate(comps):
-        lab = [label[a] for a in cyc]
-        i = lab.index(min(lab))
-        comp_ser.append((tuple(lab[i:] + lab[:i]), colors[k]))
-    comp_ser.sort()
-    return f"C{recs}|K{comp_ser}"
 
 
 # -- parsing ------------------------------------------------------------------
@@ -886,13 +798,6 @@ class BraidWord:
 
     def __setattr__(self, *args):
         raise AttributeError("BraidWord is immutable")
-
-    def permutation(self):
-        perm = list(range(self.strands))
-        for w in self.word:
-            i = abs(w) - 1
-            perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        return perm
 
 
 _BRAID = re.compile(r"braid\((\d+)\)\s*:\s*(.*)")

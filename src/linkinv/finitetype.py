@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .diagram import BraidWord, DiagramError, LinkDiagram, SingularLink, braid_closure
 from .invariants import conway_coeffs
-from .skein import homfly, kauffman_f
+from .skein import conway, homfly, kauffman_f
 from .transforms import component_conways, exp_expand_homfly, exp_expand_kauffman
 
 
@@ -48,7 +48,6 @@ def conway_coefficient(k: int) -> InvariantFunction:
     """Coefficient of the Conway polynomial at z^k (a_k, not c_k)."""
 
     def fn(d):
-        from .skein import conway
         return conway(d).coefficient((k,))
 
     return InvariantFunction(f"a{k}", fn)

@@ -135,6 +135,15 @@ def two_color_tables(d: LinkDiagram, cap: int = DEFAULT_CAP):
     return c_table, a_table, d_table
 
 
+def _signed_row_one(table, k: int) -> Fraction:
+    """(-1)^(k+1) * table[1, 2k-1], the reading behind beta^k and beta-hat."""
+    return (-1) ** (k + 1) * table.get(1, 2 * k - 1)
+
+
+def _surrogate(c_table, lk: int) -> Fraction:
+    return 2 * c_table.get(1, 1) / Fraction(lk * lk)
+
+
 def cochran_beta(d: LinkDiagram, k: int, cap: int = DEFAULT_CAP) -> Fraction:
     """Derived invariant beta^k of a 2-component link with linking number 0,
     read off the reduced quotient as (-1)^(k+1) * delta[1, 2k-1]."""
@@ -144,8 +153,7 @@ def cochran_beta(d: LinkDiagram, k: int, cap: int = DEFAULT_CAP) -> Fraction:
         raise UndefinedInvariantError("beta^k is undefined when lk != 0")
     if k < 1 or 2 * k > cap:
         raise UndefinedInvariantError(f"beta^{k} is out of range for cap {cap}")
-    _, _, d_table = two_color_tables(d, cap)
-    return (-1) ** (k + 1) * d_table.get(1, 2 * k - 1)
+    return _signed_row_one(two_color_tables(d, cap)[2], k)
 
 
 def beta_hat(d: LinkDiagram, k: int, cap: int = DEFAULT_CAP) -> Fraction:
@@ -155,15 +163,13 @@ def beta_hat(d: LinkDiagram, k: int, cap: int = DEFAULT_CAP) -> Fraction:
         raise UndefinedInvariantError("beta-hat needs a 2-component link")
     if k < 1 or 2 * k > cap:
         raise UndefinedInvariantError(f"beta-hat {k} is out of range for cap {cap}")
-    _, a_table, _ = two_color_tables(d, cap)
-    return (-1) ** (k + 1) * a_table.get(1, 2 * k - 1)
+    return _signed_row_one(two_color_tables(d, cap)[1], k)
 
 
 def unoriented_sl(d: LinkDiagram, cap: int = DEFAULT_CAP) -> Fraction:
     """The half-integer c[1,1], an orientation-insensitive companion of the
     generalized Sato-Levine invariant."""
-    c_table, _, _ = two_color_tables(d, cap)
-    return c_table.get(1, 1)
+    return two_color_tables(d, cap)[0].get(1, 1)
 
 
 def casson_walker_surrogate(d: LinkDiagram, cap: int = DEFAULT_CAP) -> Fraction:
@@ -171,7 +177,7 @@ def casson_walker_surrogate(d: LinkDiagram, cap: int = DEFAULT_CAP) -> Fraction:
     lk = total_lk(d)
     if lk == 0:
         raise UndefinedInvariantError("surrogate needs lk != 0")
-    return 2 * unoriented_sl(d, cap) / Fraction(lk * lk)
+    return _surrogate(two_color_tables(d, cap)[0], lk)
 
 
 def gamma3(d: LinkDiagram, cap: int = 9) -> Fraction:
@@ -205,7 +211,13 @@ def congruence_report(d: LinkDiagram, cap: int = DEFAULT_CAP):
     When the components are unknotted, pairs with a nonzero entry are
     additionally marked, since the congruence sharpens to equality there.
     """
-    _, _, d_table = two_color_tables(d, cap)
+    return congruence_rows(d, two_color_tables(d, cap)[2], cap)
+
+
+def congruence_rows(d: LinkDiagram, d_table, cap: int):
+    """The rows of `congruence_report` for i + j <= cap, read off a delta
+    table of d computed at any cap >= this one: truncated-series
+    coefficients below the cap do not depend on the cap."""
     unknotted = all(nabla == LaurentPolynomial.one(("z",))
                     for nabla, _ in component_conways(d))
     rows = []
@@ -327,14 +339,14 @@ def build_report(d: LinkDiagram, cap: int = DEFAULT_CAP) -> InvariantReport:
         report.notes.append(MU_BAR_NOTE)
         if d.m == 2:
             lk = total_lk(d)
-            report.sato_levine_unoriented = str(unoriented_sl(d, cap))
+            report.sato_levine_unoriented = str(c_t.get(1, 1))
             if lk != 0:
-                report.casson_walker = str(casson_walker_surrogate(d, cap))
+                report.casson_walker = str(_surrogate(c_t, lk))
             ks = range(1, cap // 2 + 1)
-            report.beta_hats = {k: beta_hat(d, k, cap) for k in ks}
+            report.beta_hats = {k: _signed_row_one(a_t, k) for k in ks}
             if lk == 0:
-                report.betas = {k: cochran_beta(d, k, cap) for k in ks}
-            report.congruences = [row for row in congruence_report(d, min(cap, 8))
+                report.betas = {k: _signed_row_one(d_t, k) for k in ks}
+            report.congruences = [row for row in congruence_rows(d, d_t, min(cap, 8))
                                   if row["flagged"]]
     if d.m == 3:
         report.gamma = str(gamma3(d))

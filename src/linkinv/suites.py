@@ -21,7 +21,7 @@ from .finitetype import (
     kauffman_exp_coefficient,
     linking_parity,
 )
-from .invariants import alpha_coeffs, congruence_report, gamma3, \
+from .invariants import alpha_coeffs, congruence_rows, gamma3, \
     two_color_tables, unoriented_sl
 from .skein import conway, dubrovnik, homfly, kauffman_f
 from .transforms import (
@@ -59,10 +59,6 @@ class Check:
 
 def _links(entries):
     return [e for e in entries if not e.singular]
-
-
-def _marked(entries):
-    return [e for e in entries if e.singular]
 
 
 def suite_skein_relations(entries, cap=DEFAULT_CAP):
@@ -223,7 +219,7 @@ def suite_congruences(entries, cap=DEFAULT_CAP):
             a1r = ar[1] if len(ar) > 1 else Fraction(0)
             ok = c_t.get(1, 1) == (a1 + a1r) / 2
             out.append(Check("congruences", f"c11 reversal identity @ {e.name}", ok))
-            rows = congruence_report(d, min(cap, 8))
+            rows = congruence_rows(d, d_t, min(cap, 8))
             flagged = [r for r in rows if r["flagged"]]
             out.append(Check("congruences", f"finite flag set @ {e.name}",
                              len(flagged) <= 12, f"{len(flagged)} flags"))

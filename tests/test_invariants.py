@@ -1,7 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from linkinv import invariants
+from linkinv.corpus import load_corpus
 from linkinv.diagram import BraidWord, braid_closure, parse_pd
 from linkinv.invariants import (
     UndefinedInvariantError,
@@ -247,3 +250,43 @@ def test_build_report_whitehead_and_borromean():
     data = rep.to_json_dict()
     assert data["gamma"] == "1"
     assert data["c_table"] is None
+
+
+def _two_color_links():
+    links = [pytest.param(e.link, id=e.name) for e in load_corpus()
+             if not e.singular and e.link.n_colors == 2]
+    rng = random.Random(20261018)
+    closures = []
+    while len(closures) < 20:
+        n = rng.randint(2, 4)
+        word = [rng.choice((1, -1)) * rng.randint(1, n - 1)
+                for _ in range(rng.randint(2, 10))]
+        d = braid_closure(BraidWord(n, word))
+        if d.m == 2:
+            closures.append(pytest.param(d.recolor((1, 2)), id=f"braid{len(closures)}"))
+    return links + closures
+
+
+@pytest.mark.parametrize("cap", [8, 12])
+@pytest.mark.parametrize("d", _two_color_links())
+def test_report_reads_one_table_pass(monkeypatch, d, cap):
+    # the report builds the two-colour tables once and must read every
+    # field exactly as the public functions, each of which builds its own
+    calls = []
+    real = invariants.two_color_tables
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(invariants, "two_color_tables", counting)
+    rep = build_report(d, cap)
+    assert len(calls) == 1
+    lk = d.linking_matrix()[0][1]
+    ks = range(1, cap // 2 + 1)
+    assert rep.beta_hats == {k: beta_hat(d, k, cap) for k in ks}
+    assert rep.betas == ({k: cochran_beta(d, k, cap) for k in ks} if lk == 0 else None)
+    assert rep.sato_levine_unoriented == str(unoriented_sl(d, cap))
+    assert rep.casson_walker == (str(casson_walker_surrogate(d, cap)) if lk else None)
+    assert rep.congruences == [row for row in congruence_report(d, min(cap, 8))
+                               if row["flagged"]]
