@@ -20,7 +20,7 @@ from .alexander import (
     potential_function,
     wirtinger,
 )
-from .corpus import CorpusEntry, corpus_entry, load_corpus
+from .corpus import CorpusEntry, load_corpus
 from .diagram import (
     BraidWord,
     DiagramError,

@@ -230,27 +230,13 @@ class PotentialFunction:
     def mono_numerator(self) -> LaurentPolynomial:
         """(x - x^-1) * value with every variable set to x; a polynomial in
         the single variable x for links and the bare numerator for knots."""
-        collapsed = self.numerator.collapse_variables("x")
-        if self.pole:
-            return collapsed
-        x = LaurentPolynomial.gen(("x",), "x")
-        return (x - x ** -1) * collapsed
+        return _mono_numerator(self.numerator, self.pole)
 
     def render(self) -> str:
         body = self.numerator.render()
         if self.pole:
             return f"({body})/({self.variables[0]} - {self.variables[0]}^-1)"
         return body
-
-
-def conway_in_x(nabla: LaurentPolynomial, var: str = "x") -> LaurentPolynomial:
-    """Evaluate a polynomial in z at z = x - x^-1."""
-    x = LaurentPolynomial.gen((var,), var)
-    diff = x - x ** -1
-    out = LaurentPolynomial.zero((var,))
-    for (k,), coeff in nabla.terms.items():
-        out = out + coeff * diff ** k
-    return out
 
 
 def _symmetrize(f: LaurentPolynomial, m: int):
@@ -271,14 +257,12 @@ def _symmetrize(f: LaurentPolynomial, m: int):
     return h, tuple(lam)
 
 
-def _bridge_lhs(h: LaurentPolynomial, m: int) -> LaurentPolynomial:
-    """The candidate's side of the Conway bridge, a polynomial in x that
-    equals +-conway(x - x^-1): the knot numerator, or (x - x^-1) times the
-    link numerator with every variable set to x."""
-    if m == 1:
-        return h.rename_variables({h.variables[0]: "x"})
+def _mono_numerator(h: LaurentPolynomial, pole: bool) -> LaurentPolynomial:
+    collapsed = h.collapse_variables("x")
+    if pole:
+        return collapsed
     x = LaurentPolynomial.gen(("x",), "x")
-    return (x - x ** -1) * h.collapse_variables("x")
+    return (x - x ** -1) * collapsed
 
 
 def linking_cofactor(d: LinkDiagram) -> Fraction:
@@ -291,47 +275,44 @@ def linking_cofactor(d: LinkDiagram) -> Fraction:
     return fox_determinant(rows, d.m - 1, ()).constant_term()
 
 
-def _pin_by_linking(h: LaurentPolynomial, d: LinkDiagram) -> int:
-    """The sign that makes the candidate's z^(m-1) bridge coefficient equal
-    the linking cofactor, or 0 when the cofactor vanishes and cannot pin."""
-    a = linking_cofactor(d)
-    if not a:
-        return 0
-    lowest = rewrite_in_difference(_bridge_lhs(h, d.m)).coefficient((d.m - 1,))
-    if lowest == a:
+def _sign(got, want) -> int:
+    """+1 when got == want, -1 when got == -want; the one comparison behind
+    every tier of the sign pin."""
+    if got == want:
         return 1
-    if lowest == -a:
+    if got == -want:
         return -1
-    raise ArithmeticError("potential function does not match the Conway polynomial")
+    raise ArithmeticError("potential function differs from its reference by more than a sign")
 
 
-def _pin_sign(h: LaurentPolynomial, d: LinkDiagram, nabla: LaurentPolynomial):
-    """Fix the residual +-1 by the Conway bridge, else by component deletion
-    against a sublink with known sign, else flag the value ambiguous."""
+def _pin_sign(h: LaurentPolynomial, d: LinkDiagram):
+    """Fix the residual +-1 of the symmetrized candidate h by the Conway
+    bridge, rewritten in z: its z^(m-1) coefficient against the linking
+    cofactor, else (cofactor 0) the whole bridge against the skein Conway
+    polynomial; when that vanishes too, fall back to component deletion."""
     m = d.m
-    lhs = _bridge_lhs(h, m)
-    rhs = conway_in_x(nabla)
-    if not rhs.is_zero:
-        if lhs == rhs:
-            return 1, VIA_NABLA
-        if lhs == -rhs:
-            return -1, VIA_NABLA
-        raise ArithmeticError("potential function does not match the Conway polynomial")
+    bridge = rewrite_in_difference(_mono_numerator(h, m == 1))
+    a = linking_cofactor(d)
+    if a:
+        return _sign(bridge.coefficient((m - 1,)), a), VIA_NABLA
+    nabla = conway(d)
+    if not nabla.is_zero:
+        return _sign(bridge, nabla), VIA_NABLA
+    return _pin_by_deletion(h, d)
 
-    for i in range(m):
+
+def _pin_by_deletion(h: LaurentPolynomial, d: LinkDiagram):
+    """Fix the sign by the component-deletion formula against a sublink
+    with known sign, else flag the value ambiguous."""
+    for i in range(d.m):
         if d.colors.count(d.colors[i]) != 1:
             continue
         om2 = potential_function(d.delete_component(i))
         if om2.sign_provenance == AMBIGUOUS or om2.is_zero:
             continue
-        lhs0, rhs0 = _deletion_sides(h, d, i, om2)
-        if rhs0.is_zero and lhs0.is_zero:
-            continue
-        if lhs0 == rhs0:
-            return 1, VIA_SUBLINK
-        if lhs0 == -rhs0:
-            return -1, VIA_SUBLINK
-        raise ArithmeticError("component-deletion formula mismatch")
+        lhs, rhs = _deletion_sides(h, d, i, om2)
+        if not (lhs.is_zero and rhs.is_zero):
+            return _sign(lhs, rhs), VIA_SUBLINK
 
     # deterministic but flagged: make the least exponent's coefficient positive
     least = min(h.terms)
@@ -352,9 +333,7 @@ def potential_function(d: LinkDiagram) -> PotentialFunction:
         images.append((1, tuple(2 if k == i else 0 for k in range(n))))
     f = delta.monomial_substitute(variables, images)
     h, lam = _symmetrize(f, m)
-    eps, provenance = _pin_by_linking(h, d), VIA_NABLA
-    if not eps:
-        eps, provenance = _pin_sign(h, d, conway(d))
+    eps, provenance = _pin_sign(h, d)
     return PotentialFunction(variables, eps * h, m == 1, lam, provenance)
 
 

@@ -122,7 +122,7 @@ def cmd_verify(args) -> int:
 def nonnegative_int(text: str) -> int:
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"budget must be >= 0, got {value}")
+        raise argparse.ArgumentTypeError(f"cap and budget must be >= 0, got {value}")
     return value
 
 
@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
         if with_input:
             p.add_argument("input", help="diagram file (PD or braid grammar), or - for stdin")
             p.add_argument("--colors", help="comma-separated colors per component")
-        p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+        p.add_argument("--cap", type=nonnegative_int, default=DEFAULT_CAP,
                        help="total-degree bound for series (default 12)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--budget", type=nonnegative_int, default=None,

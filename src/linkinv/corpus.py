@@ -52,9 +52,3 @@ def load_corpus(path: str | None = None):
         ))
     return entries
 
-
-def corpus_entry(name: str, path: str | None = None) -> CorpusEntry:
-    for e in load_corpus(path):
-        if e.name == name:
-            return e
-    raise KeyError(f"no corpus entry named {name!r}")

@@ -13,7 +13,6 @@ Diagrams are immutable; all surgery operations return new values.
 from __future__ import annotations
 
 import ast
-import json
 import re
 
 UNDER_IN, UNDER_OUT = 0, 2
@@ -610,15 +609,6 @@ class LinkDiagram:
         if self.name:
             lines.append(f"name: {self.name}")
         return "\n".join(lines)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "schema": "linkinv-diagram-1",
-            "crossings": [list(rec) for rec in self.crossings],
-            "components": [list(cyc) for cyc in self.components],
-            "colors": list(self.colors),
-            "name": self.name,
-        })
 
 
 # -- parsing ------------------------------------------------------------------

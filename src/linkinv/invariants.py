@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .algebra import LaurentPolynomial
+from .algebra import LaurentPolynomial, TruncatedSeries
 from .alexander import potential_function
 from .diagram import LinkDiagram
 from .skein import conway
@@ -18,10 +18,10 @@ from .transforms import (
     conway_quotient,
     decompose,
     potential_series,
-    potential_series_quotient,
     reduced_polynomial,
-    reduced_quotient,
+    starred_inverse,
     table_from_series,
+    zvars,
 )
 
 
@@ -103,14 +103,26 @@ def two_color_tables(d: LinkDiagram, cap: int = DEFAULT_CAP):
 
     Validators: the constant terms match the linking number for 2-component
     links, entries vanish unless i+j is congruent to the component count
-    mod 2, and the parity/evenness pattern of the delta table holds.
+    mod 2, the delta table is integral, and the parity/evenness pattern of
+    the delta table holds.
     """
     if d.n_colors != 2:
         raise UndefinedInvariantError("two-color tables need exactly 2 colors")
-    om = potential_function(d)
-    c_table = table_from_series(potential_series(om, cap).series, "potential-series")
-    a_table = table_from_series(potential_series_quotient(d, cap), "potential-series-quotient")
-    d_table = table_from_series(reduced_quotient(d, cap), "reduced-quotient")
+    return _tables(d, potential_function(d), cap)
+
+
+def _tables(d: LinkDiagram, om, cap: int):
+    """The tables of `two_color_tables` from the potential function om of d:
+    the potential series and the reduced polynomial, each divided by the
+    same starred denominator."""
+    series = potential_series(om, cap).series
+    inverse = starred_inverse(d, zvars(2), cap)
+    reduced = TruncatedSeries.from_laurent(reduced_polynomial(decompose(om)), cap)
+    c_table = table_from_series(series, "potential-series")
+    a_table = table_from_series(series * inverse, "potential-series-quotient")
+    d_table = table_from_series(reduced * inverse, "reduced-quotient")
+    if any(v.denominator != 1 for v in d_table.entries.values()):
+        raise ArithmeticError("reduced quotient is not integral")
 
     m = d.m
     for label, table in (("c", c_table), ("alpha", a_table), ("delta", d_table)):
@@ -125,8 +137,6 @@ def two_color_tables(d: LinkDiagram, cap: int = DEFAULT_CAP):
         if d_table.get(0, 0) != lk:
             raise InvariantValidationError("delta[0,0] does not equal the linking number")
         for (i, j), v in d_table.entries.items():
-            if v.denominator != 1:
-                raise InvariantValidationError("delta table entry is not an integer")
             # entries routed through the integral full-index part are even;
             # that part holds the exponents agreeing with lk mod 2
             if i % 2 == j % 2 == lk % 2 and int(v) % 2:
@@ -332,7 +342,7 @@ def build_report(d: LinkDiagram, cap: int = DEFAULT_CAP) -> InvariantReport:
     if d.m >= 2:
         report.reduced = reduced_polynomial(decompose(om)).render()
     if d.n_colors == 2:
-        c_t, a_t, d_t = two_color_tables(d, cap)
+        c_t, a_t, d_t = _tables(d, om, cap)
         report.c_table = c_t.entries
         report.alpha_table = a_t.entries
         report.delta_table = d_t.entries

@@ -177,22 +177,18 @@ def suite_starred_pl_isotopy(entries, cap=DEFAULT_CAP):
         if name not in by_name:
             continue
         base = by_name[name].link
+        quotients = [("conway", conway_quotient)]
+        if base.m >= 2:
+            quotients += [("series", potential_series_quotient), ("reduced", reduced_quotient)]
+        quotients += [("homfly", homfly_exp_quotient), ("kauffman", kauffman_exp_quotient)]
+        expected = [(label, fn, fn(base, cap)) for label, fn in quotients]
         for knot, kname in ((trefoil, "trefoil"), (fig8, "fig8")):
             for comp in range(base.m):
                 knotted = base.connected_sum(knot, comp, 0)
                 tag = f"{name}+{kname}@{comp}"
-                ok = conway_quotient(base, cap) == conway_quotient(knotted, cap)
-                out.append(Check("starred-pl-isotopy", f"conway quotient {tag}", ok))
-                if base.m >= 2:
-                    ok = (potential_series_quotient(base, cap)
-                          == potential_series_quotient(knotted, cap))
-                    out.append(Check("starred-pl-isotopy", f"series quotient {tag}", ok))
-                    ok = reduced_quotient(base, cap) == reduced_quotient(knotted, cap)
-                    out.append(Check("starred-pl-isotopy", f"reduced quotient {tag}", ok))
-                ok = homfly_exp_quotient(base, cap) == homfly_exp_quotient(knotted, cap)
-                out.append(Check("starred-pl-isotopy", f"homfly quotient {tag}", ok))
-                ok = kauffman_exp_quotient(base, cap) == kauffman_exp_quotient(knotted, cap)
-                out.append(Check("starred-pl-isotopy", f"kauffman quotient {tag}", ok))
+                for label, fn, want in expected:
+                    out.append(Check("starred-pl-isotopy", f"{label} quotient {tag}",
+                                     fn(knotted, cap) == want))
     return out
 
 

@@ -63,14 +63,12 @@ def component_conways(d: LinkDiagram):
     return [(conway(d.component(j)), d.colors[j]) for j in range(d.m)]
 
 
-def potential_series(om: PotentialFunction, cap: int = DEFAULT_CAP,
-                     root: str = "plus") -> SeriesWithPole:
+def potential_series(om: PotentialFunction, cap: int = DEFAULT_CAP) -> SeriesWithPole:
     """Expand the potential function as a series in z_i = x_i - x_i^-1.
 
     For knots the value has a simple pole in z; it is returned as the
     numerator series with pole_order 1.  The result does not depend on
-    which root of x - x^-1 = z is substituted (`root` selects one for the
-    property test).
+    which root of x - x^-1 = z is substituted.
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
@@ -79,18 +77,9 @@ def potential_series(om: PotentialFunction, cap: int = DEFAULT_CAP,
         series = TruncatedSeries.from_laurent(
             nabla.rename_variables({"z": "z1"}), cap)
         return SeriesWithPole(series, 1)
-    n = len(om.variables)
-    images = {}
-    for i, v in enumerate(om.variables):
-        zi = f"z{i + 1}"
-        x, xinv = x_of_z(cap, var=zi)
-        if root == "plus":
-            images[v] = (x, xinv)
-        else:
-            z = TruncatedSeries.gen((zi,), zi, cap)
-            images[v] = (z - x, -x)
+    images = {v: x_of_z(cap, var=f"z{i + 1}") for i, v in enumerate(om.variables)}
     series = substitute_series(om.numerator, images, cap)
-    return SeriesWithPole(series.embed(zvars(n)), 0)
+    return SeriesWithPole(series.embed(zvars(len(om.variables))), 0)
 
 
 # -- decomposition over brace monomials --------------------------------------
@@ -273,14 +262,20 @@ def starred(numerator, d: LinkDiagram, cap: int = DEFAULT_CAP) -> TruncatedSerie
     if isinstance(numerator, LaurentPolynomial):
         numerator = TruncatedSeries.from_laurent(numerator, cap)
     numerator = numerator.truncate(cap)
-    multivariate = numerator.variables != ("z",)
-    denom = TruncatedSeries.one(numerator.variables, cap)
+    return numerator * starred_inverse(d, numerator.variables, cap)
+
+
+def starred_inverse(d: LinkDiagram, variables, cap: int) -> TruncatedSeries:
+    """The series `starred` multiplies by: 1 over the product of the
+    component Conway polynomials, in z alone or in the z of each color."""
+    multivariate = variables != ("z",)
+    denom = TruncatedSeries.one(variables, cap)
     for nabla, color in component_conways(d):
         if multivariate:
             nabla = nabla.rename_variables({"z": f"z{color}"})
         series = TruncatedSeries.from_laurent(nabla, cap)
         denom = denom * series.embed(denom.variables)
-    return numerator * denom.invert()
+    return denom.invert()
 
 
 def conway_quotient(d: LinkDiagram, cap: int = DEFAULT_CAP) -> TruncatedSeries:

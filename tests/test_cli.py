@@ -176,14 +176,25 @@ def test_omega_spends_skein_budget_only_on_fallback(tmp_path, capsys, text, code
     assert ("budget" in err) == (code == 3)
 
 
-@pytest.mark.parametrize("command", [
+EVERY_COMMAND = [
     ["invariants", HOPF], ["polys", HOPF, "--which", "conway"],
-    ["decompose", HOPF], ["verify", "--suite", "lemma41"]])
+    ["decompose", HOPF], ["verify", "--suite", "lemma41"]]
+
+
+@pytest.mark.parametrize("command", EVERY_COMMAND)
 def test_negative_budget_is_input_error(capsys, command):
     with pytest.raises(SystemExit) as exc:
         main(command + ["--budget", "-5"])
     assert exc.value.code == 2
     assert "budget must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", EVERY_COMMAND)
+def test_negative_cap_is_input_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--cap", "-1"])
+    assert exc.value.code == 2
+    assert "argument --cap" in capsys.readouterr().err
 
 
 HOPF_CROSSINGS = "X[1,3,2,4] X[3,1,4,2]\n"

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from linkinv import invariants
+from linkinv import invariants, transforms
 from linkinv.corpus import load_corpus
 from linkinv.diagram import BraidWord, braid_closure, parse_pd
 from linkinv.invariants import (
@@ -270,18 +270,22 @@ def _two_color_links():
 @pytest.mark.parametrize("cap", [8, 12])
 @pytest.mark.parametrize("d", _two_color_links())
 def test_report_reads_one_table_pass(monkeypatch, d, cap):
-    # the report builds the two-colour tables once and must read every
-    # field exactly as the public functions, each of which builds its own
-    calls = []
-    real = invariants.two_color_tables
+    # the report derives one potential function, expands it at most once,
+    # and must read every field exactly as the public functions, each of
+    # which derives its own
+    calls = {"potential_function": 0, "potential_series": 0}
+    for name in calls:
+        real = getattr(invariants, name)
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
 
-    monkeypatch.setattr(invariants, "two_color_tables", counting)
+        for module in (invariants, transforms):
+            monkeypatch.setattr(module, name, counting)
     rep = build_report(d, cap)
-    assert len(calls) == 1
+    assert calls["potential_function"] == 1
+    assert calls["potential_series"] <= 1
     lk = d.linking_matrix()[0][1]
     ks = range(1, cap // 2 + 1)
     assert rep.beta_hats == {k: beta_hat(d, k, cap) for k in ks}

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from linkinv.algebra import LaurentPolynomial, TruncatedSeries, brace
+from linkinv.algebra import LaurentPolynomial, TruncatedSeries, brace, substitute_series, x_of_z
 from linkinv.alexander import potential_function
 from linkinv.diagram import BraidWord, braid_closure, parse_pd
 from linkinv.skein import conway, homfly, kauffman_f
@@ -91,9 +91,14 @@ def test_potential_series_trefoil_pole():
 def test_potential_series_root_independence():
     for make in (hopf, solomon, whitehead, borromean):
         om = potential_function(make())
-        a = potential_series(om, cap=9, root="plus")
-        b = potential_series(om, cap=9, root="minus")
-        assert a.series == b.series, make
+        # the other root of x - x^-1 = z is z - x(z), with reciprocal -x(z)
+        images = {}
+        for i, v in enumerate(om.variables):
+            zi = f"z{i + 1}"
+            x, _ = x_of_z(9, var=zi)
+            images[v] = (TruncatedSeries.gen((zi,), zi, 9) - x, -x)
+        other = substitute_series(om.numerator, images, 9).embed(zvars(len(om.variables)))
+        assert potential_series(om, cap=9).series == other, make
 
 
 def test_potential_series_degree_parity():
