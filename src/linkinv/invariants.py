@@ -108,16 +108,17 @@ def two_color_tables(d: LinkDiagram, cap: int = DEFAULT_CAP):
     """
     if d.n_colors != 2:
         raise UndefinedInvariantError("two-color tables need exactly 2 colors")
-    return _tables(d, potential_function(d), cap)
+    om = potential_function(d)
+    return _tables(d, om, reduced_polynomial(decompose(om)), cap)
 
 
-def _tables(d: LinkDiagram, om, cap: int):
-    """The tables of `two_color_tables` from the potential function om of d:
-    the potential series and the reduced polynomial, each divided by the
-    same starred denominator."""
+def _tables(d: LinkDiagram, om, reduced, cap: int):
+    """The tables of `two_color_tables` from the potential function om of d
+    and its reduced polynomial: the potential series and the reduced
+    polynomial, each divided by the same starred denominator."""
     series = potential_series(om, cap).series
     inverse = starred_inverse(d, zvars(2), cap)
-    reduced = TruncatedSeries.from_laurent(reduced_polynomial(decompose(om)), cap)
+    reduced = TruncatedSeries.from_laurent(reduced, cap)
     c_table = table_from_series(series, "potential-series")
     a_table = table_from_series(series * inverse, "potential-series-quotient")
     d_table = table_from_series(reduced * inverse, "reduced-quotient")
@@ -340,9 +341,10 @@ def build_report(d: LinkDiagram, cap: int = DEFAULT_CAP) -> InvariantReport:
         series_cap=cap,
     )
     if d.m >= 2:
-        report.reduced = reduced_polynomial(decompose(om)).render()
+        reduced = reduced_polynomial(decompose(om))
+        report.reduced = reduced.render()
     if d.n_colors == 2:
-        c_t, a_t, d_t = _tables(d, om, cap)
+        c_t, a_t, d_t = _tables(d, om, reduced, cap)
         report.c_table = c_t.entries
         report.alpha_table = a_t.entries
         report.delta_table = d_t.entries

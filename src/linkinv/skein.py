@@ -19,11 +19,14 @@ two steps:
 - the unoriented Dubrovnik rule on (crossings, loops) nodes, walked by
   `diagram.walk_unoriented`.
 
-Values are memoized in shared write-once tables keyed by the exact labeled
-structure; different descent paths reaching the same sub-diagram produce
-identical keys because arc merges keep minimal ids.  The tables only ever
-receive immutable values, so concurrent insert-if-absent is safe and the
-results are deterministic regardless of schedule.
+Values are memoized in shared write-once tables.  Conway and HOMFLY key a
+node on its exact labeled structure; different descent paths reaching the
+same sub-diagram produce identical keys because arc merges keep minimal
+ids.  Dubrovnik keys a node on `_dubrovnik_key`, a code that forgets arc
+labels, crossing order and the 180-degree turn of a record, so every
+relabeling of one unoriented diagram on S^2 shares one entry.  The tables
+only ever receive immutable values, so concurrent insert-if-absent is safe
+and the results are deterministic regardless of schedule.
 """
 
 from __future__ import annotations
@@ -44,10 +47,11 @@ _DELTA_D = LaurentPolynomial.one(XYVARS) + (_X - _X ** -1) * _Y ** -1
 
 
 class SkeinBudgetError(RuntimeError):
-    """Raised when the resolution tree exceeds the node budget."""
+    """Raised when the resolution tree of `engine` exceeds the node budget."""
 
-    def __init__(self, budget):
-        super().__init__(f"skein node budget of {budget} exceeded")
+    def __init__(self, engine, budget):
+        super().__init__(f"{engine} skein node budget of {budget} exceeded")
+        self.engine = engine
         self.budget = budget
 
 
@@ -62,16 +66,17 @@ def set_default_budget(limit: int | None):
 
 
 class _Budget:
-    __slots__ = ("limit", "used")
+    __slots__ = ("engine", "limit", "used")
 
-    def __init__(self, limit):
+    def __init__(self, engine, limit):
+        self.engine = engine
         self.limit = limit if limit is not None else _default_budget
         self.used = 0
 
     def spend(self):
         self.used += 1
         if self.used > self.limit:
-            raise SkeinBudgetError(self.limit)
+            raise SkeinBudgetError(self.engine, self.limit)
 
 
 _CONWAY_MEMO: dict = {}
@@ -85,11 +90,11 @@ def clear_memo():
     _DUBROVNIK_MEMO.clear()
 
 
-def _descend(root, key, step, table, budget):
+def _descend(root, key, step, table, budget, engine):
     """The one memoized skein recursion: the value of a node is table[key],
-    and a miss spends one budget unit and stores step(node, val), where
-    val evaluates the node's children the same way."""
-    book = _Budget(budget)
+    and a miss spends one unit of `engine`'s budget and stores
+    step(node, val), where val evaluates the node's children the same way."""
+    book = _Budget(engine, budget)
 
     def val(node):
         k = key(node)
@@ -139,7 +144,7 @@ def _bad_crossings(d: LinkDiagram):
     return bads
 
 
-def _oriented(d: LinkDiagram, rule, table, budget, rng) -> LaurentPolynomial:
+def _oriented(d: LinkDiagram, rule, table, budget, rng, engine) -> LaurentPolynomial:
     factors, delta = rule
     prune = delta.is_zero
     unlinks: dict = {}  # m -> delta^(m - 1), the m-component unlink
@@ -162,25 +167,79 @@ def _oriented(d: LinkDiagram, rule, table, budget, rng) -> LaurentPolynomial:
         return at_switch * value(d.switch(ci), val) \
             + at_smooth * value(d.smooth_oriented(ci), val)
 
-    return value(d.monochrome(), lambda root: _descend(root, _key, step, table, budget))
+    return value(d.monochrome(), lambda root: _descend(root, _key, step, table, budget, engine))
 
 
 def conway(d: LinkDiagram, budget=None, memo=None, rng=None) -> LaurentPolynomial:
     """Conway polynomial in z, normalized to 1 on the unknot (0 on split links)."""
     table = _CONWAY_MEMO if memo is None else memo
-    return _oriented(d, _CONWAY_RULE, table, budget, rng)
+    return _oriented(d, _CONWAY_RULE, table, budget, rng, "conway")
 
 
 def homfly(d: LinkDiagram, budget=None, memo=None, rng=None) -> LaurentPolynomial:
     """HOMFLY polynomial in x, y with x*H(L+) - x^-1*H(L-) = y*H(L0)."""
     table = _HOMFLY_MEMO if memo is None else memo
-    return _oriented(d, _HOMFLY_RULE, table, budget, rng)
+    return _oriented(d, _HOMFLY_RULE, table, budget, rng, "homfly")
 
 
 # -- unoriented rule: Dubrovnik ------------------------------------------------
 
-def _identity(node):
-    return node
+def _dubrovnik_key(node):
+    """A code of the (crossings, loops) node that is the same for every arc
+    labeling, crossing order and 180-degree turn of a record, and tells
+    any two other nodes apart.
+
+    Each connected part is coded from every start (crossing, slot): visit
+    crossings breadth first, read each record from the slot the walk
+    entered by, store that slot's parity (the under-strand sits at {0, 2})
+    and number arcs by first visit.  A part's code is the least of these,
+    compared one record at a time so a start stops once it is behind.
+    Starts at odd slots are skipped: their codes open with parity 1, and
+    every part has an even start."""
+    crossings, loops = node
+    flat = [arc for rec in crossings for arc in rec]  # slot s of crossing c at 4c + s
+    ends: dict = {}
+    for i, arc in enumerate(flat):
+        ends.setdefault(arc, []).append(i)
+    other = [0] * len(flat)  # the far end of the arc at each slot
+    uf: dict = {}  # crossings joined by an arc
+    for i, j in ends.values():
+        other[i], other[j] = j, i
+        uf_union(uf, i >> 2, j >> 2)
+    parts: dict = {}
+    for c in range(len(crossings)):
+        parts.setdefault(uf_find(uf, c), []).append(c)
+    codes = []
+    for part in parts.values():
+        best = None
+        for start in (4 * c + s for c in part for s in (0, 2)):
+            code = []
+            number: dict = {}
+            queue = [start]
+            entered = {start >> 2}
+            tied = best is not None
+            for i in queue:
+                base, e = i & ~3, i & 3
+                rec = [e & 1]
+                for t in range(e, e + 4):
+                    j = base | (t & 3)
+                    rec.append(number.setdefault(flat[j], len(number)))
+                    far = other[j] >> 2
+                    if far not in entered:
+                        entered.add(far)
+                        queue.append(other[j])
+                rec = tuple(rec)
+                if tied:
+                    ahead = best[len(code)]
+                    if rec > ahead:
+                        break
+                    tied = rec == ahead
+                code.append(rec)
+            else:
+                if not tied:
+                    best = code
+        codes.append(tuple(best))
+    return tuple(sorted(codes)), loops
 
 
 def _smooth(crossings, loops, ci, pairs):
@@ -235,7 +294,8 @@ def dubrovnik(d: LinkDiagram, budget=None, memo=None) -> LaurentPolynomial:
     split unknot contributes 1 + (x - x^-1)/y."""
     loops = sum(1 for cyc in d.components if len(cyc) == 1 and cyc[0] not in d.heads)
     table = _DUBROVNIK_MEMO if memo is None else memo
-    return _descend((d.crossings, loops), _identity, _unoriented_step, table, budget)
+    return _descend((d.crossings, loops), _dubrovnik_key, _unoriented_step, table, budget,
+                    "dubrovnik")
 
 
 def kauffman_f(d: LinkDiagram, budget=None, memo=None) -> LaurentPolynomial:

@@ -271,9 +271,9 @@ def _two_color_links():
 @pytest.mark.parametrize("d", _two_color_links())
 def test_report_reads_one_table_pass(monkeypatch, d, cap):
     # the report derives one potential function, expands it at most once,
-    # and must read every field exactly as the public functions, each of
-    # which derives its own
-    calls = {"potential_function": 0, "potential_series": 0}
+    # decomposes it once, and must read every field exactly as the public
+    # functions, each of which derives its own
+    calls = {"potential_function": 0, "potential_series": 0, "decompose": 0}
     for name in calls:
         real = getattr(invariants, name)
 
@@ -286,6 +286,7 @@ def test_report_reads_one_table_pass(monkeypatch, d, cap):
     rep = build_report(d, cap)
     assert calls["potential_function"] == 1
     assert calls["potential_series"] <= 1
+    assert calls["decompose"] == 1
     lk = d.linking_matrix()[0][1]
     ks = range(1, cap // 2 + 1)
     assert rep.beta_hats == {k: beta_hat(d, k, cap) for k in ks}

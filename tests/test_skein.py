@@ -1,10 +1,22 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkinv.algebra import LaurentPolynomial
+from linkinv.corpus import load_corpus
 from linkinv.diagram import BraidWord, braid_closure, parse_pd
-from linkinv.skein import SkeinBudgetError, conway, dubrovnik, homfly, kauffman_f
+from linkinv.skein import (
+    SkeinBudgetError,
+    _descend,
+    _dubrovnik_key,
+    _unoriented_step,
+    conway,
+    dubrovnik,
+    homfly,
+    kauffman_f,
+)
 
 Z = ("z",)
 XY = ("x", "y")
@@ -128,14 +140,27 @@ def test_conway_skein_relation_everywhere():
 
 
 def test_budget_error():
-    for engine in (conway, homfly, kauffman_f):
-        with pytest.raises(SkeinBudgetError):
+    for engine, name in ((conway, "conway"), (homfly, "homfly"), (kauffman_f, "dubrovnik")):
+        with pytest.raises(SkeinBudgetError) as info:
             engine(borromean(), budget=2, memo={})
+        assert info.value.engine == name
+        assert info.value.budget == 2
+        assert str(info.value) == f"{name} skein node budget of 2 exceeded"
+
+
+def free_loops(d):
+    return sum(1 for cyc in d.components if len(cyc) == 1 and cyc[0] not in d.heads)
+
+
+def labelled_dubrovnik(d, memo):
+    """The oracle: the Dubrovnik descent keyed on the labelled node itself."""
+    root = (d.crossings, free_loops(d))
+    return _descend(root, lambda n: n, _unoriented_step, memo, None, "dubrovnik")
 
 
 # Nodes each engine stores on a cold table: the descent order, Conway's
 # split pruning (split nodes never reach the table) and the memo keys all
-# show in these counts.
+# show in these counts.  The third count is the labelled Dubrovnik oracle.
 NODE_COUNTS = [
     (lambda: braid_closure(BraidWord(2, [1] * 6)), (40, 41, 541)),
     (borromean, (30, 35, 335)),
@@ -146,11 +171,120 @@ NODE_COUNTS = [
 @pytest.mark.parametrize("make,counts", NODE_COUNTS, ids=["T(2,6)", "borromean", "whitehead"])
 def test_cold_memo_node_counts(make, counts):
     sizes = []
-    for engine in (conway, homfly, kauffman_f):
+    for engine in (conway, homfly, lambda d, memo: labelled_dubrovnik(d, memo)):
         memo = {}
         engine(make(), memo=memo)
         sizes.append(len(memo))
     assert tuple(sizes) == counts
+
+
+# The same diagrams under `_dubrovnik_key`, which merges relabelings.
+KEYED_NODE_COUNTS = [
+    (lambda: braid_closure(BraidWord(2, [1] * 6)), 66),
+    (borromean, 79),
+    (whitehead, 47),
+]
+
+
+@pytest.mark.parametrize("make,count", KEYED_NODE_COUNTS, ids=["T(2,6)", "borromean", "whitehead"])
+def test_cold_memo_node_counts_relabel_key(make, count):
+    memo = {}
+    kauffman_f(make(), memo=memo)
+    assert len(memo) == count
+
+
+@pytest.fixture(scope="module")
+def shared_memos():
+    # one labelled and one keyed table for all oracle cases, so keyed
+    # entries stored by one diagram answer for the relabelings of another
+    return {}, {}
+
+
+def _assert_matches_oracle(d, memos):
+    labelled, keyed = memos
+    want = labelled_dubrovnik(d, labelled)
+    assert dubrovnik(d, memo=keyed) == want
+    assert dubrovnik(d, memo={}) == want
+    assert kauffman_f(d, memo={}) == X ** (-d.writhe()) * want
+
+
+CORPUS_LINKS = [e for e in load_corpus() if not e.singular]
+
+
+@pytest.mark.parametrize("entry", CORPUS_LINKS, ids=lambda e: e.name)
+def test_dubrovnik_key_matches_labelled_oracle_on_corpus(entry, shared_memos):
+    _assert_matches_oracle(entry.link, shared_memos)
+
+
+def test_dubrovnik_key_matches_labelled_oracle_on_loops_and_kinks(shared_memos):
+    for d in (unlink(2), unlink(3), braid_closure(BraidWord(2, [1])),
+              braid_closure(BraidWord(2, [-1]))):
+        _assert_matches_oracle(d, shared_memos)
+
+
+@pytest.mark.parametrize("entry", [e for e in CORPUS_LINKS if len(e.link.crossings) <= 12],
+                         ids=lambda e: e.name)
+def test_dubrovnik_key_matches_labelled_oracle_on_smoothings(entry, shared_memos):
+    # the smooth_infinity diagrams the skein-relations suite evaluates
+    labelled, keyed = shared_memos
+    d = entry.link
+    for ci in range(len(d.crossings)):
+        inf = d.smooth_infinity(ci)
+        assert dubrovnik(inf, memo=keyed) == labelled_dubrovnik(inf, labelled)
+
+
+def test_dubrovnik_key_matches_labelled_oracle_on_braids(shared_memos):
+    # at most 8 letters: 10-12-letter closures take seconds to minutes on
+    # the labelled oracle
+    rng = random.Random(20261018)
+    for _ in range(20):
+        n = rng.randint(2, 4)
+        word = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(1, 8))]
+        _assert_matches_oracle(braid_closure(BraidWord(n, word)), shared_memos)
+
+
+def _node(d):
+    return d.crossings, free_loops(d)
+
+
+def _turn(rec, quarter):
+    return rec[quarter:] + rec[:quarter]
+
+
+braid_words = st.integers(2, 4).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.integers(1, n - 1).flatmap(lambda g: st.sampled_from((g, -g))),
+             max_size=12)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(braid_words, braid_words, st.randoms(use_true_random=False))
+def test_dubrovnik_key_forgets_labels_order_and_half_turns(sw1, sw2, rng):
+    # two closures side by side, so the parts' order is shuffled too
+    d = braid_closure(BraidWord(*sw1)).disjoint_union(braid_closure(BraidWord(*sw2)))
+    crossings, loops = _node(d)
+    key = _dubrovnik_key((crossings, loops))
+    arcs = sorted({a for rec in crossings for a in rec})
+    images = rng.sample(range(10 * len(arcs) + 10), len(arcs))
+    relabel = dict(zip(arcs, images))
+    relabelled = tuple(tuple(relabel[a] for a in rec) for rec in crossings)
+    assert _dubrovnik_key((relabelled, loops)) == key
+    shuffled = list(crossings)
+    rng.shuffle(shuffled)
+    assert _dubrovnik_key((tuple(shuffled), loops)) == key
+    turned = tuple(_turn(rec, 2) if rng.random() < 0.5 else rec for rec in crossings)
+    assert _dubrovnik_key((turned, loops)) == key
+
+
+def test_dubrovnik_key_tells_mirrors_and_quarter_turns_apart():
+    left = braid_closure(BraidWord(2, [-1, -1, -1]))
+    assert _dubrovnik_key(_node(trefoil())) != _dubrovnik_key(_node(left))
+    for make in (trefoil, fig8, whitehead, borromean):
+        crossings, loops = _node(make())
+        key = _dubrovnik_key((crossings, loops))
+        for ci, rec in enumerate(crossings):
+            turned = crossings[:ci] + (_turn(rec, 1),) + crossings[ci + 1:]
+            assert _dubrovnik_key((turned, loops)) != key, (make.__name__, ci)
 
 
 def test_homfly_unknot_and_unlinks():
