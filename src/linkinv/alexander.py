@@ -6,12 +6,19 @@ Fox minor whose determinant is taken by fraction-free Bareiss elimination
 over Z[t^+-1] (polynomial time; every division is exact and checked).  The
 potential function pins the monomial shift by the symmetry requirement
 under inverting all variables, and the residual sign through the Conway
-bridge (x - x^-1) * Omega(x, ..., x) = conway(x - x^-1), tried in order:
-the lowest Conway coefficient a_(m-1), a cofactor of the linking matrix,
-against the bridge's z^(m-1) coefficient; the whole skein-computed Conway
-polynomial, only when that cofactor is 0; the component-deletion formula
-against a sublink; and, when none applies, an explicit ambiguity flag
-rather than a silent choice.
+bridge (x - x^-1) * Omega(x, ..., x) = conway(x - x^-1).  The sign pin
+has three tiers, tried in order:
+
+1. the lowest Conway coefficient a_(m-1), a cofactor of the linking
+   matrix, against the bridge's z^(m-1) coefficient (`via-nabla`);
+2. when that cofactor is 0, the whole Conway polynomial from the state
+   determinant, also polynomial time (`via-nabla`);
+3. when that vanishes too, the component-deletion formula against a
+   sublink (`via-sublink`), and, when none applies, an explicit ambiguity
+   flag (`ambiguous`) rather than a silent choice.
+
+No tier runs a skein recursion, so the potential function spends no node
+budget.
 """
 
 from __future__ import annotations
@@ -19,7 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import LaurentPolynomial, divexact_var_minus_one, rewrite_in_difference
+from .algebra import (
+    LaurentPolynomial,
+    divexact_var_minus_one,
+    fox_determinant,
+    rewrite_in_difference,
+)
 from .diagram import DiagramError, LinkDiagram, uf_find, uf_union
 from .skein import conway
 
@@ -98,87 +110,6 @@ def fox_matrix(p: WirtingerPresentation):
         [_fox_derivative(word, g, p.gen_colors, n) for g in range(len(p.generators))]
         for word in p.relations
     ]
-
-
-def _int_terms(entry: LaurentPolynomial) -> dict:
-    out = {}
-    for exps, coeff in entry.terms.items():
-        if coeff.denominator != 1:
-            raise ValueError("Fox matrix entries must have integer coefficients")
-        out[exps] = int(coeff)
-    return out
-
-
-def _add_product(out: dict, a: dict, b: dict, sign: int = 1) -> dict:
-    """out += sign * a * b on {exponent tuple: int} dicts."""
-    for ea, ca in a.items():
-        ca *= sign
-        for eb, cb in b.items():
-            e = tuple([x + y for x, y in zip(ea, eb)])
-            out[e] = out.get(e, 0) + ca * cb
-    return out
-
-
-def _exact_quotient(num: dict, den: dict) -> dict:
-    """num / den over Z[t^+-1], cancelling num's lex-leading term each step
-    (lex order on Z^n is a group order); raises ArithmeticError on a
-    remainder.  An exact quotient's exponents lie in the per-variable
-    degree box checked below, which also bounds the loop."""
-    num = {e: c for e, c in num.items() if c}
-    if not num:
-        return num
-    lo = [a - b for a, b in zip(map(min, zip(*num)), map(min, zip(*den)))]
-    hi = [a - b for a, b in zip(map(max, zip(*num)), map(max, zip(*den)))]
-    lead = max(den)
-    lc = den[lead]
-    out = {}
-    while num:
-        top = max(num)
-        qe = tuple([x - y for x, y in zip(top, lead)])
-        q, r = divmod(num[top], lc)
-        if r or not all(a <= x <= b for a, x, b in zip(lo, qe, hi)):
-            raise ArithmeticError("inexact division in the Bareiss elimination")
-        out[qe] = q
-        for e, c in den.items():
-            k = tuple([x + y for x, y in zip(qe, e)])
-            v = num.get(k, 0) - q * c
-            if v:
-                num[k] = v
-            else:
-                del num[k]
-    return out
-
-
-def fox_determinant(rows, ncols: int, variables) -> LaurentPolynomial:
-    """Determinant of a square matrix over Z[t^+-1] by fraction-free Bareiss
-    elimination: step k replaces each entry below and right of the pivot by
-    (pivot * entry - column entry * pivot-row entry) / previous pivot, a
-    division that is exact.  The pivot is the entry of the column with the
-    fewest terms; each row swap flips the sign."""
-    if len(rows) != ncols or any(len(row) != ncols for row in rows):
-        raise ValueError("square matrix expected")
-    mat = [[_int_terms(e) for e in row] for row in rows]
-    sign = 1
-    prev = {(0,) * len(variables): 1}
-    for k in range(ncols):
-        nonzero = [i for i in range(k, ncols) if mat[i][k]]
-        if not nonzero:
-            return LaurentPolynomial.zero(variables)
-        p = min(nonzero, key=lambda i: len(mat[i][k]))
-        if p != k:
-            mat[k], mat[p] = mat[p], mat[k]
-            sign = -sign
-        pivot_row = mat[k]
-        pivot = pivot_row[k]
-        for row in mat[k + 1:]:
-            lead = row[k]
-            for j in range(k + 1, ncols):
-                num = _add_product({}, pivot, row[j])
-                if lead and pivot_row[j]:
-                    _add_product(num, lead, pivot_row[j], -1)
-                row[j] = _exact_quotient(num, prev)
-        prev = pivot
-    return LaurentPolynomial(variables, {e: sign * c for e, c in prev.items()})
 
 
 def alexander_poly(d: LinkDiagram) -> LaurentPolynomial:
@@ -288,7 +219,7 @@ def _sign(got, want) -> int:
 def _pin_sign(h: LaurentPolynomial, d: LinkDiagram):
     """Fix the residual +-1 of the symmetrized candidate h by the Conway
     bridge, rewritten in z: its z^(m-1) coefficient against the linking
-    cofactor, else (cofactor 0) the whole bridge against the skein Conway
+    cofactor, else (cofactor 0) the whole bridge against the Conway
     polynomial; when that vanishes too, fall back to component deletion."""
     m = d.m
     bridge = rewrite_in_difference(_mono_numerator(h, m == 1))

@@ -11,6 +11,10 @@ lexicographically.
 
 `TruncatedSeries` is the package's one power-series type; the exponential
 expansions in Q[c][[h]] use it too, over (a, h) with a = c*h.
+
+`fox_determinant` is the package's one determinant routine (fraction-free
+Bareiss elimination over Z[t^+-1]), used for the Fox minors, the linking
+cofactor and the Conway state matrix.
 """
 
 from __future__ import annotations
@@ -159,8 +163,11 @@ class LaurentPolynomial:
         return LaurentPolynomial(variables, _embed_terms(self.terms, self.variables, variables))
 
     def _aligned(self, other):
+        if self.variables == other.variables:
+            return self.variables, self.terms, other.terms
         nv = _merge_vars(self.variables, other.variables)
-        return nv, self.embed(nv).terms, other.embed(nv).terms
+        return (nv, _embed_terms(self.terms, self.variables, nv),
+                _embed_terms(other.terms, other.variables, nv))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -378,6 +385,89 @@ def rewrite_in_difference(f: LaurentPolynomial, zname: str = "z") -> LaurentPoly
         if rem and max(e[0] for e in rem.terms) >= top and top > 0:
             raise ArithmeticError("not expressible in x - x^-1")
     return LaurentPolynomial((zname,), out)
+
+
+# -- exact determinants over Z[t^+-1] ------------------------------------------
+
+def _int_terms(entry: LaurentPolynomial) -> dict:
+    out = {}
+    for exps, coeff in entry.terms.items():
+        if coeff.denominator != 1:
+            raise ValueError("matrix entries must have integer coefficients")
+        out[exps] = int(coeff)
+    return out
+
+
+def _add_product(out: dict, a: dict, b: dict, sign: int = 1) -> dict:
+    """out += sign * a * b on {exponent tuple: int} dicts."""
+    for ea, ca in a.items():
+        ca *= sign
+        for eb, cb in b.items():
+            e = tuple([x + y for x, y in zip(ea, eb)])
+            out[e] = out.get(e, 0) + ca * cb
+    return out
+
+
+def _exact_quotient(num: dict, den: dict) -> dict:
+    """num / den over Z[t^+-1], cancelling num's lex-leading term each step
+    (lex order on Z^n is a group order); raises ArithmeticError on a
+    remainder.  An exact quotient's exponents lie in the per-variable
+    degree box checked below, which also bounds the loop."""
+    num = {e: c for e, c in num.items() if c}
+    if not num:
+        return num
+    lo = [a - b for a, b in zip(map(min, zip(*num)), map(min, zip(*den)))]
+    hi = [a - b for a, b in zip(map(max, zip(*num)), map(max, zip(*den)))]
+    lead = max(den)
+    lc = den[lead]
+    out = {}
+    while num:
+        top = max(num)
+        qe = tuple([x - y for x, y in zip(top, lead)])
+        q, r = divmod(num[top], lc)
+        if r or not all(a <= x <= b for a, x, b in zip(lo, qe, hi)):
+            raise ArithmeticError("inexact division in the Bareiss elimination")
+        out[qe] = q
+        for e, c in den.items():
+            k = tuple([x + y for x, y in zip(qe, e)])
+            v = num.get(k, 0) - q * c
+            if v:
+                num[k] = v
+            else:
+                del num[k]
+    return out
+
+
+def fox_determinant(rows, ncols: int, variables) -> LaurentPolynomial:
+    """Determinant of a square matrix over Z[t^+-1] by fraction-free Bareiss
+    elimination: step k replaces each entry below and right of the pivot by
+    (pivot * entry - column entry * pivot-row entry) / previous pivot, a
+    division that is exact.  The pivot is the entry of the column with the
+    fewest terms; each row swap flips the sign."""
+    if len(rows) != ncols or any(len(row) != ncols for row in rows):
+        raise ValueError("square matrix expected")
+    mat = [[_int_terms(e) for e in row] for row in rows]
+    sign = 1
+    prev = {(0,) * len(variables): 1}
+    for k in range(ncols):
+        nonzero = [i for i in range(k, ncols) if mat[i][k]]
+        if not nonzero:
+            return LaurentPolynomial.zero(variables)
+        p = min(nonzero, key=lambda i: len(mat[i][k]))
+        if p != k:
+            mat[k], mat[p] = mat[p], mat[k]
+            sign = -sign
+        pivot_row = mat[k]
+        pivot = pivot_row[k]
+        for row in mat[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, ncols):
+                num = _add_product({}, pivot, row[j])
+                if lead and pivot_row[j]:
+                    _add_product(num, lead, pivot_row[j], -1)
+                row[j] = _exact_quotient(num, prev)
+        prev = pivot
+    return LaurentPolynomial(variables, {e: sign * c for e, c in prev.items()})
 
 
 class TruncatedSeries:

@@ -140,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="total-degree bound for series (default 12)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--budget", type=nonnegative_int, default=None,
-                       help="skein node budget (default 10^6)")
+                       help="skein node budget of HOMFLY and Dubrovnik/Kauffman "
+                            "(default 10^6); nothing else spends it")
 
     p = sub.add_parser("invariants", help="full invariant report")
     add_common(p)

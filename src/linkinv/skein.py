@@ -1,5 +1,12 @@
-"""Skein-recursion engines for the Conway, HOMFLY and Dubrovnik/Kauffman
-polynomials, all run by one memoized descent, `_descend`.
+"""The HOMFLY and Dubrovnik/Kauffman polynomials by skein recursion, both
+run by one memoized descent, `_descend`, and the Conway polynomial from
+Kauffman's state determinant.
+
+Conway is not a skein engine.  `conway` builds Alexander's state matrix
+(one row per crossing, one column per face but two adjacent ones, corner
+weights in s = t^(1/2)), takes its determinant with the Bareiss kernel
+`algebra.fox_determinant`, fixes the sign from one state and rewrites the
+result in z = s - s^-1: polynomial time, and no node budget.
 
 The descent strategy is the standard guaranteed-terminating one: fix a
 traversal (components in order, each cycle from its stored basepoint) and
@@ -12,38 +19,35 @@ count, and a diagram without violations is descending, hence an unlink
 budget on each miss and stores what the engine's step returns.  There are
 two steps:
 
-- the oriented rule x*P(L+) - x^-1*P(L-) = y*P(L0) on `LinkDiagram` nodes,
-  split unknot worth (x - x^-1)/y.  It is HOMFLY as written and Conway at
-  x = 1, y = z, where a split unknot is worth 0; with that value a split
-  diagram is 0 before its memo lookup and costs no node;
+- the oriented HOMFLY rule x*H(L+) - x^-1*H(L-) = y*H(L0) on `LinkDiagram`
+  nodes, split unknot worth (x - x^-1)/y;
 - the unoriented Dubrovnik rule on (crossings, loops) nodes, walked by
   `diagram.walk_unoriented`.
 
-Values are memoized in shared write-once tables.  Conway and HOMFLY key a
-node on its exact labeled structure; different descent paths reaching the
-same sub-diagram produce identical keys because arc merges keep minimal
-ids.  Dubrovnik keys a node on `_dubrovnik_key`, a code that forgets arc
-labels, crossing order and the 180-degree turn of a record, so every
-relabeling of one unoriented diagram on S^2 shares one entry.  The tables
-only ever receive immutable values, so concurrent insert-if-absent is safe
-and the results are deterministic regardless of schedule.
+Values are memoized in shared write-once tables.  Conway keeps one entry
+per whole diagram and HOMFLY one per node, both keyed on the exact labeled
+structure; different descent paths reaching the same sub-diagram produce
+identical keys because arc merges keep minimal ids.  Dubrovnik keys a node
+on `_dubrovnik_key`, a code that forgets arc labels, crossing order and the
+180-degree turn of a record, so every relabeling of one unoriented diagram
+on S^2 shares one entry.  The tables only ever receive immutable values, so
+concurrent insert-if-absent is safe and the results are deterministic
+regardless of schedule.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .algebra import LaurentPolynomial
+from .algebra import LaurentPolynomial, fox_determinant, rewrite_in_difference
 from .diagram import LinkDiagram, uf_find, uf_union, walk_unoriented
 
 ZVARS = ("z",)
 XYVARS = ("x", "y")
 
-_Z = LaurentPolynomial.gen(ZVARS, "z")
 _X = LaurentPolynomial.gen(XYVARS, "x")
 _Y = LaurentPolynomial.gen(XYVARS, "y")
-# 1 + (x - x^-1)/y, the value a split unknot contributes to D
-_DELTA_D = LaurentPolynomial.one(XYVARS) + (_X - _X ** -1) * _Y ** -1
+# the value a split unknot contributes to H, (x - x^-1)/y, and to D, 1 more
+_DELTA_H = (_X - _X ** -1) * _Y ** -1
+_DELTA_D = LaurentPolynomial.one(XYVARS) + _DELTA_H
 
 
 class SkeinBudgetError(RuntimeError):
@@ -108,19 +112,11 @@ def _descend(root, key, step, table, budget, engine):
     return val(root)
 
 
-# -- oriented rule: Conway and HOMFLY -----------------------------------------
+# -- oriented rule: HOMFLY ------------------------------------------------------
 
-def _oriented_rule(x, y):
-    """x*P(L+) - x^-1*P(L-) = y*P(L0) solved for the diagram at hand: the
-    (switch, smoothing) factors by crossing sign, and the value of a split
-    unknot."""
-    factors = {1: (x ** -2, x ** -1 * y), -1: (x ** 2, -(x * y))}
-    return factors, (x - x ** -1) * y ** -1
-
-
-# x = 1 as a number, so Conway's factors multiply as scalars
-_CONWAY_RULE = _oriented_rule(Fraction(1), _Z)
-_HOMFLY_RULE = _oriented_rule(_X, _Y)
+# x*H(L+) - x^-1*H(L-) = y*H(L0) solved for the diagram at hand: the
+# (switch, smoothing) factors by crossing sign
+_HOMFLY_FACTORS = {1: (_X ** -2, _X ** -1 * _Y), -1: (_X ** 2, -(_X * _Y))}
 
 
 def _key(d: LinkDiagram):
@@ -144,42 +140,149 @@ def _bad_crossings(d: LinkDiagram):
     return bads
 
 
-def _oriented(d: LinkDiagram, rule, table, budget, rng, engine) -> LaurentPolynomial:
-    factors, delta = rule
-    prune = delta.is_zero
-    unlinks: dict = {}  # m -> delta^(m - 1), the m-component unlink
-
-    def value(d, val):
-        # a split diagram's value is a multiple of delta, so with delta = 0
-        # it is known without a lookup and costs no node
-        if prune and d.m > 1 and d.is_split():
-            return delta
-        return val(d)
+def homfly(d: LinkDiagram, budget=None, memo=None, rng=None) -> LaurentPolynomial:
+    """HOMFLY polynomial in x, y with x*H(L+) - x^-1*H(L-) = y*H(L0)."""
+    table = _HOMFLY_MEMO if memo is None else memo
+    unlinks: dict = {}  # m -> the m-component unlink, delta^(m - 1)
 
     def step(d, val):
         bads = _bad_crossings(d)
         if not bads:
             if d.m not in unlinks:
-                unlinks[d.m] = delta ** (d.m - 1)
+                unlinks[d.m] = _DELTA_H ** (d.m - 1)
             return unlinks[d.m]
         ci = bads[0] if rng is None else rng.choice(bads)
-        at_switch, at_smooth = factors[d.sign(ci)]
-        return at_switch * value(d.switch(ci), val) \
-            + at_smooth * value(d.smooth_oriented(ci), val)
+        at_switch, at_smooth = _HOMFLY_FACTORS[d.sign(ci)]
+        return at_switch * val(d.switch(ci)) + at_smooth * val(d.smooth_oriented(ci))
 
-    return value(d.monochrome(), lambda root: _descend(root, _key, step, table, budget, engine))
+    return _descend(d.monochrome(), _key, step, table, budget, "homfly")
+
+
+# -- Conway: Kauffman's state determinant ---------------------------------------
+
+_SVARS = ("s",)
+_S = LaurentPolynomial.gen(_SVARS, "s")
+_S_ONE = LaurentPolynomial.one(_SVARS)
+_S_ZERO = LaurentPolynomial.zero(_SVARS)
+# corner weights, corners 0..3, by crossing sign, with s = t^(1/2); the
+# flipped corner is the one whose weight is negative in Kauffman's state sum
+_CORNER_WEIGHTS = {1: (_S_ONE, _S, _S_ONE, _S ** -1), -1: (_S, _S_ONE, _S ** -1, _S_ONE)}
+_FLIPPED = {1: 3, -1: 0}
+
+
+def _far_ends(crossings):
+    """The arc at every slot, slot s of crossing c at 4c + s, and the slot
+    at that arc's other end."""
+    flat = [arc for rec in crossings for arc in rec]
+    ends: dict = {}
+    for i, arc in enumerate(flat):
+        ends.setdefault(arc, []).append(i)
+    other = [0] * len(flat)
+    for i, j in ends.values():
+        other[i], other[j] = j, i
+    return flat, other
+
+
+def _faces(crossings):
+    """Face of every corner, corner i of crossing X at 4X + i, between its
+    slots i and i + 1: following the arc at slot i + 1 to its other end
+    (Y, j) reaches the next corner of the same face, (Y, j)."""
+    _, other = _far_ends(crossings)
+    face = [-1] * len(other)
+    count = 0
+    for start in range(len(other)):
+        if face[start] >= 0:
+            continue
+        k = start
+        while face[k] < 0:
+            face[k] = count
+            k = other[(k & ~3) | ((k + 1) & 3)]
+        count += 1
+    return face
+
+
+def _state_matrix(d: LinkDiagram, cut: int = 0):
+    """Alexander's c x c state matrix of a connected diagram with c >= 1
+    crossings: one row per crossing, one column per face except the two on
+    either side of the arc at slot `cut` (crossing cut // 4, slot cut % 4),
+    each entry the sum of the crossing's corner weights in that face.
+    Returns the rows and, per row, (column, flip) for every corner that
+    has a column.
+
+    A connected diagram has c + 2 faces, and the two sides of any arc are
+    different faces: a 4-valent graph has no bridge, since cutting one
+    would leave a part of odd total degree."""
+    face = _faces(d.crossings)
+    dropped = {face[cut], face[(cut & ~3) | ((cut - 1) & 3)]}
+    kept = sorted(set(face) - dropped)
+    column = dict(zip(kept, range(len(kept))))
+    rows, options = [], []
+    for x, sign in enumerate(d.signs):
+        row = [_S_ZERO] * len(kept)
+        corners = []
+        for i, weight in enumerate(_CORNER_WEIGHTS[sign]):
+            col = column.get(face[4 * x + i])
+            if col is not None:
+                row[col] = row[col] + weight
+                corners.append((col, -1 if i == _FLIPPED[sign] else 1))
+        rows.append(row)
+        options.append(corners)
+    return rows, options
+
+
+def _state_sign(options) -> int:
+    """The sign e with Conway = e * det: for one state, a perfect matching
+    of rows to columns through their corners (Kuhn's augmenting paths),
+    the sign of its permutation times the flips of its corners.  By
+    Kauffman's Clock Theorem every state gives the same e."""
+    owner: dict = {}  # column -> (row, flip)
+
+    def place(r, seen):
+        for col, flip in options[r]:
+            if col not in seen:
+                seen.add(col)
+                if col not in owner or place(owner[col][0], seen):
+                    owner[col] = (r, flip)
+                    return True
+        return False
+
+    for r in range(len(options)):
+        place(r, set())  # det != 0, so a perfect matching exists
+    perm = [0] * len(options)
+    sign = 1
+    for col, (r, flip) in owner.items():
+        perm[r] = col
+        sign *= flip
+    inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+    return -sign if inversions % 2 else sign
+
+
+def _state_determinant(d: LinkDiagram, cut: int = 0) -> LaurentPolynomial:
+    """Conway = rewrite_in_difference(e * det) with s - s^-1 = z, det the
+    state matrix's determinant (Alexander, Trans. AMS 30, 1928; Kauffman,
+    Formal Knot Theory, 1983)."""
+    if d.is_split():
+        return LaurentPolynomial.zero(ZVARS)
+    if not d.crossings:
+        return LaurentPolynomial.one(ZVARS)
+    rows, options = _state_matrix(d, cut)
+    det = fox_determinant(rows, len(rows), _SVARS)
+    if det.is_zero:
+        return LaurentPolynomial.zero(ZVARS)
+    return rewrite_in_difference(_state_sign(options) * det)
 
 
 def conway(d: LinkDiagram, budget=None, memo=None, rng=None) -> LaurentPolynomial:
-    """Conway polynomial in z, normalized to 1 on the unknot (0 on split links)."""
+    """Conway polynomial in z, normalized to 1 on the unknot (0 on split
+    links), from the state determinant in polynomial time.  The memo holds
+    one value per diagram; no skein descent runs, so `budget` and `rng`
+    have nothing to act on."""
     table = _CONWAY_MEMO if memo is None else memo
-    return _oriented(d, _CONWAY_RULE, table, budget, rng, "conway")
-
-
-def homfly(d: LinkDiagram, budget=None, memo=None, rng=None) -> LaurentPolynomial:
-    """HOMFLY polynomial in x, y with x*H(L+) - x^-1*H(L-) = y*H(L0)."""
-    table = _HOMFLY_MEMO if memo is None else memo
-    return _oriented(d, _HOMFLY_RULE, table, budget, rng, "homfly")
+    key = _key(d)
+    value = table.get(key)
+    if value is None:
+        value = table[key] = _state_determinant(d)
+    return value
 
 
 # -- unoriented rule: Dubrovnik ------------------------------------------------
@@ -197,15 +300,11 @@ def _dubrovnik_key(node):
     Starts at odd slots are skipped: their codes open with parity 1, and
     every part has an even start."""
     crossings, loops = node
-    flat = [arc for rec in crossings for arc in rec]  # slot s of crossing c at 4c + s
-    ends: dict = {}
-    for i, arc in enumerate(flat):
-        ends.setdefault(arc, []).append(i)
-    other = [0] * len(flat)  # the far end of the arc at each slot
+    flat, other = _far_ends(crossings)
     uf: dict = {}  # crossings joined by an arc
-    for i, j in ends.values():
-        other[i], other[j] = j, i
-        uf_union(uf, i >> 2, j >> 2)
+    for i, j in enumerate(other):
+        if i < j:
+            uf_union(uf, i >> 2, j >> 2)
     parts: dict = {}
     for c in range(len(crossings)):
         parts.setdefault(uf_find(uf, c), []).append(c)

@@ -79,10 +79,11 @@ def test_criterion_3_bridge_identity(corpus):
         d = e.link
         om = potential_function(d)
         fox_route = rewrite_in_difference(om.mono_numerator(), "z")
-        skein_route = conway(d)
-        assert fox_route == skein_route, e.name
+        skein_route = homfly(d).set_variable_to_one("x").rename_variables({"y": "z"})
+        assert fox_route == skein_route == conway(d), e.name
     _report(3, "(x - x^-1) * potential at equal variables matches the "
-               "skein Conway polynomial on every corpus link")
+               "skein Conway polynomial (HOMFLY at x = 1, y = z) and the "
+               "state-determinant Conway polynomial on every corpus link")
 
 
 def test_criterion_4_decomposition_round_trip(corpus):
@@ -182,10 +183,10 @@ def test_criterion_11_frozen_oracle_values(corpus):
     }
     for name, want in expectations.items():
         d = by_name(corpus, name).link
-        skein_route = conway(d)
+        nabla = conway(d)
         fox_route = rewrite_in_difference(potential_function(d).mono_numerator(), "z")
-        assert skein_route.render() == want
-        assert fox_route == skein_route
+        assert nabla.render() == want
+        assert fox_route == nabla
     w = by_name(corpus, "whitehead")
     d = w.link
     _, a_t, d_t = two_color_tables(d, 8)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linkinv.algebra import LaurentPolynomial, bar_substitute
+from linkinv.algebra import LaurentPolynomial, _exact_quotient, bar_substitute
 from linkinv.alexander import (
     AMBIGUOUS,
     VIA_NABLA,
@@ -17,7 +17,6 @@ from linkinv.alexander import (
     potential_function,
     tvars,
     wirtinger,
-    _exact_quotient,
     _pin_by_deletion,
     _pin_sign,
 )

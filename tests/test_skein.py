@@ -1,3 +1,5 @@
+import json
+import os
 import random
 
 import pytest
@@ -6,11 +8,14 @@ from hypothesis import strategies as st
 
 from linkinv.algebra import LaurentPolynomial
 from linkinv.corpus import load_corpus
-from linkinv.diagram import BraidWord, braid_closure, parse_pd
+from linkinv.diagram import BraidWord, LinkDiagram, braid_closure, parse_pd
 from linkinv.skein import (
     SkeinBudgetError,
+    _bad_crossings,
     _descend,
     _dubrovnik_key,
+    _key,
+    _state_determinant,
     _unoriented_step,
     conway,
     dubrovnik,
@@ -67,6 +72,29 @@ def solomon():
 
 SMALL = [unknot, hopf, trefoil, fig8, solomon, whitehead, borromean]
 
+Z_GEN = LaurentPolynomial.gen(Z, "z")
+
+
+def skein_conway(d, budget=None, memo=None, rng=None):
+    """The oracle: the oriented skein rule at x = 1, y = z,
+    C(L+) - C(L-) = z*C(L0), descending through `_descend` with the
+    labelled key; a split diagram is 0 before its memo lookup and costs no
+    node, and a descending diagram is an unlink, 1 or 0."""
+    def value(d, val):
+        if d.m > 1 and d.is_split():
+            return LaurentPolynomial.zero(Z)
+        return val(d)
+
+    def step(d, val):
+        bads = _bad_crossings(d)
+        if not bads:
+            return LaurentPolynomial.one(Z) if d.m == 1 else LaurentPolynomial.zero(Z)
+        ci = bads[0] if rng is None else rng.choice(bads)
+        return value(d.switch(ci), val) + d.sign(ci) * Z_GEN * value(d.smooth_oriented(ci), val)
+
+    table = {} if memo is None else memo
+    return value(d, lambda root: _descend(root, _key, step, table, budget, "conway"))
+
 
 def test_conway_unknot():
     assert conway(unknot()) == LaurentPolynomial.one(Z)
@@ -76,6 +104,11 @@ def test_conway_split_links_vanish():
     assert conway(unlink(2)).is_zero
     assert conway(unlink(3)).is_zero
     assert conway(hopf().disjoint_union(unknot())).is_zero
+    for d in (trefoil().disjoint_union(fig8()), whitehead().disjoint_union(unknot()),
+              hopf().disjoint_union(unlink(2)),
+              # connected diagrams of unlinks: the determinant itself is 0
+              braid_closure(BraidWord(2, [1, -1])), braid_closure(BraidWord(3, [1, -1, 2, -2]))):
+        assert conway(d, memo={}).is_zero, d
 
 
 def test_conway_hopf():
@@ -119,7 +152,7 @@ def test_conway_multiplicative_under_connected_sum():
         assert conway(s) == conway(base) * conway(t)
 
 
-@pytest.mark.parametrize("engine", [conway, homfly], ids=["conway", "homfly"])
+@pytest.mark.parametrize("engine", [skein_conway, homfly], ids=["conway", "homfly"])
 def test_conway_descent_independence(engine):
     for make in (trefoil, whitehead, borromean):
         d = make()
@@ -140,7 +173,8 @@ def test_conway_skein_relation_everywhere():
 
 
 def test_budget_error():
-    for engine, name in ((conway, "conway"), (homfly, "homfly"), (kauffman_f, "dubrovnik")):
+    for engine, name in ((skein_conway, "conway"), (homfly, "homfly"),
+                         (kauffman_f, "dubrovnik")):
         with pytest.raises(SkeinBudgetError) as info:
             engine(borromean(), budget=2, memo={})
         assert info.value.engine == name
@@ -158,9 +192,10 @@ def labelled_dubrovnik(d, memo):
     return _descend(root, lambda n: n, _unoriented_step, memo, None, "dubrovnik")
 
 
-# Nodes each engine stores on a cold table: the descent order, Conway's
-# split pruning (split nodes never reach the table) and the memo keys all
-# show in these counts.  The third count is the labelled Dubrovnik oracle.
+# Nodes each skein engine stores on a cold table: the descent order, the
+# Conway oracle's split pruning (split nodes never reach the table) and the
+# memo keys all show in these counts.  The first count is the skein Conway
+# oracle, the third the labelled Dubrovnik oracle.
 NODE_COUNTS = [
     (lambda: braid_closure(BraidWord(2, [1] * 6)), (40, 41, 541)),
     (borromean, (30, 35, 335)),
@@ -171,7 +206,7 @@ NODE_COUNTS = [
 @pytest.mark.parametrize("make,counts", NODE_COUNTS, ids=["T(2,6)", "borromean", "whitehead"])
 def test_cold_memo_node_counts(make, counts):
     sizes = []
-    for engine in (conway, homfly, lambda d, memo: labelled_dubrovnik(d, memo)):
+    for engine in (skein_conway, homfly, lambda d, memo: labelled_dubrovnik(d, memo)):
         memo = {}
         engine(make(), memo=memo)
         sizes.append(len(memo))
@@ -357,3 +392,95 @@ def test_kauffman_ambient_isotopy_on_reidemeister_one():
     assert kauffman_f(t) == kauffman_f(t_kinked)
     assert homfly(t) == homfly(t_kinked)
     assert conway(t) == conway(t_kinked)
+
+
+# -- the state-determinant Conway against the skein oracle ---------------------
+
+POOL = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "pool.json")
+
+
+def pool_words():
+    with open(POOL) as fh:
+        pool = json.load(fh)["pool"]
+    return [(entry["strands"], tuple(w["word"])) for entry in pool.values()
+            for w in entry["words"]]
+
+
+@pytest.mark.parametrize("entry", CORPUS_LINKS, ids=lambda e: e.name)
+def test_conway_determinant_matches_skein_oracle_on_corpus(entry):
+    d = entry.link
+    want = skein_conway(d)
+    assert conway(d, memo={}) == want
+    if d.crossings and not d.is_split():
+        # every arc may be the cut whose two sides lose their columns
+        for cut in range(4 * len(d.crossings)):
+            assert _state_determinant(d, cut) == want, cut
+
+
+def test_conway_determinant_matches_skein_oracle_on_pool_words():
+    words = pool_words()
+    assert len(words) == 9
+    for n, word in words:
+        d = braid_closure(BraidWord(n, word))
+        assert conway(d, memo={}) == skein_conway(d), (n, word)
+
+
+@pytest.mark.parametrize("seed", [20261018, 20031])
+def test_conway_determinant_matches_skein_oracle_on_braids(seed):
+    rng = random.Random(seed)
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        word = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(2, 14))]
+        d = braid_closure(BraidWord(n, word))
+        assert conway(d, memo={}) == skein_conway(d), (n, word)
+
+
+def add_kink(d, arc, sign, side):
+    """d with a Reidemeister I kink of the given sign on `arc`: the strand
+    runs through one new crossing twice, under first (side 0) or over first
+    (side 1), so the kink's loop lies on one side of the strand or the
+    other, and the face outside the loop holds two corners of the new
+    crossing."""
+    loop, out = max(d.arcs()) + 1, max(d.arcs()) + 2
+    rec = {(1, 0): (arc, out, loop, loop), (1, 1): (loop, loop, out, arc),
+           (-1, 0): (arc, loop, loop, out), (-1, 1): (loop, arc, out, loop)}[sign, side]
+    crossings = [list(r) for r in d.crossings]
+    ci, s = d.heads[arc]
+    crossings[ci][s] = out
+    comps = [list(cyc) for cyc in d.components]
+    cyc = comps[d.comp_of_arc[arc]]
+    i = cyc.index(arc)
+    cyc[i + 1:i + 1] = [loop, out]
+    return LinkDiagram(crossings + [rec], comps, d.colors,
+                       over_in=d.over_in + (3 if sign == 1 else 1,))
+
+
+def test_conway_determinant_ignores_kinks():
+    for make in (hopf, trefoil, fig8, whitehead, borromean):
+        d = make()
+        want = conway(d, memo={})
+        for arc in d.arcs()[:3]:
+            for sign in (1, -1):
+                for side in (0, 1):
+                    k = add_kink(d, arc, sign, side)
+                    assert k.writhe() == d.writhe() + sign
+                    assert conway(k, memo={}) == want, (make.__name__, arc, sign, side)
+                    # a second kink beside the first, of the other sign and side
+                    kk = add_kink(k, arc, -sign, 1 - side)
+                    assert conway(kk, memo={}) == want, (make.__name__, arc, sign, side)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(braid_words, st.integers(1, 3), st.sampled_from((1, -1)), st.integers(0, 12))
+def test_conway_determinant_markov_invariance(sw, g, stab, turn):
+    n, word = sw
+    word = list(word)
+    base = conway(braid_closure(BraidWord(n, word)), memo={})
+    g = min(g, n - 1) * stab
+    conjugated = [g] + word + [-g]
+    assert conway(braid_closure(BraidWord(n, conjugated)), memo={}) == base
+    turn %= max(len(word), 1)
+    rotated = word[turn:] + word[:turn]
+    assert conway(braid_closure(BraidWord(n, rotated)), memo={}) == base
+    stabilized = word + [stab * n]
+    assert conway(braid_closure(BraidWord(n + 1, stabilized)), memo={}) == base
