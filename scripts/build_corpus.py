@@ -2,9 +2,10 @@
 """Regenerate the bundled corpus.
 
 Every expected value is recomputed here before freezing, and values marked
-cross-checked are verified through two independent routes (skein recursion
-vs the Fox-calculus/potential-function pipeline) so the frozen numbers are
-never copied from a single code path.
+cross-checked are verified through two independent routes (Kauffman's state
+sum, which gives both the Conway polynomial and the potential function, vs
+the HOMFLY skein recursion at x = 1, y = z) so the frozen numbers are never
+copied from a single code path.
 """
 
 import json
@@ -24,12 +25,12 @@ from linkinv.finitetype import (
     self_point_family,
 )
 from linkinv.invariants import alpha_coeffs, two_color_tables, unoriented_sl
-from linkinv.skein import conway
+from linkinv.skein import conway, homfly
 from linkinv.transforms import decompose, reduced_polynomial
 
 OUT = os.path.join(os.path.dirname(__file__), "..", "src", "linkinv", "corpus_data")
 
-CROSS_CHECK = "cross-checked: skein recursion vs Fox-calculus route"
+CROSS_CHECK = "cross-checked: state sum vs HOMFLY skein recursion at x = 1, y = z"
 KNOWN = "known: classical tabulated value"
 HAND = "hand-derived: resolved by one crossing switch and one smoothing"
 
@@ -122,10 +123,8 @@ def build_links():
 
 
 def verify_conway_two_routes(d):
-    from linkinv.algebra import rewrite_in_difference
-    om = potential_function(d)
-    route2 = rewrite_in_difference(om.mono_numerator(), "z")
     route1 = conway(d)
+    route2 = homfly(d).set_variable_to_one("x").rename_variables({"y": "z"})
     assert route1 == route2, f"routes disagree on {d.name}"
     return route1
 

@@ -16,9 +16,7 @@ from .alexander import (
     alexander_poly,
     connected_sum_check,
     deletion_check,
-    fox_matrix,
     potential_function,
-    wirtinger,
 )
 from .corpus import CorpusEntry, load_corpus
 from .diagram import (

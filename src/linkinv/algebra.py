@@ -13,8 +13,8 @@ lexicographically.
 expansions in Q[c][[h]] use it too, over (a, h) with a = c*h.
 
 `fox_determinant` is the package's one determinant routine (fraction-free
-Bareiss elimination over Z[t^+-1]), used for the Fox minors, the linking
-cofactor and the Conway state matrix.
+Bareiss elimination over Z[t^+-1]), used for Kauffman's state sum behind
+the Conway polynomial and the potential function.
 """
 
 from __future__ import annotations
@@ -331,32 +331,6 @@ def bracket(f: LaurentPolynomial) -> LaurentPolynomial:
     return f - bar_substitute(f)
 
 
-def divexact_var_minus_one(f: LaurentPolynomial, name: str) -> LaurentPolynomial:
-    """Exact division by (name - 1); raises if the division leaves a remainder."""
-    if f.is_zero:
-        return f
-    idx = f.variables.index(name)
-    groups: dict = {}
-    for exps, coeff in f.terms.items():
-        rest = exps[:idx] + exps[idx + 1:]
-        groups.setdefault(rest, {})[exps[idx]] = coeff
-    out = {}
-    for rest, col in groups.items():
-        hi = max(col)
-        lo = min(col)
-        # (t - 1) * q = f  =>  q_{i-1} = f_i + q_i, descending from the top.
-        q = Fraction(0)
-        for i in range(hi, lo - 1, -1):
-            q = col.get(i, Fraction(0)) + q
-            if i > lo:
-                key = rest[:idx] + (i - 1,) + rest[idx:]
-                if q:
-                    out[key] = q
-        if q != 0:
-            raise ArithmeticError(f"inexact division by ({name} - 1)")
-    return LaurentPolynomial(f.variables, out)
-
-
 def rewrite_in_difference(f: LaurentPolynomial, zname: str = "z") -> LaurentPolynomial:
     """Rewrite a one-variable Laurent polynomial as a polynomial in z = x - x^-1.
 
@@ -426,7 +400,7 @@ def _exact_quotient(num: dict, den: dict) -> dict:
         qe = tuple([x - y for x, y in zip(top, lead)])
         q, r = divmod(num[top], lc)
         if r or not all(a <= x <= b for a, x, b in zip(lo, qe, hi)):
-            raise ArithmeticError("inexact division in the Bareiss elimination")
+            raise ArithmeticError("inexact division over Z[t^+-1]")
         out[qe] = q
         for e, c in den.items():
             k = tuple([x + y for x, y in zip(qe, e)])

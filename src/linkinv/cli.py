@@ -60,7 +60,7 @@ def cmd_invariants(args) -> int:
 def cmd_polys(args) -> int:
     d = _read_diagram(args)
     if args.which == "conway":
-        out = conway(d, budget=args.budget).render()
+        out = conway(d).render()
     elif args.which == "homfly":
         out = homfly(d, budget=args.budget).render()
     elif args.which == "kauffman":

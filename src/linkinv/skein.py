@@ -1,12 +1,14 @@
 """The HOMFLY and Dubrovnik/Kauffman polynomials by skein recursion, both
-run by one memoized descent, `_descend`, and the Conway polynomial from
-Kauffman's state determinant.
+run by one memoized descent, `_descend`, and the Conway polynomial and the
+potential function's numerator from Kauffman's state sum.
 
-Conway is not a skein engine.  `conway` builds Alexander's state matrix
+Conway is not a skein engine.  `state_sum` builds Alexander's state matrix
 (one row per crossing, one column per face but two adjacent ones, corner
-weights in s = t^(1/2)), takes its determinant with the Bareiss kernel
-`algebra.fox_determinant`, fixes the sign from one state and rewrites the
-result in z = s - s^-1: polynomial time, and no node budget.
+weights in the variables of the two strands' colors), takes its
+determinant with the Bareiss kernel `algebra.fox_determinant` and fixes
+the sign from one state.  `conway` is its one-color case rewritten in
+z = x - x^-1, and `alexander.potential_function` its colored case:
+polynomial time, and no node budget.
 
 The descent strategy is the standard guaranteed-terminating one: fix a
 traversal (components in order, each cycle from its stored basepoint) and
@@ -40,7 +42,6 @@ from __future__ import annotations
 from .algebra import LaurentPolynomial, fox_determinant, rewrite_in_difference
 from .diagram import LinkDiagram, uf_find, uf_union, walk_unoriented
 
-ZVARS = ("z",)
 XYVARS = ("x", "y")
 
 _X = LaurentPolynomial.gen(XYVARS, "x")
@@ -158,15 +159,15 @@ def homfly(d: LinkDiagram, budget=None, memo=None, rng=None) -> LaurentPolynomia
     return _descend(d.monochrome(), _key, step, table, budget, "homfly")
 
 
-# -- Conway: Kauffman's state determinant ---------------------------------------
+# -- Kauffman's state sum: Conway and the potential function ------------------
 
-_SVARS = ("s",)
-_S = LaurentPolynomial.gen(_SVARS, "s")
-_S_ONE = LaurentPolynomial.one(_SVARS)
-_S_ZERO = LaurentPolynomial.zero(_SVARS)
-# corner weights, corners 0..3, by crossing sign, with s = t^(1/2); the
-# flipped corner is the one whose weight is negative in Kauffman's state sum
-_CORNER_WEIGHTS = {1: (_S_ONE, _S, _S_ONE, _S ** -1), -1: (_S, _S_ONE, _S ** -1, _S_ONE)}
+# corner weights, corners 0..3, by crossing sign, as (exponent of x_o,
+# exponent of x_u): x_o and x_u are the variables of the over-strand color
+# (the arc at slot 1) and the under-strand color (slot 0); with one color,
+# s = x_o = x_u = t^(1/2), they read (1, s, 1, s^-1) and (s, 1, s^-1, 1).
+# The flipped corner is the one whose weight is negative in Kauffman's
+# state sum.
+_CORNERS = {1: ((0, 0), (1, 0), (1, -1), (0, -1)), -1: ((0, 1), (-1, 1), (-1, 0), (0, 0))}
 _FLIPPED = {1: 3, -1: 0}
 
 
@@ -201,13 +202,13 @@ def _faces(crossings):
     return face
 
 
-def _state_matrix(d: LinkDiagram, cut: int = 0):
+def _state_matrix(d: LinkDiagram, colors, variables, cut: int):
     """Alexander's c x c state matrix of a connected diagram with c >= 1
     crossings: one row per crossing, one column per face except the two on
     either side of the arc at slot `cut` (crossing cut // 4, slot cut % 4),
-    each entry the sum of the crossing's corner weights in that face.
-    Returns the rows and, per row, (column, flip) for every corner that
-    has a column.
+    each entry the sum of the crossing's corner weights in that face, the
+    strands of component k weighted by x_colors[k].  Returns the rows and,
+    per row, (column, flip) for every corner that has a column.
 
     A connected diagram has c + 2 faces, and the two sides of any arc are
     different faces: a 4-valent graph has no bridge, since cutting one
@@ -216,14 +217,20 @@ def _state_matrix(d: LinkDiagram, cut: int = 0):
     dropped = {face[cut], face[(cut & ~3) | ((cut - 1) & 3)]}
     kept = sorted(set(face) - dropped)
     column = dict(zip(kept, range(len(kept))))
+    zero = LaurentPolynomial.zero(variables)
     rows, options = [], []
     for x, sign in enumerate(d.signs):
-        row = [_S_ZERO] * len(kept)
+        cu, co = d.strands_at(x)
+        u, o = colors[cu] - 1, colors[co] - 1
+        row = [zero] * len(kept)
         corners = []
-        for i, weight in enumerate(_CORNER_WEIGHTS[sign]):
+        for i, (a, b) in enumerate(_CORNERS[sign]):
             col = column.get(face[4 * x + i])
             if col is not None:
-                row[col] = row[col] + weight
+                exps = [0] * len(variables)
+                exps[o] += a
+                exps[u] += b
+                row[col] = row[col] + LaurentPolynomial.monomial(variables, exps)
                 corners.append((col, -1 if i == _FLIPPED[sign] else 1))
         rows.append(row)
         options.append(corners)
@@ -231,10 +238,10 @@ def _state_matrix(d: LinkDiagram, cut: int = 0):
 
 
 def _state_sign(options) -> int:
-    """The sign e with Conway = e * det: for one state, a perfect matching
-    of rows to columns through their corners (Kuhn's augmenting paths),
-    the sign of its permutation times the flips of its corners.  By
-    Kauffman's Clock Theorem every state gives the same e."""
+    """The sign e of the state sum e * det: for one state, a perfect
+    matching of rows to columns through their corners (Kuhn's augmenting
+    paths), the sign of its permutation times the flips of its corners.
+    By Kauffman's Clock Theorem every state gives the same e."""
     owner: dict = {}  # column -> (row, flip)
 
     def place(r, seen):
@@ -257,31 +264,35 @@ def _state_sign(options) -> int:
     return -sign if inversions % 2 else sign
 
 
-def _state_determinant(d: LinkDiagram, cut: int = 0) -> LaurentPolynomial:
-    """Conway = rewrite_in_difference(e * det) with s - s^-1 = z, det the
-    state matrix's determinant (Alexander, Trans. AMS 30, 1928; Kauffman,
-    Formal Knot Theory, 1983)."""
+def state_sum(d: LinkDiagram, colors, cut: int = 0) -> LaurentPolynomial:
+    """Kauffman's state sum e * det in x1..xn, n = max(colors), det the
+    determinant of the state matrix cut at slot `cut` with the strands of
+    component k weighted by x_colors[k] (Alexander, Trans. AMS 30, 1928;
+    Kauffman, Formal Knot Theory, 1983).  It is the potential function's
+    numerator for a knot and (x_c - x_c^-1) times the potential function
+    for a link, c the color of the cut arc; with one color it is
+    conway(x - x^-1).  A split diagram gives 0, a crossing-free knot 1."""
+    variables = tuple(f"x{c}" for c in range(1, max(colors) + 1))
     if d.is_split():
-        return LaurentPolynomial.zero(ZVARS)
+        return LaurentPolynomial.zero(variables)
     if not d.crossings:
-        return LaurentPolynomial.one(ZVARS)
-    rows, options = _state_matrix(d, cut)
-    det = fox_determinant(rows, len(rows), _SVARS)
+        return LaurentPolynomial.one(variables)
+    rows, options = _state_matrix(d, colors, variables, cut)
+    det = fox_determinant(rows, len(rows), variables)
     if det.is_zero:
-        return LaurentPolynomial.zero(ZVARS)
-    return rewrite_in_difference(_state_sign(options) * det)
+        return det
+    return _state_sign(options) * det
 
 
-def conway(d: LinkDiagram, budget=None, memo=None, rng=None) -> LaurentPolynomial:
+def conway(d: LinkDiagram, memo=None) -> LaurentPolynomial:
     """Conway polynomial in z, normalized to 1 on the unknot (0 on split
-    links), from the state determinant in polynomial time.  The memo holds
-    one value per diagram; no skein descent runs, so `budget` and `rng`
-    have nothing to act on."""
+    links): the one-color state sum rewritten in z = x - x^-1, in
+    polynomial time.  The memo holds one value per diagram."""
     table = _CONWAY_MEMO if memo is None else memo
     key = _key(d)
     value = table.get(key)
     if value is None:
-        value = table[key] = _state_determinant(d)
+        value = table[key] = rewrite_in_difference(state_sum(d, (1,) * d.m))
     return value
 
 

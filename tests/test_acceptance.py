@@ -78,9 +78,9 @@ def test_criterion_3_bridge_identity(corpus):
             continue
         d = e.link
         om = potential_function(d)
-        fox_route = rewrite_in_difference(om.mono_numerator(), "z")
+        bridge = rewrite_in_difference(om.mono_numerator(), "z")
         skein_route = homfly(d).set_variable_to_one("x").rename_variables({"y": "z"})
-        assert fox_route == skein_route == conway(d), e.name
+        assert bridge == skein_route == conway(d), e.name
     _report(3, "(x - x^-1) * potential at equal variables matches the "
                "skein Conway polynomial (HOMFLY at x = 1, y = z) and the "
                "state-determinant Conway polynomial on every corpus link")
@@ -184,9 +184,10 @@ def test_criterion_11_frozen_oracle_values(corpus):
     for name, want in expectations.items():
         d = by_name(corpus, name).link
         nabla = conway(d)
-        fox_route = rewrite_in_difference(potential_function(d).mono_numerator(), "z")
+        bridge = rewrite_in_difference(potential_function(d).mono_numerator(), "z")
+        skein_route = homfly(d).set_variable_to_one("x").rename_variables({"y": "z"})
         assert nabla.render() == want
-        assert fox_route == nabla
+        assert bridge == skein_route == nabla
     w = by_name(corpus, "whitehead")
     d = w.link
     _, a_t, d_t = two_color_tables(d, 8)

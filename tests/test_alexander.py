@@ -1,28 +1,24 @@
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linkinv.algebra import LaurentPolynomial, _exact_quotient, bar_substitute
+from linkinv.algebra import LaurentPolynomial, _exact_quotient, bar_substitute, fox_determinant
 from linkinv.alexander import (
-    AMBIGUOUS,
     VIA_NABLA,
+    _numerator,
     alexander_poly,
     connected_sum_check,
     deletion_check,
-    fox_matrix,
-    fox_determinant,
-    linking_cofactor,
     potential_function,
     tvars,
-    wirtinger,
-    _pin_by_deletion,
-    _pin_sign,
+    xvars,
 )
 from linkinv.corpus import load_corpus
-from linkinv.diagram import BraidWord, braid_closure, parse_pd
-from linkinv.skein import conway
+from linkinv.diagram import BraidWord, LinkDiagram, braid_closure, parse_pd, uf_find, uf_union
+from linkinv.skein import conway, homfly
 
 
 def conway_in_x(nabla, var="x"):
@@ -57,6 +53,151 @@ def borromean(colors=(1, 2, 3)):
 
 def unlink2(colors=(1, 2)):
     return parse_pd(f"O[1] O[2]\ncomponents: [[1],[2]]\ncolors: {list(colors)}")
+
+
+# -- the Fox route: Wirtinger presentation and Fox calculus, the oracle --------
+
+@dataclass(frozen=True)
+class WirtingerPresentation:
+    """One generator per strand (arc between underpasses), one relation per
+    crossing; generator colors follow the diagram coloring."""
+
+    generators: tuple
+    gen_colors: tuple
+    relations: tuple  # words: tuples of (generator index, +-1)
+
+    @property
+    def n_colors(self) -> int:
+        return max(self.gen_colors) if self.gen_colors else 0
+
+
+def wirtinger(d: LinkDiagram) -> WirtingerPresentation:
+    uf: dict = {}
+    for ci, rec in enumerate(d.crossings):
+        o = d.over_in[ci]
+        uf_union(uf, rec[o], rec[(o + 2) % 4])
+
+    reps = sorted({uf_find(uf, a) for cyc in d.components for a in cyc})
+    index = {r: i for i, r in enumerate(reps)}
+    colors = tuple(d.colors[d.comp_of_arc[r]] for r in reps)
+    relations = []
+    for ci, rec in enumerate(d.crossings):
+        a = index[uf_find(uf, rec[0])]
+        c = index[uf_find(uf, rec[2])]
+        b = index[uf_find(uf, rec[d.over_in[ci]])]
+        if d.sign(ci) == 1:
+            word = ((c, 1), (b, 1), (a, -1), (b, -1))
+        else:
+            word = ((c, 1), (b, -1), (a, -1), (b, 1))
+        relations.append(word)
+    return WirtingerPresentation(tuple(reps), colors, tuple(relations))
+
+
+def _fox_derivative(word, g, gen_colors, n) -> LaurentPolynomial:
+    prefix = [0] * n
+    terms: dict = {}
+    for u, e in word:
+        cu = gen_colors[u] - 1
+        if e == 1:
+            if u == g:
+                key = tuple(prefix)
+                terms[key] = terms.get(key, 0) + 1
+            prefix[cu] += 1
+        else:
+            prefix[cu] -= 1
+            if u == g:
+                key = tuple(prefix)
+                terms[key] = terms.get(key, 0) - 1
+    return LaurentPolynomial(tvars(n), terms)
+
+
+def fox_matrix(p: WirtingerPresentation):
+    """Matrix of abelianized Fox derivatives, one row per relation."""
+    n = p.n_colors
+    return [
+        [_fox_derivative(word, g, p.gen_colors, n) for g in range(len(p.generators))]
+        for word in p.relations
+    ]
+
+
+def fox_alexander(d: LinkDiagram) -> LaurentPolynomial:
+    """The Alexander polynomial up to units +-t^a by the Fox route: delete
+    the last generator's column and the last relation from the Fox matrix,
+    take the determinant and, for links, divide exactly by (t_c - 1), c the
+    deleted generator's color."""
+    variables = tvars(d.n_colors)
+    if not d.crossings:
+        return LaurentPolynomial.constant(variables, 1 if d.m == 1 else 0)
+    p = wirtinger(d)
+    if len(p.generators) != len(p.relations):
+        # some component never passes under anything: it lifts off, the
+        # link is split and the polynomial vanishes
+        return LaurentPolynomial.zero(variables)
+    minor = [row[:-1] for row in fox_matrix(p)[:-1]]
+    det = fox_determinant(minor, len(minor), variables)
+    if d.m == 1 or det.is_zero:
+        return det
+    t = LaurentPolynomial.gen(variables, f"t{p.gen_colors[-1]}")
+    return LaurentPolynomial(variables, _exact_quotient(det.terms, (t - 1).terms))
+
+
+def fox_potential(d: LinkDiagram):
+    """The potential function's numerator by the Fox route, with no state
+    sum: the Fox polynomial read at t_i = x_i^2, shifted to be symmetric
+    under inverting all variables and signed by the bridge against HOMFLY at
+    x = 1, y = z.  None when the Conway polynomial vanishes and the bridge
+    cannot fix the sign."""
+    n = d.n_colors
+    variables = xvars(n)
+    delta = fox_alexander(d)
+    if delta.is_zero:
+        return LaurentPolynomial.zero(variables)
+    f = delta.monomial_substitute(
+        variables, [(1, tuple(2 if k == i else 0 for k in range(n))) for i in range(n)])
+    shift = []
+    for v in variables:
+        lo, hi = f.exponent_range(v)
+        assert (lo + hi) % 2 == 0, d.name
+        shift.append(-(lo + hi) // 2)
+    h = LaurentPolynomial.monomial(variables, tuple(shift), 1) * f
+    assert h.invert_variables() == (1 if d.m == 1 else (-1) ** d.m) * h, d.name
+    nabla = homfly(d, memo={}).set_variable_to_one("x").rename_variables({"y": "z"})
+    if nabla.is_zero:
+        return None
+    bridge = conway_in_x(nabla)
+    collapsed = h.collapse_variables("x")
+    if d.m > 1:
+        x = LaurentPolynomial.gen(("x",), "x")
+        collapsed = (x - x ** -1) * collapsed
+    if collapsed == bridge:
+        return h
+    assert collapsed == -bridge, d.name
+    return -h
+
+
+def seeded_closures(seed, count, max_strands=4, max_letters=12):
+    """Seeded braid closures with per-component, one-color and mixed colorings."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        n = rng.randint(2, max_strands)
+        word = [rng.choice((1, -1)) * rng.randint(1, n - 1)
+                for _ in range(rng.randint(1, max_letters))]
+        d = braid_closure(BraidWord(n, word), name=f"{n}:{word}")
+        if k % 3 == 0:
+            colors = tuple(range(1, d.m + 1))
+        elif k % 3 == 1:
+            colors = (1,) * d.m
+        else:
+            j = rng.randint(1, min(3, d.m))
+            colors = tuple(range(1, j + 1)) + tuple(rng.randint(1, j) for _ in range(d.m - j))
+        out.append(d.recolor(colors))
+    return out
+
+
+def corpus_links():
+    corpus = [e.diagram for e in load_corpus() if not e.singular]
+    return corpus + [d.monochrome() for d in corpus if d.n_colors > 1]
 
 
 def test_wirtinger_counts():
@@ -232,9 +373,8 @@ def test_alexander_hopf():
 
 def test_alexander_deletion_independence():
     # deleting a different generator/relation changes the minor only by units
-    from linkinv.alexander import wirtinger as _w
     for d in (trefoil(), hopf(), whitehead()):
-        p = _w(d)
+        p = wirtinger(d)
         rows = fox_matrix(p)
         n = d.n_colors
         variables = tuple(f"t{i+1}" for i in range(n))
@@ -248,6 +388,58 @@ def test_alexander_deletion_independence():
         gb = LaurentPolynomial.gen((tb,), tb) - 1
         # det_last / (t_last - 1) == +- t^a det_first / (t_first - 1)
         assert _up_to_units(det_last * gb, det_first * ga)
+
+
+NABLA_ZERO_B4 = [1, -1, 3, 3, -1, 2, -1, 3, 1, -1, 3, -2, -1, -2]
+
+
+def oracle_diagrams():
+    return corpus_links() + seeded_closures(20261019, 90) + seeded_closures(31, 60, 5, 14)
+
+
+def test_alexander_poly_matches_fox_oracle():
+    diagrams = oracle_diagrams()
+    assert len(diagrams) == 30 + 150
+    for d in diagrams:
+        assert _up_to_units(alexander_poly(d), fox_alexander(d)), d.name
+
+
+def test_potential_matches_fox_oracle_signed_by_homfly():
+    # the Fox route shifted symmetric and signed by the bridge against
+    # HOMFLY at x = 1, y = z: no state sum and no state sign involved
+    compared = 0
+    for d in oracle_diagrams():
+        want = fox_potential(d)
+        if want is not None:
+            assert potential_function(d).numerator == want, d.name
+            compared += 1
+    assert compared >= 120
+
+
+def test_potential_sign_where_conway_vanishes():
+    # Conway is 0 while the potential function is not, so the bridge says
+    # nothing about its sign; the deletion formula against the sublink
+    # without the one component of color 2 pins it
+    d = braid_closure(BraidWord(4, NABLA_ZERO_B4), colors=(1, 1, 1, 2))
+    om = potential_function(d)
+    assert conway(d).is_zero and not om.is_zero
+    assert fox_potential(d) is None
+    assert _up_to_units(alexander_poly(d), fox_alexander(d))
+    assert deletion_check(om, d, 3)
+    flipped = type(om)(om.variables, -om.numerator, om.pole)
+    assert not deletion_check(flipped, d, 3)
+
+
+def test_potential_every_cut_arc():
+    # every arc may be the cut whose two sides lose their columns; the
+    # quotient by (x_c - x_c^-1) follows the cut arc's color
+    diagrams = corpus_links() + seeded_closures(5, 30)
+    for d in diagrams:
+        if not d.crossings or d.is_split():
+            continue
+        want = potential_function(d).numerator
+        for cut in range(4 * len(d.crossings)):
+            assert _numerator(d, cut) == want, (d.name, cut)
 
 
 def test_potential_hopf_is_one():
@@ -388,33 +580,6 @@ def test_connected_sum_formula():
     assert connected_sum_check(hopf(colors=(1, 1)), hopf(colors=(1, 1)), 1)
 
 
-def test_sign_ambiguity_is_reachable_and_flagged():
-    # synthetic: a bar-invariant candidate numerator over a diagram where
-    # the Conway polynomial vanishes and no component is alone in its color
-    d = parse_pd("O[1] O[2] O[3] O[4]\ncomponents: [[1],[2],[3],[4]]\ncolors: [1,1,2,2]")
-    xs = ("x1", "x2")
-    g1 = LaurentPolynomial.gen(xs, "x1")
-    g2 = LaurentPolynomial.gen(xs, "x2")
-    h = (g1 - g1 ** -1) * (g2 - g2 ** -1)  # bar-invariant, vanishes at x=x
-    eps, provenance = _pin_sign(h, d)
-    assert provenance == AMBIGUOUS
-    assert eps in (1, -1)
-
-
-def test_pin_sign_sublink_path():
-    # bridge tiers skipped: the deletion formula against the unknot sublink
-    # still pins the sign of the clasp potential
-    from linkinv.alexander import VIA_SUBLINK
-    d = hopf()
-    h = LaurentPolynomial.one(("x1", "x2"))
-    eps, provenance = _pin_by_deletion(h, d)
-    assert provenance == VIA_SUBLINK
-    assert eps == 1
-    eps, provenance = _pin_by_deletion(-1 * h, d)
-    assert provenance == VIA_SUBLINK
-    assert eps == -1
-
-
 def test_delete_component_of_borromean_kills_potential():
     b = borromean()
     assert b.linking_matrix() == [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
@@ -423,27 +588,6 @@ def test_delete_component_of_borromean_kills_potential():
         assert sub.m == 2
         assert potential_function(sub).is_zero
         assert conway(sub).is_zero
-
-
-def test_linking_cofactor_is_lowest_conway_coefficient():
-    # Hoste: a_(m-1) is a cofactor of the linking matrix; it pins the sign
-    # where nonzero and leaves Whitehead and Borromean to the skein Conway
-    entries = {e.name: e.diagram for e in load_corpus()}
-    diagrams = [entries[name] for name in (
-        "hopf-plus", "hopf-minus", "chain-3comp", "triangle", "whitehead", "borromean")]
-    rng = random.Random(17)
-    while len(diagrams) < 40:
-        n = rng.randint(2, 4)
-        word = [rng.choice((1, -1)) * rng.randint(1, n - 1)
-                for _ in range(rng.randint(2, 10))]
-        d = braid_closure(BraidWord(n, word))
-        if 2 <= d.m <= 4:
-            diagrams.append(d)
-    cofactors = [linking_cofactor(d) for d in diagrams]
-    for d, a in zip(diagrams, cofactors):
-        assert a == conway(d).coefficient((d.m - 1,)), d.name
-    assert cofactors[:6] == [1, -1, 1, 3, 0, 0]
-    assert sum(1 for a in cofactors[6:] if a) >= 10
 
 
 braid_words = st.integers(2, 4).flatmap(lambda n: st.tuples(

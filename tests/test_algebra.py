@@ -9,7 +9,6 @@ from linkinv.algebra import (
     bar_substitute,
     brace,
     bracket,
-    divexact_var_minus_one,
     rewrite_in_difference,
     substitute_series,
     x_of_z,
@@ -177,14 +176,6 @@ def test_substitute_series_with_inverses():
     f = LaurentPolynomial(X, {(1,): 1, (-1,): -1})
     s = substitute_series(f, {"x": (x, xinv)}, 9)
     assert s == TruncatedSeries.gen(("z",), "z", 9)
-
-
-def test_divexact_var_minus_one():
-    t = LaurentPolynomial.gen(("t",), "t")
-    f = (t - 1) * (t ** 2 + 3 * t ** -1)
-    assert divexact_var_minus_one(f, "t") == t ** 2 + 3 * t ** -1
-    with pytest.raises(ArithmeticError):
-        divexact_var_minus_one(t + 1, "t")
 
 
 def test_rewrite_in_difference():
