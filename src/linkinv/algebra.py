@@ -239,33 +239,6 @@ class LaurentPolynomial:
 
     # -- substitutions -----------------------------------------------------
 
-    def monomial_substitute(self, newvars, images) -> "LaurentPolynomial":
-        """Substitute each variable by a (coefficient, exponent-vector) monomial.
-
-        `images[i]` gives the image of `self.variables[i]` over `newvars`.
-        Monomials are invertible, so negative exponents are fine.
-        """
-        newvars = tuple(newvars)
-        out: dict = {}
-        for exps, coeff in self.terms.items():
-            c = coeff
-            vec = [0] * len(newvars)
-            for e, (ic, iv) in zip(exps, images):
-                if e == 0:
-                    continue
-                c *= _coeff(ic) ** e
-                for k, x in enumerate(iv):
-                    vec[k] += e * x
-            key = tuple(vec)
-            out[key] = out.get(key, Fraction(0)) + c
-        return LaurentPolynomial(newvars, out)
-
-    def invert_variables(self) -> "LaurentPolynomial":
-        """x_i -> x_i^-1 for every variable."""
-        n = len(self.variables)
-        images = [(1, tuple(-1 if k == i else 0 for k in range(n))) for i in range(n)]
-        return self.monomial_substitute(self.variables, images)
-
     def set_variable_to_one(self, name: str) -> "LaurentPolynomial":
         """Substitute 1 for one variable and drop it from the variable list."""
         idx = self.variables.index(name)
@@ -291,14 +264,6 @@ class LaurentPolynomial:
         return LaurentPolynomial(newvars, self.terms)
 
     # -- degree data -------------------------------------------------------
-
-    def exponent_range(self, name: str) -> tuple[int, int]:
-        """(min, max) exponent of one variable across the support; (0, 0) if zero."""
-        if not self.terms:
-            return (0, 0)
-        idx = self.variables.index(name)
-        exps = [e[idx] for e in self.terms]
-        return (min(exps), max(exps))
 
     def render(self) -> str:
         return _render(self.terms, self.variables)

@@ -3,7 +3,8 @@
 Subcommands: `invariants` (full report for one diagram), `polys` (a single
 polynomial), `decompose` (the brace-monomial parts), and `verify` (the
 bundled verification suites).  Exit codes: 0 success, 1 verification
-failure, 2 input error, 3 resource cap exceeded.
+failure, 2 input error, 3 resource cap exceeded (a node budget, or a
+recursion too deep for the interpreter).
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ def _read_diagram(args):
         d = parse_pd(text)
         if colors:
             d = d.recolor(colors)
+    if not d.m:  # the empty link parses, but no invariant here is defined on it
+        raise DiagramError("the diagram has no component")
     return d
 
 
@@ -176,6 +179,11 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SkeinBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except RecursionError:
+        # the skein descent recurses once per level, so a deep enough
+        # diagram reaches the interpreter's frame limit before the budget
+        print("error: recursion too deep for the interpreter", file=sys.stderr)
         return EXIT_BUDGET
     except (DiagramError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -36,10 +36,6 @@ class InvariantFunction:
         )
 
 
-def linking_number() -> InvariantFunction:
-    return InvariantFunction("lk", lambda d: d.linking_matrix()[0][1])
-
-
 def linking_parity() -> InvariantFunction:
     return InvariantFunction("(-1)^lk", lambda d: (-1) ** d.linking_matrix()[0][1])
 

@@ -15,7 +15,6 @@ from .skein import conway
 from .transforms import (
     DEFAULT_CAP,
     component_conways,
-    conway_quotient,
     decompose,
     potential_series,
     reduced_polynomial,
@@ -42,8 +41,11 @@ def total_lk(d: LinkDiagram) -> int:
 
 def conway_coeffs(d: LinkDiagram):
     """Coefficients c_k with conway = z^(m-1) * (c0 + c1 z^2 + ...)."""
-    nabla = conway(d)
-    m = d.m
+    return _c_coeffs(conway(d), d.m)
+
+
+def _c_coeffs(nabla, m: int):
+    """`conway_coeffs` of an m-component link with Conway polynomial nabla."""
     cs = {}
     top = 0
     for (k,), coeff in nabla.terms.items():
@@ -65,8 +67,12 @@ def alpha_coeffs(d: LinkDiagram, cap: int = DEFAULT_CAP):
     alpha_i = c_i - (alpha_(i-1) b_1 + ... + alpha_0 b_i); the two routes
     must agree exactly.
     """
-    m = d.m
-    series = conway_quotient(d, cap)
+    return _alphas(conway(d), component_conways(d), d.m, cap)
+
+
+def _alphas(nabla, comps, m: int, cap: int):
+    """`alpha_coeffs` of an m-component link from its nabla and comps."""
+    series = TruncatedSeries.from_laurent(nabla, cap) * starred_inverse(comps, ("z",), cap)
     out = {}
     for (k,), coeff in series.terms.items():
         if k < m - 1 or (k - (m - 1)) % 2:
@@ -76,9 +82,9 @@ def alpha_coeffs(d: LinkDiagram, cap: int = DEFAULT_CAP):
     alphas = tuple(out.get(i, Fraction(0)) for i in range(max(count, 0)))
 
     # independent recursion through the product of the component polynomials
-    cs = conway_coeffs(d)
+    cs = _c_coeffs(nabla, m)
     prod = LaurentPolynomial.one(("z",))
-    for nabla_k, _ in component_conways(d):
+    for nabla_k, _ in comps:
         prod = prod * nabla_k
     bs = {}
     for (k,), coeff in prod.terms.items():
@@ -109,15 +115,15 @@ def two_color_tables(d: LinkDiagram, cap: int = DEFAULT_CAP):
     if d.n_colors != 2:
         raise UndefinedInvariantError("two-color tables need exactly 2 colors")
     om = potential_function(d)
-    return _tables(d, om, reduced_polynomial(decompose(om)), cap)
+    return _tables(d, om, reduced_polynomial(decompose(om)), component_conways(d), cap)
 
 
-def _tables(d: LinkDiagram, om, reduced, cap: int):
-    """The tables of `two_color_tables` from the potential function om of d
-    and its reduced polynomial: the potential series and the reduced
-    polynomial, each divided by the same starred denominator."""
+def _tables(d: LinkDiagram, om, reduced, comps, cap: int):
+    """The tables of `two_color_tables` from d's potential function om, its
+    reduced polynomial and its component Conways comps: the potential series
+    and the reduced polynomial, each divided by the same starred denominator."""
     series = potential_series(om, cap).series
-    inverse = starred_inverse(d, zvars(2), cap)
+    inverse = starred_inverse(comps, zvars(2), cap)
     reduced = TruncatedSeries.from_laurent(reduced, cap)
     c_table = table_from_series(series, "potential-series")
     a_table = table_from_series(series * inverse, "potential-series-quotient")
@@ -191,26 +197,28 @@ def casson_walker_surrogate(d: LinkDiagram, cap: int = DEFAULT_CAP) -> Fraction:
     return _surrogate(two_color_tables(d, cap)[0], lk)
 
 
-def gamma3(d: LinkDiagram, cap: int = 9) -> Fraction:
+GAMMA_CAP = 9
+
+
+def gamma3(d: LinkDiagram, cap: int = GAMMA_CAP) -> Fraction:
     """alpha_1 of a 3-component link minus the sum over ordered pairs of
     distinct 2-component sublinks of alpha_0 * alpha_1."""
     if d.m != 3:
         raise UndefinedInvariantError("gamma needs a 3-component link")
-    alphas = alpha_coeffs(d.monochrome(), cap)
-    a1 = alphas[1] if len(alphas) > 1 else Fraction(0)
-    subs = [d.monochrome().delete_component(i) for i in range(3)]
-    sub_alpha = []
-    for s in subs:
-        al = alpha_coeffs(s, cap)
-        a0 = al[0] if al else Fraction(0)
-        a1_s = al[1] if len(al) > 1 else Fraction(0)
-        sub_alpha.append((a0, a1_s))
-    total = Fraction(0)
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                total += sub_alpha[i][0] * sub_alpha[j][1]
-    return a1 - total
+    return _gamma(d, conway(d), component_conways(d), cap)
+
+
+def _gamma(d: LinkDiagram, nabla, comps, cap: int) -> Fraction:
+    """`gamma3` from d's Conway polynomial nabla and component Conways comps;
+    a sublink's components are d's, less the deleted one."""
+
+    def first_two(nabla, comps, m):
+        return (_alphas(nabla, comps, m, cap) + (Fraction(0),) * 2)[:2]
+
+    a1 = first_two(nabla, comps, 3)[1]
+    subs = [first_two(conway(d.monochrome().delete_component(i)), comps[:i] + comps[i + 1:], 2)
+            for i in range(3)]
+    return a1 - sum(subs[i][0] * subs[j][1] for i in range(3) for j in range(3) if i != j)
 
 
 def congruence_report(d: LinkDiagram, cap: int = DEFAULT_CAP):
@@ -222,15 +230,14 @@ def congruence_report(d: LinkDiagram, cap: int = DEFAULT_CAP):
     When the components are unknotted, pairs with a nonzero entry are
     additionally marked, since the congruence sharpens to equality there.
     """
-    return congruence_rows(d, two_color_tables(d, cap)[2], cap)
+    return congruence_rows(component_conways(d), two_color_tables(d, cap)[2], cap)
 
 
-def congruence_rows(d: LinkDiagram, d_table, cap: int):
-    """The rows of `congruence_report` for i + j <= cap, read off a delta
-    table of d computed at any cap >= this one: truncated-series
-    coefficients below the cap do not depend on the cap."""
-    unknotted = all(nabla == LaurentPolynomial.one(("z",))
-                    for nabla, _ in component_conways(d))
+def congruence_rows(comps, d_table, cap: int):
+    """The rows of `congruence_report` for i + j <= cap, read off a link's
+    component Conways comps and its delta table computed at any cap >= this
+    one: truncated-series coefficients below the cap do not depend on it."""
+    unknotted = all(nabla == LaurentPolynomial.one(("z",)) for nabla, _ in comps)
     rows = []
     for i in range(cap + 1):
         for j in range(cap + 1 - i):
@@ -328,14 +335,16 @@ class InvariantReport:
 
 def build_report(d: LinkDiagram, cap: int = DEFAULT_CAP) -> InvariantReport:
     om = potential_function(d)
+    nabla = conway(d)
+    comps = component_conways(d)
     report = InvariantReport(
         name=d.name or "link",
         components=d.m,
         colors=d.colors,
         linking_matrix=d.linking_matrix(),
-        conway=conway(d).render(),
-        c_coeffs=list(conway_coeffs(d)),
-        alpha_coeffs=list(alpha_coeffs(d.monochrome(), cap)),
+        conway=nabla.render(),
+        c_coeffs=list(_c_coeffs(nabla, d.m)),
+        alpha_coeffs=list(_alphas(nabla, comps, d.m, cap)),
         omega=om.render(),
         omega_sign_provenance=om.sign_provenance,
         series_cap=cap,
@@ -344,7 +353,7 @@ def build_report(d: LinkDiagram, cap: int = DEFAULT_CAP) -> InvariantReport:
         reduced = reduced_polynomial(decompose(om))
         report.reduced = reduced.render()
     if d.n_colors == 2:
-        c_t, a_t, d_t = _tables(d, om, reduced, cap)
+        c_t, a_t, d_t = _tables(d, om, reduced, comps, cap)
         report.c_table = c_t.entries
         report.alpha_table = a_t.entries
         report.delta_table = d_t.entries
@@ -358,8 +367,8 @@ def build_report(d: LinkDiagram, cap: int = DEFAULT_CAP) -> InvariantReport:
             report.beta_hats = {k: _signed_row_one(a_t, k) for k in ks}
             if lk == 0:
                 report.betas = {k: _signed_row_one(d_t, k) for k in ks}
-            report.congruences = [row for row in congruence_rows(d, d_t, min(cap, 8))
+            report.congruences = [row for row in congruence_rows(comps, d_t, min(cap, 8))
                                   if row["flagged"]]
     if d.m == 3:
-        report.gamma = str(gamma3(d))
+        report.gamma = str(_gamma(d, nabla, comps, GAMMA_CAP))
     return report

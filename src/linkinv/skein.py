@@ -8,7 +8,7 @@ weights in the variables of the two strands' colors), takes its
 determinant with the Bareiss kernel `algebra.fox_determinant` and fixes
 the sign from one state.  `conway` is its one-color case rewritten in
 z = x - x^-1, and `alexander.potential_function` its colored case:
-polynomial time, and no node budget.
+polynomial time, no node budget and no memo.
 
 The descent strategy is the standard guaranteed-terminating one: fix a
 traversal (components in order, each cycle from its stored basepoint) and
@@ -26,15 +26,15 @@ two steps:
 - the unoriented Dubrovnik rule on (crossings, loops) nodes, walked by
   `diagram.walk_unoriented`.
 
-Values are memoized in shared write-once tables.  Conway keeps one entry
-per whole diagram and HOMFLY one per node, both keyed on the exact labeled
-structure; different descent paths reaching the same sub-diagram produce
-identical keys because arc merges keep minimal ids.  Dubrovnik keys a node
-on `_dubrovnik_key`, a code that forgets arc labels, crossing order and the
-180-degree turn of a record, so every relabeling of one unoriented diagram
-on S^2 shares one entry.  The tables only ever receive immutable values, so
-concurrent insert-if-absent is safe and the results are deterministic
-regardless of schedule.
+The two skein engines memoize values in shared write-once tables.  HOMFLY
+keeps one entry per node, keyed on the exact labeled structure; different
+descent paths reaching the same sub-diagram produce identical keys because
+arc merges keep minimal ids.  Dubrovnik keys a node on `_dubrovnik_key`, a
+code that forgets arc labels, crossing order and the 180-degree turn of a
+record, so every relabeling of one unoriented diagram on S^2 shares one
+entry.  The tables only ever receive immutable values, so concurrent
+insert-if-absent is safe and the results are deterministic regardless of
+schedule.  `conway` keeps no table: each call computes its state sum.
 """
 
 from __future__ import annotations
@@ -84,13 +84,11 @@ class _Budget:
             raise SkeinBudgetError(self.engine, self.limit)
 
 
-_CONWAY_MEMO: dict = {}
 _HOMFLY_MEMO: dict = {}
 _DUBROVNIK_MEMO: dict = {}
 
 
 def clear_memo():
-    _CONWAY_MEMO.clear()
     _HOMFLY_MEMO.clear()
     _DUBROVNIK_MEMO.clear()
 
@@ -287,13 +285,13 @@ def state_sum(d: LinkDiagram, colors, cut: int = 0) -> LaurentPolynomial:
 def conway(d: LinkDiagram, memo=None) -> LaurentPolynomial:
     """Conway polynomial in z, normalized to 1 on the unknot (0 on split
     links): the one-color state sum rewritten in z = x - x^-1, in
-    polynomial time.  The memo holds one value per diagram."""
-    table = _CONWAY_MEMO if memo is None else memo
+    polynomial time.  Nothing is cached; a caller-owned `memo` table
+    receives one entry per diagram and answers repeat calls."""
+    table = {} if memo is None else memo
     key = _key(d)
-    value = table.get(key)
-    if value is None:
-        value = table[key] = rewrite_in_difference(state_sum(d, (1,) * d.m))
-    return value
+    if key not in table:
+        table[key] = rewrite_in_difference(state_sum(d, (1,) * d.m))
+    return table[key]
 
 
 # -- unoriented rule: Dubrovnik ------------------------------------------------

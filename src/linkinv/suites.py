@@ -26,6 +26,7 @@ from .invariants import alpha_coeffs, congruence_rows, gamma3, \
 from .skein import conway, dubrovnik, homfly, kauffman_f
 from .transforms import (
     DEFAULT_CAP,
+    component_conways,
     conway_quotient,
     decompose,
     homfly_exp_quotient,
@@ -67,11 +68,12 @@ def suite_skein_relations(entries, cap=DEFAULT_CAP):
         d = e.link
         if len(d.crossings) > 12:
             continue
+        nabla = conway(d)
         for ci in range(len(d.crossings)):
-            pos = d if d.sign(ci) == 1 else d.switch(ci)
-            neg = d.switch(ci) if d.sign(ci) == 1 else d
+            switched = d.switch(ci)
+            pos, neg = (d, switched) if d.sign(ci) == 1 else (switched, d)
             mid = d.smooth_oriented(ci)
-            ok = conway(pos) - conway(neg) == Z * conway(mid)
+            ok = d.sign(ci) * (nabla - conway(switched)) == Z * conway(mid)
             out.append(Check("skein-relations", f"conway @ {e.name}#{ci}", ok))
             ok = X * homfly(pos) - X ** -1 * homfly(neg) == Y * homfly(mid)
             out.append(Check("skein-relations", f"homfly @ {e.name}#{ci}", ok))
@@ -215,7 +217,7 @@ def suite_congruences(entries, cap=DEFAULT_CAP):
             a1r = ar[1] if len(ar) > 1 else Fraction(0)
             ok = c_t.get(1, 1) == (a1 + a1r) / 2
             out.append(Check("congruences", f"c11 reversal identity @ {e.name}", ok))
-            rows = congruence_rows(d, d_t, min(cap, 8))
+            rows = congruence_rows(component_conways(d), d_t, min(cap, 8))
             flagged = [r for r in rows if r["flagged"]]
             out.append(Check("congruences", f"finite flag set @ {e.name}",
                              len(flagged) <= 12, f"{len(flagged)} flags"))

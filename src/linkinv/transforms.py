@@ -262,15 +262,15 @@ def starred(numerator, d: LinkDiagram, cap: int = DEFAULT_CAP) -> TruncatedSerie
     if isinstance(numerator, LaurentPolynomial):
         numerator = TruncatedSeries.from_laurent(numerator, cap)
     numerator = numerator.truncate(cap)
-    return numerator * starred_inverse(d, numerator.variables, cap)
+    return numerator * starred_inverse(component_conways(d), numerator.variables, cap)
 
 
-def starred_inverse(d: LinkDiagram, variables, cap: int) -> TruncatedSeries:
+def starred_inverse(comps, variables, cap: int) -> TruncatedSeries:
     """The series `starred` multiplies by: 1 over the product of the
-    component Conway polynomials, in z alone or in the z of each color."""
+    Conway polynomials in comps, in z alone or in the z of each color."""
     multivariate = variables != ("z",)
     denom = TruncatedSeries.one(variables, cap)
-    for nabla, color in component_conways(d):
+    for nabla, color in comps:
         if multivariate:
             nabla = nabla.rename_variables({"z": f"z{color}"})
         series = TruncatedSeries.from_laurent(nabla, cap)

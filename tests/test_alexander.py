@@ -152,15 +152,18 @@ def fox_potential(d: LinkDiagram):
     delta = fox_alexander(d)
     if delta.is_zero:
         return LaurentPolynomial.zero(variables)
-    f = delta.monomial_substitute(
-        variables, [(1, tuple(2 if k == i else 0 for k in range(n))) for i in range(n)])
+    # t_i -> x_i^2
+    f = LaurentPolynomial(variables, {tuple(2 * e for e in exps): c
+                                      for exps, c in delta.terms.items()})
     shift = []
-    for v in variables:
-        lo, hi = f.exponent_range(v)
+    for i in range(n):
+        lo, hi = min(e[i] for e in f.terms), max(e[i] for e in f.terms)
         assert (lo + hi) % 2 == 0, d.name
         shift.append(-(lo + hi) // 2)
     h = LaurentPolynomial.monomial(variables, tuple(shift), 1) * f
-    assert h.invert_variables() == (1 if d.m == 1 else (-1) ** d.m) * h, d.name
+    inverted = LaurentPolynomial(variables, {tuple(-e for e in exps): c
+                                             for exps, c in h.terms.items()})
+    assert inverted == (1 if d.m == 1 else (-1) ** d.m) * h, d.name
     nabla = homfly(d, memo={}).set_variable_to_one("x").rename_variables({"y": "z"})
     if nabla.is_zero:
         return None
@@ -343,10 +346,6 @@ def _up_to_units(f, g):
     (ef, cf) = sorted(f.terms.items())[0]
     (eg, cg) = sorted(g.terms.items())[0]
     shift = tuple(a - b for a, b in zip(ef, eg))
-    scaled = g.monomial_substitute(g.variables, [
-        (1, tuple(1 if k == i else 0 for k in range(len(g.variables))))
-        for i in range(len(g.variables))
-    ])
     mon = LaurentPolynomial.monomial(g.variables, shift, 1)
     for sign in (1, -1):
         if f == sign * (mon * g):

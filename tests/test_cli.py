@@ -221,6 +221,8 @@ MALFORMED = {
     "parser-overflow": HOPF_CROSSINGS + "components: " + "-" * 100000 + "1\n",
     "stray-free-loop": "X[1,3,2,4] X[3,1,4,2] O[9] O[9]\ncomponents: [[1,2],[3,4]]\n",
     "repeated-free-loop": "O[1] O[1]\ncomponents: [[1]]\n",
+    "components-empty": "components: []\n",
+    "components-empty-crossings": HOPF_CROSSINGS + "components: []\n",
 }
 
 
@@ -233,3 +235,20 @@ def test_malformed_input_exits_2_with_short_message(tmp_path, capsys, text):
     assert out == ""
     assert err.startswith("error: ")
     assert len(err) < 160
+
+
+def test_empty_components_block_is_named_as_the_input_error(tmp_path, capsys):
+    path = tmp_path / "empty.pd"
+    path.write_text("components: []\n")
+    code, _, err = run(capsys, "invariants", str(path))
+    assert (code, err) == (2, "error: the diagram has no component\n")
+
+
+def test_recursion_deeper_than_the_interpreter_exits_3(tmp_path, capsys):
+    # the Dubrovnik descent of T(2,340) reaches the frame limit before its
+    # node budget of 2000
+    path = tmp_path / "t2-340.braid"
+    path.write_text("braid(2): " + " ".join(["1"] * 340) + "\n")
+    code, out, err = run(capsys, "polys", str(path), "--which", "kauffman", "--budget", "2000")
+    assert (code, out) == (3, "")
+    assert err == "error: recursion too deep for the interpreter\n"

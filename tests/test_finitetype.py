@@ -13,13 +13,16 @@ from linkinv.finitetype import (
     homfly_exp_coefficient,
     kauffman_exp_coefficient,
     leibniz_restrict,
-    linking_number,
     linking_parity,
     threaded_circle_jump,
     threaded_circle_witness,
     self_point_family,
     type_falsify,
 )
+
+
+def linking_number():
+    return InvariantFunction("lk", lambda d: d.linking_matrix()[0][1])
 
 
 def test_extend_no_points_is_plain_evaluation():

@@ -271,14 +271,17 @@ def _two_color_links():
 @pytest.mark.parametrize("d", _two_color_links())
 def test_report_reads_one_table_pass(monkeypatch, d, cap):
     # the report derives one potential function, expands it at most once,
-    # decomposes it once, and must read every field exactly as the public
+    # decomposes it once, takes one Conway polynomial of the link and one of
+    # each component, and must read every field exactly as the public
     # functions, each of which derives its own
-    calls = {"potential_function": 0, "potential_series": 0, "decompose": 0}
+    calls = {"potential_function": 0, "potential_series": 0, "decompose": 0,
+             "component_conways": 0, "conway": 0}
     for name in calls:
         real = getattr(invariants, name)
 
         def counting(*args, _name=name, _real=real, **kwargs):
-            calls[_name] += 1
+            if _name != "conway" or args[0].m == d.m:  # components are knots
+                calls[_name] += 1
             return _real(*args, **kwargs)
 
         for module in (invariants, transforms):
@@ -287,6 +290,8 @@ def test_report_reads_one_table_pass(monkeypatch, d, cap):
     assert calls["potential_function"] == 1
     assert calls["potential_series"] <= 1
     assert calls["decompose"] == 1
+    assert calls["component_conways"] == 1
+    assert calls["conway"] == 1
     lk = d.linking_matrix()[0][1]
     ks = range(1, cap // 2 + 1)
     assert rep.beta_hats == {k: beta_hat(d, k, cap) for k in ks}

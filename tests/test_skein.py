@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linkinv import skein
 from linkinv.algebra import LaurentPolynomial, rewrite_in_difference
 from linkinv.corpus import load_corpus
 from linkinv.diagram import BraidWord, LinkDiagram, braid_closure, parse_pd
@@ -226,6 +227,29 @@ def test_cold_memo_node_counts_relabel_key(make, count):
     memo = {}
     kauffman_f(make(), memo=memo)
     assert len(memo) == count
+
+
+def test_engines_fill_a_caller_owned_memo(monkeypatch):
+    # perfbench/child.py reads len(memo) after a cold call; conway stores
+    # exactly one entry, and without a memo it caches nothing
+    for engine in (conway, homfly, kauffman_f):
+        memo = {}
+        engine(whitehead(), memo=memo)
+        assert memo, engine.__name__
+    sums = []
+    real = skein.state_sum
+
+    def counting(*args, **kwargs):
+        sums.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(skein, "state_sum", counting)
+    memo = {}
+    d = whitehead()
+    assert conway(d, memo=memo) == conway(d, memo=memo)
+    assert len(memo) == 1 and len(sums) == 1
+    assert conway(d) == conway(d)
+    assert len(sums) == 3
 
 
 @pytest.fixture(scope="module")
