@@ -80,15 +80,6 @@ class PotentialFunction:
     def is_zero(self) -> bool:
         return self.numerator.is_zero
 
-    def mono_numerator(self) -> LaurentPolynomial:
-        """(x - x^-1) * value with every variable set to x; a polynomial in
-        the single variable x for links and the bare numerator for knots."""
-        collapsed = self.numerator.collapse_variables("x")
-        if self.pole:
-            return collapsed
-        x = LaurentPolynomial.gen(("x",), "x")
-        return (x - x ** -1) * collapsed
-
     def render(self) -> str:
         body = self.numerator.render()
         if self.pole:

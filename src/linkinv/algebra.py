@@ -1,9 +1,10 @@
 """Exact sparse Laurent polynomials and truncated multivariate power series.
 
-All coefficients are arbitrary-precision rationals (`fractions.Fraction`);
-there is no floating-point mode anywhere in the package.  Values are
-immutable after construction and can be shared freely between threads;
-every operation returns a new value.
+Coefficients are exact rationals: an integral coefficient is stored as an
+`int`, any other as a `fractions.Fraction`; there is no floating point
+anywhere in the package.  Values are immutable after construction and can
+be shared freely between threads; every operation returns a new value.
+Results of +, - and * skip the public constructors' checks.
 
 Operands over different variable lists are aligned automatically by
 embedding both into the union of the variable lists, ordered
@@ -23,12 +24,17 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 
-def _coeff(value) -> Fraction:
+def _coeff(value) -> int | Fraction:
     if isinstance(value, Fraction):
-        return value
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"exact rational coefficient expected, got {type(value).__name__}")
+
+
+def _clean(terms: dict) -> dict:
+    """Drop zero coefficients and store integral ones as int."""
+    return {e: c if type(c) is int else _coeff(c) for e, c in terms.items() if c}
 
 
 def binom_frac(r: Fraction, k: int) -> Fraction:
@@ -107,10 +113,19 @@ class LaurentPolynomial:
                 exps = tuple(int(e) for e in exps)
                 if len(exps) != nv:
                     raise ValueError("exponent vector length mismatch")
-                clean[exps] = clean.get(exps, Fraction(0)) + coeff
-            clean = {e: c for e, c in clean.items() if c != 0}
+                clean[exps] = clean.get(exps, 0) + coeff
+            clean = _clean(clean)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _make(cls, variables: tuple, terms: dict) -> "LaurentPolynomial":
+        """Trusted constructor for results of arithmetic on validated
+        operands: `terms` has no zero and stores integral values as int."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "terms", terms)
+        return self
 
     def __setattr__(self, *args):
         raise AttributeError("LaurentPolynomial is immutable")
@@ -139,7 +154,7 @@ class LaurentPolynomial:
         variables = tuple(variables)
         exps = [0] * len(variables)
         exps[variables.index(name)] = power
-        return cls(variables, {tuple(exps): Fraction(1)})
+        return cls(variables, {tuple(exps): 1})
 
     # -- basics ------------------------------------------------------------
 
@@ -150,10 +165,10 @@ class LaurentPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, exps) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+    def coefficient(self, exps) -> int | Fraction:
+        return self.terms.get(tuple(exps), 0)
 
-    def constant_term(self) -> Fraction:
+    def constant_term(self) -> int | Fraction:
         return self.coefficient((0,) * len(self.variables))
 
     def embed(self, variables) -> "LaurentPolynomial":
@@ -185,7 +200,7 @@ class LaurentPolynomial:
     # -- arithmetic --------------------------------------------------------
 
     def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial(self.variables, {e: -c for e, c in self.terms.items()})
+        return LaurentPolynomial._make(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __add__(self, other) -> "LaurentPolynomial":
         if isinstance(other, (int, Fraction)):
@@ -193,8 +208,8 @@ class LaurentPolynomial:
         nv, a, b = self._aligned(other)
         out = dict(a)
         for e, c in b.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return LaurentPolynomial(nv, out)
+            out[e] = out.get(e, 0) + c
+        return LaurentPolynomial._make(nv, _clean(out))
 
     __radd__ = __add__
 
@@ -209,14 +224,15 @@ class LaurentPolynomial:
     def __mul__(self, other) -> "LaurentPolynomial":
         if isinstance(other, (int, Fraction)):
             c = _coeff(other)
-            return LaurentPolynomial(self.variables, {e: c * v for e, v in self.terms.items()})
+            return LaurentPolynomial._make(self.variables,
+                                           _clean({e: c * v for e, v in self.terms.items()}))
         nv, a, b = self._aligned(other)
         out: dict = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
                 key = tuple(x + y for x, y in zip(ea, eb))
-                out[key] = out.get(key, Fraction(0)) + ca * cb
-        return LaurentPolynomial(nv, out)
+                out[key] = out.get(key, 0) + ca * cb
+        return LaurentPolynomial._make(nv, _clean(out))
 
     __rmul__ = __mul__
 
@@ -226,7 +242,7 @@ class LaurentPolynomial:
                 raise ValueError("negative power of a non-monomial Laurent polynomial")
             (exps, coeff), = self.terms.items()
             return LaurentPolynomial(self.variables,
-                                     {tuple(n * e for e in exps): coeff ** n})
+                                     {tuple(n * e for e in exps): Fraction(coeff) ** n})
         out = LaurentPolynomial.one(self.variables)
         base = self
         while n:
@@ -246,7 +262,7 @@ class LaurentPolynomial:
         out: dict = {}
         for exps, coeff in self.terms.items():
             key = exps[:idx] + exps[idx + 1:]
-            out[key] = out.get(key, Fraction(0)) + coeff
+            out[key] = out.get(key, 0) + coeff
         return LaurentPolynomial(newvars, out)
 
     def collapse_variables(self, name: str) -> "LaurentPolynomial":
@@ -254,7 +270,7 @@ class LaurentPolynomial:
         out: dict = {}
         for exps, coeff in self.terms.items():
             key = (sum(exps),)
-            out[key] = out.get(key, Fraction(0)) + coeff
+            out[key] = out.get(key, 0) + coeff
         return LaurentPolynomial((name,), out)
 
     def rename_variables(self, mapping: Mapping[str, str]) -> "LaurentPolynomial":
@@ -316,10 +332,10 @@ def rewrite_in_difference(f: LaurentPolynomial, zname: str = "z") -> LaurentPoly
         top = max(e[0] for e in rem.terms)
         if top < 0:
             raise ArithmeticError("not expressible in x - x^-1")
-        coeff = rem.terms.get((top,), Fraction(0))
+        coeff = rem.terms.get((top,), 0)
         if coeff == 0:
             raise ArithmeticError("not expressible in x - x^-1")
-        out[(top,)] = out.get((top,), Fraction(0)) + coeff
+        out[(top,)] = out.get((top,), 0) + coeff
         rem = rem - coeff * diff ** top
         if rem and max(e[0] for e in rem.terms) >= top and top > 0:
             raise ArithmeticError("not expressible in x - x^-1")
@@ -329,12 +345,11 @@ def rewrite_in_difference(f: LaurentPolynomial, zname: str = "z") -> LaurentPoly
 # -- exact determinants over Z[t^+-1] ------------------------------------------
 
 def _int_terms(entry: LaurentPolynomial) -> dict:
-    out = {}
-    for exps, coeff in entry.terms.items():
-        if coeff.denominator != 1:
-            raise ValueError("matrix entries must have integer coefficients")
-        out[exps] = int(coeff)
-    return out
+    """A copy of the entry's terms; integral coefficients are stored as int,
+    so any other type means a fractional entry."""
+    if any(type(c) is not int for c in entry.terms.values()):
+        raise ValueError("matrix entries must have integer coefficients")
+    return dict(entry.terms)
 
 
 def _add_product(out: dict, a: dict, b: dict, sign: int = 1) -> dict:
@@ -436,12 +451,22 @@ class TruncatedSeries:
                     raise ValueError("negative exponent in a power series")
                 if sum(exps) > cap:
                     continue
-                prev = clean.get(exps)
-                clean[exps] = coeff if prev is None else prev + coeff
-            clean = {e: c for e, c in clean.items() if c != 0}
+                clean[exps] = clean.get(exps, 0) + coeff
+            clean = _clean(clean)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "cap", int(cap))
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _make(cls, variables: tuple, cap: int, terms: dict) -> "TruncatedSeries":
+        """Trusted constructor for results of arithmetic on validated
+        operands: `terms` has no zero, no term above the cap, and stores
+        integral values as int."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "cap", cap)
+        object.__setattr__(self, "terms", terms)
+        return self
 
     def __setattr__(self, *args):
         raise AttributeError("TruncatedSeries is immutable")
@@ -466,7 +491,7 @@ class TruncatedSeries:
         variables = tuple(variables)
         exps = [0] * len(variables)
         exps[variables.index(name)] = 1
-        return cls(variables, cap, {tuple(exps): Fraction(1)})
+        return cls(variables, cap, {tuple(exps): 1})
 
     @classmethod
     def from_laurent(cls, f: LaurentPolynomial, cap: int) -> "TruncatedSeries":
@@ -483,10 +508,10 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, exps) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+    def coefficient(self, exps) -> int | Fraction:
+        return self.terms.get(tuple(exps), 0)
 
-    def constant_term(self) -> Fraction:
+    def constant_term(self) -> int | Fraction:
         return self.coefficient((0,) * len(self.variables))
 
     def truncate(self, cap: int) -> "TruncatedSeries":
@@ -521,16 +546,18 @@ class TruncatedSeries:
     # -- arithmetic --------------------------------------------------------
 
     def __neg__(self):
-        return TruncatedSeries(self.variables, self.cap, {e: -c for e, c in self.terms.items()})
+        return TruncatedSeries._make(self.variables, self.cap,
+                                     {e: -c for e, c in self.terms.items()})
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = TruncatedSeries.constant(self.variables, self.cap, other)
         nv, cap, a, b = self._aligned(other)
-        out = dict(a)
+        out = {e: c for e, c in a.items() if sum(e) <= cap}
         for e, c in b.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return TruncatedSeries(nv, cap, out)
+            if sum(e) <= cap:
+                out[e] = out.get(e, 0) + c
+        return TruncatedSeries._make(nv, cap, _clean(out))
 
     __radd__ = __add__
 
@@ -545,8 +572,8 @@ class TruncatedSeries:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _coeff(other)
-            return TruncatedSeries(self.variables, self.cap,
-                                   {e: c * v for e, v in self.terms.items()})
+            return TruncatedSeries._make(self.variables, self.cap,
+                                         _clean({e: c * v for e, v in self.terms.items()}))
         nv, cap, a, b = self._aligned(other)
         right = sorted((sum(eb), eb, cb) for eb, cb in b.items())
         out: dict = {}
@@ -558,7 +585,7 @@ class TruncatedSeries:
                 key = tuple(x + y for x, y in zip(ea, eb))
                 prev = out.get(key)
                 out[key] = ca * cb if prev is None else prev + ca * cb
-        return TruncatedSeries(nv, cap, out)
+        return TruncatedSeries._make(nv, cap, _clean(out))
 
     __rmul__ = __mul__
 
@@ -577,11 +604,12 @@ class TruncatedSeries:
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse up to the cap; the constant term c0 must be
-        nonzero.  Degree by degree: inv_k = -(1/c0) * sum_j self_j * inv_(k-j)."""
+        nonzero.  Degree by degree: inv_k = -(1/c0) * sum_j self_j * inv_(k-j),
+        with 1/c0 the exact `Fraction` (an int when c0 is +-1)."""
         c0 = self.constant_term()
         if c0 == 0:
             raise ZeroDivisionError("series with zero constant term has no inverse")
-        q = 1 / c0
+        q = _coeff(Fraction(1, c0))
         by_deg: dict = {}
         for e, c in self.terms.items():
             if any(e):

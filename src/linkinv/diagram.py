@@ -520,17 +520,6 @@ class LinkDiagram:
                 merges.append((rec[UNDER_IN], rec[UNDER_OUT]))
         return self._resolve(dropped, merges, gone, False)
 
-    def disjoint_union(self, other: "LinkDiagram") -> "LinkDiagram":
-        """Place two diagrams side by side; the second palette is appended."""
-        shift = max(self.arcs(), default=0)
-        oc = [tuple(a + shift for a in rec) for rec in other.crossings]
-        ocomp = [tuple(a + shift for a in cyc) for cyc in other.components]
-        ncol = self.n_colors
-        colors = self.colors + tuple(c + ncol for c in other.colors)
-        return LinkDiagram(self.crossings + tuple(oc),
-                           self.components + tuple(ocomp), colors,
-                           over_in=self.over_in + other.over_in)
-
     def connected_sum(self, other: "LinkDiagram", i: int, j: int) -> "LinkDiagram":
         """Band the i-th component of self to the j-th component of other.
 

@@ -93,6 +93,12 @@ def clear_memo():
     _DUBROVNIK_MEMO.clear()
 
 
+def _require_component(d: LinkDiagram):
+    # the empty diagram parses, but no invariant here is defined on it
+    if not d.m:
+        raise ValueError("the diagram has no component")
+
+
 def _descend(root, key, step, table, budget, engine):
     """The one memoized skein recursion: the value of a node is table[key],
     and a miss spends one unit of `engine`'s budget and stores
@@ -141,6 +147,7 @@ def _bad_crossings(d: LinkDiagram):
 
 def homfly(d: LinkDiagram, budget=None, memo=None, rng=None) -> LaurentPolynomial:
     """HOMFLY polynomial in x, y with x*H(L+) - x^-1*H(L-) = y*H(L0)."""
+    _require_component(d)
     table = _HOMFLY_MEMO if memo is None else memo
     unlinks: dict = {}  # m -> the m-component unlink, delta^(m - 1)
 
@@ -270,6 +277,7 @@ def state_sum(d: LinkDiagram, colors, cut: int = 0) -> LaurentPolynomial:
     numerator for a knot and (x_c - x_c^-1) times the potential function
     for a link, c the color of the cut arc; with one color it is
     conway(x - x^-1).  A split diagram gives 0, a crossing-free knot 1."""
+    _require_component(d)
     variables = tuple(f"x{c}" for c in range(1, max(colors) + 1))
     if d.is_split():
         return LaurentPolynomial.zero(variables)
@@ -400,6 +408,7 @@ def dubrovnik(d: LinkDiagram, budget=None, memo=None) -> LaurentPolynomial:
     """Regular-isotopy Dubrovnik polynomial of the underlying unoriented
     diagram: D+ - D- = y(D0 - Dinf), positive kink multiplies by x, and a
     split unknot contributes 1 + (x - x^-1)/y."""
+    _require_component(d)
     loops = sum(1 for cyc in d.components if len(cyc) == 1 and cyc[0] not in d.heads)
     table = _DUBROVNIK_MEMO if memo is None else memo
     return _descend((d.crossings, loops), _dubrovnik_key, _unoriented_step, table, budget,

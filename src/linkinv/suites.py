@@ -215,7 +215,7 @@ def suite_congruences(entries, cap=DEFAULT_CAP):
             rev = d.reverse_component(1)
             ar = alpha_coeffs(rev.monochrome(), cap)
             a1r = ar[1] if len(ar) > 1 else Fraction(0)
-            ok = c_t.get(1, 1) == (a1 + a1r) / 2
+            ok = c_t.get(1, 1) == Fraction(a1 + a1r, 2)
             out.append(Check("congruences", f"c11 reversal identity @ {e.name}", ok))
             rows = congruence_rows(component_conways(d), d_t, min(cap, 8))
             flagged = [r for r in rows if r["flagged"]]

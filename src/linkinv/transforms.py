@@ -127,12 +127,12 @@ def decompose(om) -> Decomposition:
         if coeff == 0:
             continue
         if p == zero:
-            items.append((coeff / 2, zero, zero))
+            items.append((Fraction(coeff, 2), zero, zero))
             continue
         items.append((coeff, p, zero))
         q = tuple(-e for e in p)
         mirror = coeff if sum(p) % 2 == 0 else -coeff
-        left = remaining.get(q, Fraction(0)) - mirror
+        left = remaining.get(q, 0) - mirror
         if left:
             remaining[q] = left
         else:
@@ -143,7 +143,7 @@ def decompose(om) -> Decomposition:
     def deposit(subset, zm, coeff):
         key = frozenset(subset)
         bucket = parts.setdefault(key, {})
-        bucket[zm] = bucket.get(zm, Fraction(0)) + coeff
+        bucket[zm] = bucket.get(zm, 0) + coeff
 
     stack = list(items)
     while stack:
@@ -181,7 +181,7 @@ def decompose(om) -> Decomposition:
                 rest = [s for s in support if s != idx]
                 sign = 1 if j % 2 == 0 else -1
                 bump = tuple(zm[k] + (1 if k == idx - 1 else 0) for k in range(n))
-                stack.append((sign * coeff / 2, _alt_vector(rest, n), bump))
+                stack.append((Fraction(sign * coeff, 2), _alt_vector(rest, n), bump))
 
     out = {}
     for subset, bucket in parts.items():
@@ -244,7 +244,7 @@ def omega_from_reduced(nbl: LaurentPolynomial, parities) -> LaurentPolynomial:
         if len(subset) % 2:
             raise ValueError("term parity signature matches no even index set")
         bucket = parts.setdefault(subset, {})
-        bucket[exps] = coeff / 2
+        bucket[exps] = Fraction(coeff, 2)
     dec = Decomposition(n, {s: LaurentPolynomial(zvars(n), b) for s, b in parts.items()})
     return reconstruct(dec)
 

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from linkinv.alexander import potential_function
 from linkinv.algebra import (
     LaurentPolynomial,
     TruncatedSeries,
@@ -12,6 +15,14 @@ from linkinv.algebra import (
     rewrite_in_difference,
     substitute_series,
     x_of_z,
+)
+from linkinv.diagram import BraidWord, braid_closure
+from linkinv.transforms import (
+    decompose,
+    omega_from_reduced,
+    parity_vector,
+    reconstruct,
+    reduced_polynomial,
 )
 
 X = ("x",)
@@ -195,3 +206,150 @@ def test_render_canonical_order():
 def test_pow_negative_monomial():
     xy = LaurentPolynomial(("x", "y"), {(1, -2): Fraction(2, 3)})
     assert xy ** -2 == LaurentPolynomial(("x", "y"), {(-2, 4): Fraction(9, 4)})
+
+
+# -- exactness oracle: naive dict-of-Fraction arithmetic ----------------------
+#
+# A reference value maps a sorted tuple of (variable, nonzero exponent) pairs
+# to a nonzero Fraction, so operands over different variables need no
+# alignment.
+
+def ref_terms(p):
+    return {tuple((v, e) for v, e in zip(p.variables, exps) if e): Fraction(c)
+            for exps, c in p.terms.items()}
+
+
+def ref_add(a, b, cap=None):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, Fraction(0)) + c
+    return {k: c for k, c in out.items() if c and (cap is None or sum(e for _, e in k) <= cap)}
+
+
+def ref_mul(a, b, cap=None):
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            exps = dict(ka)
+            for v, e in kb:
+                exps[v] = exps.get(v, 0) + e
+            k = tuple(sorted((v, e) for v, e in exps.items() if e))
+            out[k] = out.get(k, Fraction(0)) + ca * cb
+    return ref_add(out, {}, cap)
+
+
+def ref_pow(a, n, cap=None):
+    out = {(): Fraction(1)}
+    for _ in range(n):
+        out = ref_mul(out, a, cap)
+    return out
+
+
+def assert_matches(got, want):
+    """`got` equals the reference value, hashes and renders like it, and
+    stores every integral coefficient as int and no float."""
+    for c in got.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+    assert ref_terms(got) == want
+    dense = {tuple(dict(k).get(v, 0) for v in got.variables): c for k, c in want.items()}
+    if isinstance(got, TruncatedSeries):
+        twin = TruncatedSeries(got.variables, got.cap, dense)
+    else:
+        twin = LaurentPolynomial(got.variables, dense)
+        assert hash(got) == hash(twin)
+    assert got == twin
+    assert got.render() == twin.render()
+
+
+coeffs = st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=4))
+variable_lists = st.sampled_from((("x",), ("y",), ("x", "y")))
+
+
+@st.composite
+def laurents(draw):
+    variables = draw(variable_lists)
+    exps = st.tuples(*[st.integers(-3, 3)] * len(variables))
+    return LaurentPolynomial(variables, draw(st.dictionaries(exps, coeffs, max_size=4)))
+
+
+@st.composite
+def series(draw):
+    variables = draw(variable_lists)
+    exps = st.tuples(*[st.integers(0, 3)] * len(variables))
+    return TruncatedSeries(variables, draw(st.integers(0, 5)),
+                           draw(st.dictionaries(exps, coeffs, max_size=4)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(laurents(), laurents(), coeffs, st.integers(0, 3))
+def test_laurent_arithmetic_matches_fraction_oracle(f, g, c, n):
+    a, b = ref_terms(f), ref_terms(g)
+    assert_matches(f, a)
+    assert_matches(f + g, ref_add(a, b))
+    assert_matches(f - g, ref_add(a, ref_mul(b, {(): Fraction(-1)})))
+    assert_matches(-f, ref_mul(a, {(): Fraction(-1)}))
+    assert_matches(f * g, ref_mul(a, b))
+    assert_matches(f * c, ref_mul(a, {(): Fraction(c)} if c else {}))
+    assert_matches(f + c, ref_add(a, {(): Fraction(c)} if c else {}))
+    assert_matches(f ** n, ref_pow(a, n))
+    if len(f.terms) == 1 and n:
+        (k, v), = a.items()
+        assert_matches(f ** -n, {tuple((x, -n * e) for x, e in k): v ** -n})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(series(), series(), coeffs, st.integers(0, 3))
+def test_series_arithmetic_matches_fraction_oracle(f, g, c, n):
+    a, b = ref_terms(f), ref_terms(g)
+    cap = min(f.cap, g.cap)
+    assert_matches(f, a)
+    assert_matches(f + g, ref_add(a, b, cap))
+    assert_matches(f - g, ref_add(a, ref_mul(b, {(): Fraction(-1)}), cap))
+    assert_matches(-f, ref_mul(a, {(): Fraction(-1)}))
+    assert_matches(f * g, ref_mul(a, b, cap))
+    assert_matches(f * c, ref_mul(a, {(): Fraction(c)} if c else {}))
+    assert_matches(f ** n, ref_pow(a, n, f.cap))
+    if f.constant_term():
+        inv = f.invert()
+        assert_matches(inv, ref_terms(inv))
+        assert_matches(f * inv, {(): Fraction(1)})
+
+
+def test_negative_power_of_an_integral_monomial_is_exact():
+    x = LaurentPolynomial.gen(X, "x")
+    inv = (2 * x) ** -1
+    assert inv.coefficient((-1,)) == Fraction(1, 2)
+    assert type(inv.coefficient((-1,))) is Fraction
+
+
+def test_invert_with_constant_term_two_is_exact():
+    s = TruncatedSeries(("z",), 4, {(0,): 2, (1,): 1})
+    inv = s.invert()
+    assert inv == TruncatedSeries(("z",), 4, {(k,): Fraction((-1) ** k, 2 ** (k + 1))
+                                                for k in range(5)})
+    assert all(type(c) is Fraction for c in inv.terms.values())
+    assert s * inv == TruncatedSeries.one(("z",), 4)
+
+
+def test_decompose_halves_exactly():
+    xs = ("x1", "x2", "x3")
+    odd_constant = LaurentPolynomial(xs[:2], {(0, 0): 3})
+    dec = decompose(odd_constant)
+    assert dec.parts == {frozenset(): LaurentPolynomial(("z1", "z2"), {(0, 0): Fraction(3, 2)})}
+    # an odd index set: its parts come from the halved brace monomials
+    f = brace(LaurentPolynomial.monomial(xs, (1, -1, 1), 3))
+    dec = decompose(f)
+    assert reconstruct(dec) == f
+    coefficients = [c for poly in dec.parts.values() for c in poly.terms.values()]
+    assert any(type(c) is Fraction for c in coefficients)
+    assert all(type(c) is int or c.denominator == 2 for c in coefficients)
+
+
+def test_omega_from_reduced_round_trips_exactly():
+    for word, colors in (([1, 1], (1, 2)), ([1, -2] * 3, (1, 2, 3)),
+                         ([1, 1, 1, 1], (1, 2))):
+        d = braid_closure(BraidWord(max(map(abs, word)) + 1, word), colors=colors)
+        om = potential_function(d).numerator
+        back = omega_from_reduced(reduced_polynomial(decompose(om)), parity_vector(d))
+        assert back == om
+        assert all(type(c) is int for c in back.terms.values())

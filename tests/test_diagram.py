@@ -13,6 +13,8 @@ from linkinv.diagram import (
     parse_singular,
 )
 
+from helpers import disjoint_union
+
 HOPF_PD = """
 X[1,3,2,4] X[3,1,4,2]
 components: [[1,2],[3,4]]
@@ -162,7 +164,7 @@ def test_delete_component_renumbers_colors():
 
 def test_disjoint_union_and_split():
     a, b = hopf(), trefoil()
-    u = a.disjoint_union(b)
+    u = disjoint_union(a, b)
     assert u.m == 3
     assert u.is_split()
     assert not a.is_split()

@@ -20,6 +20,8 @@ from linkinv.invariants import (
     unoriented_sl,
 )
 
+from helpers import disjoint_union
+
 
 def hopf(colors=(1, 2)):
     return braid_closure(BraidWord(2, [1, 1]), colors=colors, name="hopf+")
@@ -203,7 +205,7 @@ def test_gamma3():
     alphas = alpha_coeffs(b.monochrome(), 9)
     assert gamma3(b) == alphas[1]
     assert gamma3(b) == 1
-    split = hopf((1, 1)).disjoint_union(unlink(1))
+    split = disjoint_union(hopf((1, 1)), unlink(1))
     assert gamma3(split) == 0
     with pytest.raises(UndefinedInvariantError):
         gamma3(hopf())

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from linkinv import skein
 from linkinv.algebra import LaurentPolynomial, rewrite_in_difference
+from linkinv.alexander import potential_function
 from linkinv.corpus import load_corpus
 from linkinv.diagram import BraidWord, LinkDiagram, braid_closure, parse_pd
 from linkinv.skein import (
@@ -23,6 +24,8 @@ from linkinv.skein import (
     kauffman_f,
     state_sum,
 )
+
+from helpers import disjoint_union
 
 Z = ("z",)
 XY = ("x", "y")
@@ -104,9 +107,9 @@ def test_conway_unknot():
 def test_conway_split_links_vanish():
     assert conway(unlink(2)).is_zero
     assert conway(unlink(3)).is_zero
-    assert conway(hopf().disjoint_union(unknot())).is_zero
-    for d in (trefoil().disjoint_union(fig8()), whitehead().disjoint_union(unknot()),
-              hopf().disjoint_union(unlink(2)),
+    assert conway(disjoint_union(hopf(), unknot())).is_zero
+    for d in (disjoint_union(trefoil(), fig8()), disjoint_union(whitehead(), unknot()),
+              disjoint_union(hopf(), unlink(2)),
               # connected diagrams of unlinks: the determinant itself is 0
               braid_closure(BraidWord(2, [1, -1])), braid_closure(BraidWord(3, [1, -1, 2, -2]))):
         assert conway(d, memo={}).is_zero, d
@@ -320,7 +323,7 @@ braid_words = st.integers(2, 4).flatmap(lambda n: st.tuples(
 @given(braid_words, braid_words, st.randoms(use_true_random=False))
 def test_dubrovnik_key_forgets_labels_order_and_half_turns(sw1, sw2, rng):
     # two closures side by side, so the parts' order is shuffled too
-    d = braid_closure(BraidWord(*sw1)).disjoint_union(braid_closure(BraidWord(*sw2)))
+    d = disjoint_union(braid_closure(BraidWord(*sw1)), braid_closure(BraidWord(*sw2)))
     crossings, loops = _node(d)
     key = _dubrovnik_key((crossings, loops))
     arcs = sorted({a for rec in crossings for a in rec})
@@ -508,3 +511,33 @@ def test_conway_determinant_markov_invariance(sw, g, stab, turn):
     assert conway(braid_closure(BraidWord(n, rotated)), memo={}) == base
     stabilized = word + [stab * n]
     assert conway(braid_closure(BraidWord(n + 1, stabilized)), memo={}) == base
+
+
+short_braid_words = st.integers(2, 4).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.integers(1, n - 1).flatmap(lambda g: st.sampled_from((g, -g))),
+             max_size=7)))
+
+
+@pytest.mark.parametrize("engine", (homfly, kauffman_f))
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(short_braid_words, st.integers(1, 3), st.sampled_from((1, -1)), st.integers(0, 12))
+def test_skein_markov_invariance(engine, sw, g, stab, turn):
+    n, word = sw
+    word = list(word)
+    base = engine(braid_closure(BraidWord(n, word)), memo={})
+    g = min(g, n - 1) * stab
+    conjugated = [g] + word + [-g]
+    assert engine(braid_closure(BraidWord(n, conjugated)), memo={}) == base
+    turn %= max(len(word), 1)
+    rotated = word[turn:] + word[:turn]
+    assert engine(braid_closure(BraidWord(n, rotated)), memo={}) == base
+    stabilized = word + [stab * n]
+    assert engine(braid_closure(BraidWord(n + 1, stabilized)), memo={}) == base
+
+
+@pytest.mark.parametrize("engine", (conway, potential_function, homfly, dubrovnik, kauffman_f))
+def test_engines_reject_the_empty_diagram(engine):
+    empty = parse_pd("components: []")
+    with pytest.raises(ValueError, match="^the diagram has no component$"):
+        engine(empty)
