@@ -3,8 +3,8 @@
 Subcommands: `invariants` (full report for one diagram), `polys` (a single
 polynomial), `decompose` (the brace-monomial parts), and `verify` (the
 bundled verification suites).  Exit codes: 0 success, 1 verification
-failure, 2 input error, 3 resource cap exceeded (a node budget, or a
-recursion too deep for the interpreter).
+failure, 2 input error, 3 resource cap exceeded (the node budget of the
+HOMFLY or Dubrovnik descent, however deep the diagram).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 from .alexander import potential_function
 from .diagram import DiagramError, braid_closure, parse_braid, parse_pd
 from .invariants import build_report
-from .skein import SkeinBudgetError, conway, homfly, kauffman_f
+from .skein import SkeinBudgetError, conway, homfly, kauffman_f, set_default_budget
 from .suites import SUITES, run_suites
 from .transforms import DEFAULT_CAP, decompose, reduced_polynomial
 
@@ -172,18 +172,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    from .skein import set_default_budget
     try:
         if getattr(args, "budget", None) is not None:
             set_default_budget(args.budget)
         return args.fn(args)
     except SkeinBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except RecursionError:
-        # the skein descent recurses once per level, so a deep enough
-        # diagram reaches the interpreter's frame limit before the budget
-        print("error: recursion too deep for the interpreter", file=sys.stderr)
         return EXIT_BUDGET
     except (DiagramError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

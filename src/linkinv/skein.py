@@ -17,9 +17,12 @@ strictly reduces the number of violations, smoothing reduces the crossing
 count, and a diagram without violations is descending, hence an unlink
 (split) after isotopy.
 
-`_descend` looks a node up in a memo table, spends one unit of the node
-budget on each miss and stores what the engine's step returns.  There are
-two steps:
+`_descend` runs the descent as one loop over an explicit stack, so a deep
+diagram stops at its node budget, never at the interpreter's frame limit.
+It looks a node up in a memo table, spends one unit of the node budget on
+each miss and stores what the engine's step returns.  A step is a
+generator: it yields each child node, is sent that child's value and
+returns the node's value.  There are two steps:
 
 - the oriented HOMFLY rule x*H(L+) - x^-1*H(L-) = y*H(L0) on `LinkDiagram`
   nodes, split unknot worth (x - x^-1)/y;
@@ -70,20 +73,6 @@ def set_default_budget(limit: int | None):
     _default_budget = DEFAULT_BUDGET if limit is None else int(limit)
 
 
-class _Budget:
-    __slots__ = ("engine", "limit", "used")
-
-    def __init__(self, engine, limit):
-        self.engine = engine
-        self.limit = limit if limit is not None else _default_budget
-        self.used = 0
-
-    def spend(self):
-        self.used += 1
-        if self.used > self.limit:
-            raise SkeinBudgetError(self.engine, self.limit)
-
-
 _HOMFLY_MEMO: dict = {}
 _DUBROVNIK_MEMO: dict = {}
 
@@ -100,21 +89,32 @@ def _require_component(d: LinkDiagram):
 
 
 def _descend(root, key, step, table, budget, engine):
-    """The one memoized skein recursion: the value of a node is table[key],
-    and a miss spends one unit of `engine`'s budget and stores
-    step(node, val), where val evaluates the node's children the same way."""
-    book = _Budget(engine, budget)
-
-    def val(node):
+    """The one memoized skein descent: the value of a node is table[key],
+    and a miss spends one unit of `engine`'s budget and stores what the
+    generator step(node) returns once it has been sent the value of every
+    child it yields.  Pending steps wait on a stack, not in frames."""
+    limit = _default_budget if budget is None else budget
+    used = 0
+    stack = []  # (key, step) of every node waiting on a child
+    node = root
+    while True:
         k = key(node)
-        hit = table.get(k)
-        if hit is not None:
-            return hit
-        book.spend()
-        out = table[k] = step(node, val)
-        return out
-
-    return val(root)
+        value = table.get(k)
+        if value is None:
+            used += 1
+            if used > limit:
+                raise SkeinBudgetError(engine, limit)
+            stack.append((k, step(node)))
+        while stack:
+            k, gen = stack[-1]
+            try:
+                node = gen.send(value)
+                break
+            except StopIteration as done:
+                value = table[k] = done.value
+                stack.pop()
+        else:
+            return value
 
 
 # -- oriented rule: HOMFLY ------------------------------------------------------
@@ -151,7 +151,7 @@ def homfly(d: LinkDiagram, budget=None, memo=None, rng=None) -> LaurentPolynomia
     table = _HOMFLY_MEMO if memo is None else memo
     unlinks: dict = {}  # m -> the m-component unlink, delta^(m - 1)
 
-    def step(d, val):
+    def step(d):
         bads = _bad_crossings(d)
         if not bads:
             if d.m not in unlinks:
@@ -159,7 +159,8 @@ def homfly(d: LinkDiagram, budget=None, memo=None, rng=None) -> LaurentPolynomia
             return unlinks[d.m]
         ci = bads[0] if rng is None else rng.choice(bads)
         at_switch, at_smooth = _HOMFLY_FACTORS[d.sign(ci)]
-        return at_switch * val(d.switch(ci)) + at_smooth * val(d.smooth_oriented(ci))
+        switched = at_switch * (yield d.switch(ci))
+        return switched + at_smooth * (yield d.smooth_oriented(ci))
 
     return _descend(d.monochrome(), _key, step, table, budget, "homfly")
 
@@ -248,18 +249,24 @@ def _state_sign(options) -> int:
     paths), the sign of its permutation times the flips of its corners.
     By Kauffman's Clock Theorem every state gives the same e."""
     owner: dict = {}  # column -> (row, flip)
-
-    def place(r, seen):
-        for col, flip in options[r]:
-            if col not in seen:
-                seen.add(col)
-                if col not in owner or place(owner[col][0], seen):
-                    owner[col] = (r, flip)
-                    return True
-        return False
-
-    for r in range(len(options)):
-        place(r, set())  # det != 0, so a perfect matching exists
+    for start in range(len(options)):  # det != 0, so a perfect matching exists
+        seen = set()
+        path = [(start, iter(options[start]), None)]  # (row, corners left, corner in)
+        while path:
+            corner = next((c for c in path[-1][1] if c[0] not in seen), None)
+            if corner is None:
+                path.pop()
+                continue
+            col = corner[0]
+            seen.add(col)
+            if col in owner:
+                row = owner[col][0]
+                path.append((row, iter(options[row]), corner))
+                continue
+            while path:  # a free column: every row on the path moves one corner on
+                r, _, entered = path.pop()
+                owner[corner[0]] = (r, corner[1])
+                corner = entered
     perm = [0] * len(options)
     sign = 1
     for col, (r, flip) in owner.items():
@@ -371,7 +378,7 @@ def _smooth(crossings, loops, ci, pairs):
     return kept, loops
 
 
-def _unoriented_step(node, val):
+def _unoriented_step(node):
     """One Dubrovnik node: (crossings, loops), crossing records with the
     under-strand at slots {0, 2} plus a count of crossing-free circles."""
     crossings, loops = node
@@ -401,7 +408,9 @@ def _unoriented_step(node, val):
     switched = crossings[:ci] + ((rec[1], rec[2], rec[3], rec[0]),) + crossings[ci + 1:]
     sm0 = _smooth(crossings, loops, ci, ((u, (o + 2) % 4), (o, (u + 2) % 4)))
     sm_inf = _smooth(crossings, loops, ci, ((u, o), ((u + 2) % 4, (o + 2) % 4)))
-    return val((switched, loops)) + sgn * (_Y * val(sm0)) - sgn * (_Y * val(sm_inf))
+    at_switch = yield (switched, loops)
+    at_sm0 = yield sm0
+    return at_switch + sgn * (_Y * at_sm0) - sgn * (_Y * (yield sm_inf))
 
 
 def dubrovnik(d: LinkDiagram, budget=None, memo=None) -> LaurentPolynomial:

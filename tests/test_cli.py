@@ -245,10 +245,10 @@ def test_empty_components_block_is_named_as_the_input_error(tmp_path, capsys):
 
 
 def test_recursion_deeper_than_the_interpreter_exits_3(tmp_path, capsys):
-    # the Dubrovnik descent of T(2,340) reaches the frame limit before its
-    # node budget of 2000
+    # the Dubrovnik descent of T(2,340) runs deeper than the interpreter's
+    # frame limit long before it spends its node budget of 500
     path = tmp_path / "t2-340.braid"
     path.write_text("braid(2): " + " ".join(["1"] * 340) + "\n")
-    code, out, err = run(capsys, "polys", str(path), "--which", "kauffman", "--budget", "2000")
+    code, out, err = run(capsys, "polys", str(path), "--which", "kauffman", "--budget", "500")
     assert (code, out) == (3, "")
-    assert err == "error: recursion too deep for the interpreter\n"
+    assert err == "error: dubrovnik skein node budget of 500 exceeded\n"

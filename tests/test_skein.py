@@ -1,6 +1,8 @@
 import json
+import math
 import os
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from linkinv.skein import (
     _descend,
     _dubrovnik_key,
     _key,
+    _state_sign,
     _unoriented_step,
     conway,
     dubrovnik,
@@ -79,25 +82,55 @@ SMALL = [unknot, hopf, trefoil, fig8, solomon, whitehead, borromean]
 Z_GEN = LaurentPolynomial.gen(Z, "z")
 
 
-def skein_conway(d, budget=None, memo=None, rng=None):
+def recursive_descend(root, key, step, table, budget, engine):
+    """The oracle for `_descend`: the same memo lookups, budget and
+    generator steps, each child evaluated by a recursive call."""
+    limit = skein._default_budget if budget is None else budget
+    used = 0
+
+    def val(node):
+        nonlocal used
+        k = key(node)
+        hit = table.get(k)
+        if hit is not None:
+            return hit
+        used += 1
+        if used > limit:
+            raise SkeinBudgetError(engine, limit)
+        gen = step(node)
+        child = None
+        while True:
+            try:
+                child = val(gen.send(child))
+            except StopIteration as done:
+                out = table[k] = done.value
+                return out
+
+    return val(root)
+
+
+def skein_conway(d, budget=None, memo=None, rng=None, descend=_descend):
     """The oracle: the oriented skein rule at x = 1, y = z,
-    C(L+) - C(L-) = z*C(L0), descending through `_descend` with the
+    C(L+) - C(L-) = z*C(L0), descending through `descend` with the
     labelled key; a split diagram is 0 before its memo lookup and costs no
     node, and a descending diagram is an unlink, 1 or 0."""
-    def value(d, val):
+    def value(d):
         if d.m > 1 and d.is_split():
             return LaurentPolynomial.zero(Z)
-        return val(d)
+        return (yield d)
 
-    def step(d, val):
+    def step(d):
         bads = _bad_crossings(d)
         if not bads:
             return LaurentPolynomial.one(Z) if d.m == 1 else LaurentPolynomial.zero(Z)
         ci = bads[0] if rng is None else rng.choice(bads)
-        return value(d.switch(ci), val) + d.sign(ci) * Z_GEN * value(d.smooth_oriented(ci), val)
+        switched = yield from value(d.switch(ci))
+        return switched + d.sign(ci) * Z_GEN * (yield from value(d.smooth_oriented(ci)))
 
     table = {} if memo is None else memo
-    return value(d, lambda root: _descend(root, _key, step, table, budget, "conway"))
+    if d.m > 1 and d.is_split():
+        return LaurentPolynomial.zero(Z)
+    return descend(d, _key, step, table, budget, "conway")
 
 
 def test_conway_unknot():
@@ -190,10 +223,10 @@ def free_loops(d):
     return sum(1 for cyc in d.components if len(cyc) == 1 and cyc[0] not in d.heads)
 
 
-def labelled_dubrovnik(d, memo):
+def labelled_dubrovnik(d, memo, budget=None, descend=_descend):
     """The oracle: the Dubrovnik descent keyed on the labelled node itself."""
     root = (d.crossings, free_loops(d))
-    return _descend(root, lambda n: n, _unoriented_step, memo, None, "dubrovnik")
+    return descend(root, lambda n: n, _unoriented_step, memo, budget, "dubrovnik")
 
 
 # Nodes each skein engine stores on a cold table: the descent order, the
@@ -215,6 +248,114 @@ def test_cold_memo_node_counts(make, counts):
         engine(make(), memo=memo)
         sizes.append(len(memo))
     assert tuple(sizes) == counts
+
+
+def _with_descend(descend, engine, d, memo, budget):
+    """engine(d) on `memo` with the skein descent `descend`; the library
+    engines reach it through `skein._descend`."""
+    if engine in (homfly, dubrovnik):
+        saved = skein._descend
+        skein._descend = descend
+        try:
+            return engine(d, budget=budget, memo=memo)
+        finally:
+            skein._descend = saved
+    return engine(d, budget=budget, memo=memo, descend=descend)
+
+
+def _run(descend, engine, d, budget=None):
+    """engine's value of d, or the (engine, budget) of its budget error,
+    then its memo table in insertion order and the nodes it spent: a keyed
+    table can miss one key twice, on a node and on a relabeling of it
+    below it, so its size is not the count."""
+    memo, spent = {}, []
+
+    def counting(root, key, step, table, budget, name):
+        def spend(node):
+            spent.append(node)
+            return step(node)
+        return descend(root, key, spend, table, budget, name)
+
+    try:
+        value = _with_descend(counting, engine, d, memo, budget)
+    except SkeinBudgetError as exc:
+        value = (exc.engine, exc.budget)
+    return value, list(memo.items()), len(spent)
+
+
+def _oracle_diagrams():
+    rng = random.Random(20261018)
+    diagrams = [make() for make, _ in NODE_COUNTS]
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        word = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(1, 8))]
+        diagrams.append(braid_closure(BraidWord(n, word)))
+    return diagrams
+
+
+@pytest.mark.parametrize("engine,name", [(homfly, "homfly"), (dubrovnik, "dubrovnik"),
+                                         (labelled_dubrovnik, "dubrovnik"),
+                                         (skein_conway, "conway")],
+                         ids=["homfly", "dubrovnik", "labelled_dubrovnik", "skein_conway"])
+def test_descent_loop_matches_recursive_oracle(engine, name):
+    # equal values, memo tables in insertion order and nodes spent, and
+    # the budget error first fires at the same budget, with equal tables
+    for d in _oracle_diagrams():
+        want = _run(recursive_descend, engine, d)
+        assert _run(_descend, engine, d) == want
+        spent = want[2]
+        if not spent:  # skein_conway answers a split root before any lookup
+            continue
+        assert _run(_descend, engine, d, spent)[0] == want[0]
+        failed = _run(_descend, engine, d, spent - 1)
+        assert failed[0] == (name, spent - 1)
+        assert failed == _run(recursive_descend, engine, d, spent - 1)
+
+
+def _frame_depth():
+    depth, frame = 0, sys._getframe(1)
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def _near_the_frame_limit(fn, *args, **kwargs):
+    """fn(*args, **kwargs) with only 30 frames to spare below the caller."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 30)
+    try:
+        return fn(*args, **kwargs)
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+def torus(n):
+    return braid_closure(BraidWord(2, [1] * n))
+
+
+def test_skein_depth_is_not_bounded_by_frames():
+    for engine, n in ((homfly, 12), (kauffman_f, 10)):
+        want = engine(torus(n), memo={})
+        assert _near_the_frame_limit(engine, torus(n), memo={}) == want, engine.__name__
+
+
+def test_deep_descent_stops_at_the_node_budget():
+    for engine, name in ((homfly, "homfly"), (kauffman_f, "dubrovnik")):
+        with pytest.raises(SkeinBudgetError) as info:
+            _near_the_frame_limit(engine, torus(60), budget=200, memo={})
+        assert (info.value.engine, info.value.budget) == (name, 200)
+
+
+def test_state_sign_follows_an_augmenting_path_through_every_row():
+    # row i < N - 1 offers column i + 1 first, then column i; the last row
+    # offers only column N - 1, so placing it shifts every row back onto
+    # its own column, the only perfect matching
+    n = 3000
+    rng = random.Random(7)
+    flips = [rng.choice((1, -1)) for _ in range(n)]
+    options = [[(i + 1, rng.choice((1, -1))), (i, flips[i])] for i in range(n - 1)]
+    options.append([(n - 1, flips[n - 1])])
+    assert _state_sign(options) == math.prod(flips)
 
 
 # The same diagrams under `_dubrovnik_key`, which merges relabelings.
