@@ -10,8 +10,9 @@ Operands over different variable lists are aligned automatically by
 embedding both into the union of the variable lists, ordered
 lexicographically.
 
-`TruncatedSeries` is the package's one power-series type; the exponential
-expansions in Q[c][[h]] use it too, over (a, h) with a = c*h.
+`TruncatedSeries` is the package's one power-series type.  The exponential
+expansions in Q[c][[h]] return it, over (a, h) with a = c*h, but compute
+their products and quotients on integer moments (see `transforms`).
 
 `fox_determinant` is the package's one determinant routine (fraction-free
 Bareiss elimination over Z[t^+-1]), used for Kauffman's state sum behind

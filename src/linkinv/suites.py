@@ -26,18 +26,16 @@ from .invariants import alpha_coeffs, congruence_rows, gamma3, \
 from .skein import conway, dubrovnik, homfly, kauffman_f
 from .transforms import (
     DEFAULT_CAP,
+    _quotients,
     component_conways,
-    conway_quotient,
     decompose,
     homfly_exp_quotient,
     kauffman_exp_quotient,
     omega_from_reduced,
     parity_vector,
     potential_series,
-    potential_series_quotient,
     reconstruct,
     reduced_polynomial,
-    reduced_quotient,
 )
 
 X = LaurentPolynomial.gen(("x", "y"), "x")
@@ -175,22 +173,26 @@ def suite_starred_pl_isotopy(entries, cap=DEFAULT_CAP):
     trefoil = braid_closure(BraidWord(2, [1, 1, 1]))
     fig8 = braid_closure(BraidWord(3, [1, -2, 1, -2]))
     by_name = {e.name: e for e in entries}
+
+    def quotients(d, labels):
+        # one component_conways and one potential function per diagram
+        return [*_quotients(d, cap, labels).items(),
+                ("homfly", homfly_exp_quotient(d, cap)),
+                ("kauffman", kauffman_exp_quotient(d, cap))]
+
     for name in PROBE_BASES:
         if name not in by_name:
             continue
         base = by_name[name].link
-        quotients = [("conway", conway_quotient)]
-        if base.m >= 2:
-            quotients += [("series", potential_series_quotient), ("reduced", reduced_quotient)]
-        quotients += [("homfly", homfly_exp_quotient), ("kauffman", kauffman_exp_quotient)]
-        expected = [(label, fn, fn(base, cap)) for label, fn in quotients]
+        labels = ("conway", "series", "reduced") if base.m >= 2 else ("conway",)
+        expected = quotients(base, labels)
         for knot, kname in ((trefoil, "trefoil"), (fig8, "fig8")):
             for comp in range(base.m):
                 knotted = base.connected_sum(knot, comp, 0)
                 tag = f"{name}+{kname}@{comp}"
-                for label, fn, want in expected:
+                for (label, want), (_, got) in zip(expected, quotients(knotted, labels)):
                     out.append(Check("starred-pl-isotopy", f"{label} quotient {tag}",
-                                     fn(knotted, cap) == want))
+                                     got == want))
     return out
 
 

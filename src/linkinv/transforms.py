@@ -6,15 +6,23 @@ Laurent polynomial over brace monomials, the reduced polynomial obtained
 by doubling the sum of the decomposition parts, the starred quotients by
 the component Conway polynomials, the two-variable expansion in
 y_i = x_i^2 - 1, and the exponential expansions of the HOMFLY and
-Dubrovnik/Kauffman polynomials.  Every series here is a TruncatedSeries;
-Q[c][[h]] is held over (a, h) with a = c*h.
+Dubrovnik/Kauffman polynomials.  Every series returned here is a
+TruncatedSeries; Q[c][[h]] is held over (a, h) with a = c*h.
+
+The exponential expansions compute on integers.  After the substitution,
+y^pad times the polynomial is a finite sum of w * e^((alpha*a + gamma*h)/2)
+over integer points (alpha, gamma) with integer weights w, so its
+a^i h^n coefficient is the integer moment M[i, n] = sum w*alpha^i*gamma^n
+over 2^(i+n) * i! * n!.  Series are kept in that scaled form M, where a
+product is a binomial convolution and the inverse of a knot's expansion
+stays integral; a result is turned into ordinary coefficients once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, lcm
 
 from .algebra import (
     LaurentPolynomial,
@@ -259,10 +267,15 @@ def starred(numerator, d: LinkDiagram, cap: int = DEFAULT_CAP) -> TruncatedSerie
     multivariate numerator each component's polynomial lands in the z
     variable of its color.
     """
+    return _starred(numerator, component_conways(d), cap)
+
+
+def _starred(numerator, comps, cap: int) -> TruncatedSeries:
+    """`starred` with the component Conways comps already taken."""
     if isinstance(numerator, LaurentPolynomial):
         numerator = TruncatedSeries.from_laurent(numerator, cap)
     numerator = numerator.truncate(cap)
-    return numerator * starred_inverse(component_conways(d), numerator.variables, cap)
+    return numerator * starred_inverse(comps, numerator.variables, cap)
 
 
 def starred_inverse(comps, variables, cap: int) -> TruncatedSeries:
@@ -278,26 +291,39 @@ def starred_inverse(comps, variables, cap: int) -> TruncatedSeries:
     return denom.invert()
 
 
+def _quotients(d: LinkDiagram, cap: int, labels) -> dict:
+    """The starred quotients of d named in labels ("conway", "series",
+    "reduced"), from one `component_conways` and at most one potential
+    function; the three public quotients wrap it."""
+    comps = component_conways(d)
+    om = potential_function(d) if set(labels) - {"conway"} else None
+    out = {}
+    for label in labels:
+        if label == "conway":
+            out[label] = _starred(conway(d), comps, cap)
+        elif label == "series":
+            sp = potential_series(om, cap)
+            if sp.pole_order:
+                raise ValueError("quotient series is defined for links, not knots")
+            out[label] = _starred(sp.series, comps, cap)
+        else:
+            series = _starred(reduced_polynomial(decompose(om)), comps, cap)
+            if any(c.denominator != 1 for c in series.terms.values()):
+                raise ArithmeticError("reduced quotient is not integral")
+            out[label] = series
+    return out
+
+
 def conway_quotient(d: LinkDiagram, cap: int = DEFAULT_CAP) -> TruncatedSeries:
-    return starred(conway(d), d, cap)
+    return _quotients(d, cap, ("conway",))["conway"]
 
 
 def potential_series_quotient(d: LinkDiagram, cap: int = DEFAULT_CAP) -> TruncatedSeries:
-    om = potential_function(d)
-    sp = potential_series(om, cap)
-    if sp.pole_order:
-        raise ValueError("quotient series is defined for links, not knots")
-    return starred(sp.series, d, cap)
+    return _quotients(d, cap, ("series",))["series"]
 
 
 def reduced_quotient(d: LinkDiagram, cap: int = DEFAULT_CAP) -> TruncatedSeries:
-    om = potential_function(d)
-    nbl = reduced_polynomial(decompose(om))
-    out = starred(nbl, d, cap)
-    for c in out.terms.values():
-        if c.denominator != 1:
-            raise ArithmeticError("reduced quotient is not integral")
-    return out
+    return _quotients(d, cap, ("reduced",))["reduced"]
 
 
 # -- coefficient tables -------------------------------------------------------
@@ -356,21 +382,6 @@ def traldi_expand(om: PotentialFunction, cap: int = DEFAULT_CAP) -> CoefficientT
 _CH = ("a", "h")  # Q[c][[h]] over a = c*h: the total degree is the h-degree
 
 
-def _exp_sum(row, shift: int, cap: int) -> TruncatedSeries:
-    """The sum of coeff * e^(kx*(a + shift*h)/2) over the (kx, coeff) pairs
-    in row, through total degree cap."""
-    terms = {}
-    fact = Fraction(1)
-    for j in range(cap + 1):
-        if j:
-            fact /= j
-        moment = fact * sum(coeff * Fraction(kx, 2) ** j for kx, coeff in row)
-        if moment:
-            for i in range(j + 1):
-                terms[(i, j - i)] = moment * comb(j, i) * Fraction(shift) ** (j - i)
-    return TruncatedSeries(_CH, cap, terms)
-
-
 def _sinh_unit(cap: int) -> TruncatedSeries:
     """s = (e^(h/2) - e^(-h/2)) / h, a unit, through h-degree cap."""
     terms = {}
@@ -382,30 +393,124 @@ def _sinh_unit(cap: int) -> TruncatedSeries:
     return TruncatedSeries(_CH, cap, terms)
 
 
-def substitute_exponential(f: LaurentPolynomial, shift: int, cap: int) -> SeriesWithPole:
-    """Substitute x -> e^((c+shift)h/2), y -> e^(h/2) - e^(-h/2) = h*s into
-    a Laurent polynomial in (x, y).
+def _pascal(n: int) -> list:
+    """Rows 0..n of Pascal's triangle."""
+    rows = [[1]]
+    for _ in range(n):
+        row = rows[-1]
+        rows.append([1] + [x + y for x, y in zip(row, row[1:])] + [1])
+    return rows
 
-    With pad = -(least power of y), the value is G / h^pad for the power
-    series G = sum coeff * e^(kx(a + shift*h)/2) * s^ky * h^(ky + pad),
-    returned as SeriesWithPole(G, pad) through total degree cap + pad, so
-    that the value is exact through h-degree cap.
+
+def _moments(f: LaurentPolynomial, shift: int, cap: int):
+    """(M, pad): y^pad * f after the substitution, in scaled form through
+    total degree cap + pad, with pad = -(least power of y) or 0.
+
+    The value is the sum of w * e^((alpha*a + gamma*h)/2) over the points
+    of the terms coeff * x^kx * y^ky: with m = ky + pad and k = 0..m,
+    alpha = kx, gamma = kx*shift + m - 2k and w = coeff * C(m, k) * (-1)^k.
+    Its a^i h^n coefficient is M[i, n] / (2^(i+n) * i! * n!) for the
+    moment M[i, n] = sum of w * alpha^i * gamma^n.
     """
     if f.is_zero:
-        return SeriesWithPole(TruncatedSeries.zero(_CH, cap), 0)
+        return {}, 0
     xi = f.variables.index("x")
     yi = f.variables.index("y")
     pad = max(0, -min(e[yi] for e in f.terms))
     prec = cap + pad
-    by_y: dict = {}
+    points: dict = {}  # alpha -> {gamma: w}
     for exps, coeff in f.terms.items():
-        by_y.setdefault(exps[yi], []).append((exps[xi], coeff))
-    s = _sinh_unit(prec)
-    h = TruncatedSeries.gen(_CH, "h", prec)
-    out = TruncatedSeries.zero(_CH, prec)
-    for ky, row in by_y.items():
-        out = out + _exp_sum(row, shift, prec) * s ** ky * h ** (ky + pad)
-    return SeriesWithPole(out, pad)
+        kx, m = exps[xi], exps[yi] + pad
+        row = points.setdefault(kx, {})
+        for k in range(m + 1):
+            gamma = kx * shift + m - 2 * k
+            w = coeff * comb(m, k)
+            row[gamma] = row.get(gamma, 0) + (-w if k % 2 else w)
+    out: dict = {}
+    for alpha, row in points.items():
+        h_moments = [0] * (prec + 1)
+        for gamma, w in row.items():
+            for n in range(prec + 1):
+                h_moments[n] += w
+                w *= gamma
+        power = 1
+        for i in range(prec + 1):
+            for n in range(prec + 1 - i):
+                out[(i, n)] = out.get((i, n), 0) + power * h_moments[n]
+            power *= alpha
+    return {e: c for e, c in out.items() if c}, pad
+
+
+def _scaled_mul(left: dict, right: dict, cap: int) -> dict:
+    """The product of two series in scaled form through total degree cap:
+    (AB)[i, n] = sum of C(i, i')*C(n, n')*A[i', n']*B[i - i', n - n']."""
+    binom = _pascal(cap)
+    ordered = sorted((i + n, i, n, c) for (i, n), c in right.items())
+    out: dict = {}
+    for (i1, n1), c1 in left.items():
+        room = cap - i1 - n1
+        for deg, i2, n2, c2 in ordered:
+            if deg > room:
+                break
+            i, n = i1 + i2, n1 + n2
+            out[(i, n)] = out.get((i, n), 0) + binom[i][i1] * binom[n][n1] * c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _scaled_inverse(series: dict, cap: int) -> dict:
+    """The inverse of a series in scaled form through total degree cap,
+    degree by degree; it stays integral when the constant term c0 is +-1,
+    and otherwise uses the exact `Fraction` 1/c0."""
+    c0 = series.get((0, 0), 0)
+    if c0 == 0:
+        raise ZeroDivisionError("series with zero constant term has no inverse")
+    q = c0 if c0 in (1, -1) else Fraction(1, c0)
+    binom = _pascal(cap)
+    rest = [(i, n, c) for (i, n), c in series.items() if i or n]
+    out = {(0, 0): q}
+    for deg in range(1, cap + 1):
+        for i in range(deg + 1):
+            n = deg - i
+            acc = 0
+            for i1, n1, c in rest:
+                if i1 <= i and n1 <= n:
+                    b = out.get((i - i1, n - n1))
+                    if b:
+                        acc += binom[i][i1] * binom[n][n1] * c * b
+            if acc:
+                out[(i, n)] = -q * acc
+    return out
+
+
+def _unscaled(series: dict, pad: int, cap: int) -> SeriesWithPole:
+    """G = s^-pad * (y^pad * f), with pole order pad, from the scaled form of
+    y^pad * f.  The product with s^-pad is taken in scaled form over one
+    common denominator den, so the ordinary coefficients are the only
+    fractions: M[i, n] / (den * 2^(i+n) * i! * n!)."""
+    den = 1
+    if pad:
+        sigma = {e: c * (factorial(e[1]) << e[1])
+                 for e, c in (_sinh_unit(cap) ** -pad).terms.items()}
+        den = lcm(*(Fraction(c).denominator for c in sigma.values()))
+        series = _scaled_mul(series, {e: int(c * den) for e, c in sigma.items()}, cap)
+    terms = {(i, n): Fraction(c, den * factorial(i) * factorial(n) << (i + n))
+             for (i, n), c in series.items()}
+    return SeriesWithPole(TruncatedSeries(_CH, cap, terms), pad)
+
+
+def substitute_exponential(f: LaurentPolynomial, shift: int, cap: int) -> SeriesWithPole:
+    """Substitute x -> e^((c+shift)h/2), y -> e^(h/2) - e^(-h/2) = h*s into
+    a Laurent polynomial in (x, y).
+
+    With pad = -(least power of y), y^pad * f becomes a finite sum of
+    w * e^((alpha*a + gamma*h)/2) over integer points (see `_moments`), so
+    its coefficients are integer moments over factorials.  The value is
+    G / h^pad for the power series G = s^-pad * (y^pad * f), returned as
+    SeriesWithPole(G, pad) through total degree cap + pad, so that the
+    value is exact through h-degree cap.
+    """
+    moments, pad = _moments(f, shift, cap)
+    return _unscaled(moments, pad, cap + pad)
 
 
 def _read_off(sp: SeriesWithPole, provenance: str, cap: int) -> CoefficientTable:
@@ -428,12 +533,18 @@ def exp_expand_kauffman(f_poly: LaurentPolynomial, cap: int = DEFAULT_CAP) -> Co
 
 
 def _exp_quotient(d: LinkDiagram, poly, shift: int, cap: int, provenance: str) -> CoefficientTable:
-    num = substitute_exponential(poly(d), shift, cap)
-    out = num.series
+    """poly(d) over the product of poly of each component, in scaled form;
+    the components are knots, whose expansions have no pole."""
+    num, pad = _moments(poly(d), shift, cap)
+    prec = cap + pad
+    den = {(0, 0): 1}
     for j in range(d.m):
-        comp = substitute_exponential(poly(d.component(j)), shift, cap + num.pole_order)
-        out = out * comp.series.invert()
-    return _read_off(SeriesWithPole(out, num.pole_order), provenance, cap)
+        comp, comp_pad = _moments(poly(d.component(j)), shift, prec)
+        if comp_pad:
+            raise ArithmeticError("a component's exponential expansion has a pole")
+        den = _scaled_mul(den, comp, prec)
+    out = _scaled_mul(num, _scaled_inverse(den, prec), prec)
+    return _read_off(_unscaled(out, pad, prec), provenance, cap)
 
 
 def homfly_exp_quotient(d: LinkDiagram, cap: int = DEFAULT_CAP) -> CoefficientTable:

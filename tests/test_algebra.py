@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,10 @@ from linkinv.algebra import (
 )
 from linkinv.diagram import BraidWord, braid_closure
 from linkinv.transforms import (
+    _CH,
+    _scaled_inverse,
+    _scaled_mul,
+    _unscaled,
     decompose,
     omega_from_reduced,
     parity_vector,
@@ -313,6 +318,41 @@ def test_series_arithmetic_matches_fraction_oracle(f, g, c, n):
         inv = f.invert()
         assert_matches(inv, ref_terms(inv))
         assert_matches(f * inv, {(): Fraction(1)})
+
+
+def _over_ch(f):
+    """f as a series over (a, h), reading x as a and y as h."""
+    return TruncatedSeries(_CH, f.cap, f.embed(("x", "y")).terms)
+
+
+def _to_scaled(f):
+    """The scaled form: coefficient * 2^(i+n) * i! * n! at a^i h^n."""
+    return {(i, n): c * (factorial(i) * factorial(n) << (i + n))
+            for (i, n), c in f.terms.items()}
+
+
+def _from_scaled(m, cap):
+    return _unscaled(m, 0, cap).series
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(series(), series())
+def test_scaled_product_and_inverse_match_the_series_kernel(f, g):
+    f, g = _over_ch(f), _over_ch(g)
+    cap = min(f.cap, g.cap)
+    assert _from_scaled(_to_scaled(f), f.cap) == f
+    assert _from_scaled(_scaled_mul(_to_scaled(f), _to_scaled(g), cap), cap) == f * g
+    if f.constant_term():
+        assert _from_scaled(_scaled_inverse(_to_scaled(f), f.cap), f.cap) == f.invert()
+
+
+@pytest.mark.parametrize("c0", [1, -1, 2, -3, Fraction(2, 3)])
+def test_scaled_inverse_of_a_non_unit_constant_is_exact(c0):
+    f = TruncatedSeries(_CH, 5, {(0, 0): c0, (1, 0): 1, (0, 1): -2, (1, 1): 3,
+                                  (0, 3): 5})
+    inv = _scaled_inverse(_to_scaled(f), 5)
+    assert _from_scaled(inv, 5) == f.invert()
+    assert all(type(c) is int for c in inv.values()) == (c0 in (1, -1))
 
 
 def test_negative_power_of_an_integral_monomial_is_exact():

@@ -1,14 +1,25 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from linkinv import transforms
 from linkinv.algebra import LaurentPolynomial, TruncatedSeries, brace, substitute_series, x_of_z
 from linkinv.alexander import potential_function
+from linkinv.corpus import load_corpus
 from linkinv.diagram import BraidWord, braid_closure, parse_pd
 from linkinv.skein import conway, homfly, kauffman_f
 from linkinv.transforms import (
+    _CH,
     Decomposition,
+    SeriesWithPole,
+    _exp_quotient,
+    _quotients,
+    _read_off,
+    _sinh_unit,
     component_conways,
     conway_quotient,
     decompose,
@@ -450,6 +461,23 @@ def test_exp_quotients_pl_invariance():
     assert fa == kauffman_exp_quotient(knotted, cap)
 
 
+def test_starred_quotients_share_one_component_pass_and_one_potential(monkeypatch):
+    d = hopf().connected_sum(trefoil(), 0, 0)
+    want = {"conway": conway_quotient(d, 8), "series": potential_series_quotient(d, 8),
+            "reduced": reduced_quotient(d, 8)}
+    calls = {"component_conways": 0, "potential_function": 0}
+    for name in calls:
+        real = getattr(transforms, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(transforms, name, counting)
+    assert _quotients(d, 8, tuple(want)) == want
+    assert calls == {"component_conways": 1, "potential_function": 1}
+
+
 def test_component_conways():
     d = hopf().connected_sum(trefoil(), 0, 0)
     polys = component_conways(d)
@@ -495,3 +523,125 @@ def test_traldi_lambda_matches_linking_parity():
         exps = next(iter(om.numerator.terms))
         lam = abs(exps[0]) % 2
         assert lam == (lk + 1) % 2, make
+
+
+# -- the exponential layer against its Fraction oracle -------------------------
+#
+# The oracle is the former expansion: the bivariate series of each power of y,
+# times s^ky * h^(ky + pad), summed, and the quotient taken with
+# TruncatedSeries.invert().
+
+
+def _exp_sum(row, shift, cap):
+    """The sum of coeff * e^(kx*(a + shift*h)/2) over the (kx, coeff) pairs
+    in row, through total degree cap."""
+    terms = {}
+    fact = Fraction(1)
+    for j in range(cap + 1):
+        if j:
+            fact /= j
+        moment = fact * sum(coeff * Fraction(kx, 2) ** j for kx, coeff in row)
+        if moment:
+            for i in range(j + 1):
+                terms[(i, j - i)] = moment * comb(j, i) * Fraction(shift) ** (j - i)
+    return TruncatedSeries(_CH, cap, terms)
+
+
+def oracle_substitute_exponential(f, shift, cap):
+    if f.is_zero:
+        return SeriesWithPole(TruncatedSeries.zero(_CH, cap), 0)
+    xi = f.variables.index("x")
+    yi = f.variables.index("y")
+    pad = max(0, -min(e[yi] for e in f.terms))
+    prec = cap + pad
+    by_y = {}
+    for exps, coeff in f.terms.items():
+        by_y.setdefault(exps[yi], []).append((exps[xi], coeff))
+    s = _sinh_unit(prec)
+    h = TruncatedSeries.gen(_CH, "h", prec)
+    out = TruncatedSeries.zero(_CH, prec)
+    for ky, row in by_y.items():
+        out = out + _exp_sum(row, shift, prec) * s ** ky * h ** (ky + pad)
+    return SeriesWithPole(out, pad)
+
+
+def oracle_exp_quotient(d, poly, shift, cap, provenance, expand=oracle_substitute_exponential):
+    num = expand(poly(d), shift, cap)
+    out = num.series
+    for j in range(d.m):
+        comp = expand(poly(d.component(j)), shift, cap + num.pole_order)
+        out = out * comp.series.invert()
+    return _read_off(SeriesWithPole(out, num.pole_order), provenance, cap)
+
+
+def _memo(fn, key=lambda *args: args):
+    memo = {}
+
+    def call(*args):
+        k = key(*args)
+        if k not in memo:
+            memo[k] = fn(*args)
+        return memo[k]
+    return call
+
+
+@pytest.fixture(scope="module")
+def exp_oracle_cases():
+    """The non-singular corpus links, 60 seeded 2-4-strand braid closures and
+    their connected sums with the trefoil; one memoized HOMFLY, F and oracle
+    expansion for all."""
+    diagrams = [e.link for e in load_corpus() if not e.singular]
+    assert len(diagrams) == 17
+    rng = random.Random(14)
+    closures = []
+    for _ in range(60):
+        n = rng.randrange(2, 5)
+        word = [rng.choice((1, -1)) * rng.randrange(1, n) for _ in range(rng.randrange(1, 8))]
+        closures.append(braid_closure(BraidWord(n, word)))
+    diagrams += closures + [d.connected_sum(trefoil(), 0, 0) for d in closures]
+    by_diagram = lambda d: (d.crossings, d.components, d.colors)
+    return (diagrams, _memo(homfly, by_diagram), _memo(kauffman_f, by_diagram),
+            _memo(oracle_substitute_exponential))
+
+
+@pytest.mark.parametrize("cap", [0, 5, 12])
+def test_exponential_layer_matches_fraction_oracle(exp_oracle_cases, cap):
+    diagrams, h_poly, f_poly, expand = exp_oracle_cases
+    for d in diagrams:
+        for poly, shift, label in ((h_poly, 0, "homfly"), (f_poly, -1, "kauffman")):
+            got = substitute_exponential(poly(d), shift, cap)
+            want = expand(poly(d), shift, cap)
+            assert got.pole_order == want.pole_order, (d.name, label)
+            assert got.series.cap == want.series.cap, (d.name, label)
+            assert got.series.terms == want.series.terms, (d.name, label)
+            got = _exp_quotient(d, poly, shift, cap, label)
+            want = oracle_exp_quotient(d, poly, shift, cap, label, expand)
+            assert got == want, (d.name, label)
+
+
+def test_exp_quotient_refuses_a_component_pole():
+    with pytest.raises(ArithmeticError, match="pole"):
+        _exp_quotient(hopf(), lambda _: Y ** -1, 0, 4, "homfly-exp-quotient")
+
+
+short_braid_words = st.integers(2, 3).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.integers(1, n - 1).flatmap(lambda g: st.sampled_from((g, -g))),
+             max_size=6)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(short_braid_words)
+def test_exponential_tables_of_the_mirror_flip_odd_h_degrees(sw):
+    # H_{L*}(x, y) = H_L(x^-1, -y), and the same for F: the mirror is h -> -h
+    n, word = sw
+    d = braid_closure(BraidWord(n, word))
+    mirror = braid_closure(BraidWord(n, [-g for g in word]))
+    cap = 6
+    for fn in (lambda x: exp_expand_homfly(homfly(x), cap),
+               lambda x: exp_expand_kauffman(kauffman_f(x), cap),
+               lambda x: homfly_exp_quotient(x, cap),
+               lambda x: kauffman_exp_quotient(x, cap)):
+        table, flipped = fn(d), fn(mirror)
+        for k, i in set(table.entries) | set(flipped.entries):
+            assert flipped.get(k, i) == (-1) ** k * table.get(k, i), (word, k, i)
