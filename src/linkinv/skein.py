@@ -15,7 +15,11 @@ traversal (components in order, each cycle from its stored basepoint) and
 locate crossings whose first visit passes under.  Switching such a crossing
 strictly reduces the number of violations, smoothing reduces the crossing
 count, and a diagram without violations is descending, hence an unlink
-(split) after isotopy.
+(split) after isotopy.  The Dubrovnik descent also strips every curl
+(a crossing whose record holds one arc at two adjacent slots) from its
+root and from each child before the child is keyed, by the regular-
+isotopy rule D(curl) = x^(+-1) * D(curl removed) (Kauffman, Trans. AMS
+318, 1990), so no curl costs a node, a key or three children.
 
 `_descend` runs the descent as one loop over an explicit stack, so a deep
 diagram stops at its node budget, never at the interpreter's frame limit.
@@ -322,7 +326,11 @@ def _dubrovnik_key(node):
     and number arcs by first visit.  A part's code is the least of these,
     compared one record at a time so a start stops once it is behind.
     Starts at odd slots are skipped: their codes open with parity 1, and
-    every part has an even start."""
+    every part has an even start.  Two starts whose codes tie to the end
+    give an automorphism of the part, the map of one walk onto the other;
+    it maps each start to one with the same code, so the starts it joins
+    to a smaller one are skipped.  A symmetric part such as T(2,n) then
+    codes a few starts, not all 2n."""
     crossings, loops = node
     flat, other = _far_ends(crossings)
     uf: dict = {}  # crossings joined by an arc
@@ -334,8 +342,11 @@ def _dubrovnik_key(node):
         parts.setdefault(uf_find(uf, c), []).append(c)
     codes = []
     for part in parts.values():
-        best = None
+        best = best_walk = None
+        orbit: dict = {}  # starts joined by the automorphisms found
         for start in (4 * c + s for c in part for s in (0, 2)):
+            if uf_find(orbit, start) != start:
+                continue
             code = []
             number: dict = {}
             queue = [start]
@@ -360,7 +371,11 @@ def _dubrovnik_key(node):
                 code.append(rec)
             else:
                 if not tied:
-                    best = code
+                    best, best_walk = code, queue
+                    continue
+                for i, j in zip(best_walk, queue):  # i's crossing goes to j's, slot i to j
+                    for s in (0, 2):
+                        uf_union(orbit, (i & ~3) | s, (j & ~3) | ((j + s - i) & 3))
         codes.append(tuple(best))
     return tuple(sorted(codes)), loops
 
@@ -378,9 +393,55 @@ def _smooth(crossings, loops, ci, pairs):
     return kept, loops
 
 
+def _strip_kinks(crossings, loops):
+    """Remove every curl of a (crossings, loops) node by Reidemeister I:
+    returns (e, node) with D(the given node) = x^e * D(node).  A curl is
+    a crossing with one arc at two adjacent slots s, s + 1; it goes by
+    joining the arcs at its other two slots (a free loop when they are one
+    arc), and contributes x for even s, x^-1 for odd s.  A join can make a
+    curl of the crossings at its two far ends, so those are checked again;
+    each curl costs O(1), and the kept records are relabeled once, every
+    joined arc by the least label it absorbed."""
+    todo = [c for c, rec in enumerate(crossings)
+            if rec[0] == rec[1] or rec[1] == rec[2] or rec[2] == rec[3] or rec[3] == rec[0]]
+    if not todo:
+        return 0, (crossings, loops)
+    flat, other = _far_ends(crossings)
+    gone = set()
+    uf: dict = {}
+    exponent = 0
+    while todo:
+        c = todo.pop()
+        base = 4 * c
+        s = next((s for s in range(4) if other[base + s] == base + (s + 1) % 4), None)
+        if c in gone or s is None:
+            continue
+        gone.add(c)
+        exponent += -1 if s & 1 else 1
+        a, b = base + (s + 2) % 4, base + (s + 3) % 4
+        far_a, far_b = other[a], other[b]
+        if far_a == b:
+            loops += 1
+        else:
+            other[far_a], other[far_b] = far_b, far_a
+            uf_union(uf, flat[a], flat[b])
+            todo += (far_a >> 2, far_b >> 2)
+    kept = tuple(tuple(uf_find(uf, arc) for arc in rec)
+                 for c, rec in enumerate(crossings) if c not in gone)
+    return exponent, (kept, loops)
+
+
+def _curl_free(node):
+    """Yield `node` with its curls stripped and return the node's value."""
+    exponent, node = _strip_kinks(*node)
+    value = yield node
+    return _X ** exponent * value if exponent else value
+
+
 def _unoriented_step(node):
     """One Dubrovnik node: (crossings, loops), crossing records with the
-    under-strand at slots {0, 2} plus a count of crossing-free circles."""
+    under-strand at slots {0, 2} plus a count of crossing-free circles.
+    Every child it yields is curl-free."""
     crossings, loops = node
     if not crossings:
         return _DELTA_D ** (loops - 1)
@@ -408,9 +469,9 @@ def _unoriented_step(node):
     switched = crossings[:ci] + ((rec[1], rec[2], rec[3], rec[0]),) + crossings[ci + 1:]
     sm0 = _smooth(crossings, loops, ci, ((u, (o + 2) % 4), (o, (u + 2) % 4)))
     sm_inf = _smooth(crossings, loops, ci, ((u, o), ((u + 2) % 4, (o + 2) % 4)))
-    at_switch = yield (switched, loops)
-    at_sm0 = yield sm0
-    return at_switch + sgn * (_Y * at_sm0) - sgn * (_Y * (yield sm_inf))
+    at_switch = yield from _curl_free((switched, loops))
+    at_sm0 = yield from _curl_free(sm0)
+    return at_switch + sgn * (_Y * at_sm0) - sgn * (_Y * (yield from _curl_free(sm_inf)))
 
 
 def dubrovnik(d: LinkDiagram, budget=None, memo=None) -> LaurentPolynomial:
@@ -420,8 +481,9 @@ def dubrovnik(d: LinkDiagram, budget=None, memo=None) -> LaurentPolynomial:
     _require_component(d)
     loops = sum(1 for cyc in d.components if len(cyc) == 1 and cyc[0] not in d.heads)
     table = _DUBROVNIK_MEMO if memo is None else memo
-    return _descend((d.crossings, loops), _dubrovnik_key, _unoriented_step, table, budget,
-                    "dubrovnik")
+    exponent, root = _strip_kinks(d.crossings, loops)
+    value = _descend(root, _dubrovnik_key, _unoriented_step, table, budget, "dubrovnik")
+    return _X ** exponent * value
 
 
 def kauffman_f(d: LinkDiagram, budget=None, memo=None) -> LaurentPolynomial:

@@ -3,7 +3,8 @@ library's interface."""
 
 from linkinv.alexander import PotentialFunction
 from linkinv.algebra import LaurentPolynomial
-from linkinv.diagram import LinkDiagram
+from linkinv.diagram import LinkDiagram, uf_find, uf_union, walk_unoriented
+from linkinv.skein import _DELTA_D, _X, _Y, _far_ends, _smooth
 
 
 def disjoint_union(a: LinkDiagram, b: LinkDiagram) -> LinkDiagram:
@@ -24,3 +25,76 @@ def mono_numerator(om: PotentialFunction) -> LaurentPolynomial:
         return collapsed
     x = LaurentPolynomial.gen(("x",), "x")
     return (x - x ** -1) * collapsed
+
+
+def curl_keeping_step(node):
+    """The oracle for `skein._unoriented_step`: the same Dubrovnik step on
+    (crossings, loops) nodes, but its children keep their curls, so every
+    curl costs a node and is resolved by the skein rule."""
+    crossings, loops = node
+    if not crossings:
+        return _DELTA_D ** (loops - 1)
+    entries: dict = {}  # crossing -> [(circle, entry slot)] in visit order
+    bads = []
+    ncircles = 0
+    for cid, _, ci, s in walk_unoriented(crossings):
+        ncircles = cid + 1
+        seen = entries.setdefault(ci, [])
+        if not seen and s in (0, 2):
+            bads.append(ci)
+        seen.append((cid, s))
+    if not bads:
+        selfw = 0
+        for (c1, s1), (c2, s2) in entries.values():
+            if c1 == c2:
+                u, o = (s1, s2) if s1 in (0, 2) else (s2, s1)
+                selfw += 1 if o == (u + 3) % 4 else -1
+        return (_X ** selfw) * _DELTA_D ** (ncircles + loops - 1)
+    ci = bads[0]
+    (_, s1), (_, s2) = entries[ci]
+    u, o = (s1, s2) if s1 in (0, 2) else (s2, s1)
+    sgn = 1 if o == (u + 3) % 4 else -1
+    rec = crossings[ci]
+    switched = crossings[:ci] + ((rec[1], rec[2], rec[3], rec[0]),) + crossings[ci + 1:]
+    sm0 = _smooth(crossings, loops, ci, ((u, (o + 2) % 4), (o, (u + 2) % 4)))
+    sm_inf = _smooth(crossings, loops, ci, ((u, o), ((u + 2) % 4, (o + 2) % 4)))
+    at_switch = yield (switched, loops)
+    at_sm0 = yield sm0
+    return at_switch + sgn * (_Y * at_sm0) - sgn * (_Y * (yield sm_inf))
+
+
+def every_start_dubrovnik_key(node):
+    """The oracle for `skein._dubrovnik_key`: the same code, the least over
+    every even start of each connected part, with no start skipped."""
+    crossings, loops = node
+    flat, other = _far_ends(crossings)
+    uf: dict = {}  # crossings joined by an arc
+    for i, j in enumerate(other):
+        if i < j:
+            uf_union(uf, i >> 2, j >> 2)
+    parts: dict = {}
+    for c in range(len(crossings)):
+        parts.setdefault(uf_find(uf, c), []).append(c)
+    codes = []
+    for part in parts.values():
+        best = None
+        for start in (4 * c + s for c in part for s in (0, 2)):
+            code = []
+            number: dict = {}
+            queue = [start]
+            entered = {start >> 2}
+            for i in queue:
+                base, e = i & ~3, i & 3
+                rec = [e & 1]
+                for t in range(e, e + 4):
+                    j = base | (t & 3)
+                    rec.append(number.setdefault(flat[j], len(number)))
+                    far = other[j] >> 2
+                    if far not in entered:
+                        entered.add(far)
+                        queue.append(other[j])
+                code.append(tuple(rec))
+            if best is None or code < best:
+                best = code
+        codes.append(tuple(best))
+    return tuple(sorted(codes)), loops

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import shutil
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkinv.cli import main
 from linkinv.corpus import DATA_DIR, load_corpus
+from linkinv.diagram import BraidWord, braid_closure
 
 HOPF = os.path.join(DATA_DIR, "hopf-plus.pd")
 BORROMEAN = os.path.join(DATA_DIR, "borromean.pd")
@@ -81,6 +87,20 @@ def test_braid_input(tmp_path, capsys):
     code, out, _ = run(capsys, "polys", str(path), "--which", "conway")
     assert code == 0
     assert out.strip() == "1 + z^2"
+
+
+def run_stdin(text, *argv):
+    """main(argv) with `text` on stdin, for properties, which cannot take
+    the function-scoped capsys and tmp_path fixtures."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
@@ -245,10 +265,66 @@ def test_empty_components_block_is_named_as_the_input_error(tmp_path, capsys):
 
 
 def test_recursion_deeper_than_the_interpreter_exits_3(tmp_path, capsys):
-    # the Dubrovnik descent of T(2,340) runs deeper than the interpreter's
-    # frame limit long before it spends its node budget of 500
+    # the Dubrovnik descent of T(2,340) stops at its node budget of 500 on
+    # an explicit stack, however deep it has gone
     path = tmp_path / "t2-340.braid"
     path.write_text("braid(2): " + " ".join(["1"] * 340) + "\n")
     code, out, err = run(capsys, "polys", str(path), "--which", "kauffman", "--budget", "500")
     assert (code, out) == (3, "")
     assert err == "error: dubrovnik skein node budget of 500 exceeded\n"
+
+
+MUTATIONS = ("drop-arc", "arc-thrice", "non-integer", "unbalanced")
+
+
+def malformed(text, mutation, rng):
+    """A valid PD file made invalid at one random crossing record: one arc
+    dropped, an arc that two other slots hold put in a third, a label that
+    is no integer, or one closing bracket (of the record or of the
+    components block) left out."""
+    first, components, rest = text.split("\n", 2)
+    tokens = first.split(" ")
+    i = rng.choice([k for k, tok in enumerate(tokens) if tok.startswith("X[")])
+    arcs = tokens[i][2:-1].split(",")
+    s = rng.randrange(4)
+    close = "]"
+    if mutation == "drop-arc":
+        del arcs[s]
+    elif mutation == "arc-thrice":
+        labels = {a for tok in tokens if tok.startswith("X[") for a in tok[2:-1].split(",")}
+        arcs[s] = rng.choice(sorted(labels - {arcs[s]}))
+    elif mutation == "non-integer":
+        arcs[s] = rng.choice(("a", "1.5", "", "0x", "2e"))
+    elif rng.random() < 0.5:
+        components = components[:-1]
+    else:
+        close = ""
+    tokens[i] = "X[" + ",".join(arcs) + close
+    return "\n".join((" ".join(tokens), components, rest))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+           st.just(n), st.lists(st.integers(1, n - 1).flatmap(lambda g: st.sampled_from((g, -g))),
+                                min_size=1, max_size=10))),
+       st.sampled_from(MUTATIONS), st.randoms(use_true_random=False))
+def test_generated_malformed_pd_exits_2_with_short_message(sw, mutation, rng):
+    text = braid_closure(BraidWord(*sw)).render_pd()
+    assert run_stdin(text, "polys", "-", "--which", "conway")[0] == 0
+    code, out, err = run_stdin(malformed(text, mutation, rng), "polys", "-", "--which", "conway")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 160
+
+
+@pytest.mark.parametrize("which,engine", [("kauffman", "dubrovnik"), ("homfly", "homfly")])
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(st.integers(3, 4), st.integers(200, 400), st.randoms(use_true_random=False))
+def test_deep_braids_under_a_small_budget_exit_0_or_3(which, engine, n, length, rng):
+    word = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length)]
+    text = f"braid({n}): " + " ".join(map(str, word)) + "\n"
+    code, out, err = run_stdin(text, "polys", "-", "--which", which, "--budget", "50")
+    assert code in (0, 3)
+    if code == 3:
+        assert (out, err) == ("", f"error: {engine} skein node budget of 50 exceeded\n")
+    else:
+        assert err == ""

@@ -328,3 +328,20 @@ def test_delete_component_round_trip_and_invariants(sw):
         touching = sum(d.signs[ci] for ci in range(len(d.crossings))
                        if i in d.strands_at(ci))
         assert s.writhe() == d.writhe() - touching
+
+
+def onto(colors):
+    """The colouring with the same pattern, relabelled onto {1..k}."""
+    order = {c: i + 1 for i, c in enumerate(sorted(set(colors)))}
+    return tuple(order[c] for c in colors)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(braid_words, st.lists(st.integers(1, 3), min_size=5, max_size=5), st.booleans())
+def test_render_pd_round_trips_coloured_closures(sw, palette, named):
+    # idle strands render as O tokens, and the colours and name survive
+    d = braid_closure(BraidWord(*sw), name="closure" if named else None)
+    d = d.recolor(onto(palette[:d.m]))
+    back = parse_pd(d.render_pd())
+    assert back == d
+    assert (back.colors, back.name) == (d.colors, d.name)

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import os
@@ -20,7 +21,7 @@ from linkinv.skein import (
     _dubrovnik_key,
     _key,
     _state_sign,
-    _unoriented_step,
+    _strip_kinks,
     conway,
     dubrovnik,
     homfly,
@@ -28,7 +29,7 @@ from linkinv.skein import (
     state_sum,
 )
 
-from helpers import disjoint_union
+from helpers import curl_keeping_step, disjoint_union, every_start_dubrovnik_key
 
 Z = ("z",)
 XY = ("x", "y")
@@ -224,9 +225,17 @@ def free_loops(d):
 
 
 def labelled_dubrovnik(d, memo, budget=None, descend=_descend):
-    """The oracle: the Dubrovnik descent keyed on the labelled node itself."""
+    """The oracle: the Dubrovnik descent keyed on the labelled node itself,
+    every curl resolved by the skein rule."""
     root = (d.crossings, free_loops(d))
-    return descend(root, lambda n: n, _unoriented_step, memo, budget, "dubrovnik")
+    return descend(root, lambda n: n, curl_keeping_step, memo, budget, "dubrovnik")
+
+
+def keyed_curl_keeping_dubrovnik(d, memo):
+    """The oracle for curl stripping alone: the library's key, every curl
+    resolved by the skein rule."""
+    root = (d.crossings, free_loops(d))
+    return _descend(root, _dubrovnik_key, curl_keeping_step, memo, None, "dubrovnik")
 
 
 # Nodes each skein engine stores on a cold table: the descent order, the
@@ -358,19 +367,33 @@ def test_state_sign_follows_an_augmenting_path_through_every_row():
     assert _state_sign(options) == math.prod(flips)
 
 
-# The same diagrams under `_dubrovnik_key`, which merges relabelings.
+# The same diagrams under `_dubrovnik_key`, which merges relabelings, with
+# the curl-keeping step of the oracle and then with the library's step,
+# whose children are curl-free.
 KEYED_NODE_COUNTS = [
-    (lambda: braid_closure(BraidWord(2, [1] * 6)), 66),
-    (borromean, 79),
-    (whitehead, 47),
+    (lambda: braid_closure(BraidWord(2, [1] * 6)), 66, 17),
+    (borromean, 79, 33),
+    (whitehead, 47, 17),
 ]
 
 
-@pytest.mark.parametrize("make,count", KEYED_NODE_COUNTS, ids=["T(2,6)", "borromean", "whitehead"])
-def test_cold_memo_node_counts_relabel_key(make, count):
+@pytest.mark.parametrize("make,count,stripped", KEYED_NODE_COUNTS,
+                         ids=["T(2,6)", "borromean", "whitehead"])
+def test_cold_memo_node_counts_relabel_key(make, count, stripped):
+    memo = {}
+    keyed_curl_keeping_dubrovnik(make(), memo)
+    assert len(memo) == count
     memo = {}
     kauffman_f(make(), memo=memo)
-    assert len(memo) == count
+    assert len(memo) == stripped
+
+
+def test_cold_memo_node_count_on_a_pool_word():
+    # the b3-12 word of perfbench/pool.json: 2003 nodes with every curl kept
+    (word,) = [w for n, w in pool_words() if n == 3 and len(w) == 12]
+    memo = {}
+    kauffman_f(braid_closure(BraidWord(3, word)), memo=memo)
+    assert len(memo) == 484
 
 
 def test_engines_fill_a_caller_owned_memo(monkeypatch):
@@ -446,6 +469,61 @@ def test_dubrovnik_key_matches_labelled_oracle_on_braids(shared_memos):
         _assert_matches_oracle(braid_closure(BraidWord(n, word)), shared_memos)
 
 
+def _assert_matches_keyed_oracle(d, memo):
+    want = keyed_curl_keeping_dubrovnik(d, memo)
+    assert dubrovnik(d, memo={}) == want
+    assert kauffman_f(d, memo={}) == X ** (-d.writhe()) * want
+
+
+def test_curl_stripping_matches_curl_keeping_oracle_on_braids():
+    # up to 12 letters, beyond the labelled oracle's reach; the keyed
+    # oracle shares one table, so relabelings answer for each other
+    rng = random.Random(20261019)
+    memo = {}
+    for _ in range(100):
+        n = rng.randint(2, 4)
+        word = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(1, 12))]
+        _assert_matches_keyed_oracle(braid_closure(BraidWord(n, word)), memo)
+
+
+def curl_diagrams():
+    """Diagrams whose curls cover every case of `_strip_kinks`: one-crossing
+    figure-8 curls, which leave a free loop; a curl at each slot position
+    s = 0..3 beside a knot; curls of both signs side by side; and curls
+    nested on a curl's own loop, which become curls only once the inner
+    one is gone."""
+    diagrams = [braid_closure(BraidWord(2, [1])), braid_closure(BraidWord(2, [-1])),
+                braid_closure(BraidWord(3, [1, 2])), braid_closure(BraidWord(3, [1, -2]))]
+    for make in (hopf, trefoil, fig8):
+        d = make()
+        for sign in (1, -1):
+            for side in (0, 1):
+                k = add_kink(d, d.arcs()[0], sign, side)
+                diagrams.append(k)
+                diagrams.append(add_kink(k, d.arcs()[0], -sign, 1 - side))
+                nested = k
+                for depth in range(3):  # the next curl on the last one's loop
+                    nested = add_kink(nested, max(nested.arcs()) - 1, sign if depth % 2 else -sign,
+                                      (side + depth) % 2)
+                    diagrams.append(nested)
+    return diagrams
+
+
+def test_curl_stripping_matches_curl_keeping_oracle_on_curls(shared_memos):
+    slots = set()
+    for d in curl_diagrams():
+        _assert_matches_oracle(d, shared_memos)
+        for rec in d.crossings:
+            slots.update(s for s in range(4) if rec[s] == rec[(s + 1) % 4])
+    assert slots == {0, 1, 2, 3}
+    # every curl goes: the figure-8 curls leave one free loop
+    assert _strip_kinks(*_node(braid_closure(BraidWord(2, [1])))) == (1, ((), 1))
+    assert _strip_kinks(*_node(braid_closure(BraidWord(2, [-1])))) == (-1, ((), 1))
+    for d in curl_diagrams():
+        _, (crossings, _) = _strip_kinks(*_node(d))
+        assert not any(rec[s] == rec[(s + 1) % 4] for rec in crossings for s in range(4))
+
+
 def _node(d):
     return d.crossings, free_loops(d)
 
@@ -477,6 +555,26 @@ def test_dubrovnik_key_forgets_labels_order_and_half_turns(sw1, sw2, rng):
     assert _dubrovnik_key((tuple(shuffled), loops)) == key
     turned = tuple(_turn(rec, 2) if rng.random() < 0.5 else rec for rec in crossings)
     assert _dubrovnik_key((turned, loops)) == key
+
+
+def test_dubrovnik_key_matches_every_start_oracle():
+    # symmetric parts, where tied starts give automorphisms, and the nodes
+    # of their curl-keeping descents, which break the symmetry bit by bit
+    diagrams = [torus(n) for n in (1, 2, 3, 6, 40)]
+    diagrams += [braid_closure(BraidWord(3, [1, -2] * k)) for k in (1, 3, 8)]
+    diagrams += [braid_closure(BraidWord(4, [1, 2, 3] * 4)), borromean(), whitehead(),
+                 disjoint_union(torus(5), torus(5))]
+    for d in diagrams:
+        nodes = []
+
+        def step(node):
+            nodes.append(node)
+            return curl_keeping_step(node)
+
+        with contextlib.suppress(SkeinBudgetError):  # 200 nodes of each are enough
+            _descend(_node(d), lambda n: n, step, {}, 200, "dubrovnik")
+        for node in nodes:
+            assert _dubrovnik_key(node) == every_start_dubrovnik_key(node), node
 
 
 def test_dubrovnik_key_tells_mirrors_and_quarter_turns_apart():
