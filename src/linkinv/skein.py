@@ -11,15 +11,18 @@ z = x - x^-1, and `alexander.potential_function` its colored case:
 polynomial time, no node budget and no memo.
 
 The descent strategy is the standard guaranteed-terminating one: fix a
-traversal (components in order, each cycle from its stored basepoint) and
-locate crossings whose first visit passes under.  Switching such a crossing
-strictly reduces the number of violations, smoothing reduces the crossing
-count, and a diagram without violations is descending, hence an unlink
-(split) after isotopy.  The Dubrovnik descent also strips every curl
-(a crossing whose record holds one arc at two adjacent slots) from its
-root and from each child before the child is keyed, by the regular-
-isotopy rule D(curl) = x^(+-1) * D(curl removed) (Kauffman, Trans. AMS
-318, 1990), so no curl costs a node, a key or three children.
+traversal (each circle from its minimal arc) and locate crossings whose
+first visit passes under.  Switching such a crossing strictly reduces the
+number of violations, smoothing reduces the crossing count, and a diagram
+without violations is descending, hence an unlink (split) after isotopy.
+Both descents reduce their root and every child by `_reduce` before it is
+keyed: it erases each curl (Reidemeister I) and each bigon that one strand
+passes over at both corners (Reidemeister II).  D is a regular-isotopy
+invariant with D(curl) = x^(+-1) * D(curl removed) (Kauffman, Trans. AMS
+318, 1990), and H an ambient-isotopy invariant, so no such move costs a
+node, a key or a skein step.  A reduction only lowers the crossing count
+and the violations are recomputed on the reduced node, so the descent
+still terminates.
 
 `_descend` runs the descent as one loop over an explicit stack, so a deep
 diagram stops at its node budget, never at the interpreter's frame limit.
@@ -28,13 +31,14 @@ each miss and stores what the engine's step returns.  A step is a
 generator: it yields each child node, is sent that child's value and
 returns the node's value.  There are two steps:
 
-- the oriented HOMFLY rule x*H(L+) - x^-1*H(L-) = y*H(L0) on `LinkDiagram`
-  nodes, split unknot worth (x - x^-1)/y;
+- the oriented HOMFLY rule x*H(L+) - x^-1*H(L-) = y*H(L0) on (crossings,
+  over_in, loops) nodes, traversed by `diagram._trace_oriented`, split
+  unknot worth (x - x^-1)/y;
 - the unoriented Dubrovnik rule on (crossings, loops) nodes, walked by
   `diagram.walk_unoriented`.
 
 The two skein engines memoize values in shared write-once tables.  HOMFLY
-keeps one entry per node, keyed on the exact labeled structure; different
+keeps one entry per node, keyed on the labeled node itself; different
 descent paths reaching the same sub-diagram produce identical keys because
 arc merges keep minimal ids.  Dubrovnik keys a node on `_dubrovnik_key`, a
 code that forgets arc labels, crossing order and the 180-degree turn of a
@@ -47,7 +51,7 @@ schedule.  `conway` keeps no table: each call computes its state sum.
 from __future__ import annotations
 
 from .algebra import LaurentPolynomial, fox_determinant, rewrite_in_difference
-from .diagram import LinkDiagram, uf_find, uf_union, walk_unoriented
+from .diagram import LinkDiagram, _trace_oriented, uf_find, uf_union, walk_unoriented
 
 XYVARS = ("x", "y")
 
@@ -92,6 +96,11 @@ def _require_component(d: LinkDiagram):
         raise ValueError("the diagram has no component")
 
 
+def _free_loops(d: LinkDiagram) -> int:
+    """The crossing-free circles of `d`."""
+    return sum(1 for cyc in d.components if len(cyc) == 1 and cyc[0] not in d.heads)
+
+
 def _descend(root, key, step, table, budget, engine):
     """The one memoized skein descent: the value of a node is table[key],
     and a miss spends one unit of `engine`'s budget and stores what the
@@ -128,25 +137,14 @@ def _descend(root, key, step, table, budget, engine):
 _HOMFLY_FACTORS = {1: (_X ** -2, _X ** -1 * _Y), -1: (_X ** 2, -(_X * _Y))}
 
 
-def _key(d: LinkDiagram):
-    return (d.crossings, d.components, d.over_in)
-
-
-def _bad_crossings(d: LinkDiagram):
-    """Crossings whose first visit (in traversal order) passes under."""
-    visited = set()
-    bads = []
-    for cyc in d.components:
-        for arc in cyc:
-            pos = d.heads.get(arc)
-            if pos is None:
-                continue
-            ci, s = pos
-            if ci not in visited:
-                visited.add(ci)
-                if s == 0:
-                    bads.append(ci)
-    return bads
+def _reduced_oriented(crossings, over_in, loops):
+    """The HOMFLY node (crossings, over_in, loops) with its curls and
+    reducible bigons gone; H is an ambient-isotopy invariant, so both moves
+    leave its value alone."""
+    _, gone, crossings, loops = _reduce(crossings, loops)
+    if gone:
+        over_in = tuple(o for c, o in enumerate(over_in) if c not in gone)
+    return crossings, over_in, loops
 
 
 def homfly(d: LinkDiagram, budget=None, memo=None, rng=None) -> LaurentPolynomial:
@@ -155,18 +153,34 @@ def homfly(d: LinkDiagram, budget=None, memo=None, rng=None) -> LaurentPolynomia
     table = _HOMFLY_MEMO if memo is None else memo
     unlinks: dict = {}  # m -> the m-component unlink, delta^(m - 1)
 
-    def step(d):
-        bads = _bad_crossings(d)
+    def step(node):
+        # one HOMFLY node: oriented records, slot 0 the incoming under-strand
+        # and over_in the slot the over-strand enters by, plus free loops;
+        # a crossing is bad when the traversal of `_trace_oriented` first
+        # reaches it on the under-strand
+        crossings, over_in, loops = node
+        comps = _trace_oriented(crossings, over_in)
+        visit = {arc: i for i, arc in enumerate(a for cyc in comps for a in cyc)}
+        bads = sorted((visit[rec[0]], c) for c, rec in enumerate(crossings)
+                      if visit[rec[0]] < visit[rec[over_in[c]]])
         if not bads:
-            if d.m not in unlinks:
-                unlinks[d.m] = _DELTA_H ** (d.m - 1)
-            return unlinks[d.m]
-        ci = bads[0] if rng is None else rng.choice(bads)
-        at_switch, at_smooth = _HOMFLY_FACTORS[d.sign(ci)]
-        switched = at_switch * (yield d.switch(ci))
-        return switched + at_smooth * (yield d.smooth_oriented(ci))
+            m = len(comps) + loops
+            if m not in unlinks:
+                unlinks[m] = _DELTA_H ** (m - 1)
+            return unlinks[m]
+        ci = bads[0][1] if rng is None else rng.choice(bads)[1]
+        rec, o = crossings[ci], over_in[ci]
+        at_switch, at_smooth = _HOMFLY_FACTORS[1 if o == 3 else -1]
+        turned = (rec[3], rec[0], rec[1], rec[2]) if o == 3 else (rec[1], rec[2], rec[3], rec[0])
+        switched = (crossings[:ci] + (turned,) + crossings[ci + 1:],
+                    over_in[:ci] + (4 - o,) + over_in[ci + 1:], loops)
+        value = at_switch * (yield _reduced_oriented(*switched))
+        smoothed, loops = _smooth(crossings, loops, ci, ((0, (o + 2) % 4), (o, 2)))
+        over_in = over_in[:ci] + over_in[ci + 1:]
+        return value + at_smooth * (yield _reduced_oriented(smoothed, over_in, loops))
 
-    return _descend(d.monochrome(), _key, step, table, budget, "homfly")
+    root = _reduced_oriented(d.crossings, d.over_in, _free_loops(d))
+    return _descend(root, lambda node: node, step, table, budget, "homfly")
 
 
 # -- Kauffman's state sum: Conway and the potential function ------------------
@@ -301,6 +315,10 @@ def state_sum(d: LinkDiagram, colors, cut: int = 0) -> LaurentPolynomial:
     return _state_sign(options) * det
 
 
+def _key(d: LinkDiagram):
+    return (d.crossings, d.components, d.over_in)
+
+
 def conway(d: LinkDiagram, memo=None) -> LaurentPolynomial:
     """Conway polynomial in z, normalized to 1 on the unknot (0 on split
     links): the one-color state sum rewritten in z = x - x^-1, in
@@ -393,55 +411,72 @@ def _smooth(crossings, loops, ci, pairs):
     return kept, loops
 
 
-def _strip_kinks(crossings, loops):
-    """Remove every curl of a (crossings, loops) node by Reidemeister I:
-    returns (e, node) with D(the given node) = x^e * D(node).  A curl is
-    a crossing with one arc at two adjacent slots s, s + 1; it goes by
-    joining the arcs at its other two slots (a free loop when they are one
-    arc), and contributes x for even s, x^-1 for odd s.  A join can make a
-    curl of the crossings at its two far ends, so those are checked again;
-    each curl costs O(1), and the kept records are relabeled once, every
-    joined arc by the least label it absorbed."""
-    todo = [c for c, rec in enumerate(crossings)
-            if rec[0] == rec[1] or rec[1] == rec[2] or rec[2] == rec[3] or rec[3] == rec[0]]
-    if not todo:
-        return 0, (crossings, loops)
+def _reduce(crossings, loops):
+    """Remove every curl and every reducible bigon of a node by Reidemeister
+    I and II moves: returns (e, gone, crossings, loops), D(the given node)
+    = x^e * D(the node left) and `gone` the indices of the crossings erased.
+
+    The moves are read off the faces of `_faces`.  A curl is a one-corner
+    face, one arc at two adjacent slots s, s + 1, and contributes x for
+    even s, x^-1 for odd s.  A reducible bigon is a two-corner face with
+    its corners at different crossings whose two arcs each keep their slot
+    parity from end to end, so one strand passes over at both crossings;
+    it contributes 1.  Either move erases its crossings by joining the
+    arcs at slots 0, 2 and at slots 1, 3 through the far-end pointers, and
+    a strand that closes inside the erased crossings becomes a free loop.
+    The crossings at the relinked far ends are checked again, so each move
+    costs O(1), and the kept records are relabeled once, every joined arc
+    by the least label it absorbed."""
     flat, other = _far_ends(crossings)
+    todo = list(range(len(crossings)))
     gone = set()
     uf: dict = {}
     exponent = 0
     while todo:
         c = todo.pop()
-        base = 4 * c
-        s = next((s for s in range(4) if other[base + s] == base + (s + 1) % 4), None)
-        if c in gone or s is None:
+        if c in gone:
             continue
-        gone.add(c)
-        exponent += -1 if s & 1 else 1
-        a, b = base + (s + 2) % 4, base + (s + 3) % 4
-        far_a, far_b = other[a], other[b]
-        if far_a == b:
-            loops += 1
+        base = 4 * c
+        for i in range(4):
+            k = other[base | ((i + 1) & 3)]  # the corner after (c, i) on its face
+            if k == base | i:
+                exponent += -1 if i & 1 else 1
+                erased = (c,)
+                break
+            if k >> 2 != c and (k - i) & 1 and other[(k & ~3) | ((k + 1) & 3)] == base | i:
+                erased = (c, k >> 2)
+                break
         else:
-            other[far_a], other[far_b] = far_b, far_a
-            uf_union(uf, flat[a], flat[b])
-            todo += (far_a >> 2, far_b >> 2)
-    kept = tuple(tuple(uf_find(uf, arc) for arc in rec)
-                 for c, rec in enumerate(crossings) if c not in gone)
-    return exponent, (kept, loops)
+            continue
+        gone.update(erased)
+        for e in erased:
+            for a in (4 * e, 4 * e + 1):
+                b = a + 2
+                far_a, far_b = other[a], other[b]
+                if far_a == b:
+                    loops += 1
+                else:
+                    other[far_a], other[far_b] = far_b, far_a
+                    uf_union(uf, flat[a], flat[b])
+                    todo += (far_a >> 2, far_b >> 2)
+    if gone:
+        crossings = tuple(tuple(uf_find(uf, arc) for arc in rec)
+                          for c, rec in enumerate(crossings) if c not in gone)
+    return exponent, gone, crossings, loops
 
 
-def _curl_free(node):
-    """Yield `node` with its curls stripped and return the node's value."""
-    exponent, node = _strip_kinks(*node)
-    value = yield node
+def _reduced(node):
+    """Yield the Dubrovnik `node` reduced by `_reduce` and return the
+    node's value."""
+    exponent, _, crossings, loops = _reduce(*node)
+    value = yield crossings, loops
     return _X ** exponent * value if exponent else value
 
 
 def _unoriented_step(node):
     """One Dubrovnik node: (crossings, loops), crossing records with the
     under-strand at slots {0, 2} plus a count of crossing-free circles.
-    Every child it yields is curl-free."""
+    Every child it yields is reduced."""
     crossings, loops = node
     if not crossings:
         return _DELTA_D ** (loops - 1)
@@ -469,9 +504,9 @@ def _unoriented_step(node):
     switched = crossings[:ci] + ((rec[1], rec[2], rec[3], rec[0]),) + crossings[ci + 1:]
     sm0 = _smooth(crossings, loops, ci, ((u, (o + 2) % 4), (o, (u + 2) % 4)))
     sm_inf = _smooth(crossings, loops, ci, ((u, o), ((u + 2) % 4, (o + 2) % 4)))
-    at_switch = yield from _curl_free((switched, loops))
-    at_sm0 = yield from _curl_free(sm0)
-    return at_switch + sgn * (_Y * at_sm0) - sgn * (_Y * (yield from _curl_free(sm_inf)))
+    at_switch = yield from _reduced((switched, loops))
+    at_sm0 = yield from _reduced(sm0)
+    return at_switch + sgn * (_Y * at_sm0) - sgn * (_Y * (yield from _reduced(sm_inf)))
 
 
 def dubrovnik(d: LinkDiagram, budget=None, memo=None) -> LaurentPolynomial:
@@ -479,10 +514,10 @@ def dubrovnik(d: LinkDiagram, budget=None, memo=None) -> LaurentPolynomial:
     diagram: D+ - D- = y(D0 - Dinf), positive kink multiplies by x, and a
     split unknot contributes 1 + (x - x^-1)/y."""
     _require_component(d)
-    loops = sum(1 for cyc in d.components if len(cyc) == 1 and cyc[0] not in d.heads)
     table = _DUBROVNIK_MEMO if memo is None else memo
-    exponent, root = _strip_kinks(d.crossings, loops)
-    value = _descend(root, _dubrovnik_key, _unoriented_step, table, budget, "dubrovnik")
+    exponent, _, crossings, loops = _reduce(d.crossings, _free_loops(d))
+    value = _descend((crossings, loops), _dubrovnik_key, _unoriented_step, table, budget,
+                     "dubrovnik")
     return _X ** exponent * value
 
 

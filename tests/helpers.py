@@ -4,7 +4,17 @@ library's interface."""
 from linkinv.alexander import PotentialFunction
 from linkinv.algebra import LaurentPolynomial
 from linkinv.diagram import LinkDiagram, uf_find, uf_union, walk_unoriented
-from linkinv.skein import _DELTA_D, _X, _Y, _far_ends, _smooth
+from linkinv.skein import (
+    _DELTA_D,
+    _DELTA_H,
+    _HOMFLY_FACTORS,
+    _X,
+    _Y,
+    _descend,
+    _far_ends,
+    _key,
+    _smooth,
+)
 
 
 def disjoint_union(a: LinkDiagram, b: LinkDiagram) -> LinkDiagram:
@@ -29,8 +39,9 @@ def mono_numerator(om: PotentialFunction) -> LaurentPolynomial:
 
 def curl_keeping_step(node):
     """The oracle for `skein._unoriented_step`: the same Dubrovnik step on
-    (crossings, loops) nodes, but its children keep their curls, so every
-    curl costs a node and is resolved by the skein rule."""
+    (crossings, loops) nodes, but its children keep their curls and
+    bigons, so every curl costs a node and is resolved by the skein
+    rule."""
     crossings, loops = node
     if not crossings:
         return _DELTA_D ** (loops - 1)
@@ -61,6 +72,80 @@ def curl_keeping_step(node):
     at_switch = yield (switched, loops)
     at_sm0 = yield sm0
     return at_switch + sgn * (_Y * at_sm0) - sgn * (_Y * (yield sm_inf))
+
+
+def bad_crossings(d: LinkDiagram):
+    """Crossings of a `LinkDiagram` whose first visit (components in
+    order, each from its stored basepoint) passes under."""
+    visited = set()
+    bads = []
+    for cyc in d.components:
+        for arc in cyc:
+            pos = d.heads.get(arc)
+            if pos is None:
+                continue
+            ci, s = pos
+            if ci not in visited:
+                visited.add(ci)
+                if s == 0:
+                    bads.append(ci)
+    return bads
+
+
+def labelled_homfly(d: LinkDiagram, memo=None):
+    """The oracle for `skein.homfly`: the same skein rule on `LinkDiagram`
+    nodes, keyed on the labelled diagram, with no curl or bigon reduced."""
+    unlinks: dict = {}
+
+    def step(d):
+        bads = bad_crossings(d)
+        if not bads:
+            if d.m not in unlinks:
+                unlinks[d.m] = _DELTA_H ** (d.m - 1)
+            return unlinks[d.m]
+        ci = bads[0]
+        at_switch, at_smooth = _HOMFLY_FACTORS[d.sign(ci)]
+        switched = at_switch * (yield d.switch(ci))
+        return switched + at_smooth * (yield d.smooth_oriented(ci))
+
+    table = {} if memo is None else memo
+    return _descend(d.monochrome(), _key, step, table, None, "homfly")
+
+
+def strip_kinks(crossings, loops):
+    """The oracle for `skein._reduce` on curls: remove every curl of a
+    (crossings, loops) node by Reidemeister I, and no bigon; returns
+    (e, node) with D(the given node) = x^e * D(node).  A curl is a
+    crossing with one arc at two adjacent slots s, s + 1; it goes by
+    joining the arcs at its other two slots (a free loop when they are one
+    arc), and contributes x for even s, x^-1 for odd s."""
+    todo = [c for c, rec in enumerate(crossings)
+            if rec[0] == rec[1] or rec[1] == rec[2] or rec[2] == rec[3] or rec[3] == rec[0]]
+    if not todo:
+        return 0, (crossings, loops)
+    flat, other = _far_ends(crossings)
+    gone = set()
+    uf: dict = {}
+    exponent = 0
+    while todo:
+        c = todo.pop()
+        base = 4 * c
+        s = next((s for s in range(4) if other[base + s] == base + (s + 1) % 4), None)
+        if c in gone or s is None:
+            continue
+        gone.add(c)
+        exponent += -1 if s & 1 else 1
+        a, b = base + (s + 2) % 4, base + (s + 3) % 4
+        far_a, far_b = other[a], other[b]
+        if far_a == b:
+            loops += 1
+        else:
+            other[far_a], other[far_b] = far_b, far_a
+            uf_union(uf, flat[a], flat[b])
+            todo += (far_a >> 2, far_b >> 2)
+    kept = tuple(tuple(uf_find(uf, arc) for arc in rec)
+                 for c, rec in enumerate(crossings) if c not in gone)
+    return exponent, (kept, loops)
 
 
 def every_start_dubrovnik_key(node):

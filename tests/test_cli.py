@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import shutil
 import sys
 
@@ -265,10 +266,13 @@ def test_empty_components_block_is_named_as_the_input_error(tmp_path, capsys):
 
 
 def test_recursion_deeper_than_the_interpreter_exits_3(tmp_path, capsys):
-    # the Dubrovnik descent of T(2,340) stops at its node budget of 500 on
-    # an explicit stack, however deep it has gone
-    path = tmp_path / "t2-340.braid"
-    path.write_text("braid(2): " + " ".join(["1"] * 340) + "\n")
+    # the README's seeded 400-crossing 4-braid: with every curl and bigon
+    # reduced its Dubrovnik descent still has about 150 nodes pending when
+    # it stops at its node budget of 500, on an explicit stack
+    rng = random.Random(1)
+    word = [rng.choice((1, -1)) * rng.randint(1, 3) for _ in range(400)]
+    path = tmp_path / "b4-400.braid"
+    path.write_text("braid(4): " + " ".join(map(str, word)) + "\n")
     code, out, err = run(capsys, "polys", str(path), "--which", "kauffman", "--budget", "500")
     assert (code, out) == (3, "")
     assert err == "error: dubrovnik skein node budget of 500 exceeded\n"

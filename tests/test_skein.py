@@ -16,12 +16,13 @@ from linkinv.corpus import load_corpus
 from linkinv.diagram import BraidWord, LinkDiagram, braid_closure, parse_pd
 from linkinv.skein import (
     SkeinBudgetError,
-    _bad_crossings,
     _descend,
     _dubrovnik_key,
+    _faces,
+    _free_loops,
     _key,
+    _reduce,
     _state_sign,
-    _strip_kinks,
     conway,
     dubrovnik,
     homfly,
@@ -29,7 +30,14 @@ from linkinv.skein import (
     state_sum,
 )
 
-from helpers import curl_keeping_step, disjoint_union, every_start_dubrovnik_key
+from helpers import (
+    bad_crossings,
+    curl_keeping_step,
+    disjoint_union,
+    every_start_dubrovnik_key,
+    labelled_homfly,
+    strip_kinks,
+)
 
 Z = ("z",)
 XY = ("x", "y")
@@ -121,7 +129,7 @@ def skein_conway(d, budget=None, memo=None, rng=None, descend=_descend):
         return (yield d)
 
     def step(d):
-        bads = _bad_crossings(d)
+        bads = bad_crossings(d)
         if not bads:
             return LaurentPolynomial.one(Z) if d.m == 1 else LaurentPolynomial.zero(Z)
         ci = bads[0] if rng is None else rng.choice(bads)
@@ -220,39 +228,38 @@ def test_budget_error():
         assert str(info.value) == f"{name} skein node budget of 2 exceeded"
 
 
-def free_loops(d):
-    return sum(1 for cyc in d.components if len(cyc) == 1 and cyc[0] not in d.heads)
-
-
 def labelled_dubrovnik(d, memo, budget=None, descend=_descend):
     """The oracle: the Dubrovnik descent keyed on the labelled node itself,
     every curl resolved by the skein rule."""
-    root = (d.crossings, free_loops(d))
+    root = (d.crossings, _free_loops(d))
     return descend(root, lambda n: n, curl_keeping_step, memo, budget, "dubrovnik")
 
 
 def keyed_curl_keeping_dubrovnik(d, memo):
-    """The oracle for curl stripping alone: the library's key, every curl
-    resolved by the skein rule."""
-    root = (d.crossings, free_loops(d))
+    """The oracle for the reduction alone: the library's key, every curl
+    and bigon resolved by the skein rule."""
+    root = (d.crossings, _free_loops(d))
     return _descend(root, _dubrovnik_key, curl_keeping_step, memo, None, "dubrovnik")
 
 
 # Nodes each skein engine stores on a cold table: the descent order, the
-# Conway oracle's split pruning (split nodes never reach the table) and the
-# memo keys all show in these counts.  The first count is the skein Conway
-# oracle, the third the labelled Dubrovnik oracle.
+# Conway oracle's split pruning (split nodes never reach the table), the
+# reduction of curls and bigons and the memo keys all show in these
+# counts.  The first count is the skein Conway oracle, the second the
+# library's HOMFLY, the third the labelled Dubrovnik oracle and the fourth
+# the labelled HOMFLY oracle, which reduces nothing.
 NODE_COUNTS = [
-    (lambda: braid_closure(BraidWord(2, [1] * 6)), (40, 41, 541)),
-    (borromean, (30, 35, 335)),
-    (whitehead, (18, 21, 157)),
+    (lambda: braid_closure(BraidWord(2, [1] * 6)), (40, 13, 541, 41)),
+    (borromean, (30, 13, 335, 35)),
+    (whitehead, (18, 6, 157, 21)),
 ]
 
 
 @pytest.mark.parametrize("make,counts", NODE_COUNTS, ids=["T(2,6)", "borromean", "whitehead"])
 def test_cold_memo_node_counts(make, counts):
     sizes = []
-    for engine in (skein_conway, homfly, lambda d, memo: labelled_dubrovnik(d, memo)):
+    for engine in (skein_conway, homfly, lambda d, memo: labelled_dubrovnik(d, memo),
+                   labelled_homfly):
         memo = {}
         engine(make(), memo=memo)
         sizes.append(len(memo))
@@ -274,9 +281,9 @@ def _with_descend(descend, engine, d, memo, budget):
 
 def _run(descend, engine, d, budget=None):
     """engine's value of d, or the (engine, budget) of its budget error,
-    then its memo table in insertion order and the nodes it spent: a keyed
-    table can miss one key twice, on a node and on a relabeling of it
-    below it, so its size is not the count."""
+    then its memo table in insertion order and the nodes it spent, in
+    order: a keyed table can miss one key twice, on a node and on a
+    relabeling of it below it, so its size is not the count."""
     memo, spent = {}, []
 
     def counting(root, key, step, table, budget, name):
@@ -289,17 +296,21 @@ def _run(descend, engine, d, budget=None):
         value = _with_descend(counting, engine, d, memo, budget)
     except SkeinBudgetError as exc:
         value = (exc.engine, exc.budget)
-    return value, list(memo.items()), len(spent)
+    return value, list(memo.items()), spent
+
+
+def seeded_closures(seed, count, letters=12):
+    """`count` closures of seeded random 2-4-strand braids of 1 to
+    `letters` letters."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 4)
+        word = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(1, letters))]
+        yield braid_closure(BraidWord(n, word))
 
 
 def _oracle_diagrams():
-    rng = random.Random(20261018)
-    diagrams = [make() for make, _ in NODE_COUNTS]
-    for _ in range(40):
-        n = rng.randint(2, 4)
-        word = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(1, 8))]
-        diagrams.append(braid_closure(BraidWord(n, word)))
-    return diagrams
+    return [make() for make, _ in NODE_COUNTS] + list(seeded_closures(20261018, 40, letters=8))
 
 
 @pytest.mark.parametrize("engine,name", [(homfly, "homfly"), (dubrovnik, "dubrovnik"),
@@ -312,7 +323,7 @@ def test_descent_loop_matches_recursive_oracle(engine, name):
     for d in _oracle_diagrams():
         want = _run(recursive_descend, engine, d)
         assert _run(_descend, engine, d) == want
-        spent = want[2]
+        spent = len(want[2])
         if not spent:  # skein_conway answers a split root before any lookup
             continue
         assert _run(_descend, engine, d, spent)[0] == want[0]
@@ -342,17 +353,31 @@ def torus(n):
     return braid_closure(BraidWord(2, [1] * n))
 
 
+def deep_braid(strands, length):
+    """A seeded random braid closure whose descent stays deep after every
+    curl and bigon is reduced: 60-150 pending nodes at 300-400 letters."""
+    rng = random.Random(1)
+    word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length)]
+    return braid_closure(BraidWord(strands, word))
+
+
 def test_skein_depth_is_not_bounded_by_frames():
-    for engine, n in ((homfly, 12), (kauffman_f, 10)):
+    # a switch of T(2,n) leaves a bigon that goes at once, so the descent
+    # is a chain about n nodes deep for HOMFLY and n/2 for Dubrovnik: the
+    # recursive oracle runs out of frames where the loop does not
+    for engine, n in ((homfly, 60), (dubrovnik, 120)):
         want = engine(torus(n), memo={})
         assert _near_the_frame_limit(engine, torus(n), memo={}) == want, engine.__name__
+        with pytest.raises(RecursionError):
+            _near_the_frame_limit(_with_descend, recursive_descend, engine, torus(n), {}, None)
 
 
 def test_deep_descent_stops_at_the_node_budget():
-    for engine, name in ((homfly, "homfly"), (kauffman_f, "dubrovnik")):
-        with pytest.raises(SkeinBudgetError) as info:
-            _near_the_frame_limit(engine, torus(60), budget=200, memo={})
-        assert (info.value.engine, info.value.budget) == (name, 200)
+    for d in (deep_braid(3, 300), deep_braid(4, 400)):
+        for engine, name in ((homfly, "homfly"), (kauffman_f, "dubrovnik")):
+            with pytest.raises(SkeinBudgetError) as info:
+                _near_the_frame_limit(engine, d, budget=200, memo={})
+            assert (info.value.engine, info.value.budget) == (name, 200)
 
 
 def test_state_sign_follows_an_augmenting_path_through_every_row():
@@ -369,11 +394,11 @@ def test_state_sign_follows_an_augmenting_path_through_every_row():
 
 # The same diagrams under `_dubrovnik_key`, which merges relabelings, with
 # the curl-keeping step of the oracle and then with the library's step,
-# whose children are curl-free.
+# whose children hold no curl and no reducible bigon.
 KEYED_NODE_COUNTS = [
-    (lambda: braid_closure(BraidWord(2, [1] * 6)), 66, 17),
-    (borromean, 79, 33),
-    (whitehead, 47, 17),
+    (lambda: braid_closure(BraidWord(2, [1] * 6)), 66, 7),
+    (borromean, 79, 18),
+    (whitehead, 47, 6),
 ]
 
 
@@ -393,7 +418,7 @@ def test_cold_memo_node_count_on_a_pool_word():
     (word,) = [w for n, w in pool_words() if n == 3 and len(w) == 12]
     memo = {}
     kauffman_f(braid_closure(BraidWord(3, word)), memo=memo)
-    assert len(memo) == 484
+    assert len(memo) == 25
 
 
 def test_engines_fill_a_caller_owned_memo(monkeypatch):
@@ -462,11 +487,8 @@ def test_dubrovnik_key_matches_labelled_oracle_on_smoothings(entry, shared_memos
 def test_dubrovnik_key_matches_labelled_oracle_on_braids(shared_memos):
     # at most 8 letters: 10-12-letter closures take seconds to minutes on
     # the labelled oracle
-    rng = random.Random(20261018)
-    for _ in range(20):
-        n = rng.randint(2, 4)
-        word = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(1, 8))]
-        _assert_matches_oracle(braid_closure(BraidWord(n, word)), shared_memos)
+    for d in seeded_closures(20261018, 20, letters=8):
+        _assert_matches_oracle(d, shared_memos)
 
 
 def _assert_matches_keyed_oracle(d, memo):
@@ -478,12 +500,9 @@ def _assert_matches_keyed_oracle(d, memo):
 def test_curl_stripping_matches_curl_keeping_oracle_on_braids():
     # up to 12 letters, beyond the labelled oracle's reach; the keyed
     # oracle shares one table, so relabelings answer for each other
-    rng = random.Random(20261019)
     memo = {}
-    for _ in range(100):
-        n = rng.randint(2, 4)
-        word = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(1, 12))]
-        _assert_matches_keyed_oracle(braid_closure(BraidWord(n, word)), memo)
+    for d in seeded_closures(20261019, 100):
+        _assert_matches_keyed_oracle(d, memo)
 
 
 def curl_diagrams():
@@ -517,15 +536,17 @@ def test_curl_stripping_matches_curl_keeping_oracle_on_curls(shared_memos):
             slots.update(s for s in range(4) if rec[s] == rec[(s + 1) % 4])
     assert slots == {0, 1, 2, 3}
     # every curl goes: the figure-8 curls leave one free loop
-    assert _strip_kinks(*_node(braid_closure(BraidWord(2, [1])))) == (1, ((), 1))
-    assert _strip_kinks(*_node(braid_closure(BraidWord(2, [-1])))) == (-1, ((), 1))
+    assert _reduce(*_node(braid_closure(BraidWord(2, [1])))) == (1, {0}, (), 1)
+    assert _reduce(*_node(braid_closure(BraidWord(2, [-1])))) == (-1, {0}, (), 1)
     for d in curl_diagrams():
-        _, (crossings, _) = _strip_kinks(*_node(d))
-        assert not any(rec[s] == rec[(s + 1) % 4] for rec in crossings for s in range(4))
+        # these hold no reducible bigon, so the reducer is the curl stripper
+        e, _, crossings, loops = _reduce(*_node(d))
+        assert (e, (crossings, loops)) == strip_kinks(*_node(d))
+        assert not reducible(crossings)
 
 
 def _node(d):
-    return d.crossings, free_loops(d)
+    return d.crossings, _free_loops(d)
 
 
 def _turn(rec, quarter):
@@ -586,6 +607,99 @@ def test_dubrovnik_key_tells_mirrors_and_quarter_turns_apart():
         for ci, rec in enumerate(crossings):
             turned = crossings[:ci] + (_turn(rec, 1),) + crossings[ci + 1:]
             assert _dubrovnik_key((turned, loops)) != key, (make.__name__, ci)
+
+
+# -- the Reidemeister I/II reducer and HOMFLY on tuple nodes -------------------
+
+def reducible(crossings):
+    """Whether a node holds a curl, a one-corner face of `_faces`, or a
+    reducible bigon, a two-corner face whose corners sit at different
+    crossings and differ in slot parity, so that each of its arcs keeps
+    its parity from end to end."""
+    corners: dict = {}
+    for k, f in enumerate(_faces(crossings)):
+        corners.setdefault(f, []).append(k)
+    return any(len(ks) == 1 or (len(ks) == 2 and ks[0] >> 2 != ks[1] >> 2 and (ks[1] - ks[0]) & 1)
+               for ks in corners.values())
+
+
+def test_no_reducible_node_reaches_either_table():
+    diagrams = [e.link for e in CORPUS_LINKS] + list(seeded_closures(20261020, 40))
+    diagrams += [d.smooth_infinity(0) for d in diagrams if d.crossings]
+    for d in diagrams:
+        for engine in (homfly, dubrovnik):
+            for node in _run(_descend, engine, d)[2]:
+                assert not reducible(node[0]), (engine.__name__, node)
+
+
+@pytest.mark.parametrize("entry", CORPUS_LINKS, ids=lambda e: e.name)
+def test_homfly_matches_labelled_oracle_on_corpus(entry):
+    assert homfly(entry.link, memo={}) == labelled_homfly(entry.link)
+
+
+def test_homfly_matches_labelled_oracle_on_braids():
+    memo = {}
+    for d in seeded_closures(20261021, 120):
+        assert homfly(d, memo=memo) == labelled_homfly(d), d.crossings
+
+
+def test_homfly_matches_labelled_oracle_on_pool_words():
+    for n, word in pool_words():
+        d = braid_closure(BraidWord(n, word))
+        assert homfly(d, memo={}) == labelled_homfly(d), (n, word)
+
+
+def _mirror(d):
+    for ci in range(len(d.crossings)):
+        d = d.switch(ci)
+    return d
+
+
+def _at_mirror(p):
+    """p(x^-1, -y): the mirror image's H and D."""
+    return LaurentPolynomial(XY, {(-ex, ey): -c if ey & 1 else c
+                                  for (ex, ey), c in p.terms.items()})
+
+
+def test_homfly_and_dubrovnik_of_the_mirror():
+    diagrams = [e.link for e in CORPUS_LINKS] + list(seeded_closures(20261022, 30, letters=10))
+    for d in diagrams:
+        mirror = _mirror(d)
+        assert homfly(mirror, memo={}) == _at_mirror(homfly(d, memo={})), d.crossings
+        assert dubrovnik(mirror, memo={}) == _at_mirror(dubrovnik(d, memo={})), d.crossings
+
+
+def test_reducer_keeps_clasps():
+    # every bigon of a reduced alternating diagram is a clasp, one strand
+    # over at one corner and under at the other
+    for make in (hopf, trefoil, fig8, solomon, whitehead, borromean):
+        node = _node(make())
+        assert _reduce(*node) == (0, set(), *node), make.__name__
+
+
+# (strands, word, the curls' exponent of x in D, crossings and free loops
+# left): hand-made curls and bigons for `_reduce`
+REDUCIBLE = [
+    (2, [1, -1], 0, 0, 2),  # the two-crossing unlink, an R2 move between two components
+    (3, [1, 1, 2, -2], 0, 2, 1),  # an R2 move between the Hopf link and a third component
+    (2, [1, 1, -1, -1], 0, 0, 2),  # nested bigons: the outer one is a face once the inner goes
+    (3, [1, 2, -2, -1], 0, 0, 3),
+    (3, [1, -2, 1, -2, 1, -2, 2, 2, -2, -2], 0, 6, 0),  # nested bigons on the Borromean rings
+    (3, [1, -1, 2], 1, 0, 2),  # a bigon next to a curl
+    (3, [-2, 1, -1], -1, 0, 2),
+    (3, [1, 2, -1, -2], 0, 0, 1),  # an unknot that each move makes smaller
+]
+
+
+@pytest.mark.parametrize("strands,word,exponent,left,loops", REDUCIBLE,
+                         ids=[" ".join(map(str, case[1])) for case in REDUCIBLE])
+def test_reducer_hand_cases(strands, word, exponent, left, loops):
+    d = braid_closure(BraidWord(strands, word))
+    e, gone, crossings, free = _reduce(*_node(d))
+    assert (e, len(crossings), free) == (exponent, left, loops)
+    assert len(gone) + len(crossings) == len(d.crossings) and not reducible(crossings)
+    assert homfly(d, memo={}) == labelled_homfly(d)
+    assert dubrovnik(d, memo={}) == labelled_dubrovnik(d, {})
 
 
 def test_homfly_unknot_and_unlinks():
