@@ -22,6 +22,7 @@ the Conway polynomial and the potential function.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Mapping
 
 
@@ -36,14 +37,6 @@ def _coeff(value) -> int | Fraction:
 def _clean(terms: dict) -> dict:
     """Drop zero coefficients and store integral ones as int."""
     return {e: c if type(c) is int else _coeff(c) for e, c in terms.items() if c}
-
-
-def binom_frac(r: Fraction, k: int) -> Fraction:
-    """Generalized binomial coefficient C(r, k) for rational r."""
-    out = Fraction(1)
-    for j in range(k):
-        out = out * (r - j) / (j + 1)
-    return out
 
 
 def _sort_key(item):
@@ -642,35 +635,59 @@ class TruncatedSeries:
 def substitute_series(f: LaurentPolynomial, images: Mapping[str, tuple], cap: int) -> TruncatedSeries:
     """Substitute series for the variables of a Laurent polynomial.
 
-    `images[v]` is a pair (value, inverse) of TruncatedSeries; the inverse
-    may be None when no negative powers of v occur in f.
+    `images[v]` is a pair (value, inverse) of TruncatedSeries in one
+    variable of v's own; the inverse may be None when no negative powers of
+    v occur in f.  The result lies in the image variables, sorted, with cap
+    the least of cap and the caps of the images that f raises to a power.
+    f is contracted one variable at a time: the k-th exponent e becomes a
+    degree a_k <= cap - (a_1 + ... + a_(k-1)), weighted by the degree-a_k
+    coefficient of value^e (inverse^-e when e < 0), so integer images keep
+    the whole substitution on integers.
     """
-    varset: set = set()
-    for v in f.variables:
-        pos, inv = images[v]
-        varset |= set(pos.variables)
-        if inv is not None:
-            varset |= set(inv.variables)
-    nv = tuple(sorted(varset))
-    out = TruncatedSeries.zero(nv, cap)
-    pos_cache: dict = {}
-    for exps, coeff in f.terms.items():
-        term = TruncatedSeries.constant(nv, cap, coeff)
-        for v, e in zip(f.variables, exps):
-            if e == 0:
-                continue
-            key = (v, e)
-            if key not in pos_cache:
-                pos, inv = images[v]
-                if e > 0:
-                    pos_cache[key] = pos.embed(nv).truncate(cap) ** e
-                else:
-                    if inv is None:
-                        raise ValueError(f"negative power of {v} but no inverse image given")
-                    pos_cache[key] = inv.embed(nv).truncate(cap) ** (-e)
-            term = term * pos_cache[key]
-        out = out + term
-    return out
+    names: list = []
+    table, final = dict(f.terms), cap
+    for k, v in enumerate(f.variables):
+        value, inverse = images[v]
+        shapes = {s.variables for s in (value, inverse) if s is not None}
+        if len(shapes) != 1 or len(min(shapes)) != 1:
+            raise ValueError(f"image of {v} must lie in exactly one variable")
+        ((name,),) = shapes
+        if name in names:
+            raise ValueError(f"images of {f.variables[names.index(name)]} and {v} share a variable")
+        names.append(name)
+        low = min([0] + [e[k] for e in f.terms])
+        high = max([0] + [e[k] for e in f.terms])
+        if low < 0 and inverse is None:
+            raise ValueError(f"negative power of {v} but no inverse image given")
+        final = min([final] + [s.cap for s, top in ((value, high), (inverse, -low)) if top])
+        # rows[e] is value^e for e >= 0 and, counted from the end, inverse^-e;
+        # an image's terms above the final cap never reach the result
+        rows = _powers(value, high, cap) + _powers(inverse, -low, cap)[:0:-1]
+        sums: dict = {}
+        for exps, coeff in table.items():
+            acc = sums.setdefault(exps[:k] + exps[k + 1:], [0] * (cap + 1 - sum(exps[:k])))
+            for a, c in enumerate(rows[exps[k]][:len(acc)]):
+                acc[a] += coeff * c
+        table = {rest[:k] + (a,) + rest[k:]: c
+                 for rest, acc in sums.items() for a, c in enumerate(acc) if c}
+    order = sorted(range(len(names)), key=names.__getitem__)
+    return TruncatedSeries(tuple(sorted(names)), final,
+                           {tuple(exps[i] for i in order): c for exps, c in table.items()})
+
+
+def _powers(series, top: int, cap: int) -> list:
+    """Degree 0..cap coefficients of series^0..series^top (series may be None if top is 0)."""
+    rows = [[1] + [0] * cap]
+    base = sorted((d, c) for (d,), c in series.terms.items()) if top else []
+    for _ in range(top):
+        row = [0] * (cap + 1)
+        for j, r in enumerate(rows[-1]):
+            for d, c in base if r else ():
+                if j + d > cap:
+                    break
+                row[j + d] += r * c
+        rows.append(row)
+    return rows
 
 
 # -- special series ---------------------------------------------------------
@@ -678,18 +695,12 @@ def substitute_series(f: LaurentPolynomial, images: Mapping[str, tuple], cap: in
 def x_of_z(cap: int, var: str = "z") -> tuple[TruncatedSeries, TruncatedSeries]:
     """The unit root x(z) of x - x^-1 = z with leading term +1, and its reciprocal.
 
-    x(z) = sqrt(1 + z^2/4) + z/2 expanded binomially; the reciprocal is
-    x(z) - z, since x - x^-1 = z forces x^-1 = x - z.
+    x(z) = sqrt(1 + z^2/4) + z/2 expanded binomially, the z^2k coefficient
+    C(1/2, k) / 4^k being (-1)^(k+1) * C(2k, k) / ((2k - 1) * 16^k); the
+    reciprocal is x(z) - z, since x - x^-1 = z forces x^-1 = x - z.
     """
-    if cap < 0:
-        raise ValueError("cap must be >= 0")
-    terms = {}
-    if cap >= 1:
-        terms[(1,)] = Fraction(1, 2)
-    for k in range(0, cap // 2 + 1):
-        c = binom_frac(Fraction(1, 2), k) * Fraction(1, 4) ** k
-        if c:
-            terms[(2 * k,)] = terms.get((2 * k,), Fraction(0)) + c
+    terms = {(2 * k,): Fraction((-1) ** (k + 1) * comb(2 * k, k), (2 * k - 1) * 16 ** k)
+             for k in range(cap // 2 + 1)}
+    terms[(1,)] = Fraction(1, 2)
     x = TruncatedSeries((var,), cap, terms)
-    xinv = x - TruncatedSeries.gen((var,), var, cap)
-    return x, xinv
+    return x, x - TruncatedSeries.gen((var,), var, cap)

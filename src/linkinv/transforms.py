@@ -9,6 +9,12 @@ y_i = x_i^2 - 1, and the exponential expansions of the HOMFLY and
 Dubrovnik/Kauffman polynomials.  Every series returned here is a
 TruncatedSeries; Q[c][[h]] is held over (a, h) with a = c*h.
 
+The z-expansion computes on integers.  With z = 4w the root x(4w) =
+2w + sqrt(1 + 4w^2) of x - x^-1 = 4w and its inverse x(-4w) have integer
+coefficients, so `substitute_series` contracts the potential function over
+Z one variable at a time, and the w^alpha coefficient is divided by
+4^|alpha| once.
+
 The exponential expansions compute on integers.  After the substitution,
 y^pad times the polynomial is a finite sum of w * e^((alpha*a + gamma*h)/2)
 over integer points (alpha, gamma) with integer weights w, so its
@@ -29,7 +35,6 @@ from .algebra import (
     TruncatedSeries,
     bar_substitute,
     brace,
-    rewrite_in_difference,
     substitute_series,
     x_of_z,
 )
@@ -74,20 +79,21 @@ def component_conways(d: LinkDiagram):
 def potential_series(om: PotentialFunction, cap: int = DEFAULT_CAP) -> SeriesWithPole:
     """Expand the potential function as a series in z_i = x_i - x_i^-1.
 
-    For knots the value has a simple pole in z; it is returned as the
-    numerator series with pole_order 1.  The result does not depend on
-    which root of x - x^-1 = z is substituted.
+    x_i is the root x(z_i) of x - x^-1 = z_i with constant term 1; the
+    result does not depend on which root is substituted.  For knots the
+    value has a simple pole in z; it is returned as the numerator series
+    with pole_order 1.  The images are x(4w) and x(-4w), whose w^m
+    coefficients are the z^m coefficients of `x_of_z` times (+-4)^m.
     """
-    if cap < 0:
-        raise ValueError("cap must be >= 0")
-    if om.pole:
-        nabla = rewrite_in_difference(om.numerator.rename_variables({"x1": "x"}))
-        series = TruncatedSeries.from_laurent(
-            nabla.rename_variables({"z": "z1"}), cap)
-        return SeriesWithPole(series, 1)
-    images = {v: x_of_z(cap, var=f"z{i + 1}") for i, v in enumerate(om.variables)}
+    x, _ = x_of_z(cap)
+    value = {e: c * 4 ** e[0] for e, c in x.terms.items()}
+    inverse = {e: -c if e[0] % 2 else c for e, c in value.items()}
+    zs = zvars(len(om.variables))
+    images = {v: (TruncatedSeries((z,), cap, value), TruncatedSeries((z,), cap, inverse))
+              for v, z in zip(om.variables, zs)}
     series = substitute_series(om.numerator, images, cap)
-    return SeriesWithPole(series.embed(zvars(len(om.variables))), 0)
+    terms = {e: Fraction(c, 4 ** sum(e)) for e, c in series.terms.items()}
+    return SeriesWithPole(TruncatedSeries(series.variables, cap, terms).embed(zs), int(om.pole))
 
 
 # -- decomposition over brace monomials --------------------------------------
@@ -158,29 +164,18 @@ def decompose(om) -> Decomposition:
         coeff, p, zm = stack.pop()
         if coeff == 0:
             continue
-        big = next((i for i, e in enumerate(p) if abs(e) >= 2), None)
-        if big is not None:
-            e = p[big]
-            bump = tuple(zm[k] + (1 if k == big else 0) for k in range(n))
-            if e >= 2:
-                stack.append((coeff, tuple(p[k] - (2 if k == big else 0) for k in range(n)), zm))
-                stack.append((coeff, tuple(p[k] - (1 if k == big else 0) for k in range(n)), bump))
-            else:
-                stack.append((coeff, tuple(p[k] + (2 if k == big else 0) for k in range(n)), zm))
-                stack.append((-coeff, tuple(p[k] + (1 if k == big else 0) for k in range(n)), bump))
-            continue
-        support = [i + 1 for i, e in enumerate(p) if e != 0]
+        # lower |p_i| where it is >= 2, then where the sign is off the
+        # alternation, by x^e = x^(e - 2s) + s*z*x^(e - s) for s = sign(e)
+        i = next((j for j, e in enumerate(p) if abs(e) >= 2), None)
+        support = [j + 1 for j, e in enumerate(p) if e != 0]
         desired = _alt_vector(support, n)
-        mismatch = next((i for i in support if p[i - 1] != desired[i - 1]), None)
-        if mismatch is not None:
-            i = mismatch - 1
-            bump = tuple(zm[k] + (1 if k == i else 0) for k in range(n))
-            if p[i] == -1:
-                stack.append((coeff, tuple(p[k] + (2 if k == i else 0) for k in range(n)), zm))
-                stack.append((-coeff, tuple(p[k] + (1 if k == i else 0) for k in range(n)), bump))
-            else:
-                stack.append((coeff, tuple(p[k] - (2 if k == i else 0) for k in range(n)), zm))
-                stack.append((coeff, tuple(p[k] - (1 if k == i else 0) for k in range(n)), bump))
+        if i is None:
+            i = next((j - 1 for j in support if p[j - 1] != desired[j - 1]), None)
+        if i is not None:
+            s = 1 if p[i] > 0 else -1
+            bump = tuple(zm[k] + (k == i) for k in range(n))
+            stack.append((coeff, tuple(p[k] - 2 * s * (k == i) for k in range(n)), zm))
+            stack.append((s * coeff, tuple(p[k] - s * (k == i) for k in range(n)), bump))
             continue
         if len(support) % 2 == 0:
             deposit(support, zm, coeff)
@@ -267,15 +262,10 @@ def starred(numerator, d: LinkDiagram, cap: int = DEFAULT_CAP) -> TruncatedSerie
     multivariate numerator each component's polynomial lands in the z
     variable of its color.
     """
-    return _starred(numerator, component_conways(d), cap)
-
-
-def _starred(numerator, comps, cap: int) -> TruncatedSeries:
-    """`starred` with the component Conways comps already taken."""
     if isinstance(numerator, LaurentPolynomial):
         numerator = TruncatedSeries.from_laurent(numerator, cap)
     numerator = numerator.truncate(cap)
-    return numerator * starred_inverse(comps, numerator.variables, cap)
+    return numerator * starred_inverse(component_conways(d), numerator.variables, cap)
 
 
 def starred_inverse(comps, variables, cap: int) -> TruncatedSeries:
@@ -294,20 +284,23 @@ def starred_inverse(comps, variables, cap: int) -> TruncatedSeries:
 def _quotients(d: LinkDiagram, cap: int, labels) -> dict:
     """The starred quotients of d named in labels ("conway", "series",
     "reduced"), from one `component_conways` and at most one potential
-    function; the three public quotients wrap it."""
+    function and one `starred_inverse` in z1..zn; the three public
+    quotients wrap it."""
     comps = component_conways(d)
     om = potential_function(d) if set(labels) - {"conway"} else None
+    inverse = None if om is None else starred_inverse(comps, zvars(len(om.variables)), cap)
     out = {}
     for label in labels:
         if label == "conway":
-            out[label] = _starred(conway(d), comps, cap)
+            out[label] = (TruncatedSeries.from_laurent(conway(d), cap)
+                          * starred_inverse(comps, ("z",), cap))
         elif label == "series":
             sp = potential_series(om, cap)
             if sp.pole_order:
                 raise ValueError("quotient series is defined for links, not knots")
-            out[label] = _starred(sp.series, comps, cap)
+            out[label] = sp.series * inverse
         else:
-            series = _starred(reduced_polynomial(decompose(om)), comps, cap)
+            series = TruncatedSeries.from_laurent(reduced_polynomial(decompose(om)), cap) * inverse
             if any(c.denominator != 1 for c in series.terms.values()):
                 raise ArithmeticError("reduced quotient is not integral")
             out[label] = series
@@ -364,12 +357,8 @@ def traldi_expand(om: PotentialFunction, cap: int = DEFAULT_CAP) -> CoefficientT
             raise ArithmeticError("degree parity violated in two-variable expansion")
         tpoly[(e[0] // 2, e[1] // 2)] = c
     f2 = LaurentPolynomial(("t1", "t2"), tpoly)
-    images = {}
-    for i, t in enumerate(("t1", "t2")):
-        yi = f"y{i + 1}"
-        one_plus = TruncatedSeries(
-            (yi,), cap, {(0,): 1, (1,): 1})
-        images[t] = (one_plus, one_plus.invert())
+    one_plus = [TruncatedSeries((y,), cap, {(0,): 1, (1,): 1}) for y in ("y1", "y2")]
+    images = {t: (s, s.invert()) for t, s in zip(f2.variables, one_plus)}
     series = substitute_series(f2, images, cap)
     for c in series.terms.values():
         if c.denominator != 1:

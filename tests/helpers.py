@@ -2,7 +2,7 @@
 library's interface."""
 
 from linkinv.alexander import PotentialFunction
-from linkinv.algebra import LaurentPolynomial
+from linkinv.algebra import LaurentPolynomial, TruncatedSeries
 from linkinv.diagram import LinkDiagram, uf_find, uf_union, walk_unoriented
 from linkinv.skein import (
     _DELTA_D,
@@ -35,6 +35,39 @@ def mono_numerator(om: PotentialFunction) -> LaurentPolynomial:
         return collapsed
     x = LaurentPolynomial.gen(("x",), "x")
     return (x - x ** -1) * collapsed
+
+
+def monomial_substitute_series(f: LaurentPolynomial, images, cap: int) -> TruncatedSeries:
+    """The oracle for `algebra.substitute_series`: one multivariate series
+    product per monomial of f, summed.  `images[v]` is a pair (value,
+    inverse) of TruncatedSeries, in any variables; the inverse may be None
+    when no negative powers of v occur in f."""
+    varset: set = set()
+    for v in f.variables:
+        pos, inv = images[v]
+        varset |= set(pos.variables)
+        if inv is not None:
+            varset |= set(inv.variables)
+    nv = tuple(sorted(varset))
+    out = TruncatedSeries.zero(nv, cap)
+    pos_cache: dict = {}
+    for exps, coeff in f.terms.items():
+        term = TruncatedSeries.constant(nv, cap, coeff)
+        for v, e in zip(f.variables, exps):
+            if e == 0:
+                continue
+            key = (v, e)
+            if key not in pos_cache:
+                pos, inv = images[v]
+                if e > 0:
+                    pos_cache[key] = pos.embed(nv).truncate(cap) ** e
+                else:
+                    if inv is None:
+                        raise ValueError(f"negative power of {v} but no inverse image given")
+                    pos_cache[key] = inv.embed(nv).truncate(cap) ** (-e)
+            term = term * pos_cache[key]
+        out = out + term
+    return out
 
 
 def curl_keeping_step(node):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import monomial_substitute_series
 from linkinv.alexander import potential_function
 from linkinv.algebra import (
     LaurentPolynomial,
@@ -192,6 +193,40 @@ def test_substitute_series_with_inverses():
     f = LaurentPolynomial(X, {(1,): 1, (-1,): -1})
     s = substitute_series(f, {"x": (x, xinv)}, 9)
     assert s == TruncatedSeries.gen(("z",), "z", 9)
+
+
+def test_substitute_series_input_contract():
+    z1, z2 = (TruncatedSeries.gen((v,), v, 4) for v in ("z1", "z2"))
+    both = TruncatedSeries.gen(("z1", "z2"), "z1", 4)
+    f = LaurentPolynomial(("a", "b"), {(1, 0): 1, (0, -1): 1})
+    with pytest.raises(ValueError, match="exactly one variable"):
+        substitute_series(f, {"a": (both, None), "b": (z2, z2)}, 4)
+    with pytest.raises(ValueError, match="exactly one variable"):
+        substitute_series(f, {"a": (z1, z2), "b": (z2, z2)}, 4)
+    with pytest.raises(ValueError, match="share a variable"):
+        substitute_series(f, {"a": (z1, None), "b": (z1, z1)}, 4)
+    with pytest.raises(ValueError, match="negative power of b but no inverse image given"):
+        substitute_series(f, {"a": (z1, None), "b": (z2, None)}, 4)
+    with pytest.raises(ValueError, match="cap must be >= 0"):
+        substitute_series(f, {"a": (z1, None), "b": (z2, z2)}, -1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.dictionaries(st.tuples(*[st.integers(-2, 2)] * 3), st.integers(-5, 5), max_size=6),
+       st.integers(0, 6), st.lists(st.integers(0, 6), min_size=6, max_size=6),
+       st.lists(st.fractions(-2, 2, max_denominator=3), min_size=8, max_size=8))
+def test_substitute_series_matches_monomial_oracle(terms, cap, caps, coeffs):
+    # images of any caps, rational coefficients and any constant term
+    f = LaurentPolynomial(("a", "b", "c"), terms)
+    images = {}
+    for i, (v, z) in enumerate(zip(f.variables, ("z3", "z1", "z2"))):
+        value = TruncatedSeries((z,), caps[2 * i], {(0,): 1, (1,): coeffs[i], (2,): coeffs[3 + i]})
+        images[v] = (value, (value * TruncatedSeries((z,), caps[2 * i + 1], {(1,): coeffs[6]})
+                             + coeffs[7]))
+    got = substitute_series(f, images, cap)
+    want = monomial_substitute_series(f, images, cap)
+    assert (got.variables, got.cap) == (want.variables, want.cap)
+    assert got.terms == want.terms
 
 
 def test_rewrite_in_difference():

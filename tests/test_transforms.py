@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linkinv import transforms
-from linkinv.algebra import LaurentPolynomial, TruncatedSeries, brace, substitute_series, x_of_z
+from helpers import monomial_substitute_series
+from linkinv.algebra import LaurentPolynomial, TruncatedSeries, brace, x_of_z
 from linkinv.alexander import potential_function
 from linkinv.corpus import load_corpus
 from linkinv.diagram import BraidWord, braid_closure, parse_pd
@@ -108,8 +109,69 @@ def test_potential_series_root_independence():
             zi = f"z{i + 1}"
             x, _ = x_of_z(9, var=zi)
             images[v] = (TruncatedSeries.gen((zi,), zi, 9) - x, -x)
-        other = substitute_series(om.numerator, images, 9).embed(zvars(len(om.variables)))
+        other = monomial_substitute_series(om.numerator, images, 9).embed(zvars(len(om.variables)))
         assert potential_series(om, cap=9).series == other, make
+
+
+def one_color_closures(seed, count, letters=14):
+    """`count` closures of seeded random 2-5-strand braids of 1 to
+    `letters` letters, with one color per component."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 5)
+        word = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(1, letters))]
+        d = braid_closure(BraidWord(n, word))
+        yield d.recolor(tuple(range(1, d.m + 1)))
+
+
+def monomial_potential_series(d, om, cap):
+    """The per-monomial route for a link: x_of_z's rational root substituted
+    term by term.  A knot's numerator series is its Conway polynomial, since
+    the potential is nabla(z) / z."""
+    if om.pole:
+        nabla = conway(d).rename_variables({"z": "z1"})
+        return SeriesWithPole(TruncatedSeries.from_laurent(nabla, cap), 1)
+    images = {v: x_of_z(cap, var=z) for v, z in zip(om.variables, zvars(len(om.variables)))}
+    series = monomial_substitute_series(om.numerator, images, cap)
+    return SeriesWithPole(series.embed(zvars(len(om.variables))), 0)
+
+
+@pytest.mark.parametrize("cap", [0, 5, 12])
+def test_potential_series_matches_monomial_oracle(cap):
+    corpus = [e.link for e in load_corpus() if not e.singular]
+    assert len(corpus) == 17
+    diagrams = corpus + list(one_color_closures(20261019, 120))
+    assert any(d.m == 1 for d in diagrams)
+    assert any(potential_function(d).is_zero for d in diagrams)
+    for d in diagrams:
+        om = potential_function(d)
+        got, want = potential_series(om, cap), monomial_potential_series(d, om, cap)
+        assert got.pole_order == want.pole_order, d.name
+        assert got.series.variables == want.series.variables, d.name
+        assert got.series.cap == want.series.cap, d.name
+        assert got.series.terms == want.series.terms, d.name
+
+
+def test_reversing_a_component_negates_the_potential_and_inverts_its_variable():
+    # one color per component: reversing component i gives -Omega with
+    # x_c -> x_c^-1 for its color c, so the series is -series with z_c -> -z_c
+    pairs = 0
+    for d in one_color_closures(20261020, 80):
+        if d.m < 2:
+            continue
+        om = potential_function(d)
+        series = potential_series(om, 8).series
+        for i in range(d.m):
+            k = d.colors[i] - 1
+            reversed_om = potential_function(d.reverse_component(i))
+            flip = lambda e: e[:k] + (-e[k],) + e[k + 1:]
+            assert reversed_om.numerator == LaurentPolynomial(
+                om.variables, {flip(e): -c for e, c in om.numerator.terms.items()}), (d.name, i)
+            assert potential_series(reversed_om, 8).series == TruncatedSeries(
+                series.variables, 8,
+                {e: c if e[k] % 2 else -c for e, c in series.terms.items()}), (d.name, i)
+            pairs += 1
+    assert pairs >= 100
 
 
 def test_potential_series_degree_parity():
@@ -388,6 +450,16 @@ def test_traldi_split_vanishes():
     assert table.entries == {}
 
 
+@pytest.mark.parametrize("cap", [0, 5, 12])
+def test_traldi_matches_monomial_oracle(monkeypatch, cap):
+    links = [e.link for e in load_corpus() if not e.singular and e.link.n_colors == 2]
+    assert len(links) == 9
+    oms = [potential_function(d) for d in links]
+    got = [traldi_expand(om, cap) for om in oms]
+    monkeypatch.setattr(transforms, "substitute_series", monomial_substitute_series)
+    assert got == [traldi_expand(om, cap) for om in oms]
+
+
 def test_traldi_integer_entries():
     for make in (hopf, solomon, whitehead):
         table = traldi_expand(potential_function(make()), cap=8)
@@ -465,7 +537,7 @@ def test_starred_quotients_share_one_component_pass_and_one_potential(monkeypatc
     d = hopf().connected_sum(trefoil(), 0, 0)
     want = {"conway": conway_quotient(d, 8), "series": potential_series_quotient(d, 8),
             "reduced": reduced_quotient(d, 8)}
-    calls = {"component_conways": 0, "potential_function": 0}
+    calls = {"component_conways": 0, "potential_function": 0, "starred_inverse": 0}
     for name in calls:
         real = getattr(transforms, name)
 
@@ -475,7 +547,8 @@ def test_starred_quotients_share_one_component_pass_and_one_potential(monkeypatc
 
         monkeypatch.setattr(transforms, name, counting)
     assert _quotients(d, 8, tuple(want)) == want
-    assert calls == {"component_conways": 1, "potential_function": 1}
+    # one inverse in z for the Conway quotient, one in z1, z2 for the others
+    assert calls == {"component_conways": 1, "potential_function": 1, "starred_inverse": 2}
 
 
 def test_component_conways():
