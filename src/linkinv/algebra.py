@@ -318,21 +318,12 @@ def rewrite_in_difference(f: LaurentPolynomial, zname: str = "z") -> LaurentPoly
     diff = x - x ** (-1)
     rem = f
     out: dict = {}
-    guard = 0
-    while rem:
-        guard += 1
-        if guard > 10000:
-            raise ArithmeticError("rewriting in x - x^-1 does not terminate")
+    while rem:  # subtracting coeff * diff^top cancels x^top, so top falls every pass
         top = max(e[0] for e in rem.terms)
         if top < 0:
             raise ArithmeticError("not expressible in x - x^-1")
-        coeff = rem.terms.get((top,), 0)
-        if coeff == 0:
-            raise ArithmeticError("not expressible in x - x^-1")
-        out[(top,)] = out.get((top,), 0) + coeff
+        coeff = out[(top,)] = rem.terms[(top,)]
         rem = rem - coeff * diff ** top
-        if rem and max(e[0] for e in rem.terms) >= top and top > 0:
-            raise ArithmeticError("not expressible in x - x^-1")
     return LaurentPolynomial((zname,), out)
 
 

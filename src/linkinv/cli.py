@@ -16,7 +16,7 @@ import sys
 from .alexander import potential_function
 from .diagram import DiagramError, braid_closure, parse_braid, parse_pd
 from .invariants import build_report
-from .skein import SkeinBudgetError, conway, homfly, kauffman_f, set_default_budget
+from .skein import SkeinBudgetError, conway, homfly, kauffman_f, scope
 from .suites import SUITES, run_suites
 from .transforms import DEFAULT_CAP, decompose, reduced_polynomial
 
@@ -65,9 +65,9 @@ def cmd_polys(args) -> int:
     if args.which == "conway":
         out = conway(d).render()
     elif args.which == "homfly":
-        out = homfly(d, budget=args.budget).render()
+        out = homfly(d).render()
     elif args.which == "kauffman":
-        out = kauffman_f(d, budget=args.budget).render()
+        out = kauffman_f(d).render()
     elif args.which == "omega":
         out = potential_function(d).render()
     elif args.which == "nbl":
@@ -173,17 +173,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "budget", None) is not None:
-            set_default_budget(args.budget)
-        return args.fn(args)
+        with scope(args.budget):
+            return args.fn(args)
     except SkeinBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (DiagramError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    finally:
-        set_default_budget(None)
 
 
 if __name__ == "__main__":

@@ -37,18 +37,23 @@ returns the node's value.  There are two steps:
 - the unoriented Dubrovnik rule on (crossings, loops) nodes, walked by
   `diagram.walk_unoriented`.
 
-The two skein engines memoize values in shared write-once tables.  HOMFLY
-keeps one entry per node, keyed on the labeled node itself; different
+Each skein call memoizes values in a table: its `memo=`, else its scope's,
+else a fresh one.  HOMFLY keys a node on the labeled node itself; different
 descent paths reaching the same sub-diagram produce identical keys because
 arc merges keep minimal ids.  Dubrovnik keys a node on `_dubrovnik_key`, a
 code that forgets arc labels, crossing order and the 180-degree turn of a
 record, so every relabeling of one unoriented diagram on S^2 shares one
-entry.  The tables only ever receive immutable values, so concurrent
-insert-if-absent is safe and the results are deterministic regardless of
-schedule.  `conway` keeps no table: each call computes its state sum.
+entry.  `with scope(budget):` gives its block, in the current context only
+(a `contextvars.ContextVar`), a default node budget and one table per
+engine, freed when the block exits; outside a scope a call's value depends
+on its arguments alone.  `conway` keeps no table.
 """
 
 from __future__ import annotations
+
+import contextlib
+from contextvars import ContextVar
+from typing import NamedTuple
 
 from .algebra import LaurentPolynomial, fox_determinant, rewrite_in_difference
 from .diagram import LinkDiagram, _trace_oriented, uf_find, uf_union, walk_unoriented
@@ -72,22 +77,26 @@ class SkeinBudgetError(RuntimeError):
 
 
 DEFAULT_BUDGET = 10 ** 6
-_default_budget = DEFAULT_BUDGET
 
 
-def set_default_budget(limit: int | None):
-    """Set the node budget used when calls do not pass one explicitly."""
-    global _default_budget
-    _default_budget = DEFAULT_BUDGET if limit is None else int(limit)
+class _Scope(NamedTuple):
+    budget: int
+    tables: dict | None  # engine -> memo table; outside a scope None, a fresh one per call
 
 
-_HOMFLY_MEMO: dict = {}
-_DUBROVNIK_MEMO: dict = {}
+_SCOPE: ContextVar = ContextVar("linkinv.skein.scope", default=_Scope(DEFAULT_BUDGET, None))
 
 
-def clear_memo():
-    _HOMFLY_MEMO.clear()
-    _DUBROVNIK_MEMO.clear()
+@contextlib.contextmanager
+def scope(budget: int | None = None):
+    """In the block, calls that pass no `budget=` spend `budget` (default
+    DEFAULT_BUDGET), and calls that pass no `memo=` share one table per engine."""
+    token = _SCOPE.set(_Scope(DEFAULT_BUDGET if budget is None else budget,
+                              {"homfly": {}, "dubrovnik": {}}))
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
 
 
 def _require_component(d: LinkDiagram):
@@ -105,8 +114,12 @@ def _descend(root, key, step, table, budget, engine):
     """The one memoized skein descent: the value of a node is table[key],
     and a miss spends one unit of `engine`'s budget and stores what the
     generator step(node) returns once it has been sent the value of every
-    child it yields.  Pending steps wait on a stack, not in frames."""
-    limit = _default_budget if budget is None else budget
+    child it yields.  Pending steps wait on a stack, not in frames.  A None
+    `table` or `budget` is the scope's (`_Scope`)."""
+    here = _SCOPE.get()
+    limit = here.budget if budget is None else budget
+    if table is None:
+        table = {} if here.tables is None else here.tables[engine]
     used = 0
     stack = []  # (key, step) of every node waiting on a child
     node = root
@@ -150,7 +163,6 @@ def _reduced_oriented(crossings, over_in, loops):
 def homfly(d: LinkDiagram, budget=None, memo=None, rng=None) -> LaurentPolynomial:
     """HOMFLY polynomial in x, y with x*H(L+) - x^-1*H(L-) = y*H(L0)."""
     _require_component(d)
-    table = _HOMFLY_MEMO if memo is None else memo
     unlinks: dict = {}  # m -> the m-component unlink, delta^(m - 1)
 
     def step(node):
@@ -180,7 +192,7 @@ def homfly(d: LinkDiagram, budget=None, memo=None, rng=None) -> LaurentPolynomia
         return value + at_smooth * (yield _reduced_oriented(smoothed, over_in, loops))
 
     root = _reduced_oriented(d.crossings, d.over_in, _free_loops(d))
-    return _descend(root, lambda node: node, step, table, budget, "homfly")
+    return _descend(root, lambda node: node, step, memo, budget, "homfly")
 
 
 # -- Kauffman's state sum: Conway and the potential function ------------------
@@ -514,9 +526,8 @@ def dubrovnik(d: LinkDiagram, budget=None, memo=None) -> LaurentPolynomial:
     diagram: D+ - D- = y(D0 - Dinf), positive kink multiplies by x, and a
     split unknot contributes 1 + (x - x^-1)/y."""
     _require_component(d)
-    table = _DUBROVNIK_MEMO if memo is None else memo
     exponent, _, crossings, loops = _reduce(d.crossings, _free_loops(d))
-    value = _descend((crossings, loops), _dubrovnik_key, _unoriented_step, table, budget,
+    value = _descend((crossings, loops), _dubrovnik_key, _unoriented_step, memo, budget,
                      "dubrovnik")
     return _X ** exponent * value
 

@@ -235,6 +235,14 @@ def test_rewrite_in_difference():
     assert rewrite_in_difference(f) == LaurentPolynomial(("z",), {(3,): 1, (1,): 2})
     with pytest.raises(ArithmeticError):
         rewrite_in_difference(x + x ** -1)
+    with pytest.raises(ArithmeticError):
+        rewrite_in_difference(x + 2 * x ** -1)
+    assert rewrite_in_difference(LaurentPolynomial.zero(X)) == LaurentPolynomial.zero(("z",))
+    rng = random.Random(7)
+    for _ in range(50):
+        coeffs = {(k,): rng.choice([-3, -1, 0, 2, Fraction(1, 2)]) for k in range(rng.randint(0, 8))}
+        f = sum((c * (x - x ** -1) ** k for (k,), c in coeffs.items()), LaurentPolynomial.zero(X))
+        assert rewrite_in_difference(f) == LaurentPolynomial(("z",), coeffs)
 
 
 def test_render_canonical_order():

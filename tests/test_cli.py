@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from linkinv.cli import main
 from linkinv.corpus import DATA_DIR, load_corpus
-from linkinv.diagram import BraidWord, braid_closure
+from linkinv.diagram import BraidWord, braid_closure, parse_pd
+from linkinv.skein import homfly
 
 HOPF = os.path.join(DATA_DIR, "hopf-plus.pd")
 BORROMEAN = os.path.join(DATA_DIR, "borromean.pd")
@@ -118,8 +119,6 @@ def test_missing_file_exit_code(capsys):
 
 
 def test_budget_exit_code(capsys):
-    from linkinv.skein import clear_memo
-    clear_memo()  # the shared table would otherwise answer for free
     code, _, err = run(capsys, "polys", BORROMEAN, "--which", "homfly", "--budget", "1")
     assert code == 3
     assert "budget" in err
@@ -168,17 +167,11 @@ def test_corpus_loads_and_round_trips():
 def test_budget_applies_to_invariants_too(capsys, budget):
     # the report runs no skein engine, so the budget leaves it alone, while
     # the skein engines still stop at it
-    from linkinv.skein import clear_memo, set_default_budget
-    clear_memo()
     want = run(capsys, "invariants", BORROMEAN)
-    clear_memo()
-    try:
-        assert run(capsys, "invariants", BORROMEAN, "--budget", budget) == want
-        code, _, err = run(capsys, "polys", BORROMEAN, "--which", "kauffman", "--budget", budget)
-        assert code == 3
-        assert "dubrovnik skein node budget" in err
-    finally:
-        set_default_budget(None)
+    assert run(capsys, "invariants", BORROMEAN, "--budget", budget) == want
+    code, _, err = run(capsys, "polys", BORROMEAN, "--which", "kauffman", "--budget", budget)
+    assert code == 3
+    assert "dubrovnik skein node budget" in err
 
 
 @pytest.mark.parametrize("text", [
@@ -186,7 +179,6 @@ def test_budget_applies_to_invariants_too(capsys, budget):
     None,  # Whitehead: linking numbers vanish, the state-determinant Conway pins it
 ])
 def test_omega_spends_no_skein_budget(tmp_path, capsys, text):
-    from linkinv.skein import clear_memo, set_default_budget
     path = os.path.join(DATA_DIR, "whitehead.pd")
     if text:
         path = tmp_path / "link.braid"
@@ -194,11 +186,21 @@ def test_omega_spends_no_skein_budget(tmp_path, capsys, text):
     command = ["polys", str(path), "--which", "omega"]
     want = run(capsys, *command)
     assert want[0] == 0
-    clear_memo()
-    try:
-        assert run(capsys, *command, "--budget", "0") == want
-    finally:
-        set_default_budget(None)
+    assert run(capsys, *command, "--budget", "0") == want
+
+
+@pytest.mark.parametrize("order", [("plain", "budget"), ("budget", "plain")])
+def test_budget_holds_for_one_command(capsys, order):
+    # each command opens its own skein scope: no call before it answers for
+    # it, and its budget ends with it
+    with open(BORROMEAN) as fh:
+        value = homfly(parse_pd(fh.read())).render()
+    want = {"plain": ((), (0, value + "\n", "")),
+            "budget": (("--budget", "1"),
+                       (3, "", "error: homfly skein node budget of 1 exceeded\n"))}
+    for name in order:
+        extra, result = want[name]
+        assert run(capsys, "polys", BORROMEAN, "--which", "homfly", *extra) == result, name
 
 
 EVERY_COMMAND = [

@@ -4,6 +4,7 @@ import math
 import os
 import random
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from linkinv.alexander import potential_function
 from linkinv.corpus import load_corpus
 from linkinv.diagram import BraidWord, LinkDiagram, braid_closure, parse_pd
 from linkinv.skein import (
+    DEFAULT_BUDGET,
     SkeinBudgetError,
     _descend,
     _dubrovnik_key,
@@ -27,6 +29,7 @@ from linkinv.skein import (
     dubrovnik,
     homfly,
     kauffman_f,
+    scope,
     state_sum,
 )
 
@@ -94,7 +97,7 @@ Z_GEN = LaurentPolynomial.gen(Z, "z")
 def recursive_descend(root, key, step, table, budget, engine):
     """The oracle for `_descend`: the same memo lookups, budget and
     generator steps, each child evaluated by a recursive call."""
-    limit = skein._default_budget if budget is None else budget
+    limit = skein._SCOPE.get().budget if budget is None else budget
     used = 0
 
     def val(node):
@@ -226,6 +229,62 @@ def test_budget_error():
         assert info.value.engine == name
         assert info.value.budget == 2
         assert str(info.value) == f"{name} skein node budget of 2 exceeded"
+
+
+ENGINES = [("homfly", homfly), ("dubrovnik", dubrovnik), ("dubrovnik", kauffman_f)]
+
+
+@pytest.mark.parametrize("name,engine", ENGINES)
+def test_no_call_outside_a_scope_answers_for_another(name, engine):
+    # outside a scope every call starts from an empty table, so a warm call
+    # does not let a later one pass a budget it cannot meet
+    d = borromean()
+    engine(d)
+    with pytest.raises(SkeinBudgetError) as info:
+        engine(d, budget=1)
+    assert (info.value.engine, info.value.budget) == (name, 1)
+
+
+@pytest.mark.parametrize("name,engine", ENGINES)
+def test_a_scope_shares_its_tables_until_it_exits(name, engine):
+    # inside a scope, calls that pass no memo share its table and calls that
+    # pass no budget spend its budget; explicit arguments still win
+    d = borromean()
+    with scope():
+        want = engine(d)
+        assert engine(d, budget=1) == want
+        with pytest.raises(SkeinBudgetError):
+            engine(d, budget=1, memo={})
+    with pytest.raises(SkeinBudgetError):
+        engine(d, budget=1)
+    with scope(1):
+        with pytest.raises(SkeinBudgetError) as info:
+            engine(d)
+        assert engine(d, budget=DEFAULT_BUDGET) == want
+    assert (info.value.engine, info.value.budget) == (name, 1)
+
+
+def test_two_threads_keep_their_own_scopes():
+    want = homfly(borromean())
+    barrier = threading.Barrier(2)
+    results = {}
+
+    def compute(budget):
+        with scope(budget):
+            barrier.wait(timeout=60)
+            try:
+                results[budget] = homfly(borromean())
+            except SkeinBudgetError as exc:
+                results[budget] = exc
+
+    threads = [threading.Thread(target=compute, args=(b,)) for b in (1, None)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    assert isinstance(results[1], SkeinBudgetError) and results[1].budget == 1
+    assert results[None] == want
 
 
 def labelled_dubrovnik(d, memo, budget=None, descend=_descend):
