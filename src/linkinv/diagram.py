@@ -55,74 +55,92 @@ def uf_union(parent: dict, a, b) -> bool:
     return True
 
 
-def _trace_oriented(crossings, over_in):
-    """Arc cycles of the components that touch a crossing, each followed
-    along the stored directions from its minimal arc, ordered by that arc."""
-    heads = {}
-    for k, rec in enumerate(crossings):
-        heads[rec[UNDER_IN]] = (k, UNDER_IN)
-        heads[rec[over_in[k]]] = (k, over_in[k])
-    comps = []
-    seen = set()
-    for arc in sorted(heads):
-        if arc in seen:
+def far_ends(crossings):
+    """The one table of arc ends: the arc at every slot, slot s of crossing
+    c at 4c + s, and the slot at that arc's other end.  A strand entering
+    a crossing at slot i leaves it at i ^ 2, and other[i ^ 2] is the slot
+    it enters next."""
+    flat = [arc for rec in crossings for arc in rec]
+    first: dict = {}
+    other = [0] * len(flat)
+    for i, arc in enumerate(flat):
+        j = first.setdefault(arc, i)
+        other[i], other[j] = j, i
+    return flat, other
+
+
+def parts(other):
+    """The crossings of each connected part of the diagram graph, found by
+    following the far ends `other`: each part in index order, parts by
+    first crossing."""
+    found = [False] * (len(other) >> 2)
+    groups = []
+    for c in range(len(found)):
+        if not found[c]:
+            found[c] = True
+            group = [c]
+            for x in group:
+                for i in range(4 * x, 4 * x + 4):
+                    y = other[i] >> 2
+                    if not found[y]:
+                        found[y] = True
+                        group.append(y)
+            groups.append(sorted(group))
+    return groups
+
+
+def _walk(flat, other, entry):
+    """The circles that touch a crossing, as the slots each one enters, in
+    order of their minimal arc and walked from that arc's slot in `entry`,
+    which holds one slot per arc."""
+    seen = bytearray(len(flat))
+    for start in sorted(entry, key=flat.__getitem__):
+        if seen[start]:
             continue
-        cyc = []
-        cur = arc
-        while cur not in seen:
-            seen.add(cur)
-            cyc.append(cur)
-            k, s = heads[cur]
-            cur = crossings[k][(s + 2) % 4]
-        comps.append(tuple(cyc))
-    return comps
+        circle = []
+        i = start
+        while not seen[i]:
+            seen[i] = seen[other[i]] = 1
+            circle.append(i)
+            i = other[i ^ 2]
+        yield circle
+
+
+def walk_oriented(crossings, over_in):
+    """`far_ends`' arcs and the circles along the stored directions: each
+    from the head slot of its minimal arc, slot 0 or over_in."""
+    flat, other = far_ends(crossings)
+    heads = [4 * k + s for k, o in enumerate(over_in) for s in (UNDER_IN, o)]
+    return flat, list(_walk(flat, other, heads))
 
 
 def walk_unoriented(crossings):
-    """The one walk that ignores stored directions: circles in order of
-    their minimal arc, each walked from that arc towards its first
-    (crossing, slot) endpoint.  Yields (circle, arc, crossing, slot) for
-    every arc, with the endpoint the arc enters."""
-    endpoints: dict = {}
-    for k, rec in enumerate(crossings):
-        for s, arc in enumerate(rec):
-            endpoints.setdefault(arc, []).append((k, s))
-    seen = set()
-    cid = 0
-    for arc in sorted(endpoints):
-        if arc in seen:
-            continue
-        behind = endpoints[arc][1]
-        while arc not in seen:
-            seen.add(arc)
-            ends = endpoints[arc]
-            k, s = ends[1] if ends[0] == behind else ends[0]
-            yield cid, arc, k, s
-            behind = (k, (s + 2) % 4)
-            arc = crossings[k][behind[1]]
-        cid += 1
+    """`far_ends`' arcs and the circles with stored directions ignored:
+    each from the first slot of its minimal arc."""
+    flat, other = far_ends(crossings)
+    return flat, list(_walk(flat, other, [i for i, j in enumerate(other) if i < j]))
+
+
+def _trace_oriented(crossings, over_in):
+    """Arc cycles of `walk_oriented`."""
+    flat, circles = walk_oriented(crossings, over_in)
+    return [tuple(flat[i] for i in circle) for circle in circles]
 
 
 def _trace_unoriented(crossings):
     """Arc cycles of `walk_unoriented`, with the records rotated so slot 0
     is again the incoming under-strand: returns (crossings, over_in,
     cycles)."""
-    rotate = set()
-    over_entry: dict = {}
-    comps = []
-    for cid, arc, k, s in walk_unoriented(crossings):
-        if cid == len(comps):
-            comps.append([])
-        comps[cid].append(arc)
-        if s == UNDER_OUT:
-            rotate.add(k)
-        elif s in (1, 3):
-            over_entry[k] = s
-    new_crossings = [(rec[2], rec[3], rec[0], rec[1]) if k in rotate else rec
-                     for k, rec in enumerate(crossings)]
-    over_in = [(over_entry[k] + 2) % 4 if k in rotate else over_entry[k]
-               for k in range(len(crossings))]
-    return new_crossings, over_in, comps
+    flat, circles = walk_unoriented(crossings)
+    entered = {i for circle in circles for i in circle}
+    new_crossings, over_in = [], []
+    for k, rec in enumerate(crossings):
+        o = 1 if 4 * k + 1 in entered else 3
+        if 4 * k + UNDER_OUT in entered:
+            rec, o = rec[2:] + rec[:2], o ^ 2
+        new_crossings.append(rec)
+        over_in.append(o)
+    return new_crossings, over_in, [tuple(flat[i] for i in circle) for circle in circles]
 
 
 class LinkDiagram:
@@ -322,21 +340,8 @@ class LinkDiagram:
         """True iff the underlying 4-valent graph is disconnected."""
         if self.m <= 1:
             return False
-        if any(len(cyc) == 1 and cyc[0] not in self.heads for cyc in self.components):
-            return True  # a crossing-free circle next to anything else is split
-        return len(self._component_groups()) > 1
-
-    def _component_groups(self):
-        """Component indices grouped by the connected parts of the diagram
-        graph, each part listed in index order, parts by first index."""
-        parent: dict = {}
-        comp_of_arc = self.comp_of_arc
-        for rec in self.crossings:
-            uf_union(parent, comp_of_arc[rec[UNDER_IN]], comp_of_arc[rec[1]])
-        groups: dict = {}
-        for k in range(self.m):
-            groups.setdefault(uf_find(parent, k), []).append(k)
-        return list(groups.values())
+        # a crossing-free circle next to anything else is split
+        return bool(self._free_loops(())) or len(parts(far_ends(self.crossings)[1])) > 1
 
     def __eq__(self, other):
         if not isinstance(other, LinkDiagram):
@@ -410,9 +415,9 @@ class LinkDiagram:
         the crossings in `dropped`, join each arc pair in `merges`, and
         forget the arcs in `gone` (those of deleted components).
 
-        The labels are canonical, which is what lets different skein
-        descent paths reach equal memo keys: merged arcs keep the minimal
-        id of their class, a pair that is already one class closes off a
+        The labels are canonical, so the output is deterministic and one
+        diagram reached by different surgeries gets one `conway` memo key
+        (`skein._key`): merged arcs keep the minimal id of their class, a pair that is already one class closes off a
         crossing-free circle, each component starts at its minimal arc and
         components are ordered by it, a component takes the least color of
         its arcs, and colors are renumbered onto 1..n in their old order.

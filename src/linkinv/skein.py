@@ -12,7 +12,10 @@ polynomial time, no node budget and no memo.
 
 The descent strategy is the standard guaranteed-terminating one: fix a
 traversal (each circle from its minimal arc) and locate crossings whose
-first visit passes under.  Switching such a crossing strictly reduces the
+first visit passes under.  Both steps walk a node through the one far-end
+table of `diagram.far_ends`, by `diagram.walk_oriented` along its stored
+directions or by `diagram.walk_unoriented`, and resolve the first such
+crossing in walk order (`_first_under`).  Switching it strictly reduces the
 number of violations, smoothing reduces the crossing count, and a diagram
 without violations is descending, hence an unlink (split) after isotopy.
 Both descents reduce their root and every child by `_reduce` before it is
@@ -32,10 +35,8 @@ generator: it yields each child node, is sent that child's value and
 returns the node's value.  There are two steps:
 
 - the oriented HOMFLY rule x*H(L+) - x^-1*H(L-) = y*H(L0) on (crossings,
-  over_in, loops) nodes, traversed by `diagram._trace_oriented`, split
-  unknot worth (x - x^-1)/y;
-- the unoriented Dubrovnik rule on (crossings, loops) nodes, walked by
-  `diagram.walk_unoriented`.
+  over_in, loops) nodes, split unknot worth (x - x^-1)/y;
+- the unoriented Dubrovnik rule on (crossings, loops) nodes.
 
 Each skein call memoizes values in a table: its `memo=`, else its scope's,
 else a fresh one.  HOMFLY keys a node on the labeled node itself; different
@@ -44,9 +45,11 @@ arc merges keep minimal ids.  Dubrovnik keys a node on `_dubrovnik_key`, a
 code that forgets arc labels, crossing order and the 180-degree turn of a
 record, so every relabeling of one unoriented diagram on S^2 shares one
 entry.  `with scope(budget):` gives its block, in the current context only
-(a `contextvars.ContextVar`), a default node budget and one table per
-engine, freed when the block exits; outside a scope a call's value depends
-on its arguments alone.  `conway` keeps no table.
+(a `contextvars.ContextVar`), the node budget and one table per engine,
+freed when the block exits; a `scope()` with no budget inside another
+keeps the enclosing one.  Outside a scope a call spends DEFAULT_BUDGET at
+most and its value depends on its arguments alone.  `conway` keeps no
+table.
 """
 
 from __future__ import annotations
@@ -56,7 +59,8 @@ from contextvars import ContextVar
 from typing import NamedTuple
 
 from .algebra import LaurentPolynomial, fox_determinant, rewrite_in_difference
-from .diagram import LinkDiagram, _trace_oriented, uf_find, uf_union, walk_unoriented
+from .diagram import LinkDiagram, far_ends, parts, uf_find, uf_union, walk_oriented, \
+    walk_unoriented
 
 XYVARS = ("x", "y")
 
@@ -89,10 +93,15 @@ _SCOPE: ContextVar = ContextVar("linkinv.skein.scope", default=_Scope(DEFAULT_BU
 
 @contextlib.contextmanager
 def scope(budget: int | None = None):
-    """In the block, calls that pass no `budget=` spend `budget` (default
-    DEFAULT_BUDGET), and calls that pass no `memo=` share one table per engine."""
-    token = _SCOPE.set(_Scope(DEFAULT_BUDGET if budget is None else budget,
-                              {"homfly": {}, "dubrovnik": {}}))
+    """In the block, every call spends `budget` nodes at most (default
+    DEFAULT_BUDGET), and calls that pass no `memo=` share one table per
+    engine.  A scope() with no budget inside another keeps the enclosing
+    budget and tables."""
+    here = _SCOPE.get()
+    if budget is not None or here.tables is None:
+        here = _Scope(DEFAULT_BUDGET if budget is None else budget,
+                      {"homfly": {}, "dubrovnik": {}})
+    token = _SCOPE.set(here)
     try:
         yield
     finally:
@@ -105,19 +114,28 @@ def _require_component(d: LinkDiagram):
         raise ValueError("the diagram has no component")
 
 
-def _free_loops(d: LinkDiagram) -> int:
-    """The crossing-free circles of `d`."""
-    return sum(1 for cyc in d.components if len(cyc) == 1 and cyc[0] not in d.heads)
+def _first_under(circles):
+    """The bad crossing a skein step resolves: the first one, in walk
+    order, whose first entry is on the under-strand (an even slot), or
+    None on a descending diagram."""
+    over = set()  # crossings first entered on the over-strand
+    for circle in circles:
+        for i in circle:
+            if i & 1:
+                over.add(i >> 2)
+            elif i >> 2 not in over:
+                return i >> 2
+    return None
 
 
-def _descend(root, key, step, table, budget, engine):
+def _descend(root, key, step, table, engine):
     """The one memoized skein descent: the value of a node is table[key],
-    and a miss spends one unit of `engine`'s budget and stores what the
-    generator step(node) returns once it has been sent the value of every
-    child it yields.  Pending steps wait on a stack, not in frames.  A None
-    `table` or `budget` is the scope's (`_Scope`)."""
+    and a miss spends one unit of the scope's budget (`_Scope`) and stores
+    what the generator step(node) returns once it has been sent the value
+    of every child it yields.  Pending steps wait on a stack, not in
+    frames.  A None `table` is the scope's."""
     here = _SCOPE.get()
-    limit = here.budget if budget is None else budget
+    limit = here.budget
     if table is None:
         table = {} if here.tables is None else here.tables[engine]
     used = 0
@@ -160,27 +178,22 @@ def _reduced_oriented(crossings, over_in, loops):
     return crossings, over_in, loops
 
 
-def homfly(d: LinkDiagram, budget=None, memo=None, rng=None) -> LaurentPolynomial:
+def homfly(d: LinkDiagram, memo=None) -> LaurentPolynomial:
     """HOMFLY polynomial in x, y with x*H(L+) - x^-1*H(L-) = y*H(L0)."""
     _require_component(d)
     unlinks: dict = {}  # m -> the m-component unlink, delta^(m - 1)
 
     def step(node):
         # one HOMFLY node: oriented records, slot 0 the incoming under-strand
-        # and over_in the slot the over-strand enters by, plus free loops;
-        # a crossing is bad when the traversal of `_trace_oriented` first
-        # reaches it on the under-strand
+        # and over_in the slot the over-strand enters by, plus free loops
         crossings, over_in, loops = node
-        comps = _trace_oriented(crossings, over_in)
-        visit = {arc: i for i, arc in enumerate(a for cyc in comps for a in cyc)}
-        bads = sorted((visit[rec[0]], c) for c, rec in enumerate(crossings)
-                      if visit[rec[0]] < visit[rec[over_in[c]]])
-        if not bads:
-            m = len(comps) + loops
+        circles = walk_oriented(crossings, over_in)[1]
+        ci = _first_under(circles)
+        if ci is None:
+            m = len(circles) + loops
             if m not in unlinks:
                 unlinks[m] = _DELTA_H ** (m - 1)
             return unlinks[m]
-        ci = bads[0][1] if rng is None else rng.choice(bads)[1]
         rec, o = crossings[ci], over_in[ci]
         at_switch, at_smooth = _HOMFLY_FACTORS[1 if o == 3 else -1]
         turned = (rec[3], rec[0], rec[1], rec[2]) if o == 3 else (rec[1], rec[2], rec[3], rec[0])
@@ -191,8 +204,8 @@ def homfly(d: LinkDiagram, budget=None, memo=None, rng=None) -> LaurentPolynomia
         over_in = over_in[:ci] + over_in[ci + 1:]
         return value + at_smooth * (yield _reduced_oriented(smoothed, over_in, loops))
 
-    root = _reduced_oriented(d.crossings, d.over_in, _free_loops(d))
-    return _descend(root, lambda node: node, step, memo, budget, "homfly")
+    root = _reduced_oriented(d.crossings, d.over_in, len(d._free_loops(())))
+    return _descend(root, lambda node: node, step, memo, "homfly")
 
 
 # -- Kauffman's state sum: Conway and the potential function ------------------
@@ -207,24 +220,11 @@ _CORNERS = {1: ((0, 0), (1, 0), (1, -1), (0, -1)), -1: ((0, 1), (-1, 1), (-1, 0)
 _FLIPPED = {1: 3, -1: 0}
 
 
-def _far_ends(crossings):
-    """The arc at every slot, slot s of crossing c at 4c + s, and the slot
-    at that arc's other end."""
-    flat = [arc for rec in crossings for arc in rec]
-    ends: dict = {}
-    for i, arc in enumerate(flat):
-        ends.setdefault(arc, []).append(i)
-    other = [0] * len(flat)
-    for i, j in ends.values():
-        other[i], other[j] = j, i
-    return flat, other
-
-
 def _faces(crossings):
     """Face of every corner, corner i of crossing X at 4X + i, between its
     slots i and i + 1: following the arc at slot i + 1 to its other end
     (Y, j) reaches the next corner of the same face, (Y, j)."""
-    _, other = _far_ends(crossings)
+    _, other = far_ends(crossings)
     face = [-1] * len(other)
     count = 0
     for start in range(len(other)):
@@ -362,16 +362,9 @@ def _dubrovnik_key(node):
     to a smaller one are skipped.  A symmetric part such as T(2,n) then
     codes a few starts, not all 2n."""
     crossings, loops = node
-    flat, other = _far_ends(crossings)
-    uf: dict = {}  # crossings joined by an arc
-    for i, j in enumerate(other):
-        if i < j:
-            uf_union(uf, i >> 2, j >> 2)
-    parts: dict = {}
-    for c in range(len(crossings)):
-        parts.setdefault(uf_find(uf, c), []).append(c)
+    flat, other = far_ends(crossings)
     codes = []
-    for part in parts.values():
+    for part in parts(other):
         best = best_walk = None
         orbit: dict = {}  # starts joined by the automorphisms found
         for start in (4 * c + s for c in part for s in (0, 2)):
@@ -439,7 +432,7 @@ def _reduce(crossings, loops):
     The crossings at the relinked far ends are checked again, so each move
     costs O(1), and the kept records are relabeled once, every joined arc
     by the least label it absorbed."""
-    flat, other = _far_ends(crossings)
+    flat, other = far_ends(crossings)
     todo = list(range(len(crossings)))
     gone = set()
     uf: dict = {}
@@ -492,26 +485,28 @@ def _unoriented_step(node):
     crossings, loops = node
     if not crossings:
         return _DELTA_D ** (loops - 1)
-    entries: dict = {}  # crossing -> [(circle, entry slot)] in visit order
-    bads = []
-    ncircles = 0
-    for cid, _, ci, s in walk_unoriented(crossings):
-        ncircles = cid + 1
-        seen = entries.setdefault(ci, [])
-        if not seen and s in (0, 2):
-            bads.append(ci)
-        seen.append((cid, s))
-    if not bads:
+    circles = walk_unoriented(crossings)[1]
+    into = [-1] * (4 * len(crossings))  # the circle entering at each slot
+    for cid, circle in enumerate(circles):
+        for i in circle:
+            into[i] = cid
+
+    def entries(c):
+        # the slots the walk enters crossing c by, under and over, and
+        # the crossing's sign in the walk's directions
+        u = 0 if into[4 * c] >= 0 else 2
+        o = 1 if into[4 * c + 1] >= 0 else 3
+        return u, o, 1 if o == (u + 3) % 4 else -1
+
+    ci = _first_under(circles)
+    if ci is None:
         selfw = 0
-        for (c1, s1), (c2, s2) in entries.values():
-            if c1 == c2:
-                u, o = (s1, s2) if s1 in (0, 2) else (s2, s1)
-                selfw += 1 if o == (u + 3) % 4 else -1
-        return (_X ** selfw) * _DELTA_D ** (ncircles + loops - 1)
-    ci = bads[0]
-    (_, s1), (_, s2) = entries[ci]
-    u, o = (s1, s2) if s1 in (0, 2) else (s2, s1)
-    sgn = 1 if o == (u + 3) % 4 else -1
+        for c in range(len(crossings)):
+            u, o, sgn = entries(c)
+            if into[4 * c + u] == into[4 * c + o]:
+                selfw += sgn
+        return (_X ** selfw) * _DELTA_D ** (len(circles) + loops - 1)
+    u, o, sgn = entries(ci)
     rec = crossings[ci]
     switched = crossings[:ci] + ((rec[1], rec[2], rec[3], rec[0]),) + crossings[ci + 1:]
     sm0 = _smooth(crossings, loops, ci, ((u, (o + 2) % 4), (o, (u + 2) % 4)))
@@ -521,18 +516,16 @@ def _unoriented_step(node):
     return at_switch + sgn * (_Y * at_sm0) - sgn * (_Y * (yield from _reduced(sm_inf)))
 
 
-def dubrovnik(d: LinkDiagram, budget=None, memo=None) -> LaurentPolynomial:
+def dubrovnik(d: LinkDiagram, memo=None) -> LaurentPolynomial:
     """Regular-isotopy Dubrovnik polynomial of the underlying unoriented
     diagram: D+ - D- = y(D0 - Dinf), positive kink multiplies by x, and a
     split unknot contributes 1 + (x - x^-1)/y."""
     _require_component(d)
-    exponent, _, crossings, loops = _reduce(d.crossings, _free_loops(d))
-    value = _descend((crossings, loops), _dubrovnik_key, _unoriented_step, memo, budget,
-                     "dubrovnik")
+    exponent, _, crossings, loops = _reduce(d.crossings, len(d._free_loops(())))
+    value = _descend((crossings, loops), _dubrovnik_key, _unoriented_step, memo, "dubrovnik")
     return _X ** exponent * value
 
 
-def kauffman_f(d: LinkDiagram, budget=None, memo=None) -> LaurentPolynomial:
+def kauffman_f(d: LinkDiagram, memo=None) -> LaurentPolynomial:
     """Dubrovnik version of the Kauffman polynomial, F = x^-w(D) * D(D)."""
-    w = d.writhe()
-    return (_X ** (-w)) * dubrovnik(d, budget=budget, memo=memo)
+    return (_X ** (-d.writhe())) * dubrovnik(d, memo=memo)

@@ -23,7 +23,7 @@ from .finitetype import (
 )
 from .invariants import alpha_coeffs, congruence_rows, gamma3, \
     two_color_tables, unoriented_sl
-from .skein import conway, dubrovnik, homfly, kauffman_f
+from .skein import conway, dubrovnik, homfly, kauffman_f, scope
 from .transforms import (
     DEFAULT_CAP,
     _quotients,
@@ -339,6 +339,7 @@ def run_suites(names=None, corpus_path=None, cap=DEFAULT_CAP):
         if n not in SUITES:
             raise KeyError(f"unknown suite {n!r}; choices: {', '.join(SUITES)}")
     checks = []
-    for n in names:
-        checks.extend(SUITES[n](entries, cap))
+    with scope():  # one HOMFLY and one Dubrovnik table for every suite
+        for n in names:
+            checks.extend(SUITES[n](entries, cap))
     return checks

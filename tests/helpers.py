@@ -3,18 +3,8 @@ library's interface."""
 
 from linkinv.alexander import PotentialFunction
 from linkinv.algebra import LaurentPolynomial, TruncatedSeries
-from linkinv.diagram import LinkDiagram, uf_find, uf_union, walk_unoriented
-from linkinv.skein import (
-    _DELTA_D,
-    _DELTA_H,
-    _HOMFLY_FACTORS,
-    _X,
-    _Y,
-    _descend,
-    _far_ends,
-    _key,
-    _smooth,
-)
+from linkinv.diagram import LinkDiagram, far_ends, uf_find, uf_union
+from linkinv.skein import _DELTA_D, _DELTA_H, _HOMFLY_FACTORS, _X, _Y, _descend, _key, _smooth
 
 
 def disjoint_union(a: LinkDiagram, b: LinkDiagram) -> LinkDiagram:
@@ -70,6 +60,69 @@ def monomial_substitute_series(f: LaurentPolynomial, images, cap: int) -> Trunca
     return out
 
 
+def dict_trace_oriented(crossings, over_in):
+    """The oracle for `diagram._trace_oriented`, on a dict of arc heads:
+    arc cycles of the components that touch a crossing, each followed
+    along the stored directions from its minimal arc, ordered by that arc."""
+    heads = {}
+    for k, rec in enumerate(crossings):
+        heads[rec[0]] = (k, 0)
+        heads[rec[over_in[k]]] = (k, over_in[k])
+    comps = []
+    seen = set()
+    for arc in sorted(heads):
+        if arc in seen:
+            continue
+        cyc = []
+        cur = arc
+        while cur not in seen:
+            seen.add(cur)
+            cyc.append(cur)
+            k, s = heads[cur]
+            cur = crossings[k][(s + 2) % 4]
+        comps.append(tuple(cyc))
+    return comps
+
+
+def dict_walk_unoriented(crossings):
+    """The oracle for `diagram.walk_unoriented`, on a dict of arc ends:
+    circles in order of their minimal arc, each walked from that arc
+    towards its first (crossing, slot) endpoint.  Yields (circle, arc,
+    crossing, slot) for every arc, with the endpoint the arc enters."""
+    endpoints: dict = {}
+    for k, rec in enumerate(crossings):
+        for s, arc in enumerate(rec):
+            endpoints.setdefault(arc, []).append((k, s))
+    seen = set()
+    cid = 0
+    for arc in sorted(endpoints):
+        if arc in seen:
+            continue
+        behind = endpoints[arc][1]
+        while arc not in seen:
+            seen.add(arc)
+            ends = endpoints[arc]
+            k, s = ends[1] if ends[0] == behind else ends[0]
+            yield cid, arc, k, s
+            behind = (k, (s + 2) % 4)
+            arc = crossings[k][behind[1]]
+        cid += 1
+
+
+def split_by_component_groups(d: LinkDiagram) -> bool:
+    """The oracle for `LinkDiagram.is_split`: a free loop beside anything
+    else, or more than one group of components by union-find over the
+    components that meet at each crossing."""
+    if d.m <= 1:
+        return False
+    if any(len(cyc) == 1 and cyc[0] not in d.heads for cyc in d.components):
+        return True
+    parent: dict = {}
+    for rec in d.crossings:
+        uf_union(parent, d.comp_of_arc[rec[0]], d.comp_of_arc[rec[1]])
+    return len({uf_find(parent, k) for k in range(d.m)}) > 1
+
+
 def curl_keeping_step(node):
     """The oracle for `skein._unoriented_step`: the same Dubrovnik step on
     (crossings, loops) nodes, but its children keep their curls and
@@ -81,7 +134,7 @@ def curl_keeping_step(node):
     entries: dict = {}  # crossing -> [(circle, entry slot)] in visit order
     bads = []
     ncircles = 0
-    for cid, _, ci, s in walk_unoriented(crossings):
+    for cid, _, ci, s in dict_walk_unoriented(crossings):
         ncircles = cid + 1
         seen = entries.setdefault(ci, [])
         if not seen and s in (0, 2):
@@ -108,16 +161,13 @@ def curl_keeping_step(node):
 
 
 def bad_crossings(d: LinkDiagram):
-    """Crossings of a `LinkDiagram` whose first visit (components in
-    order, each from its stored basepoint) passes under."""
+    """Crossings of a `LinkDiagram` whose first visit along
+    `dict_trace_oriented` passes under."""
     visited = set()
     bads = []
-    for cyc in d.components:
+    for cyc in dict_trace_oriented(d.crossings, d.over_in):
         for arc in cyc:
-            pos = d.heads.get(arc)
-            if pos is None:
-                continue
-            ci, s = pos
+            ci, s = d.heads[arc]
             if ci not in visited:
                 visited.add(ci)
                 if s == 0:
@@ -142,7 +192,7 @@ def labelled_homfly(d: LinkDiagram, memo=None):
         return switched + at_smooth * (yield d.smooth_oriented(ci))
 
     table = {} if memo is None else memo
-    return _descend(d.monochrome(), _key, step, table, None, "homfly")
+    return _descend(d.monochrome(), _key, step, table, "homfly")
 
 
 def strip_kinks(crossings, loops):
@@ -156,7 +206,7 @@ def strip_kinks(crossings, loops):
             if rec[0] == rec[1] or rec[1] == rec[2] or rec[2] == rec[3] or rec[3] == rec[0]]
     if not todo:
         return 0, (crossings, loops)
-    flat, other = _far_ends(crossings)
+    flat, other = far_ends(crossings)
     gone = set()
     uf: dict = {}
     exponent = 0
@@ -185,7 +235,7 @@ def every_start_dubrovnik_key(node):
     """The oracle for `skein._dubrovnik_key`: the same code, the least over
     every even start of each connected part, with no start skipped."""
     crossings, loops = node
-    flat, other = _far_ends(crossings)
+    flat, other = far_ends(crossings)
     uf: dict = {}  # crossings joined by an arc
     for i, j in enumerate(other):
         if i < j:

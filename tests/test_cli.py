@@ -203,6 +203,12 @@ def test_budget_holds_for_one_command(capsys, order):
         assert run(capsys, "polys", BORROMEAN, "--which", "homfly", *extra) == result, name
 
 
+def test_budget_reaches_the_suites(capsys):
+    # the suites' own scope keeps the command's budget
+    assert run(capsys, "verify", "--suite", "skein-relations", "--json", "--budget", "1") == \
+        (3, "", "error: homfly skein node budget of 1 exceeded\n")
+
+
 EVERY_COMMAND = [
     ["invariants", HOPF], ["polys", HOPF, "--which", "conway"],
     ["decompose", HOPF], ["verify", "--suite", "lemma41"]]

@@ -1,7 +1,8 @@
 """The benchmark's traced run rebinds the functions named in
-`perfbench/layers.py` and reads `sign_provenance` off every potential
-function; a rename in the package would break it silently.  The module is
-compiled from its source text, so nothing is written next to it."""
+`perfbench/layers.py`, reads `sign_provenance` off every potential
+function and counts skein nodes through `perfbench/child.py`; a rename or
+a signature change in the package would break it silently.  The modules
+are compiled from their source text, so nothing is written next to them."""
 
 import importlib
 import os
@@ -9,18 +10,24 @@ import types
 
 import pytest
 
+import linkinv
 from linkinv.alexander import potential_function
 from linkinv.diagram import BraidWord, braid_closure
 
-LAYERS_PY = os.path.join(os.path.dirname(__file__), "..", "perfbench", "layers.py")
+PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+
+
+def compiled(name):
+    path = os.path.join(PERFBENCH, f"{name}.py")
+    module = types.ModuleType(f"perfbench_{name}")
+    with open(path) as fh:
+        exec(compile(fh.read(), path, "exec"), vars(module))
+    return module
 
 
 @pytest.fixture(scope="module")
 def layers():
-    module = types.ModuleType("perfbench_layers")
-    with open(LAYERS_PY) as fh:
-        exec(compile(fh.read(), LAYERS_PY, "exec"), vars(module))
-    return module
+    return compiled("layers")
 
 
 def test_every_layer_target_resolves(layers):
@@ -40,3 +47,11 @@ def test_sign_provenance_is_a_counted_pin(layers):
                          ([1, -1, 3, 3, -1, 2, -1, 3, 1, -1, 3, -2, -1, -2], (1, 1, 1, 2))):
         d = braid_closure(BraidWord(max(map(abs, word)) + 1, word), colors=colors)
         assert potential_function(d).sign_provenance in layers.SIGN_PINS
+
+
+@pytest.mark.parametrize("which,nodes", [("conway", {"skein.conway.nodes": 1}),
+                                         ("homfly", {"skein.homfly.nodes": 4}),
+                                         ("kauffman", {"skein.dubrovnik.nodes": 5})])
+def test_child_counts_skein_nodes(which, nodes):
+    spec = {"strands": 3, "word": [1, -2, 1, -2], "which": which}
+    assert compiled("child").skein_nodes(linkinv, spec) == nodes

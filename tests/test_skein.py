@@ -1,4 +1,5 @@
 import contextlib
+import contextvars
 import json
 import math
 import os
@@ -14,14 +15,20 @@ from linkinv import skein
 from linkinv.algebra import LaurentPolynomial, rewrite_in_difference
 from linkinv.alexander import potential_function
 from linkinv.corpus import load_corpus
-from linkinv.diagram import BraidWord, LinkDiagram, braid_closure, parse_pd
+from linkinv.diagram import (
+    BraidWord,
+    LinkDiagram,
+    _trace_oriented,
+    braid_closure,
+    parse_pd,
+    walk_unoriented,
+)
 from linkinv.skein import (
     DEFAULT_BUDGET,
     SkeinBudgetError,
     _descend,
     _dubrovnik_key,
     _faces,
-    _free_loops,
     _key,
     _reduce,
     _state_sign,
@@ -36,9 +43,12 @@ from linkinv.skein import (
 from helpers import (
     bad_crossings,
     curl_keeping_step,
+    dict_trace_oriented,
+    dict_walk_unoriented,
     disjoint_union,
     every_start_dubrovnik_key,
     labelled_homfly,
+    split_by_component_groups,
     strip_kinks,
 )
 
@@ -94,10 +104,10 @@ SMALL = [unknot, hopf, trefoil, fig8, solomon, whitehead, borromean]
 Z_GEN = LaurentPolynomial.gen(Z, "z")
 
 
-def recursive_descend(root, key, step, table, budget, engine):
+def recursive_descend(root, key, step, table, engine):
     """The oracle for `_descend`: the same memo lookups, budget and
     generator steps, each child evaluated by a recursive call."""
-    limit = skein._SCOPE.get().budget if budget is None else budget
+    limit = skein._SCOPE.get().budget
     used = 0
 
     def val(node):
@@ -121,7 +131,7 @@ def recursive_descend(root, key, step, table, budget, engine):
     return val(root)
 
 
-def skein_conway(d, budget=None, memo=None, rng=None, descend=_descend):
+def skein_conway(d, memo=None, descend=_descend):
     """The oracle: the oriented skein rule at x = 1, y = z,
     C(L+) - C(L-) = z*C(L0), descending through `descend` with the
     labelled key; a split diagram is 0 before its memo lookup and costs no
@@ -135,14 +145,14 @@ def skein_conway(d, budget=None, memo=None, rng=None, descend=_descend):
         bads = bad_crossings(d)
         if not bads:
             return LaurentPolynomial.one(Z) if d.m == 1 else LaurentPolynomial.zero(Z)
-        ci = bads[0] if rng is None else rng.choice(bads)
+        ci = bads[0]
         switched = yield from value(d.switch(ci))
         return switched + d.sign(ci) * Z_GEN * (yield from value(d.smooth_oriented(ci)))
 
     table = {} if memo is None else memo
     if d.m > 1 and d.is_split():
         return LaurentPolynomial.zero(Z)
-    return descend(d, _key, step, table, budget, "conway")
+    return descend(d, _key, step, table, "conway")
 
 
 def test_conway_unknot():
@@ -201,13 +211,29 @@ def test_conway_multiplicative_under_connected_sum():
         assert conway(s) == conway(base) * conway(t)
 
 
+def relabelled(d, rng):
+    """d with its arcs renamed by a seeded permutation, each component
+    rotated to start at its new minimal arc and the components ordered by
+    it, so the walk of each engine meets the crossings in another order."""
+    arcs = d.arcs()
+    rename = dict(zip(arcs, rng.sample(arcs, len(arcs))))
+    crossings = [tuple(rename[a] for a in rec) for rec in d.crossings]
+    comps = [tuple(rename[a] for a in cyc) for cyc in d.components]
+    comps, colors = LinkDiagram._canon_components(comps, d.colors)
+    return LinkDiagram(crossings, comps, colors, over_in=d.over_in)
+
+
 @pytest.mark.parametrize("engine", [skein_conway, homfly], ids=["conway", "homfly"])
 def test_conway_descent_independence(engine):
     for make in (trefoil, whitehead, borromean):
         d = make()
         base = engine(d, memo={})
+        firsts = set()
         for seed in range(10):
-            assert engine(d, memo={}, rng=random.Random(seed)) == base
+            r = relabelled(d, random.Random(seed))
+            firsts.add(bad_crossings(r)[0])
+            assert engine(r, memo={}) == base
+        assert len(firsts) > 1, make.__name__  # the first bad crossing moved
 
 
 def test_conway_skein_relation_everywhere():
@@ -224,8 +250,8 @@ def test_conway_skein_relation_everywhere():
 def test_budget_error():
     for engine, name in ((skein_conway, "conway"), (homfly, "homfly"),
                          (kauffman_f, "dubrovnik")):
-        with pytest.raises(SkeinBudgetError) as info:
-            engine(borromean(), budget=2, memo={})
+        with pytest.raises(SkeinBudgetError) as info, scope(2):
+            engine(borromean(), memo={})
         assert info.value.engine == name
         assert info.value.budget == 2
         assert str(info.value) == f"{name} skein node budget of 2 exceeded"
@@ -240,28 +266,69 @@ def test_no_call_outside_a_scope_answers_for_another(name, engine):
     # does not let a later one pass a budget it cannot meet
     d = borromean()
     engine(d)
+
+    def outside_a_scope_with_budget_1():
+        skein._SCOPE.set(skein._Scope(1, None))
+        return engine(d)
+
     with pytest.raises(SkeinBudgetError) as info:
-        engine(d, budget=1)
+        contextvars.copy_context().run(outside_a_scope_with_budget_1)
     assert (info.value.engine, info.value.budget) == (name, 1)
 
 
 @pytest.mark.parametrize("name,engine", ENGINES)
 def test_a_scope_shares_its_tables_until_it_exits(name, engine):
-    # inside a scope, calls that pass no memo share its table and calls that
-    # pass no budget spend its budget; explicit arguments still win
+    # inside a scope, calls that pass no memo share its table and spend its
+    # budget; an explicit memo still wins
     d = borromean()
     with scope():
         want = engine(d)
-        assert engine(d, budget=1) == want
-        with pytest.raises(SkeinBudgetError):
-            engine(d, budget=1, memo={})
-    with pytest.raises(SkeinBudgetError):
-        engine(d, budget=1)
+        table = skein._SCOPE.get().tables[name]
+        size = len(table)
+        assert size and engine(d) == want and len(table) == size
+        memo = {}
+        assert engine(d, memo=memo) == want and memo and len(table) == size
+    assert skein._SCOPE.get().tables is None
     with scope(1):
         with pytest.raises(SkeinBudgetError) as info:
             engine(d)
-        assert engine(d, budget=DEFAULT_BUDGET) == want
     assert (info.value.engine, info.value.budget) == (name, 1)
+
+
+def test_a_nested_scope_keeps_the_enclosing_one():
+    # scope() with no budget inside a scope keeps its budget and tables;
+    # scope(n) opens fresh tables with budget n
+    with scope(5):
+        outer = skein._SCOPE.get()
+        with scope():
+            assert skein._SCOPE.get() is outer
+        with scope(7):
+            inner = skein._SCOPE.get()
+            assert inner.budget == 7 and inner.tables is not outer.tables
+            with pytest.raises(SkeinBudgetError) as info:
+                homfly(borromean())
+            assert info.value.budget == 7
+        assert skein._SCOPE.get() is outer
+    with scope():
+        assert skein._SCOPE.get().budget == DEFAULT_BUDGET
+
+
+def test_library_run_suites_shares_one_table(monkeypatch):
+    # outside any scope, run_suites opens one for all its engine calls
+    from linkinv.suites import run_suites
+
+    tables = []
+    real = skein._descend
+
+    def recording(root, key, step, table, engine):
+        tables.append(skein._SCOPE.get().tables)
+        return real(root, key, step, table, engine)
+
+    monkeypatch.setattr(skein, "_descend", recording)
+    assert all(c.passed for c in run_suites(["skein-relations"]))
+    assert len(tables) > 100 and tables[0] is not None
+    assert all(t is tables[0] for t in tables)
+    assert skein._SCOPE.get().tables is None
 
 
 def test_two_threads_keep_their_own_scopes():
@@ -287,18 +354,16 @@ def test_two_threads_keep_their_own_scopes():
     assert results[None] == want
 
 
-def labelled_dubrovnik(d, memo, budget=None, descend=_descend):
+def labelled_dubrovnik(d, memo, descend=_descend):
     """The oracle: the Dubrovnik descent keyed on the labelled node itself,
     every curl resolved by the skein rule."""
-    root = (d.crossings, _free_loops(d))
-    return descend(root, lambda n: n, curl_keeping_step, memo, budget, "dubrovnik")
+    return descend(_node(d), lambda n: n, curl_keeping_step, memo, "dubrovnik")
 
 
 def keyed_curl_keeping_dubrovnik(d, memo):
     """The oracle for the reduction alone: the library's key, every curl
     and bigon resolved by the skein rule."""
-    root = (d.crossings, _free_loops(d))
-    return _descend(root, _dubrovnik_key, curl_keeping_step, memo, None, "dubrovnik")
+    return _descend(_node(d), _dubrovnik_key, curl_keeping_step, memo, "dubrovnik")
 
 
 # Nodes each skein engine stores on a cold table: the descent order, the
@@ -325,17 +390,17 @@ def test_cold_memo_node_counts(make, counts):
     assert tuple(sizes) == counts
 
 
-def _with_descend(descend, engine, d, memo, budget):
+def _with_descend(descend, engine, d, memo):
     """engine(d) on `memo` with the skein descent `descend`; the library
     engines reach it through `skein._descend`."""
     if engine in (homfly, dubrovnik):
         saved = skein._descend
         skein._descend = descend
         try:
-            return engine(d, budget=budget, memo=memo)
+            return engine(d, memo=memo)
         finally:
             skein._descend = saved
-    return engine(d, budget=budget, memo=memo, descend=descend)
+    return engine(d, memo=memo, descend=descend)
 
 
 def _run(descend, engine, d, budget=None):
@@ -345,14 +410,15 @@ def _run(descend, engine, d, budget=None):
     relabeling of it below it, so its size is not the count."""
     memo, spent = {}, []
 
-    def counting(root, key, step, table, budget, name):
+    def counting(root, key, step, table, name):
         def spend(node):
             spent.append(node)
             return step(node)
-        return descend(root, key, spend, table, budget, name)
+        return descend(root, key, spend, table, name)
 
     try:
-        value = _with_descend(counting, engine, d, memo, budget)
+        with scope(budget):
+            value = _with_descend(counting, engine, d, memo)
     except SkeinBudgetError as exc:
         value = (exc.engine, exc.budget)
     return value, list(memo.items()), spent
@@ -428,14 +494,14 @@ def test_skein_depth_is_not_bounded_by_frames():
         want = engine(torus(n), memo={})
         assert _near_the_frame_limit(engine, torus(n), memo={}) == want, engine.__name__
         with pytest.raises(RecursionError):
-            _near_the_frame_limit(_with_descend, recursive_descend, engine, torus(n), {}, None)
+            _near_the_frame_limit(_with_descend, recursive_descend, engine, torus(n), {})
 
 
 def test_deep_descent_stops_at_the_node_budget():
     for d in (deep_braid(3, 300), deep_braid(4, 400)):
         for engine, name in ((homfly, "homfly"), (kauffman_f, "dubrovnik")):
-            with pytest.raises(SkeinBudgetError) as info:
-                _near_the_frame_limit(engine, d, budget=200, memo={})
+            with pytest.raises(SkeinBudgetError) as info, scope(200):
+                _near_the_frame_limit(engine, d, memo={})
             assert (info.value.engine, info.value.budget) == (name, 200)
 
 
@@ -605,7 +671,7 @@ def test_curl_stripping_matches_curl_keeping_oracle_on_curls(shared_memos):
 
 
 def _node(d):
-    return d.crossings, _free_loops(d)
+    return d.crossings, len(d._free_loops(()))
 
 
 def _turn(rec, quarter):
@@ -651,8 +717,8 @@ def test_dubrovnik_key_matches_every_start_oracle():
             nodes.append(node)
             return curl_keeping_step(node)
 
-        with contextlib.suppress(SkeinBudgetError):  # 200 nodes of each are enough
-            _descend(_node(d), lambda n: n, step, {}, 200, "dubrovnik")
+        with contextlib.suppress(SkeinBudgetError), scope(200):  # 200 nodes of each are enough
+            _descend(_node(d), lambda n: n, step, {}, "dubrovnik")
         for node in nodes:
             assert _dubrovnik_key(node) == every_start_dubrovnik_key(node), node
 
@@ -953,3 +1019,51 @@ def test_engines_reject_the_empty_diagram(engine):
     empty = parse_pd("components: []")
     with pytest.raises(ValueError, match="^the diagram has no component$"):
         engine(empty)
+
+
+# -- the one walk against its dict-based oracles ------------------------------
+
+def walk_diagrams():
+    """The corpus links, 100 seeded closures and the curl diagrams."""
+    return [e.link for e in CORPUS_LINKS] + list(seeded_closures(20261023, 100)) + curl_diagrams()
+
+
+def _unoriented_visits(crossings):
+    flat, circles = walk_unoriented(crossings)
+    return [(cid, flat[i], i >> 2, i & 3) for cid, circle in enumerate(circles) for i in circle]
+
+
+def test_walks_match_dict_oracles():
+    # each diagram, every switch and oriented smoothing of it, and the
+    # nodes of its HOMFLY and Dubrovnik descents, at most 100 of each:
+    # the library's reduced ones and the curl-keeping oracle's, which hold
+    # curls and free loops
+    oriented = unoriented = 0
+    for d in walk_diagrams():
+        diagrams = [d] + [f(ci) for ci in range(len(d.crossings))
+                          for f in (d.switch, d.smooth_oriented)]
+        nodes = [(e.crossings, e.over_in) for e in diagrams]
+        nodes += [node[:2] for node in _run(_descend, homfly, d, 100)[2]]
+        for crossings, over_in in nodes:
+            assert _trace_oriented(crossings, over_in) == dict_trace_oriented(crossings, over_in)
+        oriented += len(nodes)
+        nodes = [e.crossings for e in diagrams]
+        for engine in (dubrovnik, labelled_dubrovnik):
+            nodes += [node[0] for node in _run(_descend, engine, d, 100)[2]]
+        for crossings in nodes:
+            assert _unoriented_visits(crossings) == list(dict_walk_unoriented(crossings))
+        unoriented += len(nodes)
+    assert oriented > 2500 and unoriented > 10000
+
+
+def test_is_split_matches_component_groups():
+    diagrams = walk_diagrams()
+    diagrams += [braid_closure(BraidWord(n, w)) for n, w in
+                 ((2, [1, -1]), (3, [1, 1]), (3, [2, 2]), (4, [1, 1, 3, 3]), (4, [1, 2, -1, 3]))]
+    diagrams += [disjoint_union(a, b) for a, b in ((hopf(), trefoil()), (unknot(), fig8()))]
+    diagrams += [f(ci) for d in list(diagrams) for ci in range(len(d.crossings))
+                 for f in (d.smooth_oriented, d.smooth_infinity)]
+    diagrams += [d.delete_component(i) for d in list(diagrams) if d.m > 2 for i in range(d.m)]
+    splits = [d.is_split() for d in diagrams]
+    assert splits == [split_by_component_groups(d) for d in diagrams]
+    assert splits.count(True) > 500 and splits.count(False) > 2000
