@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# fox_determinant, the kernel behind `state_sum`, is unused here but stays
-# importable: the benchmark's traced run wraps `alexander.fox_determinant`
+# fox_determinant, the sparse pivoted determinant on packed exponents behind
+# `state_sum`, is unused here but stays importable under this name: the
+# benchmark's traced run wraps `alexander.fox_determinant`
 from .algebra import LaurentPolynomial, _exact_quotient, fox_determinant  # noqa: F401
 from .diagram import DiagramError, LinkDiagram
 from .skein import state_sum

@@ -14,13 +14,16 @@ lexicographically.
 expansions in Q[c][[h]] return it, over (a, h) with a = c*h, but compute
 their products and quotients on integer moments (see `transforms`).
 
-`fox_determinant` is the package's one determinant routine (fraction-free
-Bareiss elimination over Z[t^+-1]), used for Kauffman's state sum behind
-the Conway polynomial and the potential function.
+`fox_determinant` is the package's one determinant routine, used for
+Kauffman's state sum behind the Conway polynomial and the potential
+function: sparse fraction-free Bareiss elimination over Z[t^+-1] with
+Markowitz pivoting, on terms whose exponent vectors are packed into one
+int each.  `_exact_quotient` divides on the same packed terms.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping
@@ -328,47 +331,70 @@ def rewrite_in_difference(f: LaurentPolynomial, zname: str = "z") -> LaurentPoly
 
 
 # -- exact determinants over Z[t^+-1] ------------------------------------------
+#
+# The determinant kernel packs each exponent vector (e_1, ..., e_k) into
+# the one int e_1*R^(k-1) + ... + e_k, a balanced mixed radix with the
+# first variable most significant and R = 2^bits.  Packing is a ring map
+# from Z[t_1^+-1, ..., t_k^+-1] to Z[T^+-1], one-to-one on polynomials
+# whose exponents all lie in -R/2 <= e < R/2.  On those, key order is lex
+# order, so max() over the keys is the lex-leading term, and a product of
+# terms adds keys.
 
-def _int_terms(entry: LaurentPolynomial) -> dict:
-    """A copy of the entry's terms; integral coefficients are stored as int,
-    so any other type means a fractional entry."""
-    if any(type(c) is not int for c in entry.terms.values()):
-        raise ValueError("matrix entries must have integer coefficients")
-    return dict(entry.terms)
-
-
-def _add_product(out: dict, a: dict, b: dict, sign: int = 1) -> dict:
-    """out += sign * a * b on {exponent tuple: int} dicts."""
-    for ea, ca in a.items():
-        ca *= sign
-        for eb, cb in b.items():
-            e = tuple([x + y for x, y in zip(ea, eb)])
-            out[e] = out.get(e, 0) + ca * cb
-    return out
+def _pack(exps, bits: int) -> int:
+    key = 0
+    for e in exps:
+        key = (key << bits) + e
+    return key
 
 
-def _exact_quotient(num: dict, den: dict) -> dict:
-    """num / den over Z[t^+-1], cancelling num's lex-leading term each step
-    (lex order on Z^n is a group order); raises ArithmeticError on a
-    remainder.  An exact quotient's exponents lie in the per-variable
-    degree box checked below, which also bounds the loop."""
-    num = {e: c for e, c in num.items() if c}
-    if not num:
-        return num
-    lo = [a - b for a, b in zip(map(min, zip(*num)), map(min, zip(*den)))]
-    hi = [a - b for a, b in zip(map(max, zip(*num)), map(max, zip(*den)))]
+def _unpack(key: int, bits: int, nvars: int) -> tuple:
+    """The exponent vector that packs to key: balanced digits in every
+    variable but the first, which takes whatever is left."""
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    exps = [0] * nvars
+    for i in range(nvars - 1, 0, -1):
+        e = exps[i] = ((key + half) & mask) - half
+        key = (key - e) >> bits
+    if exps:
+        exps[0] = key
+    return tuple(exps)
+
+
+def _divide(num: dict, den: dict, bits: int, nvars: int) -> dict:
+    """num / den on packed terms, cancelling num's leading term each step
+    (lex order on Z^k is a group order); consumes num.  Raises
+    ArithmeticError on a remainder.
+
+    Both operands must pack exponents below R/2 in size.  Every quotient
+    exponent is kept below R/2 - d, d the largest |exponent| of den, so
+    quotient times den packs one-to-one and the packed identity num =
+    quotient * den holds over Z[t^+-1] too.  That box also bounds the
+    loop, since the quotient's keys strictly fall."""
+    if len(den) == 1:  # a unit times an integer: one pass
+        (lead, lc), = den.items()
+        out = {}
+        for k, c in num.items():
+            if c:
+                q, r = divmod(c, lc)
+                if r:
+                    raise ArithmeticError("inexact division over Z[t^+-1]")
+                out[k - lead] = q
+        return out
+    for k in [k for k, c in num.items() if not c]:
+        del num[k]
+    limit = (1 << (bits - 1)) - 1 - max(abs(e) for k in den for e in _unpack(k, bits, nvars))
     lead = max(den)
     lc = den[lead]
     out = {}
     while num:
         top = max(num)
-        qe = tuple([x - y for x, y in zip(top, lead)])
+        qe = top - lead
         q, r = divmod(num[top], lc)
-        if r or not all(a <= x <= b for a, x, b in zip(lo, qe, hi)):
+        if r or max(map(abs, _unpack(qe, bits, nvars))) > limit:
             raise ArithmeticError("inexact division over Z[t^+-1]")
         out[qe] = q
         for e, c in den.items():
-            k = tuple([x + y for x, y in zip(qe, e)])
+            k = qe + e
             v = num.get(k, 0) - q * c
             if v:
                 num[k] = v
@@ -377,36 +403,128 @@ def _exact_quotient(num: dict, den: dict) -> dict:
     return out
 
 
+def _exact_quotient(num: dict, den: dict) -> dict:
+    """num / den over Z[t^+-1] on {exponent tuple: int} dicts, by the
+    packed division; raises ArithmeticError on a remainder.  R exceeds
+    four times every |exponent| given, so a quotient term of an exact
+    division, at most twice that, unpacks faithfully."""
+    nvars = len(next(iter(den)))
+    big = max((abs(e) for terms in (num, den) for exps in terms for e in exps), default=0)
+    bits = max(1, (4 * big).bit_length())
+    out = _divide({_pack(e, bits): c for e, c in num.items()},
+                  {_pack(e, bits): c for e, c in den.items()}, bits, nvars)
+    return {_unpack(k, bits, nvars): c for k, c in out.items()}
+
+
+def _add_product(out: dict, a: dict, b: dict, sign: int = 1) -> dict:
+    """out += sign * a * b on packed terms."""
+    for ea, ca in a.items():
+        ca *= sign
+        for eb, cb in b.items():
+            e = ea + eb
+            out[e] = out.get(e, 0) + ca * cb
+    return out
+
+
+def permutation_sign(perm) -> int:
+    """Sign of a permutation of range(len(perm)), from its cycles: a cycle
+    of length L is L - 1 transpositions."""
+    seen = bytearray(len(perm))
+    sign = 1
+    for start in range(len(perm)):
+        seen[start] = 1
+        j = perm[start]
+        while not seen[j]:
+            seen[j] = 1
+            sign = -sign
+            j = perm[j]
+    return sign
+
+
 def fox_determinant(rows, ncols: int, variables) -> LaurentPolynomial:
-    """Determinant of a square matrix over Z[t^+-1] by fraction-free Bareiss
-    elimination: step k replaces each entry below and right of the pivot by
-    (pivot * entry - column entry * pivot-row entry) / previous pivot, a
-    division that is exact.  The pivot is the entry of the column with the
-    fewest terms; each row swap flips the sign."""
+    """Determinant of a square matrix over Z[t^+-1] by sparse fraction-free
+    Bareiss elimination (Bareiss, Math. Comp. 22, 1968) with Markowitz
+    pivoting (Management Science 3, 1957), on packed exponents.
+
+    Each row is a {column: terms} dict holding its nonzero entries.  Each
+    step takes the pivot that minimises (row count - 1) * (column count - 1)
+    over the rows and columns left, ties broken by its number of terms.  A
+    row the pivot column misses is left as it is: it falls behind by
+    pivot_now / pivot_then, and the step that next touches it catches up
+    in the same exact division, (pivot * entry - lead * pivot-row entry) /
+    pivot_then.  The last pivot is the determinant up to the sign of the
+    permutation taking each pivot's row to its column.
+
+    The radix R = 2^bits exceeds 4*n*E, E the largest |exponent| of any
+    entry: every entry and pivot met is a minor, of |exponents| at most
+    n*E, and every numerator a sum of products of two minors, at most
+    2*n*E < R/2, so all of them pack one-to-one."""
     if len(rows) != ncols or any(len(row) != ncols for row in rows):
         raise ValueError("square matrix expected")
-    mat = [[_int_terms(e) for e in row] for row in rows]
-    sign = 1
-    prev = {(0,) * len(variables): 1}
-    for k in range(ncols):
-        nonzero = [i for i in range(k, ncols) if mat[i][k]]
-        if not nonzero:
-            return LaurentPolynomial.zero(variables)
-        p = min(nonzero, key=lambda i: len(mat[i][k]))
-        if p != k:
-            mat[k], mat[p] = mat[p], mat[k]
-            sign = -sign
-        pivot_row = mat[k]
-        pivot = pivot_row[k]
-        for row in mat[k + 1:]:
-            lead = row[k]
-            for j in range(k + 1, ncols):
-                num = _add_product({}, pivot, row[j])
-                if lead and pivot_row[j]:
+    for row in rows:
+        for entry in row:
+            if any(type(c) is not int for c in entry.terms.values()):
+                raise ValueError("matrix entries must have integer coefficients")
+    nvars = len(variables)
+    big = max((abs(e) for row in rows for entry in row for exps in entry.terms for e in exps),
+              default=0)
+    bits = max(1, (4 * ncols * big).bit_length())
+    mat = [{j: {_pack(e, bits): c for e, c in entry.terms.items()}
+            for j, entry in enumerate(row) if entry.terms} for row in rows]
+    count = Counter(j for row in mat for j in row)  # column -> rows left that hold it
+    one = {0: 1}
+    since = [one] * ncols  # the pivot each row's entries are current for
+    active = list(range(ncols))
+    perm = [0] * ncols
+    prev = one
+    for _ in range(ncols):
+        best = None
+        for i in active:
+            row = mat[i]
+            if not row:
+                return LaurentPolynomial.zero(variables)
+            others = len(row) - 1
+            for j, terms in row.items():
+                cost = (others * (count[j] - 1), len(terms))
+                if best is None or cost < best[0]:
+                    best = (cost, i, j)
+        _, r, c = best
+        active.remove(r)
+        perm[r] = c
+        pivot_row = mat[r]
+        if since[r] is not prev:
+            pivot_row = {j: _divide(_add_product({}, prev, a), since[r], bits, nvars)
+                         for j, a in pivot_row.items()}
+        pivot = pivot_row.pop(c)
+        del count[c]
+        for j in pivot_row:
+            count[j] -= 1
+        for i in active:
+            row = mat[i]
+            lead = row.pop(c, None)
+            if lead is None:
+                continue
+            then, since[i] = since[i], pivot
+            nums = {}
+            for j, a in row.items():
+                num = nums[j] = _add_product({}, pivot, a)
+                if j in pivot_row:
                     _add_product(num, lead, pivot_row[j], -1)
-                row[j] = _exact_quotient(num, prev)
+            for j, b in pivot_row.items():
+                if j not in row:
+                    nums[j] = _add_product({}, lead, b, -1)
+                    count[j] += 1
+            mat[i] = row = {}
+            for j, num in nums.items():
+                q = _divide(num, then, bits, nvars)
+                if q:
+                    row[j] = q
+                else:
+                    count[j] -= 1
         prev = pivot
-    return LaurentPolynomial(variables, {e: sign * c for e, c in prev.items()})
+    sign = permutation_sign(perm)
+    return LaurentPolynomial._make(tuple(variables), {
+        _unpack(k, bits, nvars): sign * c for k, c in prev.items()})
 
 
 class TruncatedSeries:

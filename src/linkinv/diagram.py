@@ -89,6 +89,15 @@ def parts(other):
     return groups
 
 
+def disconnected(d: "LinkDiagram", other) -> bool:
+    """`LinkDiagram.is_split` from the far ends `other` of d's crossings,
+    for a caller that has built them."""
+    if d.m <= 1:
+        return False
+    # a crossing-free circle next to anything else is split
+    return bool(d._free_loops(())) or len(parts(other)) > 1
+
+
 def _walk(flat, other, entry):
     """The circles that touch a crossing, as the slots each one enters, in
     order of their minimal arc and walked from that arc's slot in `entry`,
@@ -338,10 +347,7 @@ class LinkDiagram:
 
     def is_split(self) -> bool:
         """True iff the underlying 4-valent graph is disconnected."""
-        if self.m <= 1:
-            return False
-        # a crossing-free circle next to anything else is split
-        return bool(self._free_loops(())) or len(parts(far_ends(self.crossings)[1])) > 1
+        return disconnected(self, far_ends(self.crossings)[1])
 
     def __eq__(self, other):
         if not isinstance(other, LinkDiagram):

@@ -5,10 +5,10 @@ potential function's numerator from Kauffman's state sum.
 Conway is not a skein engine.  `state_sum` builds Alexander's state matrix
 (one row per crossing, one column per face but two adjacent ones, corner
 weights in the variables of the two strands' colors), takes its
-determinant with the Bareiss kernel `algebra.fox_determinant` and fixes
-the sign from one state.  `conway` is its one-color case rewritten in
-z = x - x^-1, and `alexander.potential_function` its colored case:
-polynomial time, no node budget and no memo.
+determinant with the sparse Bareiss kernel `algebra.fox_determinant`
+and fixes the sign from one state.  `conway` is its one-color case
+rewritten in z = x - x^-1, and `alexander.potential_function` its colored
+case: polynomial time, no node budget and no memo.
 
 The descent strategy is the standard guaranteed-terminating one: fix a
 traversal (each circle from its minimal arc) and locate crossings whose
@@ -58,9 +58,9 @@ import contextlib
 from contextvars import ContextVar
 from typing import NamedTuple
 
-from .algebra import LaurentPolynomial, fox_determinant, rewrite_in_difference
-from .diagram import LinkDiagram, far_ends, parts, uf_find, uf_union, walk_oriented, \
-    walk_unoriented
+from .algebra import LaurentPolynomial, fox_determinant, permutation_sign, rewrite_in_difference
+from .diagram import LinkDiagram, disconnected, far_ends, parts, uf_find, uf_union, \
+    walk_oriented, walk_unoriented
 
 XYVARS = ("x", "y")
 
@@ -220,11 +220,11 @@ _CORNERS = {1: ((0, 0), (1, 0), (1, -1), (0, -1)), -1: ((0, 1), (-1, 1), (-1, 0)
 _FLIPPED = {1: 3, -1: 0}
 
 
-def _faces(crossings):
+def _faces(other):
     """Face of every corner, corner i of crossing X at 4X + i, between its
-    slots i and i + 1: following the arc at slot i + 1 to its other end
-    (Y, j) reaches the next corner of the same face, (Y, j)."""
-    _, other = far_ends(crossings)
+    slots i and i + 1, from the far ends `other` of `diagram.far_ends`:
+    following the arc at slot i + 1 to its other end (Y, j) reaches the
+    next corner of the same face, (Y, j)."""
     face = [-1] * len(other)
     count = 0
     for start in range(len(other)):
@@ -238,18 +238,19 @@ def _faces(crossings):
     return face
 
 
-def _state_matrix(d: LinkDiagram, colors, variables, cut: int):
+def _state_matrix(d: LinkDiagram, colors, variables, cut: int, other):
     """Alexander's c x c state matrix of a connected diagram with c >= 1
-    crossings: one row per crossing, one column per face except the two on
-    either side of the arc at slot `cut` (crossing cut // 4, slot cut % 4),
-    each entry the sum of the crossing's corner weights in that face, the
-    strands of component k weighted by x_colors[k].  Returns the rows and,
-    per row, (column, flip) for every corner that has a column.
+    crossings and far ends `other`: one row per crossing, one column per
+    face except the two on either side of the arc at slot `cut` (crossing
+    cut // 4, slot cut % 4), each entry the sum of the crossing's corner
+    weights in that face, the strands of component k weighted by
+    x_colors[k].  Returns the rows and, per row, (column, flip) for every
+    corner that has a column.
 
     A connected diagram has c + 2 faces, and the two sides of any arc are
     different faces: a 4-valent graph has no bridge, since cutting one
     would leave a part of odd total degree."""
-    face = _faces(d.crossings)
+    face = _faces(other)
     dropped = {face[cut], face[(cut & ~3) | ((cut - 1) & 3)]}
     kept = sorted(set(face) - dropped)
     column = dict(zip(kept, range(len(kept))))
@@ -302,8 +303,7 @@ def _state_sign(options) -> int:
     for col, (r, flip) in owner.items():
         perm[r] = col
         sign *= flip
-    inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
-    return -sign if inversions % 2 else sign
+    return sign * permutation_sign(perm)
 
 
 def state_sum(d: LinkDiagram, colors, cut: int = 0) -> LaurentPolynomial:
@@ -316,11 +316,12 @@ def state_sum(d: LinkDiagram, colors, cut: int = 0) -> LaurentPolynomial:
     conway(x - x^-1).  A split diagram gives 0, a crossing-free knot 1."""
     _require_component(d)
     variables = tuple(f"x{c}" for c in range(1, max(colors) + 1))
-    if d.is_split():
+    _, other = far_ends(d.crossings)
+    if disconnected(d, other):
         return LaurentPolynomial.zero(variables)
     if not d.crossings:
         return LaurentPolynomial.one(variables)
-    rows, options = _state_matrix(d, colors, variables, cut)
+    rows, options = _state_matrix(d, colors, variables, cut, other)
     det = fox_determinant(rows, len(rows), variables)
     if det.is_zero:
         return det

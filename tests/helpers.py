@@ -266,3 +266,75 @@ def every_start_dubrovnik_key(node):
                 best = code
         codes.append(tuple(best))
     return tuple(sorted(codes)), loops
+
+
+def _tuple_add_product(out: dict, a: dict, b: dict, sign: int = 1) -> dict:
+    """out += sign * a * b on {exponent tuple: int} dicts."""
+    for ea, ca in a.items():
+        ca *= sign
+        for eb, cb in b.items():
+            e = tuple([x + y for x, y in zip(ea, eb)])
+            out[e] = out.get(e, 0) + ca * cb
+    return out
+
+
+def tuple_exact_quotient(num: dict, den: dict) -> dict:
+    """The oracle for `algebra._exact_quotient`: num / den over Z[t^+-1] on
+    exponent tuples, cancelling num's lex-leading term each step; raises
+    ArithmeticError on a remainder.  An exact quotient's exponents lie in
+    the per-variable degree box checked below, which also bounds the loop."""
+    num = {e: c for e, c in num.items() if c}
+    if not num:
+        return num
+    lo = [a - b for a, b in zip(map(min, zip(*num)), map(min, zip(*den)))]
+    hi = [a - b for a, b in zip(map(max, zip(*num)), map(max, zip(*den)))]
+    lead = max(den)
+    lc = den[lead]
+    out = {}
+    while num:
+        top = max(num)
+        qe = tuple([x - y for x, y in zip(top, lead)])
+        q, r = divmod(num[top], lc)
+        if r or not all(a <= x <= b for a, x, b in zip(lo, qe, hi)):
+            raise ArithmeticError("inexact division over Z[t^+-1]")
+        out[qe] = q
+        for e, c in den.items():
+            k = tuple([x + y for x, y in zip(qe, e)])
+            v = num.get(k, 0) - q * c
+            if v:
+                num[k] = v
+            else:
+                del num[k]
+    return out
+
+
+def dense_fox_determinant(rows, ncols: int, variables) -> LaurentPolynomial:
+    """The oracle for the sparse `algebra.fox_determinant`: dense
+    fraction-free Bareiss elimination on exponent tuples.  Step k replaces
+    each entry below and right of the pivot by (pivot * entry - column
+    entry * pivot-row entry) / previous pivot; the pivot is the entry of
+    the column with the fewest terms, and each row swap flips the sign."""
+    if len(rows) != ncols or any(len(row) != ncols for row in rows):
+        raise ValueError("square matrix expected")
+    mat = [[dict(e.terms) for e in row] for row in rows]
+    sign = 1
+    prev = {(0,) * len(variables): 1}
+    for k in range(ncols):
+        nonzero = [i for i in range(k, ncols) if mat[i][k]]
+        if not nonzero:
+            return LaurentPolynomial.zero(variables)
+        p = min(nonzero, key=lambda i: len(mat[i][k]))
+        if p != k:
+            mat[k], mat[p] = mat[p], mat[k]
+            sign = -sign
+        pivot_row = mat[k]
+        pivot = pivot_row[k]
+        for row in mat[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, ncols):
+                num = _tuple_add_product({}, pivot, row[j])
+                if lead and pivot_row[j]:
+                    _tuple_add_product(num, lead, pivot_row[j], -1)
+                row[j] = tuple_exact_quotient(num, prev)
+        prev = pivot
+    return LaurentPolynomial(variables, {e: sign * c for e, c in prev.items()})

@@ -17,10 +17,19 @@ from linkinv.alexander import (
     xvars,
 )
 from linkinv.corpus import load_corpus
-from linkinv.diagram import BraidWord, LinkDiagram, braid_closure, parse_pd, uf_find, uf_union
-from linkinv.skein import conway, homfly
+from linkinv.diagram import (
+    BraidWord,
+    LinkDiagram,
+    braid_closure,
+    disconnected,
+    far_ends,
+    parse_pd,
+    uf_find,
+    uf_union,
+)
+from linkinv.skein import _state_matrix, conway, homfly
 
-from helpers import mono_numerator
+from helpers import dense_fox_determinant, mono_numerator, tuple_exact_quotient
 
 
 def conway_in_x(nabla, var="x"):
@@ -339,6 +348,101 @@ def test_fox_determinant_matches_subset_dp_oracle():
         variables = tvars(d.n_colors)
         assert fox_determinant(minor, len(minor), variables) == \
             subset_dp_determinant(minor, len(minor), variables), d.name
+
+
+def test_sparse_kernel_matches_dense_and_subset_oracles():
+    """The sparse kernel against the dense Bareiss loop on every input, and
+    against the division-free subset oracle up to 10 rows: state matrices
+    of random 2-5-strand closures with 1..m colors, cut at a random slot,
+    and their Fox minors with each row shifted by a random monomial, so
+    that entries reach |exponent| > 1 and the packing radix grows."""
+    rng = random.Random(20261019)
+    cases = []
+    while len(cases) < 120:
+        n = rng.randint(2, 5)
+        word = [rng.choice((1, -1)) * rng.randint(1, n - 1)
+                for _ in range(rng.randint(1, 16))]
+        d = braid_closure(BraidWord(n, word))
+        k = rng.randint(1, d.m)
+        d = d.recolor(tuple(range(1, k + 1)) + tuple(rng.randint(1, k) for _ in range(d.m - k)))
+        if not d.crossings:
+            continue
+        _, other = far_ends(d.crossings)
+        if not disconnected(d, other):
+            variables = xvars(k)
+            cut = rng.randrange(4 * len(d.crossings))
+            cases.append((_state_matrix(d, d.colors, variables, cut, other)[0], variables))
+        p = wirtinger(d)
+        if len(p.generators) == len(p.relations):
+            variables = tvars(k)
+            shifts = [LaurentPolynomial.monomial(variables, [rng.randint(-3, 3) for _ in range(k)])
+                      for _ in p.relations]
+            cases.append(([[shift * e for e in row[:-1]]
+                           for shift, row in zip(shifts, fox_matrix(p)[:-1])], variables))
+    assert max(abs(e) for rows, _ in cases for row in rows for entry in row
+               for exps in entry.terms for e in exps) > 1
+    assert max(len(rows) for rows, _ in cases) > 10
+    for rows, variables in cases:
+        det = fox_determinant(rows, len(rows), variables)
+        assert det == dense_fox_determinant(rows, len(rows), variables)
+        if len(rows) <= 10:
+            assert det == subset_dp_determinant(rows, len(rows), variables)
+
+
+def test_sparse_kernel_hand_cases():
+    t = LaurentPolynomial.gen(("t",), "t")
+    one = LaurentPolynomial.one(("t",))
+    zero = LaurentPolynomial.zero(("t",))
+
+    def det(rows):
+        return fox_determinant(rows, len(rows), ("t",))
+
+    # singular: the third column is the sum of the first two, so the
+    # elimination cancels the last row to nothing
+    assert det([[t, one, t + 1], [one, t, t + 1], [t ** 2, one, t ** 2 + 1]]).is_zero
+    # a zero column: the last row left holds no entry
+    assert det([[zero, t, one], [zero, one - t, t], [zero, one, t ** 2]]).is_zero
+    # every diagonal entry is nonzero, yet the first pivot is (0, 1), of
+    # Markowitz cost 1 and one term, and the second (1, 0): an odd permutation
+    assert det([[1 + t, t], [one, 1 + t]]) == t ** 2 + t + 1
+    # lazy scaling: row 1 is updated by the first pivot (row 0), left
+    # behind by the pivots of rows 4 and 3, then caught up by row 5's
+    rows = [[zero, zero, zero, t + 2, zero, zero],
+            [zero, 2 * t - 1, zero, t - 1, t ** 2 + 1, t + 2],
+            [zero, 2 * t - 1, 2 * t - 1, t + 2, zero, zero],
+            [zero, zero, t - 1, zero, t + 1, zero],
+            [t + 2, zero, zero, zero, zero, zero],
+            [zero, zero, zero, zero, 2 * t - 1, t + 2]]
+    assert det(rows) == subset_dp_determinant(rows, 6, ("t",))
+    # (t1 - 1) / (t2 - 1) leaves a remainder over Z[t1, t2], although its
+    # packed image (T^R - 1) / (T - 1) is exact
+    with pytest.raises(ArithmeticError):
+        _exact_quotient({(1, 0): 1, (0, 0): -1}, {(0, 1): 1, (0, 0): -1})
+
+
+def test_packed_division_matches_tuple_oracle():
+    """Exact and perturbed divisions in 1-3 variables: the packed division
+    and the tuple oracle agree on the quotient, or both raise."""
+    rng = random.Random(7)
+
+    def poly(k, size, spread):
+        return {tuple(rng.randint(-spread, spread) for _ in range(k)): rng.choice((-2, -1, 1, 3))
+                for _ in range(size)}
+
+    for trial in range(300):
+        k = rng.randint(1, 3)
+        den = poly(k, rng.randint(1, 3), 2)
+        num = (LaurentPolynomial(tvars(k), poly(k, rng.randint(1, 4), 3))
+               * LaurentPolynomial(tvars(k), den)).terms
+        if trial % 2:
+            num = (LaurentPolynomial(tvars(k), num) + LaurentPolynomial(tvars(k), poly(k, 1, 4))).terms
+        try:
+            expected = tuple_exact_quotient(dict(num), den)
+        except ArithmeticError:
+            with pytest.raises(ArithmeticError):
+                _exact_quotient(dict(num), den)
+        else:
+            assert _exact_quotient(dict(num), den) == expected
 
 
 def _up_to_units(f, g):

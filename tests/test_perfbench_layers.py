@@ -11,8 +11,9 @@ import types
 import pytest
 
 import linkinv
+from linkinv import skein
 from linkinv.alexander import potential_function
-from linkinv.diagram import BraidWord, braid_closure
+from linkinv.diagram import BraidWord, braid_closure, far_ends
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 
@@ -47,6 +48,22 @@ def test_sign_provenance_is_a_counted_pin(layers):
                          ([1, -1, 3, 3, -1, 2, -1, 3, 1, -1, 3, -2, -1, -2], (1, 1, 1, 2))):
         d = braid_closure(BraidWord(max(map(abs, word)) + 1, word), colors=colors)
         assert potential_function(d).sign_provenance in layers.SIGN_PINS
+
+
+def test_recorder_times_the_state_sum_determinant(layers):
+    """The traced run wraps `alexander.fox_determinant` by rebinding that
+    name in every module holding it, so the state sum must call the kernel
+    through a module-level name, with the matrix dimension second."""
+    d = braid_closure(BraidWord(4, [1, -2, 3, 1, -2, 3]), colors=(1, 2))
+    rows, _ = skein._state_matrix(d, d.colors, ("x1", "x2"), 0, far_ends(d.crossings)[1])
+    recorder = layers.Recorder()
+    recorder.install()
+    try:
+        skein.state_sum(d, d.colors)
+    finally:
+        recorder.uninstall()
+    assert recorder.stats["alexander.fox_determinant"][0] == 1
+    assert recorder.fox_max_dim == len(rows) == len(d.crossings)
 
 
 @pytest.mark.parametrize("which,nodes", [("conway", {"skein.conway.nodes": 1}),

@@ -20,6 +20,7 @@ from linkinv.diagram import (
     LinkDiagram,
     _trace_oriented,
     braid_closure,
+    far_ends,
     parse_pd,
     walk_unoriented,
 )
@@ -742,7 +743,7 @@ def reducible(crossings):
     crossings and differ in slot parity, so that each of its arcs keeps
     its parity from end to end."""
     corners: dict = {}
-    for k, f in enumerate(_faces(crossings)):
+    for k, f in enumerate(_faces(far_ends(crossings)[1])):
         corners.setdefault(f, []).append(k)
     return any(len(ks) == 1 or (len(ks) == 2 and ks[0] >> 2 != ks[1] >> 2 and (ks[1] - ks[0]) & 1)
                for ks in corners.values())
