@@ -771,6 +771,9 @@ def parse_singular(text: str) -> SingularLink:
 
 # -- braids -------------------------------------------------------------------
 
+MAX_STRANDS = 1000  # the closure allocates per strand, so bound it first
+
+
 class BraidWord:
     """A braid group word: signed generator indices on a fixed strand count."""
 
@@ -780,6 +783,8 @@ class BraidWord:
         word = tuple(int(w) for w in word)
         if strands < 1:
             raise DiagramError("braid needs at least one strand")
+        if strands > MAX_STRANDS:
+            raise DiagramError(f"braid has more than {MAX_STRANDS} strands")
         for w in word:
             if w == 0 or abs(w) >= strands:
                 raise DiagramError(f"generator index {w} out of range for {strands} strands")

@@ -39,17 +39,18 @@ returns the node's value.  There are two steps:
 - the unoriented Dubrovnik rule on (crossings, loops) nodes.
 
 Each skein call memoizes values in a table: its `memo=`, else its scope's,
-else a fresh one.  HOMFLY keys a node on the labeled node itself; different
-descent paths reaching the same sub-diagram produce identical keys because
-arc merges keep minimal ids.  Dubrovnik keys a node on `_dubrovnik_key`, a
-code that forgets arc labels, crossing order and the 180-degree turn of a
-record, so every relabeling of one unoriented diagram on S^2 shares one
-entry.  `with scope(budget):` gives its block, in the current context only
-(a `contextvars.ContextVar`), the node budget and one table per engine,
-freed when the block exits; a `scope()` with no budget inside another
-keeps the enclosing one.  Outside a scope a call spends DEFAULT_BUDGET at
-most and its value depends on its arguments alone.  `conway` keeps no
-table.
+else a fresh one.  Both engines key a node on `_pairing_key`, its slot
+pairing in place of its arc labels, so every relabeling of one diagram
+shares one entry.  The labels stay in the node, because the walk that
+picks the crossing to resolve reads them.  A switch keeps the labels, so
+along a run of switches the walk is fixed and the violations fall: a
+relabeling of a pending node never turns up below it, and every node
+spent is one table entry.  `with scope(budget):` gives its block, in the
+current context only (a `contextvars.ContextVar`), the node budget and
+one table per engine, freed when the block exits; a `scope()` with no
+budget inside another keeps the enclosing one.  Outside a scope a call
+spends DEFAULT_BUDGET at most and its value depends on its arguments
+alone.  `conway` keeps no table.
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ from contextvars import ContextVar
 from typing import NamedTuple
 
 from .algebra import LaurentPolynomial, fox_determinant, permutation_sign, rewrite_in_difference
-from .diagram import LinkDiagram, disconnected, far_ends, parts, uf_find, uf_union, \
-    walk_oriented, walk_unoriented
+from .diagram import LinkDiagram, disconnected, far_ends, uf_find, uf_union, walk_oriented, \
+    walk_unoriented
 
 XYVARS = ("x", "y")
 
@@ -126,6 +127,13 @@ def _first_under(circles):
             elif i >> 2 not in over:
                 return i >> 2
     return None
+
+
+def _pairing_key(node):
+    """The memo key of a skein node (crossings, ...): the node with its
+    crossing records replaced by their slot pairing from
+    `diagram.far_ends`, which forgets the arc labels and nothing else."""
+    return (tuple(far_ends(node[0])[1]),) + node[1:]
 
 
 def _descend(root, key, step, table, engine):
@@ -205,7 +213,7 @@ def homfly(d: LinkDiagram, memo=None) -> LaurentPolynomial:
         return value + at_smooth * (yield _reduced_oriented(smoothed, over_in, loops))
 
     root = _reduced_oriented(d.crossings, d.over_in, len(d._free_loops(())))
-    return _descend(root, lambda node: node, step, memo, "homfly")
+    return _descend(root, _pairing_key, step, memo, "homfly")
 
 
 # -- Kauffman's state sum: Conway and the potential function ------------------
@@ -346,64 +354,6 @@ def conway(d: LinkDiagram, memo=None) -> LaurentPolynomial:
 
 # -- unoriented rule: Dubrovnik ------------------------------------------------
 
-def _dubrovnik_key(node):
-    """A code of the (crossings, loops) node that is the same for every arc
-    labeling, crossing order and 180-degree turn of a record, and tells
-    any two other nodes apart.
-
-    Each connected part is coded from every start (crossing, slot): visit
-    crossings breadth first, read each record from the slot the walk
-    entered by, store that slot's parity (the under-strand sits at {0, 2})
-    and number arcs by first visit.  A part's code is the least of these,
-    compared one record at a time so a start stops once it is behind.
-    Starts at odd slots are skipped: their codes open with parity 1, and
-    every part has an even start.  Two starts whose codes tie to the end
-    give an automorphism of the part, the map of one walk onto the other;
-    it maps each start to one with the same code, so the starts it joins
-    to a smaller one are skipped.  A symmetric part such as T(2,n) then
-    codes a few starts, not all 2n."""
-    crossings, loops = node
-    flat, other = far_ends(crossings)
-    codes = []
-    for part in parts(other):
-        best = best_walk = None
-        orbit: dict = {}  # starts joined by the automorphisms found
-        for start in (4 * c + s for c in part for s in (0, 2)):
-            if uf_find(orbit, start) != start:
-                continue
-            code = []
-            number: dict = {}
-            queue = [start]
-            entered = {start >> 2}
-            tied = best is not None
-            for i in queue:
-                base, e = i & ~3, i & 3
-                rec = [e & 1]
-                for t in range(e, e + 4):
-                    j = base | (t & 3)
-                    rec.append(number.setdefault(flat[j], len(number)))
-                    far = other[j] >> 2
-                    if far not in entered:
-                        entered.add(far)
-                        queue.append(other[j])
-                rec = tuple(rec)
-                if tied:
-                    ahead = best[len(code)]
-                    if rec > ahead:
-                        break
-                    tied = rec == ahead
-                code.append(rec)
-            else:
-                if not tied:
-                    best, best_walk = code, queue
-                    continue
-                for i, j in zip(best_walk, queue):  # i's crossing goes to j's, slot i to j
-                    for s in (0, 2):
-                        uf_union(orbit, (i & ~3) | s, (j & ~3) | ((j + s - i) & 3))
-        codes.append(tuple(best))
-    return tuple(sorted(codes)), loops
-
-
 def _smooth(crossings, loops, ci, pairs):
     """Smooth crossing ci by joining its slots in pairs; a pair already
     joined closes off a crossing-free circle."""
@@ -523,7 +473,7 @@ def dubrovnik(d: LinkDiagram, memo=None) -> LaurentPolynomial:
     split unknot contributes 1 + (x - x^-1)/y."""
     _require_component(d)
     exponent, _, crossings, loops = _reduce(d.crossings, len(d._free_loops(())))
-    value = _descend((crossings, loops), _dubrovnik_key, _unoriented_step, memo, "dubrovnik")
+    value = _descend((crossings, loops), _pairing_key, _unoriented_step, memo, "dubrovnik")
     return _X ** exponent * value
 
 

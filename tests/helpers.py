@@ -231,43 +231,6 @@ def strip_kinks(crossings, loops):
     return exponent, (kept, loops)
 
 
-def every_start_dubrovnik_key(node):
-    """The oracle for `skein._dubrovnik_key`: the same code, the least over
-    every even start of each connected part, with no start skipped."""
-    crossings, loops = node
-    flat, other = far_ends(crossings)
-    uf: dict = {}  # crossings joined by an arc
-    for i, j in enumerate(other):
-        if i < j:
-            uf_union(uf, i >> 2, j >> 2)
-    parts: dict = {}
-    for c in range(len(crossings)):
-        parts.setdefault(uf_find(uf, c), []).append(c)
-    codes = []
-    for part in parts.values():
-        best = None
-        for start in (4 * c + s for c in part for s in (0, 2)):
-            code = []
-            number: dict = {}
-            queue = [start]
-            entered = {start >> 2}
-            for i in queue:
-                base, e = i & ~3, i & 3
-                rec = [e & 1]
-                for t in range(e, e + 4):
-                    j = base | (t & 3)
-                    rec.append(number.setdefault(flat[j], len(number)))
-                    far = other[j] >> 2
-                    if far not in entered:
-                        entered.add(far)
-                        queue.append(other[j])
-                code.append(tuple(rec))
-            if best is None or code < best:
-                best = code
-        codes.append(tuple(best))
-    return tuple(sorted(codes)), loops
-
-
 def _tuple_add_product(out: dict, a: dict, b: dict, sign: int = 1) -> dict:
     """out += sign * a * b on {exponent tuple: int} dicts."""
     for ea, ca in a.items():

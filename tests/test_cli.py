@@ -266,6 +266,13 @@ def test_malformed_input_exits_2_with_short_message(tmp_path, capsys, text):
     assert len(err) < 160
 
 
+def test_absurd_strand_count_exits_2_before_allocating(tmp_path, capsys):
+    path = tmp_path / "wide.braid"
+    path.write_text("braid(99999999999999999999): 1\n")
+    code, out, err = run(capsys, "invariants", str(path))
+    assert (code, out, err) == (2, "", "error: braid has more than 1000 strands\n")
+
+
 def test_empty_components_block_is_named_as_the_input_error(tmp_path, capsys):
     path = tmp_path / "empty.pd"
     path.write_text("components: []\n")

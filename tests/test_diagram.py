@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linkinv.diagram import (
+    MAX_STRANDS,
     BraidWord,
     DiagramError,
     ParseError,
@@ -55,6 +56,12 @@ def test_parse_errors_have_positions():
     with pytest.raises(DiagramError):
         # arc used once only
         parse_pd("X[1,3,2,4]\ncomponents: [[1,2],[3,4]]\ncolors: [1,2]")
+
+
+def test_braid_strand_count_is_bounded():
+    assert BraidWord(MAX_STRANDS, []).strands == MAX_STRANDS
+    with pytest.raises(DiagramError, match=f"^braid has more than {MAX_STRANDS} strands$"):
+        BraidWord(MAX_STRANDS + 1, [])
 
 
 def test_unknot_free_loop():

@@ -1,4 +1,3 @@
-import contextlib
 import contextvars
 import json
 import math
@@ -28,9 +27,9 @@ from linkinv.skein import (
     DEFAULT_BUDGET,
     SkeinBudgetError,
     _descend,
-    _dubrovnik_key,
     _faces,
     _key,
+    _pairing_key,
     _reduce,
     _state_sign,
     conway,
@@ -47,7 +46,6 @@ from helpers import (
     dict_trace_oriented,
     dict_walk_unoriented,
     disjoint_union,
-    every_start_dubrovnik_key,
     labelled_homfly,
     split_by_component_groups,
     strip_kinks,
@@ -364,7 +362,7 @@ def labelled_dubrovnik(d, memo, descend=_descend):
 def keyed_curl_keeping_dubrovnik(d, memo):
     """The oracle for the reduction alone: the library's key, every curl
     and bigon resolved by the skein rule."""
-    return _descend(_node(d), _dubrovnik_key, curl_keeping_step, memo, "dubrovnik")
+    return _descend(_node(d), _pairing_key, curl_keeping_step, memo, "dubrovnik")
 
 
 # Nodes each skein engine stores on a cold table: the descent order, the
@@ -374,9 +372,9 @@ def keyed_curl_keeping_dubrovnik(d, memo):
 # library's HOMFLY, the third the labelled Dubrovnik oracle and the fourth
 # the labelled HOMFLY oracle, which reduces nothing.
 NODE_COUNTS = [
-    (lambda: braid_closure(BraidWord(2, [1] * 6)), (40, 13, 541, 41)),
-    (borromean, (30, 13, 335, 35)),
-    (whitehead, (18, 6, 157, 21)),
+    (lambda: braid_closure(BraidWord(2, [1] * 6)), (40, 7, 541, 41)),
+    (borromean, (30, 12, 335, 35)),
+    (whitehead, (18, 5, 157, 21)),
 ]
 
 
@@ -407,8 +405,7 @@ def _with_descend(descend, engine, d, memo):
 def _run(descend, engine, d, budget=None):
     """engine's value of d, or the (engine, budget) of its budget error,
     then its memo table in insertion order and the nodes it spent, in
-    order: a keyed table can miss one key twice, on a node and on a
-    relabeling of it below it, so its size is not the count."""
+    order."""
     memo, spent = {}, []
 
     def counting(root, key, step, table, name):
@@ -518,13 +515,13 @@ def test_state_sign_follows_an_augmenting_path_through_every_row():
     assert _state_sign(options) == math.prod(flips)
 
 
-# The same diagrams under `_dubrovnik_key`, which merges relabelings, with
+# The same diagrams under `_pairing_key`, which merges relabelings, with
 # the curl-keeping step of the oracle and then with the library's step,
 # whose children hold no curl and no reducible bigon.
 KEYED_NODE_COUNTS = [
-    (lambda: braid_closure(BraidWord(2, [1] * 6)), 66, 7),
-    (borromean, 79, 18),
-    (whitehead, 47, 6),
+    (lambda: braid_closure(BraidWord(2, [1] * 6)), 110, 7),
+    (borromean, 186, 21),
+    (whitehead, 88, 8),
 ]
 
 
@@ -540,11 +537,11 @@ def test_cold_memo_node_counts_relabel_key(make, count, stripped):
 
 
 def test_cold_memo_node_count_on_a_pool_word():
-    # the b3-12 word of perfbench/pool.json: 2003 nodes with every curl kept
+    # the b3-12 word of perfbench/pool.json: 2714 nodes with every curl kept
     (word,) = [w for n, w in pool_words() if n == 3 and len(w) == 12]
     memo = {}
     kauffman_f(braid_closure(BraidWord(3, word)), memo=memo)
-    assert len(memo) == 25
+    assert len(memo) == 28
 
 
 def test_engines_fill_a_caller_owned_memo(monkeypatch):
@@ -687,52 +684,49 @@ braid_words = st.integers(2, 4).flatmap(lambda n: st.tuples(
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(braid_words, braid_words, st.randoms(use_true_random=False))
-def test_dubrovnik_key_forgets_labels_order_and_half_turns(sw1, sw2, rng):
-    # two closures side by side, so the parts' order is shuffled too
+def test_pairing_key_forgets_labels(sw1, sw2, rng):
+    # two closures side by side, so arcs of both parts are renamed
     d = disjoint_union(braid_closure(BraidWord(*sw1)), braid_closure(BraidWord(*sw2)))
     crossings, loops = _node(d)
-    key = _dubrovnik_key((crossings, loops))
     arcs = sorted({a for rec in crossings for a in rec})
     images = rng.sample(range(10 * len(arcs) + 10), len(arcs))
     relabel = dict(zip(arcs, images))
     relabelled = tuple(tuple(relabel[a] for a in rec) for rec in crossings)
-    assert _dubrovnik_key((relabelled, loops)) == key
-    shuffled = list(crossings)
-    rng.shuffle(shuffled)
-    assert _dubrovnik_key((tuple(shuffled), loops)) == key
-    turned = tuple(_turn(rec, 2) if rng.random() < 0.5 else rec for rec in crossings)
-    assert _dubrovnik_key((turned, loops)) == key
+    assert _pairing_key((relabelled, loops)) == _pairing_key((crossings, loops))
 
 
-def test_dubrovnik_key_matches_every_start_oracle():
-    # symmetric parts, where tied starts give automorphisms, and the nodes
-    # of their curl-keeping descents, which break the symmetry bit by bit
-    diagrams = [torus(n) for n in (1, 2, 3, 6, 40)]
-    diagrams += [braid_closure(BraidWord(3, [1, -2] * k)) for k in (1, 3, 8)]
-    diagrams += [braid_closure(BraidWord(4, [1, 2, 3] * 4)), borromean(), whitehead(),
-                 disjoint_union(torus(5), torus(5))]
-    for d in diagrams:
-        nodes = []
-
-        def step(node):
-            nodes.append(node)
-            return curl_keeping_step(node)
-
-        with contextlib.suppress(SkeinBudgetError), scope(200):  # 200 nodes of each are enough
-            _descend(_node(d), lambda n: n, step, {}, "dubrovnik")
-        for node in nodes:
-            assert _dubrovnik_key(node) == every_start_dubrovnik_key(node), node
-
-
-def test_dubrovnik_key_tells_mirrors_and_quarter_turns_apart():
+def test_pairing_key_tells_mirrors_and_quarter_turns_apart():
     left = braid_closure(BraidWord(2, [-1, -1, -1]))
-    assert _dubrovnik_key(_node(trefoil())) != _dubrovnik_key(_node(left))
+    assert _pairing_key(_node(trefoil())) != _pairing_key(_node(left))
     for make in (trefoil, fig8, whitehead, borromean):
         crossings, loops = _node(make())
-        key = _dubrovnik_key((crossings, loops))
+        key = _pairing_key((crossings, loops))
         for ci, rec in enumerate(crossings):
             turned = crossings[:ci] + (_turn(rec, 1),) + crossings[ci + 1:]
-            assert _dubrovnik_key((turned, loops)) != key, (make.__name__, ci)
+            assert _pairing_key((turned, loops)) != key, (make.__name__, ci)
+
+
+def test_nodes_spent_equal_table_entries():
+    # a switch keeps the labels and so the walk, so a relabeling of a
+    # pending node never turns up below it and no key misses twice
+    diagrams = _oracle_diagrams() + [braid_closure(BraidWord(n, w)) for n, w in pool_words()]
+    for d in diagrams:
+        for engine in (homfly, dubrovnik):
+            _, table, spent = _run(_descend, engine, d)
+            assert len(spent) == len(table), (engine.__name__, d.crossings)
+
+
+@pytest.mark.parametrize("n", [6, 40, 60])
+def test_homfly_stores_n_plus_1_entries_on_torus_links(n):
+    # every node of T(2,n)'s descent is some T(2,k) up to its labels; the
+    # value from the skein rule at one crossing, x*H(T(2,k)) - x^-1*H(T(2,k-2))
+    # = y*H(T(2,k-1)), with H(T(2,0)) the 2-component unlink
+    values = [DELTA_H, LaurentPolynomial.one(XY)]
+    for _ in range(n - 1):
+        values.append(X ** -1 * (Y * values[-1] + X ** -1 * values[-2]))
+    memo = {}
+    assert homfly(torus(n), memo=memo) == values[n]
+    assert len(memo) == n + 1
 
 
 # -- the Reidemeister I/II reducer and HOMFLY on tuple nodes -------------------
