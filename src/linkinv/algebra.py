@@ -317,16 +317,17 @@ def rewrite_in_difference(f: LaurentPolynomial, zname: str = "z") -> LaurentPoly
     """
     if len(f.variables) != 1:
         raise ValueError("one-variable input required")
-    x = LaurentPolynomial.gen(f.variables, f.variables[0])
-    diff = x - x ** (-1)
-    rem = f
+    rem = {e: c for (e,), c in f.terms.items()}
     out: dict = {}
-    while rem:  # subtracting coeff * diff^top cancels x^top, so top falls every pass
-        top = max(e[0] for e in rem.terms)
+    while any(rem.values()):  # subtracting coeff * (x - x^-1)^top cancels x^top
+        top = max(e for e, c in rem.items() if c)
         if top < 0:
             raise ArithmeticError("not expressible in x - x^-1")
-        coeff = out[(top,)] = rem.terms[(top,)]
-        rem = rem - coeff * diff ** top
+        coeff = out[(top,)] = rem[top]
+        binomial = 1  # (-1)^j C(top, j), the coefficient of x^(top - 2j) in (x - x^-1)^top
+        for j in range(top + 1):
+            rem[top - 2 * j] = rem.get(top - 2 * j, 0) - coeff * binomial
+            binomial = -binomial * (top - j) // (j + 1)
     return LaurentPolynomial((zname,), out)
 
 

@@ -115,24 +115,24 @@ def _walk(flat, other, entry):
         yield circle
 
 
-def walk_oriented(crossings, over_in):
-    """`far_ends`' arcs and the circles along the stored directions: each
-    from the head slot of its minimal arc, slot 0 or over_in."""
-    flat, other = far_ends(crossings)
+def walk_oriented(crossings, other, over_in):
+    """Arcs and circles along the stored directions, given `far_ends`'
+    `other`: each from the head slot of its minimal arc, slot 0 or over_in."""
+    flat = [arc for rec in crossings for arc in rec]
     heads = [4 * k + s for k, o in enumerate(over_in) for s in (UNDER_IN, o)]
     return flat, list(_walk(flat, other, heads))
 
 
-def walk_unoriented(crossings):
-    """`far_ends`' arcs and the circles with stored directions ignored:
-    each from the first slot of its minimal arc."""
-    flat, other = far_ends(crossings)
+def walk_unoriented(crossings, other):
+    """Arcs and circles with stored directions ignored, given `far_ends`'
+    `other`: each from the first slot of its minimal arc."""
+    flat = [arc for rec in crossings for arc in rec]
     return flat, list(_walk(flat, other, [i for i, j in enumerate(other) if i < j]))
 
 
 def _trace_oriented(crossings, over_in):
     """Arc cycles of `walk_oriented`."""
-    flat, circles = walk_oriented(crossings, over_in)
+    flat, circles = walk_oriented(crossings, far_ends(crossings)[1], over_in)
     return [tuple(flat[i] for i in circle) for circle in circles]
 
 
@@ -140,7 +140,7 @@ def _trace_unoriented(crossings):
     """Arc cycles of `walk_unoriented`, with the records rotated so slot 0
     is again the incoming under-strand: returns (crossings, over_in,
     cycles)."""
-    flat, circles = walk_unoriented(crossings)
+    flat, circles = walk_unoriented(crossings, far_ends(crossings)[1])
     entered = {i for circle in circles for i in circle}
     new_crossings, over_in = [], []
     for k, rec in enumerate(crossings):
@@ -423,10 +423,11 @@ class LinkDiagram:
 
         The labels are canonical, so the output is deterministic and one
         diagram reached by different surgeries gets one `conway` memo key
-        (`skein._key`): merged arcs keep the minimal id of their class, a pair that is already one class closes off a
-        crossing-free circle, each component starts at its minimal arc and
-        components are ordered by it, a component takes the least color of
-        its arcs, and colors are renumbered onto 1..n in their old order.
+        (`skein._key`): merged arcs keep the minimal id of their class, a
+        pair that is already one class closes off a crossing-free circle,
+        each component starts at its minimal arc and components are ordered
+        by it, a component takes the least color of its arcs, and colors
+        are renumbered onto 1..n in their old order.
         With `reorient` the directions are re-derived by walking each
         cycle from its minimal arc (the unoriented smoothing).
         """

@@ -12,18 +12,20 @@ case: polynomial time, no node budget and no memo.
 
 The descent strategy is the standard guaranteed-terminating one: fix a
 traversal (each circle from its minimal arc) and locate crossings whose
-first visit passes under.  Both steps walk a node through the one far-end
-table of `diagram.far_ends`, by `diagram.walk_oriented` along its stored
-directions or by `diagram.walk_unoriented`, and resolve the first such
-crossing in walk order (`_first_under`).  Switching it strictly reduces the
-number of violations, smoothing reduces the crossing count, and a diagram
-without violations is descending, hence an unlink (split) after isotopy.
-Both descents reduce their root and every child by `_reduce` before it is
-keyed: it erases each curl (Reidemeister I) and each bigon that one strand
-passes over at both corners (Reidemeister II).  D is a regular-isotopy
-invariant with D(curl) = x^(+-1) * D(curl removed) (Kauffman, Trans. AMS
-318, 1990), and H an ambient-isotopy invariant, so no such move costs a
-node, a key or a skein step.  A reduction only lowers the crossing count
+first visit passes under.  Both steps walk a node through the far-end
+table it carries, by `diagram.walk_oriented` along its stored directions
+or by `diagram.walk_unoriented`, and resolve the first such crossing in
+walk order (`_first_under`).  Switching it strictly reduces the number of
+violations, smoothing reduces the crossing count, and a diagram without
+violations is descending, hence an unlink (split) after isotopy.  Both
+descents build their root and every child by `_reduce` before it is
+keyed.  It joins a smoothed crossing's slots in pairs, erases each curl
+(Reidemeister I) and each bigon that one strand passes over at both
+corners (Reidemeister II), relabels the joined arcs once and returns the
+far ends of the crossings it keeps.  D is a regular-isotopy invariant
+with D(curl) = x^(+-1) * D(curl removed) (Kauffman, Trans. AMS 318,
+1990), and H an ambient-isotopy invariant, so no such move costs a node,
+a key or a skein step.  A reduction only lowers the crossing count
 and the violations are recomputed on the reduced node, so the descent
 still terminates.
 
@@ -35,28 +37,29 @@ generator: it yields each child node, is sent that child's value and
 returns the node's value.  There are two steps:
 
 - the oriented HOMFLY rule x*H(L+) - x^-1*H(L-) = y*H(L0) on (crossings,
-  over_in, loops) nodes, split unknot worth (x - x^-1)/y;
-- the unoriented Dubrovnik rule on (crossings, loops) nodes.
+  other, over_in, loops) nodes, split unknot worth (x - x^-1)/y;
+- the unoriented Dubrovnik rule on (crossings, other, loops) nodes.
 
 Each skein call memoizes values in a table: its `memo=`, else its scope's,
-else a fresh one.  Both engines key a node on `_pairing_key`, its slot
-pairing in place of its arc labels, so every relabeling of one diagram
-shares one entry.  The labels stay in the node, because the walk that
-picks the crossing to resolve reads them.  A switch keeps the labels, so
-along a run of switches the walk is fixed and the violations fall: a
-relabeling of a pending node never turns up below it, and every node
-spent is one table entry.  `with scope(budget):` gives its block, in the
-current context only (a `contextvars.ContextVar`), the node budget and
-one table per engine, freed when the block exits; a `scope()` with no
-budget inside another keeps the enclosing one.  Outside a scope a call
-spends DEFAULT_BUDGET at most and its value depends on its arguments
-alone.  `conway` keeps no table.
+else a fresh one.  Both engines key a node on `_unlabelled`, the node
+without its crossing records: its far ends `other` from `_reduce` are its
+slot pairing, so every relabeling of one diagram shares one entry.  The
+labels stay in the node, because the walk that picks the crossing to
+resolve reads them.  A switch keeps the labels, so along a run of switches
+the walk is fixed and the violations fall: a relabeling of a pending node
+never turns up below it, and every node spent is one table entry.
+`with scope(budget):` gives its block, in the current context only (a
+`contextvars.ContextVar`), the node budget and one table per engine, freed
+when the block exits; a `scope()` with no budget inside another keeps the
+enclosing one.  Outside a scope a call spends DEFAULT_BUDGET at most and
+its value depends on its arguments alone.  `conway` keeps no table.
 """
 
 from __future__ import annotations
 
 import contextlib
 from contextvars import ContextVar
+from operator import itemgetter
 from typing import NamedTuple
 
 from .algebra import LaurentPolynomial, fox_determinant, permutation_sign, rewrite_in_difference
@@ -129,11 +132,8 @@ def _first_under(circles):
     return None
 
 
-def _pairing_key(node):
-    """The memo key of a skein node (crossings, ...): the node with its
-    crossing records replaced by their slot pairing from
-    `diagram.far_ends`, which forgets the arc labels and nothing else."""
-    return (tuple(far_ends(node[0])[1]),) + node[1:]
+# the memo key of a skein node (crossings, other, ...): `other` onwards
+_unlabelled = itemgetter(slice(1, None))
 
 
 def _descend(root, key, step, table, engine):
@@ -176,14 +176,14 @@ def _descend(root, key, step, table, engine):
 _HOMFLY_FACTORS = {1: (_X ** -2, _X ** -1 * _Y), -1: (_X ** 2, -(_X * _Y))}
 
 
-def _reduced_oriented(crossings, over_in, loops):
-    """The HOMFLY node (crossings, over_in, loops) with its curls and
-    reducible bigons gone; H is an ambient-isotopy invariant, so both moves
-    leave its value alone."""
-    _, gone, crossings, loops = _reduce(crossings, loops)
+def _reduced_oriented(crossings, over_in, loops, joins=()):
+    """The HOMFLY node (crossings, other, over_in, loops) of `_reduce`: the
+    given one smoothed by `joins`, its curls and reducible bigons gone; H
+    is an ambient-isotopy invariant, so neither move changes its value."""
+    _, gone, crossings, other, loops = _reduce(crossings, loops, joins)
     if gone:
         over_in = tuple(o for c, o in enumerate(over_in) if c not in gone)
-    return crossings, over_in, loops
+    return crossings, other, over_in, loops
 
 
 def homfly(d: LinkDiagram, memo=None) -> LaurentPolynomial:
@@ -193,9 +193,10 @@ def homfly(d: LinkDiagram, memo=None) -> LaurentPolynomial:
 
     def step(node):
         # one HOMFLY node: oriented records, slot 0 the incoming under-strand
-        # and over_in the slot the over-strand enters by, plus free loops
-        crossings, over_in, loops = node
-        circles = walk_oriented(crossings, over_in)[1]
+        # and over_in the slot the over-strand enters by, their far ends,
+        # plus free loops
+        crossings, other, over_in, loops = node
+        circles = walk_oriented(crossings, other, over_in)[1]
         ci = _first_under(circles)
         if ci is None:
             m = len(circles) + loops
@@ -208,12 +209,11 @@ def homfly(d: LinkDiagram, memo=None) -> LaurentPolynomial:
         switched = (crossings[:ci] + (turned,) + crossings[ci + 1:],
                     over_in[:ci] + (4 - o,) + over_in[ci + 1:], loops)
         value = at_switch * (yield _reduced_oriented(*switched))
-        smoothed, loops = _smooth(crossings, loops, ci, ((0, (o + 2) % 4), (o, 2)))
-        over_in = over_in[:ci] + over_in[ci + 1:]
-        return value + at_smooth * (yield _reduced_oriented(smoothed, over_in, loops))
+        joins = ((4 * ci, 4 * ci + (o ^ 2)), (4 * ci + o, 4 * ci + 2))
+        return value + at_smooth * (yield _reduced_oriented(crossings, over_in, loops, joins))
 
     root = _reduced_oriented(d.crossings, d.over_in, len(d._free_loops(())))
-    return _descend(root, _pairing_key, step, memo, "homfly")
+    return _descend(root, _unlabelled, step, memo, "homfly")
 
 
 # -- Kauffman's state sum: Conway and the potential function ------------------
@@ -354,23 +354,13 @@ def conway(d: LinkDiagram, memo=None) -> LaurentPolynomial:
 
 # -- unoriented rule: Dubrovnik ------------------------------------------------
 
-def _smooth(crossings, loops, ci, pairs):
-    """Smooth crossing ci by joining its slots in pairs; a pair already
-    joined closes off a crossing-free circle."""
-    uf: dict = {}
-    rec = crossings[ci]
-    for s1, s2 in pairs:
-        if not uf_union(uf, rec[s1], rec[s2]):
-            loops += 1
-    kept = tuple(tuple(uf_find(uf, a) for a in crossings[j])
-                 for j in range(len(crossings)) if j != ci)
-    return kept, loops
-
-
-def _reduce(crossings, loops):
-    """Remove every curl and every reducible bigon of a node by Reidemeister
-    I and II moves: returns (e, gone, crossings, loops), D(the given node)
-    = x^e * D(the node left) and `gone` the indices of the crossings erased.
+def _reduce(crossings, loops, joins=()):
+    """Join the arcs at each pair of slots in `joins`, all at one crossing
+    (a smoothing), then remove every curl and every reducible bigon by
+    Reidemeister I and II moves: returns (e, gone, crossings, other,
+    loops), D(the given node) = x^e * D(the node left), `gone` the indices
+    of the crossings erased and `other` the far ends (`diagram.far_ends`)
+    of the crossings kept.
 
     The moves are read off the faces of `_faces`.  A curl is a one-corner
     face, one arc at two adjacent slots s, s + 1, and contributes x for
@@ -378,15 +368,30 @@ def _reduce(crossings, loops):
     its corners at different crossings whose two arcs each keep their slot
     parity from end to end, so one strand passes over at both crossings;
     it contributes 1.  Either move erases its crossings by joining the
-    arcs at slots 0, 2 and at slots 1, 3 through the far-end pointers, and
-    a strand that closes inside the erased crossings becomes a free loop.
-    The crossings at the relinked far ends are checked again, so each move
-    costs O(1), and the kept records are relabeled once, every joined arc
-    by the least label it absorbed."""
+    arcs at slots 0, 2 and at slots 1, 3.  Every join, a smoothing's too,
+    relinks the far-end pointers, and a strand that closes inside the
+    erased crossings becomes a free loop.  The crossings at the relinked
+    far ends are checked again, so each move costs O(1), and the kept
+    records are relabeled once, every joined arc by the least label it
+    absorbed."""
     flat, other = far_ends(crossings)
-    todo = list(range(len(crossings)))
-    gone = set()
+    gone = {a >> 2 for a, _ in joins}
     uf: dict = {}
+    todo: list = []
+
+    def join(pairs):
+        nonlocal loops, todo
+        for a, b in pairs:
+            far_a, far_b = other[a], other[b]
+            if far_a == b:
+                loops += 1
+            else:
+                other[far_a], other[far_b] = far_b, far_a
+                uf_union(uf, flat[a], flat[b])
+                todo += (far_a >> 2, far_b >> 2)
+
+    join(joins)
+    todo = list(range(len(crossings)))  # every crossing, the last first
     exponent = 0
     while todo:
         c = todo.pop()
@@ -405,38 +410,31 @@ def _reduce(crossings, loops):
         else:
             continue
         gone.update(erased)
-        for e in erased:
-            for a in (4 * e, 4 * e + 1):
-                b = a + 2
-                far_a, far_b = other[a], other[b]
-                if far_a == b:
-                    loops += 1
-                else:
-                    other[far_a], other[far_b] = far_b, far_a
-                    uf_union(uf, flat[a], flat[b])
-                    todo += (far_a >> 2, far_b >> 2)
+        join([(4 * e + s, 4 * e + s + 2) for e in erased for s in (0, 1)])
     if gone:
-        crossings = tuple(tuple(uf_find(uf, arc) for arc in rec)
-                          for c, rec in enumerate(crossings) if c not in gone)
-    return exponent, gone, crossings, loops
+        kept = [c for c in range(len(crossings)) if c not in gone]
+        moved = {c: 4 * j for j, c in enumerate(kept)}  # each kept crossing's first slot
+        other = [moved[k >> 2] | (k & 3) for c in kept for k in other[4 * c:4 * c + 4]]
+        crossings = tuple(tuple(uf_find(uf, arc) for arc in crossings[c]) for c in kept)
+    return exponent, gone, crossings, tuple(other), loops
 
 
-def _reduced(node):
-    """Yield the Dubrovnik `node` reduced by `_reduce` and return the
-    node's value."""
-    exponent, _, crossings, loops = _reduce(*node)
-    value = yield crossings, loops
+def _reduced(crossings, loops, joins=()):
+    """Yield the Dubrovnik node (crossings, other, loops) of `_reduce` and
+    return the value of the node it was reduced from."""
+    exponent, _, *node = _reduce(crossings, loops, joins)
+    value = yield tuple(node)
     return _X ** exponent * value if exponent else value
 
 
 def _unoriented_step(node):
-    """One Dubrovnik node: (crossings, loops), crossing records with the
-    under-strand at slots {0, 2} plus a count of crossing-free circles.
-    Every child it yields is reduced."""
-    crossings, loops = node
+    """One Dubrovnik node: (crossings, other, loops), crossing records with
+    the under-strand at slots {0, 2}, their far ends and a count of
+    crossing-free circles.  Every child it yields is reduced."""
+    crossings, other, loops = node
     if not crossings:
         return _DELTA_D ** (loops - 1)
-    circles = walk_unoriented(crossings)[1]
+    circles = walk_unoriented(crossings, other)[1]
     into = [-1] * (4 * len(crossings))  # the circle entering at each slot
     for cid, circle in enumerate(circles):
         for i in circle:
@@ -445,26 +443,25 @@ def _unoriented_step(node):
     def entries(c):
         # the slots the walk enters crossing c by, under and over, and
         # the crossing's sign in the walk's directions
-        u = 0 if into[4 * c] >= 0 else 2
-        o = 1 if into[4 * c + 1] >= 0 else 3
-        return u, o, 1 if o == (u + 3) % 4 else -1
+        u = 4 * c if into[4 * c] >= 0 else 4 * c + 2
+        o = 4 * c + 1 if into[4 * c + 1] >= 0 else 4 * c + 3
+        return u, o, 1 if (o - u) & 3 == 3 else -1
 
     ci = _first_under(circles)
     if ci is None:
         selfw = 0
         for c in range(len(crossings)):
             u, o, sgn = entries(c)
-            if into[4 * c + u] == into[4 * c + o]:
+            if into[u] == into[o]:
                 selfw += sgn
         return (_X ** selfw) * _DELTA_D ** (len(circles) + loops - 1)
     u, o, sgn = entries(ci)
     rec = crossings[ci]
     switched = crossings[:ci] + ((rec[1], rec[2], rec[3], rec[0]),) + crossings[ci + 1:]
-    sm0 = _smooth(crossings, loops, ci, ((u, (o + 2) % 4), (o, (u + 2) % 4)))
-    sm_inf = _smooth(crossings, loops, ci, ((u, o), ((u + 2) % 4, (o + 2) % 4)))
-    at_switch = yield from _reduced((switched, loops))
-    at_sm0 = yield from _reduced(sm0)
-    return at_switch + sgn * (_Y * at_sm0) - sgn * (_Y * (yield from _reduced(sm_inf)))
+    at_switch = yield from _reduced(switched, loops)
+    at_sm0 = yield from _reduced(crossings, loops, ((u, o ^ 2), (o, u ^ 2)))
+    at_sm_inf = yield from _reduced(crossings, loops, ((u, o), (u ^ 2, o ^ 2)))
+    return at_switch + sgn * (_Y * at_sm0) - sgn * (_Y * at_sm_inf)
 
 
 def dubrovnik(d: LinkDiagram, memo=None) -> LaurentPolynomial:
@@ -472,8 +469,8 @@ def dubrovnik(d: LinkDiagram, memo=None) -> LaurentPolynomial:
     diagram: D+ - D- = y(D0 - Dinf), positive kink multiplies by x, and a
     split unknot contributes 1 + (x - x^-1)/y."""
     _require_component(d)
-    exponent, _, crossings, loops = _reduce(d.crossings, len(d._free_loops(())))
-    value = _descend((crossings, loops), _pairing_key, _unoriented_step, memo, "dubrovnik")
+    exponent, _, *root = _reduce(d.crossings, len(d._free_loops(())))
+    value = _descend(tuple(root), _unlabelled, _unoriented_step, memo, "dubrovnik")
     return _X ** exponent * value
 
 

@@ -4,7 +4,7 @@ library's interface."""
 from linkinv.alexander import PotentialFunction
 from linkinv.algebra import LaurentPolynomial, TruncatedSeries
 from linkinv.diagram import LinkDiagram, far_ends, uf_find, uf_union
-from linkinv.skein import _DELTA_D, _DELTA_H, _HOMFLY_FACTORS, _X, _Y, _descend, _key, _smooth
+from linkinv.skein import _DELTA_D, _DELTA_H, _HOMFLY_FACTORS, _X, _Y, _descend, _key
 
 
 def disjoint_union(a: LinkDiagram, b: LinkDiagram) -> LinkDiagram:
@@ -123,6 +123,72 @@ def split_by_component_groups(d: LinkDiagram) -> bool:
     return len({uf_find(parent, k) for k in range(d.m)}) > 1
 
 
+def smooth(crossings, loops, ci, pairs):
+    """Smooth crossing ci of a (crossings, loops) node by joining its slots
+    in pairs, relabeling every record through a union-find; a pair
+    already joined closes off a crossing-free circle."""
+    uf: dict = {}
+    rec = crossings[ci]
+    for s1, s2 in pairs:
+        if not uf_union(uf, rec[s1], rec[s2]):
+            loops += 1
+    kept = tuple(tuple(uf_find(uf, a) for a in crossings[j])
+                 for j in range(len(crossings)) if j != ci)
+    return kept, loops
+
+
+def pairing_key(node):
+    """The labelled form of the skein memo key: a node (crossings, ...)
+    with its crossing records replaced by their slot pairing from
+    `diagram.far_ends`, which forgets the arc labels and nothing else."""
+    return (tuple(far_ends(node[0])[1]),) + node[1:]
+
+
+def two_pass_reduce(crossings, loops, ci=None, pairs=()):
+    """The oracle for `skein._reduce`: smooth crossing ci by `smooth`
+    (none when ci is None), then erase every curl and reducible bigon of
+    the smoothed node by a second pass over its rebuilt far ends.  Returns
+    (e, gone, crossings, loops), `gone` indexing the smoothed node."""
+    if ci is not None:
+        crossings, loops = smooth(crossings, loops, ci, pairs)
+    flat, other = far_ends(crossings)
+    todo = list(range(len(crossings)))
+    gone = set()
+    uf: dict = {}
+    exponent = 0
+    while todo:
+        c = todo.pop()
+        if c in gone:
+            continue
+        base = 4 * c
+        for i in range(4):
+            k = other[base | ((i + 1) & 3)]
+            if k == base | i:
+                exponent += -1 if i & 1 else 1
+                erased = (c,)
+                break
+            if k >> 2 != c and (k - i) & 1 and other[(k & ~3) | ((k + 1) & 3)] == base | i:
+                erased = (c, k >> 2)
+                break
+        else:
+            continue
+        gone.update(erased)
+        for e in erased:
+            for a in (4 * e, 4 * e + 1):
+                b = a + 2
+                far_a, far_b = other[a], other[b]
+                if far_a == b:
+                    loops += 1
+                else:
+                    other[far_a], other[far_b] = far_b, far_a
+                    uf_union(uf, flat[a], flat[b])
+                    todo += (far_a >> 2, far_b >> 2)
+    if gone:
+        crossings = tuple(tuple(uf_find(uf, arc) for arc in rec)
+                          for c, rec in enumerate(crossings) if c not in gone)
+    return exponent, gone, crossings, loops
+
+
 def curl_keeping_step(node):
     """The oracle for `skein._unoriented_step`: the same Dubrovnik step on
     (crossings, loops) nodes, but its children keep their curls and
@@ -153,8 +219,8 @@ def curl_keeping_step(node):
     sgn = 1 if o == (u + 3) % 4 else -1
     rec = crossings[ci]
     switched = crossings[:ci] + ((rec[1], rec[2], rec[3], rec[0]),) + crossings[ci + 1:]
-    sm0 = _smooth(crossings, loops, ci, ((u, (o + 2) % 4), (o, (u + 2) % 4)))
-    sm_inf = _smooth(crossings, loops, ci, ((u, o), ((u + 2) % 4, (o + 2) % 4)))
+    sm0 = smooth(crossings, loops, ci, ((u, (o + 2) % 4), (o, (u + 2) % 4)))
+    sm_inf = smooth(crossings, loops, ci, ((u, o), ((u + 2) % 4, (o + 2) % 4)))
     at_switch = yield (switched, loops)
     at_sm0 = yield sm0
     return at_switch + sgn * (_Y * at_sm0) - sgn * (_Y * (yield sm_inf))
@@ -229,6 +295,24 @@ def strip_kinks(crossings, loops):
     kept = tuple(tuple(uf_find(uf, arc) for arc in rec)
                  for c, rec in enumerate(crossings) if c not in gone)
     return exponent, (kept, loops)
+
+
+def polynomial_rewrite_in_difference(f: LaurentPolynomial, zname: str = "z") -> LaurentPolynomial:
+    """The oracle for `algebra.rewrite_in_difference`: each pass subtracts
+    coeff * (x - x^-1)^top, the power built as a `LaurentPolynomial`."""
+    if len(f.variables) != 1:
+        raise ValueError("one-variable input required")
+    x = LaurentPolynomial.gen(f.variables, f.variables[0])
+    diff = x - x ** (-1)
+    rem = f
+    out: dict = {}
+    while rem:
+        top = max(e[0] for e in rem.terms)
+        if top < 0:
+            raise ArithmeticError("not expressible in x - x^-1")
+        coeff = out[(top,)] = rem.terms[(top,)]
+        rem = rem - coeff * diff ** top
+    return LaurentPolynomial((zname,), out)
 
 
 def _tuple_add_product(out: dict, a: dict, b: dict, sign: int = 1) -> dict:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import monomial_substitute_series
+from helpers import monomial_substitute_series, polynomial_rewrite_in_difference
 from linkinv.alexander import potential_function
 from linkinv.algebra import (
     LaurentPolynomial,
@@ -19,6 +19,7 @@ from linkinv.algebra import (
     x_of_z,
 )
 from linkinv.diagram import BraidWord, braid_closure
+from linkinv.skein import state_sum
 from linkinv.transforms import (
     _CH,
     _scaled_inverse,
@@ -243,6 +244,22 @@ def test_rewrite_in_difference():
         coeffs = {(k,): rng.choice([-3, -1, 0, 2, Fraction(1, 2)]) for k in range(rng.randint(0, 8))}
         f = sum((c * (x - x ** -1) ** k for (k,), c in coeffs.items()), LaurentPolynomial.zero(X))
         assert rewrite_in_difference(f) == LaurentPolynomial(("z",), coeffs)
+
+
+def test_rewrite_in_difference_matches_polynomial_oracle():
+    # the one-color state sums of T(2,n), whose rewrites are the Conway
+    # polynomials, one input with Fraction coefficients, and two inputs
+    # with no rewrite
+    x = LaurentPolynomial.gen(X, "x")
+    tori = [braid_closure(BraidWord(2, [1] * n)) for n in (20, 150, 300)]
+    inputs = [state_sum(d, (1,) * d.m) for d in tori]
+    inputs.append(Fraction(3, 4) * (x - x ** -1) ** 7 - Fraction(5, 3) * (x - x ** -1) ** 2 + 2)
+    for f in inputs:
+        assert rewrite_in_difference(f, "w") == polynomial_rewrite_in_difference(f, "w")
+    for f in (x + x ** -1, x + 2 * x ** -1):
+        for rewrite in (rewrite_in_difference, polynomial_rewrite_in_difference):
+            with pytest.raises(ArithmeticError):
+                rewrite(f)
 
 
 def test_render_canonical_order():

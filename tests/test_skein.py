@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linkinv import skein
+from linkinv import diagram, skein
 from linkinv.algebra import LaurentPolynomial, rewrite_in_difference
 from linkinv.alexander import potential_function
 from linkinv.corpus import load_corpus
@@ -29,7 +29,6 @@ from linkinv.skein import (
     _descend,
     _faces,
     _key,
-    _pairing_key,
     _reduce,
     _state_sign,
     conway,
@@ -47,8 +46,10 @@ from helpers import (
     dict_walk_unoriented,
     disjoint_union,
     labelled_homfly,
+    pairing_key,
     split_by_component_groups,
     strip_kinks,
+    two_pass_reduce,
 )
 
 Z = ("z",)
@@ -362,7 +363,7 @@ def labelled_dubrovnik(d, memo, descend=_descend):
 def keyed_curl_keeping_dubrovnik(d, memo):
     """The oracle for the reduction alone: the library's key, every curl
     and bigon resolved by the skein rule."""
-    return _descend(_node(d), _pairing_key, curl_keeping_step, memo, "dubrovnik")
+    return _descend(_node(d), pairing_key, curl_keeping_step, memo, "dubrovnik")
 
 
 # Nodes each skein engine stores on a cold table: the descent order, the
@@ -515,7 +516,7 @@ def test_state_sign_follows_an_augmenting_path_through_every_row():
     assert _state_sign(options) == math.prod(flips)
 
 
-# The same diagrams under `_pairing_key`, which merges relabelings, with
+# The same diagrams under `pairing_key`, which merges relabelings, with
 # the curl-keeping step of the oracle and then with the library's step,
 # whose children hold no curl and no reducible bigon.
 KEYED_NODE_COUNTS = [
@@ -629,7 +630,7 @@ def test_curl_stripping_matches_curl_keeping_oracle_on_braids():
 
 
 def curl_diagrams():
-    """Diagrams whose curls cover every case of `_strip_kinks`: one-crossing
+    """Diagrams whose curls cover every case of `strip_kinks`: one-crossing
     figure-8 curls, which leave a free loop; a curl at each slot position
     s = 0..3 beside a knot; curls of both signs side by side; and curls
     nested on a curl's own loop, which become curls only once the inner
@@ -659,11 +660,11 @@ def test_curl_stripping_matches_curl_keeping_oracle_on_curls(shared_memos):
             slots.update(s for s in range(4) if rec[s] == rec[(s + 1) % 4])
     assert slots == {0, 1, 2, 3}
     # every curl goes: the figure-8 curls leave one free loop
-    assert _reduce(*_node(braid_closure(BraidWord(2, [1])))) == (1, {0}, (), 1)
-    assert _reduce(*_node(braid_closure(BraidWord(2, [-1])))) == (-1, {0}, (), 1)
+    assert _reduce(*_node(braid_closure(BraidWord(2, [1])))) == (1, {0}, (), (), 1)
+    assert _reduce(*_node(braid_closure(BraidWord(2, [-1])))) == (-1, {0}, (), (), 1)
     for d in curl_diagrams():
         # these hold no reducible bigon, so the reducer is the curl stripper
-        e, _, crossings, loops = _reduce(*_node(d))
+        e, _, crossings, _, loops = _reduce(*_node(d))
         assert (e, (crossings, loops)) == strip_kinks(*_node(d))
         assert not reducible(crossings)
 
@@ -692,18 +693,18 @@ def test_pairing_key_forgets_labels(sw1, sw2, rng):
     images = rng.sample(range(10 * len(arcs) + 10), len(arcs))
     relabel = dict(zip(arcs, images))
     relabelled = tuple(tuple(relabel[a] for a in rec) for rec in crossings)
-    assert _pairing_key((relabelled, loops)) == _pairing_key((crossings, loops))
+    assert pairing_key((relabelled, loops)) == pairing_key((crossings, loops))
 
 
 def test_pairing_key_tells_mirrors_and_quarter_turns_apart():
     left = braid_closure(BraidWord(2, [-1, -1, -1]))
-    assert _pairing_key(_node(trefoil())) != _pairing_key(_node(left))
+    assert pairing_key(_node(trefoil())) != pairing_key(_node(left))
     for make in (trefoil, fig8, whitehead, borromean):
         crossings, loops = _node(make())
-        key = _pairing_key((crossings, loops))
+        key = pairing_key((crossings, loops))
         for ci, rec in enumerate(crossings):
             turned = crossings[:ci] + (_turn(rec, 1),) + crossings[ci + 1:]
-            assert _pairing_key((turned, loops)) != key, (make.__name__, ci)
+            assert pairing_key((turned, loops)) != key, (make.__name__, ci)
 
 
 def test_nodes_spent_equal_table_entries():
@@ -793,8 +794,9 @@ def test_reducer_keeps_clasps():
     # every bigon of a reduced alternating diagram is a clasp, one strand
     # over at one corner and under at the other
     for make in (hopf, trefoil, fig8, solomon, whitehead, borromean):
-        node = _node(make())
-        assert _reduce(*node) == (0, set(), *node), make.__name__
+        crossings, loops = _node(make())
+        other = tuple(far_ends(crossings)[1])
+        assert _reduce(crossings, loops) == (0, set(), crossings, other, loops), make.__name__
 
 
 # (strands, word, the curls' exponent of x in D, crossings and free loops
@@ -815,11 +817,75 @@ REDUCIBLE = [
                          ids=[" ".join(map(str, case[1])) for case in REDUCIBLE])
 def test_reducer_hand_cases(strands, word, exponent, left, loops):
     d = braid_closure(BraidWord(strands, word))
-    e, gone, crossings, free = _reduce(*_node(d))
+    e, gone, crossings, _, free = _reduce(*_node(d))
     assert (e, len(crossings), free) == (exponent, left, loops)
     assert len(gone) + len(crossings) == len(d.crossings) and not reducible(crossings)
     assert homfly(d, memo={}) == labelled_homfly(d)
     assert dubrovnik(d, memo={}) == labelled_dubrovnik(d, {})
+
+
+def _reduce_calls(monkeypatch, diagrams):
+    """Every (crossings, loops, joins) the HOMFLY and Dubrovnik descents of
+    `diagrams` pass to `_reduce`, with what it returned."""
+    calls = []
+    real = skein._reduce
+
+    def recording(crossings, loops, joins=()):
+        out = real(crossings, loops, joins)
+        calls.append(((crossings, loops, joins), out))
+        return out
+
+    monkeypatch.setattr(skein, "_reduce", recording)
+    for d in diagrams:
+        homfly(d, memo={})
+        dubrovnik(d, memo={})
+    monkeypatch.undo()
+    return calls
+
+
+def test_one_pass_reducer_matches_two_pass_oracle(monkeypatch):
+    # every switch and smoothing the descents reduce, against smoothing by
+    # a union-find relabel and then reducing on rebuilt far ends
+    diagrams = [make() for make, _ in NODE_COUNTS] + list(seeded_closures(20261024, 40))
+    diagrams += [braid_closure(BraidWord(n, w)) for n, w in pool_words()]
+    smoothings = 0
+    for (crossings, loops, joins), out in _reduce_calls(monkeypatch, diagrams):
+        exponent, gone, kept, other, free = out
+        if joins:
+            ci = joins[0][0] >> 2
+            want = two_pass_reduce(crossings, loops, ci, [(a & 3, b & 3) for a, b in joins])
+            want_gone = {ci} | {j + (j >= ci) for j in want[1]}
+            smoothings += 1
+        else:
+            want = two_pass_reduce(crossings, loops)
+            want_gone = want[1]
+        assert (exponent, kept, free) == (want[0], want[2], want[3]), (crossings, joins)
+        assert gone == want_gone
+        assert other == tuple(far_ends(kept)[1])
+    assert smoothings > 5000
+
+
+def test_far_ends_runs_once_per_reduced_child(monkeypatch):
+    # the node carries the far ends `_reduce` built, so neither the memo
+    # key nor the walk rebuilds them
+    diagrams = list(seeded_closures(20261025, 100))
+    counts = {"far_ends": 0, "_reduce": 0}
+
+    def counting(name, real):
+        def spy(*args):
+            counts[name] += 1
+            return real(*args)
+        return spy
+
+    far = counting("far_ends", diagram.far_ends)
+    monkeypatch.setattr(diagram, "far_ends", far)
+    monkeypatch.setattr(skein, "far_ends", far)
+    monkeypatch.setattr(skein, "_reduce", counting("_reduce", skein._reduce))
+    for d in diagrams:
+        homfly(d, memo={})
+        kauffman_f(d, memo={})
+    assert counts["_reduce"] > 1500
+    assert counts["far_ends"] == counts["_reduce"]
 
 
 def test_homfly_unknot_and_unlinks():
@@ -1024,7 +1090,7 @@ def walk_diagrams():
 
 
 def _unoriented_visits(crossings):
-    flat, circles = walk_unoriented(crossings)
+    flat, circles = walk_unoriented(crossings, far_ends(crossings)[1])
     return [(cid, flat[i], i >> 2, i & 3) for cid, circle in enumerate(circles) for i in circle]
 
 
@@ -1038,7 +1104,7 @@ def test_walks_match_dict_oracles():
         diagrams = [d] + [f(ci) for ci in range(len(d.crossings))
                           for f in (d.switch, d.smooth_oriented)]
         nodes = [(e.crossings, e.over_in) for e in diagrams]
-        nodes += [node[:2] for node in _run(_descend, homfly, d, 100)[2]]
+        nodes += [(node[0], node[2]) for node in _run(_descend, homfly, d, 100)[2]]
         for crossings, over_in in nodes:
             assert _trace_oriented(crossings, over_in) == dict_trace_oriented(crossings, over_in)
         oriented += len(nodes)
