@@ -19,15 +19,20 @@ The exponential expansions compute on integers.  After the substitution,
 y^pad times the polynomial is a finite sum of w * e^((alpha*a + gamma*h)/2)
 over integer points (alpha, gamma) with integer weights w, so its
 a^i h^n coefficient is the integer moment M[i, n] = sum w*alpha^i*gamma^n
-over 2^(i+n) * i! * n!.  Series are kept in that scaled form M, where a
-product is a binomial convolution and the inverse of a knot's expansion
-stays integral; a result is turned into ordinary coefficients once.
+over 2^(i+n) * i! * n!.  Series are kept in that scaled form as dense rows
+M[i][n], i + n <= prec, where a product is a binomial convolution.  A
+quotient divides the link's rows by each component's rows in turn, one
+triangular solve per component, which stays on integers when the
+component's constant term is +-1.  The factor s^-pad is one integer table
+over a common denominator, kept in a bounded cache per (prec, pad), and a
+result is turned into ordinary coefficients once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, lcm
 
 from .algebra import (
@@ -392,20 +397,20 @@ def _pascal(n: int) -> list:
 
 
 def _moments(f: LaurentPolynomial, shift: int, cap: int):
-    """(M, pad): y^pad * f after the substitution, in scaled form through
-    total degree cap + pad, with pad = -(least power of y) or 0.
+    """(rows, pad): y^pad * f after the substitution, in scaled form through
+    total degree prec = cap + pad, with pad = -(least power of y) or 0.
 
     The value is the sum of w * e^((alpha*a + gamma*h)/2) over the points
     of the terms coeff * x^kx * y^ky: with m = ky + pad and k = 0..m,
     alpha = kx, gamma = kx*shift + m - 2k and w = coeff * C(m, k) * (-1)^k.
-    Its a^i h^n coefficient is M[i, n] / (2^(i+n) * i! * n!) for the
-    moment M[i, n] = sum of w * alpha^i * gamma^n.
+    Its a^i h^n coefficient is rows[i][n] / (2^(i+n) * i! * n!) for the
+    moment rows[i][n] = sum of w * alpha^i * gamma^n, i + n <= prec.
     """
-    if f.is_zero:
-        return {}, 0
+    if cap < 0:
+        raise ValueError("cap must be >= 0")
     xi = f.variables.index("x")
     yi = f.variables.index("y")
-    pad = max(0, -min(e[yi] for e in f.terms))
+    pad = max(0, -min((e[yi] for e in f.terms), default=0))
     prec = cap + pad
     points: dict = {}  # alpha -> {gamma: w}
     for exps, coeff in f.terms.items():
@@ -415,7 +420,7 @@ def _moments(f: LaurentPolynomial, shift: int, cap: int):
             gamma = kx * shift + m - 2 * k
             w = coeff * comb(m, k)
             row[gamma] = row.get(gamma, 0) + (-w if k % 2 else w)
-    out: dict = {}
+    rows = [[0] * (prec + 1 - i) for i in range(prec + 1)]
     for alpha, row in points.items():
         h_moments = [0] * (prec + 1)
         for gamma, w in row.items():
@@ -424,67 +429,79 @@ def _moments(f: LaurentPolynomial, shift: int, cap: int):
                 w *= gamma
         power = 1
         for i in range(prec + 1):
-            for n in range(prec + 1 - i):
-                out[(i, n)] = out.get((i, n), 0) + power * h_moments[n]
+            rows[i] = [r + power * h for r, h in zip(rows[i], h_moments)]
             power *= alpha
-    return {e: c for e, c in out.items() if c}, pad
-
-
-def _scaled_mul(left: dict, right: dict, cap: int) -> dict:
-    """The product of two series in scaled form through total degree cap:
-    (AB)[i, n] = sum of C(i, i')*C(n, n')*A[i', n']*B[i - i', n - n']."""
-    binom = _pascal(cap)
-    ordered = sorted((i + n, i, n, c) for (i, n), c in right.items())
-    out: dict = {}
-    for (i1, n1), c1 in left.items():
-        room = cap - i1 - n1
-        for deg, i2, n2, c2 in ordered:
-            if deg > room:
+            if not power:
                 break
-            i, n = i1 + i2, n1 + n2
-            out[(i, n)] = out.get((i, n), 0) + binom[i][i1] * binom[n][n1] * c1 * c2
-    return {e: c for e, c in out.items() if c}
+    return rows, pad
 
 
-def _scaled_inverse(series: dict, cap: int) -> dict:
-    """The inverse of a series in scaled form through total degree cap,
-    degree by degree; it stays integral when the constant term c0 is +-1,
-    and otherwise uses the exact `Fraction` 1/c0."""
-    c0 = series.get((0, 0), 0)
+def _scaled_divide(num: list, den: list, prec: int, binom: list) -> list:
+    """num / den in scaled form through total degree prec, solved degree by
+    degree: out[i][n] is num[i][n] less the sum of
+    C(i, i1)*C(n, n1)*den[i1][n1]*out[i - i1][n - n1] over (i1, n1) != (0, 0),
+    over the constant term c0 of den.  It stays on ints when c0 is +-1 and
+    otherwise divides by the exact `Fraction` c0; a divisor equal to 1
+    returns num itself."""
+    c0 = den[0][0]
     if c0 == 0:
         raise ZeroDivisionError("series with zero constant term has no inverse")
-    q = c0 if c0 in (1, -1) else Fraction(1, c0)
-    binom = _pascal(cap)
-    rest = [(i, n, c) for (i, n), c in series.items() if i or n]
-    out = {(0, 0): q}
-    for deg in range(1, cap + 1):
-        for i in range(deg + 1):
-            n = deg - i
-            acc = 0
-            for i1, n1, c in rest:
-                if i1 <= i and n1 <= n:
-                    b = out.get((i - i1, n - n1))
-                    if b:
-                        acc += binom[i][i1] * binom[n][n1] * c * b
-            if acc:
-                out[(i, n)] = -q * acc
+    if c0 == 1 and not any(den[0][1:]) and not any(map(any, den[1:])):
+        return num
+    unit = c0 in (1, -1)
+    if not unit:
+        c0 = Fraction(c0)
+    nonzero = [[(n1, c) for n1, c in enumerate(row) if c] for row in den]
+    del nonzero[0][0]
+    out = [[0] * (prec + 1 - i) for i in range(prec + 1)]
+    for i in range(prec + 1):
+        row, bi = out[i], binom[i]
+        for n in range(prec + 1 - i):
+            bn = binom[n]
+            acc = num[i][n]
+            for i1 in range(i + 1):
+                prior = out[i - i1]
+                part = 0
+                for n1, c in nonzero[i1]:
+                    if n1 > n:
+                        break
+                    part += bn[n1] * c * prior[n - n1]
+                if part:
+                    acc -= bi[i1] * part
+            row[n] = acc * c0 if unit else acc / c0
     return out
 
 
-def _unscaled(series: dict, pad: int, cap: int) -> SeriesWithPole:
-    """G = s^-pad * (y^pad * f), with pole order pad, from the scaled form of
-    y^pad * f.  The product with s^-pad is taken in scaled form over one
-    common denominator den, so the ordinary coefficients are the only
-    fractions: M[i, n] / (den * 2^(i+n) * i! * n!)."""
+@lru_cache(maxsize=16)
+def _sigma(prec: int, pad: int) -> tuple:
+    """(den, sig): s^-pad in scaled form through h-degree prec over one
+    common denominator den, so sig[n] = den * 2^n * n! * [h^n] s^-pad is an
+    integer; s is even in h alone, so s^-pad has no a."""
+    terms = (_sinh_unit(prec) ** -pad).terms
+    scaled = [Fraction(terms.get((0, n), 0)) * (factorial(n) << n) for n in range(prec + 1)]
+    den = lcm(*(c.denominator for c in scaled))
+    return den, tuple(int(c * den) for c in scaled)
+
+
+def _unscaled(rows: list, pad: int, prec: int, binom: list) -> SeriesWithPole:
+    """G = s^-pad * (y^pad * f), with pole order pad, from the scaled rows
+    of y^pad * f.  The product with s^-pad is a binomial convolution in h
+    alone against the integer table of `_sigma`, so the ordinary
+    coefficients are the only fractions:
+    rows[i][n] / (den * 2^(i+n) * i! * n!)."""
     den = 1
     if pad:
-        sigma = {e: c * (factorial(e[1]) << e[1])
-                 for e, c in (_sinh_unit(cap) ** -pad).terms.items()}
-        den = lcm(*(Fraction(c).denominator for c in sigma.values()))
-        series = _scaled_mul(series, {e: int(c * den) for e, c in sigma.items()}, cap)
-    terms = {(i, n): Fraction(c, den * factorial(i) * factorial(n) << (i + n))
-             for (i, n), c in series.items()}
-    return SeriesWithPole(TruncatedSeries(_CH, cap, terms), pad)
+        den, sig = _sigma(prec, pad)
+        rows = [[sum(binom[n][n1] * sig[n1] * row[n - n1] for n1 in range(0, n + 1, 2))
+                 for n in range(len(row))] for row in rows]
+    fact = [factorial(k) for k in range(prec + 1)]
+    terms = {}
+    for i, row in enumerate(rows):
+        for n, c in enumerate(row):
+            if c:
+                q = Fraction(c, den * fact[i] * fact[n] << (i + n))
+                terms[(i, n)] = q.numerator if q.denominator == 1 else q
+    return SeriesWithPole(TruncatedSeries._make(_CH, prec, terms), pad)
 
 
 def substitute_exponential(f: LaurentPolynomial, shift: int, cap: int) -> SeriesWithPole:
@@ -498,8 +515,8 @@ def substitute_exponential(f: LaurentPolynomial, shift: int, cap: int) -> Series
     SeriesWithPole(G, pad) through total degree cap + pad, so that the
     value is exact through h-degree cap.
     """
-    moments, pad = _moments(f, shift, cap)
-    return _unscaled(moments, pad, cap + pad)
+    rows, pad = _moments(f, shift, cap)
+    return _unscaled(rows, pad, cap + pad, _pascal(cap + pad))
 
 
 def _read_off(sp: SeriesWithPole, provenance: str, cap: int) -> CoefficientTable:
@@ -522,18 +539,18 @@ def exp_expand_kauffman(f_poly: LaurentPolynomial, cap: int = DEFAULT_CAP) -> Co
 
 
 def _exp_quotient(d: LinkDiagram, poly, shift: int, cap: int, provenance: str) -> CoefficientTable:
-    """poly(d) over the product of poly of each component, in scaled form;
-    the components are knots, whose expansions have no pole."""
-    num, pad = _moments(poly(d), shift, cap)
+    """poly(d) over poly of each component, in scaled form: one triangular
+    division per component; the components are knots, whose expansions
+    have no pole."""
+    out, pad = _moments(poly(d), shift, cap)
     prec = cap + pad
-    den = {(0, 0): 1}
+    binom = _pascal(prec)
     for j in range(d.m):
         comp, comp_pad = _moments(poly(d.component(j)), shift, prec)
         if comp_pad:
             raise ArithmeticError("a component's exponential expansion has a pole")
-        den = _scaled_mul(den, comp, prec)
-    out = _scaled_mul(num, _scaled_inverse(den, prec), prec)
-    return _read_off(_unscaled(out, pad, prec), provenance, cap)
+        out = _scaled_divide(out, comp, prec, binom)
+    return _read_off(_unscaled(out, pad, prec, binom), provenance, cap)
 
 
 def homfly_exp_quotient(d: LinkDiagram, cap: int = DEFAULT_CAP) -> CoefficientTable:

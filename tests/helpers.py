@@ -1,10 +1,14 @@
 """Diagram and polynomial helpers shared by the tests; not part of the
 library's interface."""
 
+from fractions import Fraction
+from math import comb, factorial, lcm
+
 from linkinv.alexander import PotentialFunction
 from linkinv.algebra import LaurentPolynomial, TruncatedSeries
 from linkinv.diagram import LinkDiagram, far_ends, uf_find, uf_union
 from linkinv.skein import _DELTA_D, _DELTA_H, _HOMFLY_FACTORS, _X, _Y, _descend, _key
+from linkinv.transforms import _CH, SeriesWithPole, _pascal, _read_off, _sinh_unit
 
 
 def disjoint_union(a: LinkDiagram, b: LinkDiagram) -> LinkDiagram:
@@ -385,3 +389,116 @@ def dense_fox_determinant(rows, ncols: int, variables) -> LaurentPolynomial:
                 row[j] = tuple_exact_quotient(num, prev)
         prev = pivot
     return LaurentPolynomial(variables, {e: sign * c for e, c in prev.items()})
+
+
+# -- the exponential layer on {(i, n): moment} dicts ---------------------------
+#
+# The oracle for the dense kernel of `transforms`: the same scaled moments
+# held in a dict, the quotient by the product of the component series taken
+# as numerator times inverse, and s^-pad raised as a `TruncatedSeries` on
+# every call.
+
+
+def dict_moments(f: LaurentPolynomial, shift: int, cap: int):
+    """(M, pad): the scaled form of y^pad * f through total degree
+    cap + pad as {(i, n): M[i, n]}, zeros dropped; see `transforms._moments`."""
+    if f.is_zero:
+        return {}, 0
+    xi = f.variables.index("x")
+    yi = f.variables.index("y")
+    pad = max(0, -min(e[yi] for e in f.terms))
+    prec = cap + pad
+    points: dict = {}  # alpha -> {gamma: w}
+    for exps, coeff in f.terms.items():
+        kx, m = exps[xi], exps[yi] + pad
+        row = points.setdefault(kx, {})
+        for k in range(m + 1):
+            gamma = kx * shift + m - 2 * k
+            w = coeff * comb(m, k)
+            row[gamma] = row.get(gamma, 0) + (-w if k % 2 else w)
+    out: dict = {}
+    for alpha, row in points.items():
+        h_moments = [0] * (prec + 1)
+        for gamma, w in row.items():
+            for n in range(prec + 1):
+                h_moments[n] += w
+                w *= gamma
+        power = 1
+        for i in range(prec + 1):
+            for n in range(prec + 1 - i):
+                out[(i, n)] = out.get((i, n), 0) + power * h_moments[n]
+            power *= alpha
+    return {e: c for e, c in out.items() if c}, pad
+
+
+def dict_scaled_mul(left: dict, right: dict, cap: int) -> dict:
+    """(AB)[i, n] = sum of C(i, i')*C(n, n')*A[i', n']*B[i - i', n - n']."""
+    binom = _pascal(cap)
+    ordered = sorted((i + n, i, n, c) for (i, n), c in right.items())
+    out: dict = {}
+    for (i1, n1), c1 in left.items():
+        room = cap - i1 - n1
+        for deg, i2, n2, c2 in ordered:
+            if deg > room:
+                break
+            i, n = i1 + i2, n1 + n2
+            out[(i, n)] = out.get((i, n), 0) + binom[i][i1] * binom[n][n1] * c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def dict_scaled_inverse(series: dict, cap: int) -> dict:
+    """The inverse in scaled form, degree by degree, by the exact 1/c0."""
+    c0 = series.get((0, 0), 0)
+    if c0 == 0:
+        raise ZeroDivisionError("series with zero constant term has no inverse")
+    q = c0 if c0 in (1, -1) else Fraction(1, c0)
+    binom = _pascal(cap)
+    rest = [(i, n, c) for (i, n), c in series.items() if i or n]
+    out = {(0, 0): q}
+    for deg in range(1, cap + 1):
+        for i in range(deg + 1):
+            n = deg - i
+            acc = 0
+            for i1, n1, c in rest:
+                if i1 <= i and n1 <= n:
+                    b = out.get((i - i1, n - n1))
+                    if b:
+                        acc += binom[i][i1] * binom[n][n1] * c * b
+            if acc:
+                out[(i, n)] = -q * acc
+    return out
+
+
+def dict_unscaled(series: dict, pad: int, cap: int) -> SeriesWithPole:
+    """G = s^-pad * (y^pad * f) with pole order pad, s^-pad built from
+    `_sinh_unit` and multiplied in scaled form over one common denominator."""
+    den = 1
+    if pad:
+        sigma = {e: c * (factorial(e[1]) << e[1])
+                 for e, c in (_sinh_unit(cap) ** -pad).terms.items()}
+        den = lcm(*(Fraction(c).denominator for c in sigma.values()))
+        series = dict_scaled_mul(series, {e: int(c * den) for e, c in sigma.items()}, cap)
+    terms = {(i, n): Fraction(c, den * factorial(i) * factorial(n) << (i + n))
+             for (i, n), c in series.items()}
+    return SeriesWithPole(TruncatedSeries(_CH, cap, terms), pad)
+
+
+def dict_substitute_exponential(f: LaurentPolynomial, shift: int, cap: int) -> SeriesWithPole:
+    """The oracle for `transforms.substitute_exponential`."""
+    moments, pad = dict_moments(f, shift, cap)
+    return dict_unscaled(moments, pad, cap + pad)
+
+
+def dict_exp_quotient(d: LinkDiagram, poly, shift: int, cap: int, provenance: str):
+    """The oracle for `transforms._exp_quotient`: the numerator's moments
+    times the inverse of the product of the components' moments."""
+    num, pad = dict_moments(poly(d), shift, cap)
+    prec = cap + pad
+    den = {(0, 0): 1}
+    for j in range(d.m):
+        comp, comp_pad = dict_moments(poly(d.component(j)), shift, prec)
+        if comp_pad:
+            raise ArithmeticError("a component's exponential expansion has a pole")
+        den = dict_scaled_mul(den, comp, prec)
+    out = dict_scaled_mul(num, dict_scaled_inverse(den, prec), prec)
+    return _read_off(dict_unscaled(out, pad, prec), provenance, cap)

@@ -22,8 +22,8 @@ from linkinv.diagram import BraidWord, braid_closure
 from linkinv.skein import state_sum
 from linkinv.transforms import (
     _CH,
-    _scaled_inverse,
-    _scaled_mul,
+    _pascal,
+    _scaled_divide,
     _unscaled,
     decompose,
     omega_from_reduced,
@@ -385,34 +385,46 @@ def _over_ch(f):
     return TruncatedSeries(_CH, f.cap, f.embed(("x", "y")).terms)
 
 
-def _to_scaled(f):
-    """The scaled form: coefficient * 2^(i+n) * i! * n! at a^i h^n."""
-    return {(i, n): c * (factorial(i) * factorial(n) << (i + n))
-            for (i, n), c in f.terms.items()}
+def _to_rows(f):
+    """The dense scaled form: coefficient * 2^(i+n) * i! * n! at rows[i][n]."""
+    return [[f.terms.get((i, n), 0) * (factorial(i) * factorial(n) << (i + n))
+             for n in range(f.cap + 1 - i)] for i in range(f.cap + 1)]
 
 
-def _from_scaled(m, cap):
-    return _unscaled(m, 0, cap).series
+def _from_rows(rows, cap):
+    return _unscaled(rows, 0, cap, _pascal(cap)).series
+
+
+def _divide(f, g):
+    cap = min(f.cap, g.cap)
+    return _scaled_divide(_to_rows(f.truncate(cap)), _to_rows(g.truncate(cap)), cap, _pascal(cap))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(series(), series())
 def test_scaled_product_and_inverse_match_the_series_kernel(f, g):
     f, g = _over_ch(f), _over_ch(g)
-    cap = min(f.cap, g.cap)
-    assert _from_scaled(_to_scaled(f), f.cap) == f
-    assert _from_scaled(_scaled_mul(_to_scaled(f), _to_scaled(g), cap), cap) == f * g
+    assert _from_rows(_to_rows(f), f.cap) == f
+    if g.constant_term():
+        fg = f * g
+        assert _from_rows(_divide(fg, g), fg.cap) == f.truncate(fg.cap)
     if f.constant_term():
-        assert _from_scaled(_scaled_inverse(_to_scaled(f), f.cap), f.cap) == f.invert()
+        assert _from_rows(_divide(TruncatedSeries.one(_CH, f.cap), f), f.cap) == f.invert()
 
 
 @pytest.mark.parametrize("c0", [1, -1, 2, -3, Fraction(2, 3)])
 def test_scaled_inverse_of_a_non_unit_constant_is_exact(c0):
     f = TruncatedSeries(_CH, 5, {(0, 0): c0, (1, 0): 1, (0, 1): -2, (1, 1): 3,
                                   (0, 3): 5})
-    inv = _scaled_inverse(_to_scaled(f), 5)
-    assert _from_scaled(inv, 5) == f.invert()
-    assert all(type(c) is int for c in inv.values()) == (c0 in (1, -1))
+    inv = _divide(TruncatedSeries.one(_CH, 5), f)
+    assert _from_rows(inv, 5) == f.invert()
+    assert all(type(c) is int for row in inv for c in row) == (c0 in (1, -1))
+
+
+def test_scaled_division_by_one_returns_the_numerator():
+    f = TruncatedSeries(_CH, 4, {(0, 0): 3, (1, 2): -1, (2, 0): 7})
+    rows = _to_rows(f)
+    assert _scaled_divide(rows, _to_rows(TruncatedSeries.one(_CH, 4)), 4, _pascal(4)) is rows
 
 
 def test_negative_power_of_an_integral_monomial_is_exact():

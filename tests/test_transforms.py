@@ -1,4 +1,6 @@
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import comb
 
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linkinv import transforms
-from helpers import monomial_substitute_series
+from helpers import dict_exp_quotient, dict_substitute_exponential, monomial_substitute_series
 from linkinv.algebra import LaurentPolynomial, TruncatedSeries, brace, x_of_z
 from linkinv.alexander import potential_function
 from linkinv.corpus import load_corpus
@@ -20,6 +22,7 @@ from linkinv.transforms import (
     _exp_quotient,
     _quotients,
     _read_off,
+    _sigma,
     _sinh_unit,
     component_conways,
     conway_quotient,
@@ -683,18 +686,69 @@ def test_exponential_layer_matches_fraction_oracle(exp_oracle_cases, cap):
     for d in diagrams:
         for poly, shift, label in ((h_poly, 0, "homfly"), (f_poly, -1, "kauffman")):
             got = substitute_exponential(poly(d), shift, cap)
-            want = expand(poly(d), shift, cap)
-            assert got.pole_order == want.pole_order, (d.name, label)
-            assert got.series.cap == want.series.cap, (d.name, label)
-            assert got.series.terms == want.series.terms, (d.name, label)
+            for want in (expand(poly(d), shift, cap),
+                         dict_substitute_exponential(poly(d), shift, cap)):
+                assert got.pole_order == want.pole_order, (d.name, label)
+                assert got.series.cap == want.series.cap, (d.name, label)
+                assert got.series.terms == want.series.terms, (d.name, label)
             got = _exp_quotient(d, poly, shift, cap, label)
-            want = oracle_exp_quotient(d, poly, shift, cap, label, expand)
-            assert got == want, (d.name, label)
+            assert got == oracle_exp_quotient(d, poly, shift, cap, label, expand), (d.name, label)
+            assert got == dict_exp_quotient(d, poly, shift, cap, label), (d.name, label)
 
 
 def test_exp_quotient_refuses_a_component_pole():
     with pytest.raises(ArithmeticError, match="pole"):
         _exp_quotient(hopf(), lambda _: Y ** -1, 0, 4, "homfly-exp-quotient")
+
+
+@pytest.mark.parametrize("cap", [0, 5])
+@pytest.mark.parametrize("shift", [0, -1])
+def test_exp_quotient_by_a_component_with_a_non_unit_constant(cap, shift):
+    # a knot's value at a = h = 0 is f(1, 0); here 2 for the components, so
+    # the division leaves the integers
+    def poly(d):
+        return (X - X ** -1) * Y ** -1 + X * Y if d.m > 1 else 2 * X ** 2 + X * Y - Y ** 2
+    got = _exp_quotient(hopf(), poly, shift, cap, "homfly-exp-quotient")
+    assert got == oracle_exp_quotient(hopf(), poly, shift, cap, "homfly-exp-quotient")
+
+
+def test_exp_quotient_by_a_component_with_zero_constant_refuses():
+    def poly(d):
+        return (X - X ** -1) * Y ** -1 if d.m > 1 else X - X ** -1
+    with pytest.raises(ZeroDivisionError, match="zero constant term"):
+        _exp_quotient(hopf(), poly, 0, 4, "homfly-exp-quotient")
+
+
+@pytest.mark.parametrize("fn", [
+    lambda: homfly_exp_quotient(hopf(), -1),
+    lambda: kauffman_exp_quotient(hopf(), -1),
+    lambda: exp_expand_homfly(homfly(hopf()), -1),
+    lambda: exp_expand_kauffman(kauffman_f(hopf()), -1),
+])
+def test_exponential_layer_refuses_a_negative_cap(fn):
+    with pytest.raises(ValueError, match="cap must be >= 0"):
+        fn()
+
+
+def test_exp_quotients_agree_across_threads():
+    # the s^-pad table is the layer's only state: a bounded lru_cache
+    d = borromean()
+    jobs = [(fn, cap) for fn in (homfly_exp_quotient, kauffman_exp_quotient) for cap in (4, 12)]
+    want = [fn(d, cap) for fn, cap in jobs]
+    orders = [range(len(jobs)), range(len(jobs) - 1, -1, -1), (1, 3, 0, 2)]
+    _sigma.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(orders)) as pool:
+            runs = [pool.submit(lambda order: [(k, jobs[k][0](d, jobs[k][1])) for k in order], order)
+                    for order in orders]
+            for run in runs:
+                for k, got in run.result(timeout=120):
+                    assert got == want[k], jobs[k]
+    finally:
+        sys.setswitchinterval(interval)
+    assert _sigma.cache_info().maxsize is not None
 
 
 short_braid_words = st.integers(2, 3).flatmap(lambda n: st.tuples(
