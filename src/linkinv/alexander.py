@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# fox_determinant, the sparse pivoted determinant on packed exponents behind
-# `state_sum`, is unused here but stays importable under this name: the
+# fox_determinant, the sparse determinant `state_sum` runs on the packed
+# state matrix, is unused here but stays importable under this name: the
 # benchmark's traced run wraps `alexander.fox_determinant`
 from .algebra import LaurentPolynomial, _exact_quotient, fox_determinant  # noqa: F401
 from .diagram import DiagramError, LinkDiagram

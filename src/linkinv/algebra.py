@@ -17,8 +17,9 @@ their products and quotients on integer moments (see `transforms`).
 `fox_determinant` is the package's one determinant routine, used for
 Kauffman's state sum behind the Conway polynomial and the potential
 function: sparse fraction-free Bareiss elimination over Z[t^+-1] with
-Markowitz pivoting, on terms whose exponent vectors are packed into one
-int each.  `_exact_quotient` divides on the same packed terms.
+Markowitz pivoting, from sparse rows of terms whose exponent vectors are
+packed into one int each (`skein` builds the state matrix so) to the
+determinant packed alike.  `_exact_quotient` divides on packed terms too.
 """
 
 from __future__ import annotations
@@ -224,6 +225,12 @@ class LaurentPolynomial:
             return LaurentPolynomial._make(self.variables,
                                            _clean({e: c * v for e, v in self.terms.items()}))
         nv, a, b = self._aligned(other)
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:  # a monomial times b: shift b's exponents
+            (ea, ca), = a.items()
+            return LaurentPolynomial._make(nv, _clean(
+                {tuple([x + y for x, y in zip(ea, eb)]): ca * cb for eb, cb in b.items()}))
         out: dict = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
@@ -234,12 +241,12 @@ class LaurentPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentPolynomial":
-        if n < 0:
-            if len(self.terms) != 1:
-                raise ValueError("negative power of a non-monomial Laurent polynomial")
+        if len(self.terms) == 1:  # a monomial: scale its exponents
             (exps, coeff), = self.terms.items()
-            return LaurentPolynomial(self.variables,
-                                     {tuple(n * e for e in exps): Fraction(coeff) ** n})
+            coeff = coeff ** abs(n) if coeff in (1, -1) else _coeff(Fraction(coeff) ** n)
+            return LaurentPolynomial._make(self.variables, {tuple([n * e for e in exps]): coeff})
+        if n < 0:
+            raise ValueError("negative power of a non-monomial Laurent polynomial")
         out = LaurentPolynomial.one(self.variables)
         base = self
         while n:
@@ -442,12 +449,14 @@ def permutation_sign(perm) -> int:
     return sign
 
 
-def fox_determinant(rows, ncols: int, variables) -> LaurentPolynomial:
+def fox_determinant(rows, ncols: int, bits: int, nvars: int) -> dict:
     """Determinant of a square matrix over Z[t^+-1] by sparse fraction-free
     Bareiss elimination (Bareiss, Math. Comp. 22, 1968) with Markowitz
     pivoting (Management Science 3, 1957), on packed exponents.
 
-    Each row is a {column: terms} dict holding its nonzero entries.  Each
+    Each row, consumed, is a {column: {key: int}} dict of its nonzero
+    entries, a key packing an exponent vector in nvars variables by `_pack`
+    at radix R = 2^bits; the determinant comes back packed alike.  Each
     step takes the pivot that minimises (row count - 1) * (column count - 1)
     over the rows and columns left, ties broken by its number of terms.  A
     row the pivot column misses is left as it is: it falls behind by
@@ -456,23 +465,11 @@ def fox_determinant(rows, ncols: int, variables) -> LaurentPolynomial:
     pivot_then.  The last pivot is the determinant up to the sign of the
     permutation taking each pivot's row to its column.
 
-    The radix R = 2^bits exceeds 4*n*E, E the largest |exponent| of any
-    entry: every entry and pivot met is a minor, of |exponents| at most
-    n*E, and every numerator a sum of products of two minors, at most
-    2*n*E < R/2, so all of them pack one-to-one."""
-    if len(rows) != ncols or any(len(row) != ncols for row in rows):
-        raise ValueError("square matrix expected")
-    for row in rows:
-        for entry in row:
-            if any(type(c) is not int for c in entry.terms.values()):
-                raise ValueError("matrix entries must have integer coefficients")
-    nvars = len(variables)
-    big = max((abs(e) for row in rows for entry in row for exps in entry.terms for e in exps),
-              default=0)
-    bits = max(1, (4 * ncols * big).bit_length())
-    mat = [{j: {_pack(e, bits): c for e, c in entry.terms.items()}
-            for j, entry in enumerate(row) if entry.terms} for row in rows]
-    count = Counter(j for row in mat for j in row)  # column -> rows left that hold it
+    R must exceed 4*n*E, E the largest |exponent| of any entry: every
+    entry and pivot met is a minor, of |exponents| at most n*E, and every
+    numerator a sum of products of two minors, at most 2*n*E < R/2, so
+    all of them pack one-to-one."""
+    count = Counter(j for row in rows for j in row)  # column -> rows left that hold it
     one = {0: 1}
     since = [one] * ncols  # the pivot each row's entries are current for
     active = list(range(ncols))
@@ -481,9 +478,9 @@ def fox_determinant(rows, ncols: int, variables) -> LaurentPolynomial:
     for _ in range(ncols):
         best = None
         for i in active:
-            row = mat[i]
+            row = rows[i]
             if not row:
-                return LaurentPolynomial.zero(variables)
+                return {}
             others = len(row) - 1
             for j, terms in row.items():
                 cost = (others * (count[j] - 1), len(terms))
@@ -492,7 +489,7 @@ def fox_determinant(rows, ncols: int, variables) -> LaurentPolynomial:
         _, r, c = best
         active.remove(r)
         perm[r] = c
-        pivot_row = mat[r]
+        pivot_row = rows[r]
         if since[r] is not prev:
             pivot_row = {j: _divide(_add_product({}, prev, a), since[r], bits, nvars)
                          for j, a in pivot_row.items()}
@@ -501,7 +498,7 @@ def fox_determinant(rows, ncols: int, variables) -> LaurentPolynomial:
         for j in pivot_row:
             count[j] -= 1
         for i in active:
-            row = mat[i]
+            row = rows[i]
             lead = row.pop(c, None)
             if lead is None:
                 continue
@@ -515,7 +512,7 @@ def fox_determinant(rows, ncols: int, variables) -> LaurentPolynomial:
                 if j not in row:
                     nums[j] = _add_product({}, lead, b, -1)
                     count[j] += 1
-            mat[i] = row = {}
+            rows[i] = row = {}
             for j, num in nums.items():
                 q = _divide(num, then, bits, nvars)
                 if q:
@@ -524,8 +521,7 @@ def fox_determinant(rows, ncols: int, variables) -> LaurentPolynomial:
                     count[j] -= 1
         prev = pivot
     sign = permutation_sign(perm)
-    return LaurentPolynomial._make(tuple(variables), {
-        _unpack(k, bits, nvars): sign * c for k, c in prev.items()})
+    return {k: sign * c for k, c in prev.items()}
 
 
 class TruncatedSeries:

@@ -3,12 +3,12 @@ run by one memoized descent, `_descend`, and the Conway polynomial and the
 potential function's numerator from Kauffman's state sum.
 
 Conway is not a skein engine.  `state_sum` builds Alexander's state matrix
-(one row per crossing, one column per face but two adjacent ones, corner
-weights in the variables of the two strands' colors), takes its
-determinant with the sparse Bareiss kernel `algebra.fox_determinant`
-and fixes the sign from one state.  `conway` is its one-color case
-rewritten in z = x - x^-1, and `alexander.potential_function` its colored
-case: polynomial time, no node budget and no memo.
+(a row per crossing, a column per face but two adjacent ones, corner
+weights in the two strands' color variables) as packed sparse rows, at
+radix 2^bits > 4c as every exponent is 0 or +-1, takes its determinant by
+`algebra.fox_determinant`, signs it by one state and unpacks it once.
+`conway` is its one-color case in z = x - x^-1, and the potential function
+its colored case: polynomial time, no node budget and no memo.
 
 The descent strategy is the standard guaranteed-terminating one: fix a
 traversal (each circle from its minimal arc) and locate crossings whose
@@ -62,7 +62,8 @@ from contextvars import ContextVar
 from operator import itemgetter
 from typing import NamedTuple
 
-from .algebra import LaurentPolynomial, fox_determinant, permutation_sign, rewrite_in_difference
+from .algebra import LaurentPolynomial, _unpack, fox_determinant, permutation_sign, \
+    rewrite_in_difference
 from .diagram import LinkDiagram, disconnected, far_ends, uf_find, uf_union, walk_oriented, \
     walk_unoriented
 
@@ -248,12 +249,15 @@ def _faces(other):
 
 def _state_matrix(d: LinkDiagram, colors, variables, cut: int, other):
     """Alexander's c x c state matrix of a connected diagram with c >= 1
-    crossings and far ends `other`: one row per crossing, one column per
-    face except the two on either side of the arc at slot `cut` (crossing
-    cut // 4, slot cut % 4), each entry the sum of the crossing's corner
-    weights in that face, the strands of component k weighted by
-    x_colors[k].  Returns the rows and, per row, (column, flip) for every
-    corner that has a column.
+    crossings and far ends `other`, as packed rows for `fox_determinant`:
+    one row per crossing, one column per face except the two on either
+    side of the arc at slot `cut` (crossing cut // 4, slot cut % 4), each
+    entry the sum of the crossing's corner weights in that face, the
+    strands of component k weighted by x_colors[k].  Returns the rows and,
+    per row, (column, flip) for every corner that has a column.  A weight
+    x_o^a * x_u^b packs to a*R^(n-o) + b*R^(n-u), n = len(variables), as
+    `algebra._pack` orders them; as a, b and all entry exponents are 0 or
+    +-1 (E = 1), bits = (4c).bit_length() meets the kernel's R > 4*c*E.
 
     A connected diagram has c + 2 faces, and the two sides of any arc are
     different faces: a 4-valent graph has no bridge, since cutting one
@@ -262,20 +266,20 @@ def _state_matrix(d: LinkDiagram, colors, variables, cut: int, other):
     dropped = {face[cut], face[(cut & ~3) | ((cut - 1) & 3)]}
     kept = sorted(set(face) - dropped)
     column = dict(zip(kept, range(len(kept))))
-    zero = LaurentPolynomial.zero(variables)
+    bits = (4 * len(d.signs)).bit_length()
+    place = [1 << bits * k for k in range(len(variables) - 1, -1, -1)]  # color k at R^(n-k)
     rows, options = [], []
     for x, sign in enumerate(d.signs):
         cu, co = d.strands_at(x)
-        u, o = colors[cu] - 1, colors[co] - 1
-        row = [zero] * len(kept)
+        u, o = place[colors[cu] - 1], place[colors[co] - 1]
+        row = {}
         corners = []
         for i, (a, b) in enumerate(_CORNERS[sign]):
             col = column.get(face[4 * x + i])
             if col is not None:
-                exps = [0] * len(variables)
-                exps[o] += a
-                exps[u] += b
-                row[col] = row[col] + LaurentPolynomial.monomial(variables, exps)
+                entry = row.setdefault(col, {})
+                key = a * o + b * u
+                entry[key] = entry.get(key, 0) + 1
                 corners.append((col, -1 if i == _FLIPPED[sign] else 1))
         rows.append(row)
         options.append(corners)
@@ -318,7 +322,8 @@ def state_sum(d: LinkDiagram, colors, cut: int = 0) -> LaurentPolynomial:
     """Kauffman's state sum e * det in x1..xn, n = max(colors), det the
     determinant of the state matrix cut at slot `cut` with the strands of
     component k weighted by x_colors[k] (Alexander, Trans. AMS 30, 1928;
-    Kauffman, Formal Knot Theory, 1983).  It is the potential function's
+    Kauffman, Formal Knot Theory, 1983), taken on the packed rows of
+    `_state_matrix` and unpacked once.  It is the potential function's
     numerator for a knot and (x_c - x_c^-1) times the potential function
     for a link, c the color of the cut arc; with one color it is
     conway(x - x^-1).  A split diagram gives 0, a crossing-free knot 1."""
@@ -330,10 +335,11 @@ def state_sum(d: LinkDiagram, colors, cut: int = 0) -> LaurentPolynomial:
     if not d.crossings:
         return LaurentPolynomial.one(variables)
     rows, options = _state_matrix(d, colors, variables, cut, other)
-    det = fox_determinant(rows, len(rows), variables)
-    if det.is_zero:
-        return det
-    return _state_sign(options) * det
+    bits = (4 * len(rows)).bit_length()  # the radix `_state_matrix` packs at
+    det = fox_determinant(rows, len(rows), bits, len(variables))
+    sign = _state_sign(options) if det else 1
+    return LaurentPolynomial._make(variables, {
+        _unpack(k, bits, len(variables)): sign * c for k, c in det.items()})
 
 
 def _key(d: LinkDiagram):

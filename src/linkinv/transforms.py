@@ -441,13 +441,10 @@ def _scaled_divide(num: list, den: list, prec: int, binom: list) -> list:
     degree: out[i][n] is num[i][n] less the sum of
     C(i, i1)*C(n, n1)*den[i1][n1]*out[i - i1][n - n1] over (i1, n1) != (0, 0),
     over the constant term c0 of den.  It stays on ints when c0 is +-1 and
-    otherwise divides by the exact `Fraction` c0; a divisor equal to 1
-    returns num itself."""
+    otherwise divides by the exact `Fraction` c0."""
     c0 = den[0][0]
     if c0 == 0:
         raise ZeroDivisionError("series with zero constant term has no inverse")
-    if c0 == 1 and not any(den[0][1:]) and not any(map(any, den[1:])):
-        return num
     unit = c0 in (1, -1)
     if not unit:
         c0 = Fraction(c0)
@@ -539,17 +536,18 @@ def exp_expand_kauffman(f_poly: LaurentPolynomial, cap: int = DEFAULT_CAP) -> Co
 
 
 def _exp_quotient(d: LinkDiagram, poly, shift: int, cap: int, provenance: str) -> CoefficientTable:
-    """poly(d) over poly of each component, in scaled form: one triangular
-    division per component; the components are knots, whose expansions
-    have no pole."""
+    """poly(d) over poly of each component but those whose poly is 1, in
+    scaled form: one triangular division per component; the components
+    are knots, whose expansions have no pole."""
     out, pad = _moments(poly(d), shift, cap)
     prec = cap + pad
     binom = _pascal(prec)
-    for j in range(d.m):
-        comp, comp_pad = _moments(poly(d.component(j)), shift, prec)
-        if comp_pad:
-            raise ArithmeticError("a component's exponential expansion has a pole")
-        out = _scaled_divide(out, comp, prec, binom)
+    for f in (poly(d.component(j)) for j in range(d.m)):
+        if f != 1:
+            comp, comp_pad = _moments(f, shift, prec)
+            if comp_pad:
+                raise ArithmeticError("a component's exponential expansion has a pole")
+            out = _scaled_divide(out, comp, prec, binom)
     return _read_off(_unscaled(out, pad, prec, binom), provenance, cap)
 
 

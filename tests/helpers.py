@@ -5,9 +5,10 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 
 from linkinv.alexander import PotentialFunction
-from linkinv.algebra import LaurentPolynomial, TruncatedSeries
+from linkinv.algebra import LaurentPolynomial, TruncatedSeries, _pack, _unpack, fox_determinant
 from linkinv.diagram import LinkDiagram, far_ends, uf_find, uf_union
-from linkinv.skein import _DELTA_D, _DELTA_H, _HOMFLY_FACTORS, _X, _Y, _descend, _key
+from linkinv.skein import _CORNERS, _DELTA_D, _DELTA_H, _FLIPPED, _HOMFLY_FACTORS, _X, _Y, \
+    _descend, _faces, _key
 from linkinv.transforms import _CH, SeriesWithPole, _pascal, _read_off, _sinh_unit
 
 
@@ -357,6 +358,54 @@ def tuple_exact_quotient(num: dict, den: dict) -> dict:
             else:
                 del num[k]
     return out
+
+
+def packed_fox_determinant(rows, ncols: int, variables) -> LaurentPolynomial:
+    """`algebra.fox_determinant` on a matrix given as lists of
+    `LaurentPolynomial` entries with integer coefficients: each entry is
+    packed at the radix R = 2^bits > 4*n*E the kernel needs, E the largest
+    |exponent| of any entry, and the packed determinant is unpacked."""
+    if len(rows) != ncols or any(len(row) != ncols for row in rows):
+        raise ValueError("square matrix expected")
+    if any(type(c) is not int for row in rows for entry in row for c in entry.terms.values()):
+        raise ValueError("matrix entries must have integer coefficients")
+    big = max((abs(e) for row in rows for entry in row for exps in entry.terms for e in exps),
+              default=0)
+    bits = max(1, (4 * ncols * big).bit_length())
+    packed = [{j: {_pack(e, bits): c for e, c in entry.terms.items()}
+               for j, entry in enumerate(row) if entry.terms} for row in rows]
+    det = fox_determinant(packed, ncols, bits, len(variables))
+    return LaurentPolynomial(variables, {_unpack(k, bits, len(variables)): c
+                                         for k, c in det.items()})
+
+
+def laurent_state_matrix(d: LinkDiagram, colors, variables, cut: int, other):
+    """The oracle for `skein._state_matrix`: the same state matrix as dense
+    rows of `LaurentPolynomial` entries, each corner weight built as a
+    monomial and added to its face's entry, with the same (column, flip)
+    corner options per row."""
+    face = _faces(other)
+    dropped = {face[cut], face[(cut & ~3) | ((cut - 1) & 3)]}
+    kept = sorted(set(face) - dropped)
+    column = dict(zip(kept, range(len(kept))))
+    zero = LaurentPolynomial.zero(variables)
+    rows, options = [], []
+    for x, sign in enumerate(d.signs):
+        cu, co = d.strands_at(x)
+        u, o = colors[cu] - 1, colors[co] - 1
+        row = [zero] * len(kept)
+        corners = []
+        for i, (a, b) in enumerate(_CORNERS[sign]):
+            col = column.get(face[4 * x + i])
+            if col is not None:
+                exps = [0] * len(variables)
+                exps[o] += a
+                exps[u] += b
+                row[col] = row[col] + LaurentPolynomial.monomial(variables, exps)
+                corners.append((col, -1 if i == _FLIPPED[sign] else 1))
+        rows.append(row)
+        options.append(corners)
+    return rows, options
 
 
 def dense_fox_determinant(rows, ncols: int, variables) -> LaurentPolynomial:

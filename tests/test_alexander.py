@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linkinv.algebra import LaurentPolynomial, _exact_quotient, bar_substitute, fox_determinant
+from linkinv.algebra import LaurentPolynomial, _exact_quotient, bar_substitute
 from linkinv.alexander import (
     VIA_NABLA,
     _numerator,
@@ -27,9 +27,15 @@ from linkinv.diagram import (
     uf_find,
     uf_union,
 )
-from linkinv.skein import _state_matrix, conway, homfly
+from linkinv.skein import conway, homfly
 
-from helpers import dense_fox_determinant, mono_numerator, tuple_exact_quotient
+from helpers import (
+    dense_fox_determinant,
+    laurent_state_matrix,
+    mono_numerator,
+    packed_fox_determinant,
+    tuple_exact_quotient,
+)
 
 
 def conway_in_x(nabla, var="x"):
@@ -145,7 +151,7 @@ def fox_alexander(d: LinkDiagram) -> LaurentPolynomial:
         # link is split and the polynomial vanishes
         return LaurentPolynomial.zero(variables)
     minor = [row[:-1] for row in fox_matrix(p)[:-1]]
-    det = fox_determinant(minor, len(minor), variables)
+    det = packed_fox_determinant(minor, len(minor), variables)
     if d.m == 1 or det.is_zero:
         return det
     t = LaurentPolynomial.gen(variables, f"t{p.gen_colors[-1]}")
@@ -297,17 +303,17 @@ def test_fox_determinant_matches_dense_example():
     one = LaurentPolynomial.one(("t",))
     zero = LaurentPolynomial.zero(("t",))
     rows = [[t, one], [zero, t - 1]]
-    assert fox_determinant(rows, 2, ("t",)) == t * (t - 1)
+    assert packed_fox_determinant(rows, 2, ("t",)) == t * (t - 1)
     rows = [[t, one], [t, one]]
-    assert fox_determinant(rows, 2, ("t",)).is_zero
+    assert packed_fox_determinant(rows, 2, ("t",)).is_zero
     # zero leading pivot: the elimination must swap rows and flip the sign
     rows = [[zero, t, one], [one - t, one, t ** -1], [t, zero, t - 1]]
-    det = fox_determinant(rows, 3, ("t",))
+    det = packed_fox_determinant(rows, 3, ("t",))
     assert det == subset_dp_determinant(rows, 3, ("t",))
     assert det == t ** 3 - 2 * t ** 2 + t
     # a zero column makes the matrix singular
     rows = [[t, zero, one], [one, zero, t - 1], [t ** 2, zero, t]]
-    assert fox_determinant(rows, 3, ("t",)).is_zero
+    assert packed_fox_determinant(rows, 3, ("t",)).is_zero
 
 
 def test_exact_quotient_raises_on_remainder():
@@ -346,7 +352,7 @@ def test_fox_determinant_matches_subset_dp_oracle():
     for d in diagrams:
         minor = [row[:-1] for row in fox_matrix(wirtinger(d))[:-1]]
         variables = tvars(d.n_colors)
-        assert fox_determinant(minor, len(minor), variables) == \
+        assert packed_fox_determinant(minor, len(minor), variables) == \
             subset_dp_determinant(minor, len(minor), variables), d.name
 
 
@@ -371,7 +377,7 @@ def test_sparse_kernel_matches_dense_and_subset_oracles():
         if not disconnected(d, other):
             variables = xvars(k)
             cut = rng.randrange(4 * len(d.crossings))
-            cases.append((_state_matrix(d, d.colors, variables, cut, other)[0], variables))
+            cases.append((laurent_state_matrix(d, d.colors, variables, cut, other)[0], variables))
         p = wirtinger(d)
         if len(p.generators) == len(p.relations):
             variables = tvars(k)
@@ -383,7 +389,7 @@ def test_sparse_kernel_matches_dense_and_subset_oracles():
                for exps in entry.terms for e in exps) > 1
     assert max(len(rows) for rows, _ in cases) > 10
     for rows, variables in cases:
-        det = fox_determinant(rows, len(rows), variables)
+        det = packed_fox_determinant(rows, len(rows), variables)
         assert det == dense_fox_determinant(rows, len(rows), variables)
         if len(rows) <= 10:
             assert det == subset_dp_determinant(rows, len(rows), variables)
@@ -395,7 +401,7 @@ def test_sparse_kernel_hand_cases():
     zero = LaurentPolynomial.zero(("t",))
 
     def det(rows):
-        return fox_determinant(rows, len(rows), ("t",))
+        return packed_fox_determinant(rows, len(rows), ("t",))
 
     # singular: the third column is the sum of the first two, so the
     # elimination cancels the last row to nothing
@@ -484,9 +490,9 @@ def test_alexander_deletion_independence():
         n = d.n_colors
         variables = tuple(f"t{i+1}" for i in range(n))
         minor_last = [row[:-1] for row in rows[:-1]]
-        det_last = fox_determinant(minor_last, len(p.generators) - 1, variables)
+        det_last = packed_fox_determinant(minor_last, len(p.generators) - 1, variables)
         minor_first = [row[1:] for row in rows[1:]]
-        det_first = fox_determinant(minor_first, len(p.generators) - 1, variables)
+        det_first = packed_fox_determinant(minor_first, len(p.generators) - 1, variables)
         ta = f"t{p.gen_colors[-1]}"
         tb = f"t{p.gen_colors[0]}"
         ga = LaurentPolynomial.gen((ta,), ta) - 1

@@ -424,7 +424,7 @@ def test_scaled_inverse_of_a_non_unit_constant_is_exact(c0):
 def test_scaled_division_by_one_returns_the_numerator():
     f = TruncatedSeries(_CH, 4, {(0, 0): 3, (1, 2): -1, (2, 0): 7})
     rows = _to_rows(f)
-    assert _scaled_divide(rows, _to_rows(TruncatedSeries.one(_CH, 4)), 4, _pascal(4)) is rows
+    assert _scaled_divide(rows, _to_rows(TruncatedSeries.one(_CH, 4)), 4, _pascal(4)) == rows
 
 
 def test_negative_power_of_an_integral_monomial_is_exact():
@@ -432,6 +432,30 @@ def test_negative_power_of_an_integral_monomial_is_exact():
     inv = (2 * x) ** -1
     assert inv.coefficient((-1,)) == Fraction(1, 2)
     assert type(inv.coefficient((-1,))) is Fraction
+
+
+def test_monomial_products_and_powers_by_exponent_shifts():
+    """A one-term operand shifts the other's exponents; coefficients come
+    out as the double loop leaves them, an integral `Fraction` as int."""
+    x = LaurentPolynomial.gen(X, "x")
+    f = lp({(2,): 3, (0,): Fraction(1, 6), (-1,): -4})
+    half = LaurentPolynomial.monomial(X, (-1,), Fraction(1, 2))
+    for got in (half * f, f * half):
+        assert got.terms == {(1,): Fraction(3, 2), (-1,): Fraction(1, 12), (-2,): -2}
+        assert type(got.terms[(-2,)]) is int
+    assert (Fraction(2, 3) * x) * lp({(0,): Fraction(3, 2)}) == x
+    assert type(((Fraction(2, 3) * x) * lp({(0,): Fraction(3, 2)})).terms[(1,)]) is int
+    assert (-x) ** -3 == lp({(-3,): -1}) and type(((-x) ** -3).terms[(-3,)]) is int
+    assert ((-x) ** -2).terms == {(-2,): 1}
+    assert ((2 * x) ** -1).terms == {(-1,): Fraction(1, 2)}
+    assert ((Fraction(1, 2) * x) ** -2).terms == {(-2,): 4}
+    assert type(((Fraction(1, 2) * x) ** 0).terms[(0,)]) is int
+    assert (x * LaurentPolynomial.zero(X)).is_zero and (LaurentPolynomial.zero(X) * x).is_zero
+    y = LaurentPolynomial.gen(("y",), "y")
+    got = (2 * y ** -1) * lp({(1,): 1, (0,): -1})
+    assert got.variables == ("x", "y")
+    assert got.terms == {(1, -1): 2, (0, -1): -2}
+    assert got == (lp({(1,): 1, (0,): -1}) * (2 * y ** -1))
 
 
 def test_invert_with_constant_term_two_is_exact():

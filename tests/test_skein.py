@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linkinv import diagram, skein
-from linkinv.algebra import LaurentPolynomial, rewrite_in_difference
+from linkinv.algebra import LaurentPolynomial, _unpack, rewrite_in_difference
 from linkinv.alexander import potential_function
 from linkinv.corpus import load_corpus
 from linkinv.diagram import (
@@ -30,6 +30,7 @@ from linkinv.skein import (
     _faces,
     _key,
     _reduce,
+    _state_matrix,
     _state_sign,
     conway,
     dubrovnik,
@@ -42,10 +43,12 @@ from linkinv.skein import (
 from helpers import (
     bad_crossings,
     curl_keeping_step,
+    dense_fox_determinant,
     dict_trace_oriented,
     dict_walk_unoriented,
     disjoint_union,
     labelled_homfly,
+    laurent_state_matrix,
     pairing_key,
     split_by_component_groups,
     strip_kinks,
@@ -989,6 +992,45 @@ def test_conway_determinant_matches_skein_oracle_on_pool_words():
     for n, word in words:
         d = braid_closure(BraidWord(n, word))
         assert conway(d, memo={}) == skein_conway(d), (n, word)
+
+
+def test_packed_state_matrix_matches_laurent_oracle():
+    """The packed rows of `_state_matrix`, unpacked, hold the entries and
+    corner options of the `LaurentPolynomial` oracle, and `state_sum` is
+    the oracle rows' dense determinant signed by one state: the 17 corpus
+    links and 60 seeded connected 2-5-strand closures with 1..m colors,
+    each cut at 3 random slots."""
+    diagrams = [e.link for e in CORPUS_LINKS]
+    assert len(diagrams) == 17
+    diagrams = [d for d in diagrams if d.crossings and not d.is_split()]
+    rng = random.Random(20261020)
+    seeded = 0
+    while seeded < 60:
+        n = rng.randint(2, 5)
+        word = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(1, 14))]
+        d = braid_closure(BraidWord(n, word))
+        k = rng.randint(1, d.m)
+        d = d.recolor(tuple(range(1, k + 1)) + tuple(rng.randint(1, k) for _ in range(d.m - k)))
+        if not d.is_split():
+            diagrams.append(d)
+            seeded += 1
+    assert max(max(d.colors) for d in diagrams) > 2
+    for d in diagrams:
+        _, other = far_ends(d.crossings)
+        variables = tuple(f"x{c}" for c in range(1, max(d.colors) + 1))
+        bits = (4 * len(d.crossings)).bit_length()
+        for cut in rng.sample(range(4 * len(d.crossings)), 3):
+            rows, options = _state_matrix(d, d.colors, variables, cut, other)
+            want_rows, want_options = laurent_state_matrix(d, d.colors, variables, cut, other)
+            assert options == want_options
+            assert [{j: LaurentPolynomial(variables, {_unpack(k, bits, len(variables)): c
+                                                      for k, c in terms.items()})
+                     for j, terms in row.items()} for row in rows] == \
+                [{j: e for j, e in enumerate(row) if e} for row in want_rows]
+            want = dense_fox_determinant(want_rows, len(want_rows), variables)
+            if want:
+                want = _state_sign(want_options) * want
+            assert state_sum(d, d.colors, cut) == want, (d.name, cut)
 
 
 @pytest.mark.parametrize("seed", [20261018, 20031])

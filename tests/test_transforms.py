@@ -696,6 +696,24 @@ def test_exponential_layer_matches_fraction_oracle(exp_oracle_cases, cap):
             assert got == dict_exp_quotient(d, poly, shift, cap, label), (d.name, label)
 
 
+def test_exp_quotient_skips_unknot_components(monkeypatch):
+    """A component whose polynomial is 1 costs no moments: the Hopf link
+    plus a trefoil builds them for the link and the trefoil only, and the
+    quotient equals the one that divides by every component."""
+    d = hopf().connected_sum(trefoil(), 0, 0)
+    want = dict_exp_quotient(d, homfly, 0, 6, "homfly-exp-quotient")
+    calls = []
+    real = transforms._moments
+
+    def counting(f, shift, cap):
+        calls.append(f)
+        return real(f, shift, cap)
+
+    monkeypatch.setattr(transforms, "_moments", counting)
+    assert homfly_exp_quotient(d, 6) == want
+    assert calls == [homfly(d), homfly(trefoil())]
+
+
 def test_exp_quotient_refuses_a_component_pole():
     with pytest.raises(ArithmeticError, match="pole"):
         _exp_quotient(hopf(), lambda _: Y ** -1, 0, 4, "homfly-exp-quotient")
