@@ -138,9 +138,9 @@ def connected_sum_check(da: LinkDiagram, db: LinkDiagram, color: int) -> bool:
     om_b = potential_function(db)
 
     def lift(om, src: LinkDiagram):
-        if src.n_colors == 1 and om.pole:
-            # knot numerator, variable renamed to the band color
-            return om.numerator.rename_variables({"x1": f"x{color}"}), 1
+        if src.n_colors == 1:
+            # a monochrome summand takes the band color; only a knot has a pole
+            return om.numerator.rename_variables({"x1": f"x{color}"}), int(om.pole)
         return om.numerator, 0
 
     na, pa = lift(om_a, da)

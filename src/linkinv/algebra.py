@@ -5,6 +5,9 @@ Coefficients are exact rationals: an integral coefficient is stored as an
 anywhere in the package.  Values are immutable after construction and can
 be shared freely between threads; every operation returns a new value.
 Results of +, - and * skip the public constructors' checks.
+`LaurentPolynomial` and `TruncatedSeries` share one base (`_Terms`: the
+immutability, term access, alignment, subtraction and rendering), one
+validating loop (`_checked`) and one power loop (`_power`).
 
 Operands over different variable lists are aligned automatically by
 embedding both into the union of the variable lists, ordered
@@ -90,7 +93,92 @@ def _embed_terms(terms, oldvars, newvars):
     return out
 
 
-class LaurentPolynomial:
+def _checked(terms, nv: int, cap: int | None = None) -> dict:
+    """The public constructors' check of `terms` in nv variables, or in a
+    series truncated at `cap`: equal exponent vectors add up."""
+    if not terms:
+        return {}
+    clean = {}
+    for exps, coeff in terms.items():
+        coeff = _coeff(coeff)
+        if coeff == 0:
+            continue
+        exps = tuple(map(int, exps))
+        if len(exps) != nv:
+            raise ValueError("exponent vector length mismatch")
+        if cap is not None:
+            if exps and min(exps) < 0:
+                raise ValueError("negative exponent in a power series")
+            if sum(exps) > cap:
+                continue
+        clean[exps] = clean.get(exps, 0) + coeff
+    return _clean(clean)
+
+
+def _power(x, n: int, one):
+    """x ** n for n >= 0 by square-and-multiply, starting from `one`."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return out
+
+
+class _Terms:
+    """What LaurentPolynomial and TruncatedSeries share: an immutable
+    `variables` tuple and a `terms` dict from exponent tuples to nonzero
+    exact coefficients.  The two types stay unrelated to each other."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *args):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def coefficient(self, exps) -> int | Fraction:
+        return self.terms.get(tuple(exps), 0)
+
+    def constant_term(self) -> int | Fraction:
+        return self.coefficient((0,) * len(self.variables))
+
+    def _embedded(self, variables) -> tuple:
+        """(variables, terms) of self over a superset of its variables."""
+        variables = tuple(variables)
+        if not set(self.variables) <= set(variables):
+            raise ValueError("cannot embed: target misses some variables")
+        return variables, _embed_terms(self.terms, self.variables, variables)
+
+    def _aligned(self, other):
+        """(variables, self's terms, other's terms) over the union of both
+        variable lists."""
+        if self.variables == other.variables:
+            return self.variables, self.terms, other.terms
+        nv = _merge_vars(self.variables, other.variables)
+        return (nv, _embed_terms(self.terms, self.variables, nv),
+                _embed_terms(other.terms, other.variables, nv))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def render(self) -> str:
+        return _render(self.terms, self.variables)
+
+    __str__ = render
+
+
+class LaurentPolynomial(_Terms):
     """Sparse Laurent polynomial, exponents in Z, coefficients in Q.
 
     `terms` maps dense exponent tuples (one entry per variable, possibly
@@ -101,20 +189,8 @@ class LaurentPolynomial:
 
     def __init__(self, variables: Iterable[str], terms: Mapping | None = None):
         variables = tuple(variables)
-        clean = {}
-        if terms:
-            nv = len(variables)
-            for exps, coeff in terms.items():
-                coeff = _coeff(coeff)
-                if coeff == 0:
-                    continue
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != nv:
-                    raise ValueError("exponent vector length mismatch")
-                clean[exps] = clean.get(exps, 0) + coeff
-            clean = _clean(clean)
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", _checked(terms, len(variables)))
 
     @classmethod
     def _make(cls, variables: tuple, terms: dict) -> "LaurentPolynomial":
@@ -124,9 +200,6 @@ class LaurentPolynomial:
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", terms)
         return self
-
-    def __setattr__(self, *args):
-        raise AttributeError("LaurentPolynomial is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -156,39 +229,14 @@ class LaurentPolynomial:
 
     # -- basics ------------------------------------------------------------
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, exps) -> int | Fraction:
-        return self.terms.get(tuple(exps), 0)
-
-    def constant_term(self) -> int | Fraction:
-        return self.coefficient((0,) * len(self.variables))
-
     def embed(self, variables) -> "LaurentPolynomial":
-        variables = tuple(variables)
-        if not set(self.variables) <= set(variables):
-            raise ValueError("cannot embed: target misses some variables")
-        return LaurentPolynomial(variables, _embed_terms(self.terms, self.variables, variables))
-
-    def _aligned(self, other):
-        if self.variables == other.variables:
-            return self.variables, self.terms, other.terms
-        nv = _merge_vars(self.variables, other.variables)
-        return (nv, _embed_terms(self.terms, self.variables, nv),
-                _embed_terms(other.terms, other.variables, nv))
+        return LaurentPolynomial(*self._embedded(variables))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = LaurentPolynomial.constant(self.variables, other)
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        if self.variables == other.variables:
-            return self.terms == other.terms
         _, a, b = self._aligned(other)
         return a == b
 
@@ -210,14 +258,6 @@ class LaurentPolynomial:
         return LaurentPolynomial._make(nv, _clean(out))
 
     __radd__ = __add__
-
-    def __sub__(self, other) -> "LaurentPolynomial":
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPolynomial.constant(self.variables, other)
-        return self + (-other)
-
-    def __rsub__(self, other) -> "LaurentPolynomial":
-        return (-self) + other
 
     def __mul__(self, other) -> "LaurentPolynomial":
         if isinstance(other, (int, Fraction)):
@@ -247,15 +287,7 @@ class LaurentPolynomial:
             return LaurentPolynomial._make(self.variables, {tuple([n * e for e in exps]): coeff})
         if n < 0:
             raise ValueError("negative power of a non-monomial Laurent polynomial")
-        out = LaurentPolynomial.one(self.variables)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _power(self, n, LaurentPolynomial.one(self.variables))
 
     # -- substitutions -----------------------------------------------------
 
@@ -282,13 +314,6 @@ class LaurentPolynomial:
         if len(set(newvars)) != len(newvars):
             raise ValueError("variable renaming collides")
         return LaurentPolynomial(newvars, self.terms)
-
-    # -- degree data -------------------------------------------------------
-
-    def render(self) -> str:
-        return _render(self.terms, self.variables)
-
-    __str__ = render
 
     def __repr__(self):
         return f"LaurentPolynomial({self.render()!r})"
@@ -524,7 +549,7 @@ def fox_determinant(rows, ncols: int, bits: int, nvars: int) -> dict:
     return {k: sign * c for k, c in prev.items()}
 
 
-class TruncatedSeries:
+class TruncatedSeries(_Terms):
     """Multivariate power series truncated at a total-degree bound (inclusive).
 
     Arithmetic results carry cap = min of the operand caps.  Equality
@@ -537,25 +562,9 @@ class TruncatedSeries:
         variables = tuple(variables)
         if cap < 0:
             raise ValueError("cap must be >= 0")
-        clean = {}
-        if terms:
-            nv = len(variables)
-            for exps, coeff in terms.items():
-                coeff = _coeff(coeff)
-                if coeff == 0:
-                    continue
-                exps = tuple(map(int, exps))
-                if len(exps) != nv:
-                    raise ValueError("exponent vector length mismatch")
-                if exps and min(exps) < 0:
-                    raise ValueError("negative exponent in a power series")
-                if sum(exps) > cap:
-                    continue
-                clean[exps] = clean.get(exps, 0) + coeff
-            clean = _clean(clean)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "cap", int(cap))
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", _checked(terms, len(variables), cap))
 
     @classmethod
     def _make(cls, variables: tuple, cap: int, terms: dict) -> "TruncatedSeries":
@@ -567,9 +576,6 @@ class TruncatedSeries:
         object.__setattr__(self, "cap", cap)
         object.__setattr__(self, "terms", terms)
         return self
-
-    def __setattr__(self, *args):
-        raise AttributeError("TruncatedSeries is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -601,43 +607,20 @@ class TruncatedSeries:
 
     # -- basics ------------------------------------------------------------
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, exps) -> int | Fraction:
-        return self.terms.get(tuple(exps), 0)
-
-    def constant_term(self) -> int | Fraction:
-        return self.coefficient((0,) * len(self.variables))
-
     def truncate(self, cap: int) -> "TruncatedSeries":
         return TruncatedSeries(self.variables, min(self.cap, cap), self.terms)
 
     def embed(self, variables) -> "TruncatedSeries":
-        variables = tuple(variables)
-        if not set(self.variables) <= set(variables):
-            raise ValueError("cannot embed: target misses some variables")
-        return TruncatedSeries(variables, self.cap,
-                               _embed_terms(self.terms, self.variables, variables))
-
-    def _aligned(self, other):
-        cap = min(self.cap, other.cap)
-        if self.variables == other.variables:
-            return self.variables, cap, self.terms, other.terms
-        nv = _merge_vars(self.variables, other.variables)
-        return (nv, cap, _embed_terms(self.terms, self.variables, nv),
-                _embed_terms(other.terms, other.variables, nv))
+        variables, terms = self._embedded(variables)
+        return TruncatedSeries(variables, self.cap, terms)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = TruncatedSeries.constant(self.variables, self.cap, other)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        nv, cap, a, b = self._aligned(other)
+        _, a, b = self._aligned(other)
+        cap = min(self.cap, other.cap)
         trim = lambda t: {e: c for e, c in t.items() if sum(e) <= cap}
         return trim(a) == trim(b)
 
@@ -652,7 +635,8 @@ class TruncatedSeries:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = TruncatedSeries.constant(self.variables, self.cap, other)
-        nv, cap, a, b = self._aligned(other)
+        nv, a, b = self._aligned(other)
+        cap = min(self.cap, other.cap)
         out = {e: c for e, c in a.items() if sum(e) <= cap}
         for e, c in b.items():
             if sum(e) <= cap:
@@ -661,20 +645,13 @@ class TruncatedSeries:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = TruncatedSeries.constant(self.variables, self.cap, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _coeff(other)
             return TruncatedSeries._make(self.variables, self.cap,
                                          _clean({e: c * v for e, v in self.terms.items()}))
-        nv, cap, a, b = self._aligned(other)
+        nv, a, b = self._aligned(other)
+        cap = min(self.cap, other.cap)
         right = sorted((sum(eb), eb, cb) for eb, cb in b.items())
         out: dict = {}
         for ea, ca in a.items():
@@ -692,15 +669,7 @@ class TruncatedSeries:
     def __pow__(self, n: int) -> "TruncatedSeries":
         if n < 0:
             return self.invert() ** (-n)
-        out = TruncatedSeries.one(self.variables, self.cap)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _power(self, n, TruncatedSeries.one(self.variables, self.cap))
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse up to the cap; the constant term c0 must be
@@ -728,11 +697,6 @@ class TruncatedSeries:
             levels.append({e: -v * q for e, v in acc.items() if v})
         return TruncatedSeries(self.variables, self.cap,
                                {e: c for level in levels for e, c in level.items()})
-
-    def render(self) -> str:
-        return _render(self.terms, self.variables)
-
-    __str__ = render
 
     def __repr__(self):
         return f"TruncatedSeries({self.render()!r}, cap={self.cap})"

@@ -41,8 +41,6 @@ def _read_diagram(args):
         d = parse_pd(text)
         if colors:
             d = d.recolor(colors)
-    if not d.m:  # the empty link parses, but no invariant here is defined on it
-        raise DiagramError("the diagram has no component")
     return d
 
 

@@ -43,7 +43,7 @@ from .algebra import (
     substitute_series,
     x_of_z,
 )
-from .alexander import PotentialFunction, potential_function
+from .alexander import PotentialFunction, potential_function, xvars
 from .diagram import LinkDiagram
 from .skein import conway, homfly, kauffman_f
 
@@ -206,7 +206,7 @@ def reconstruct(dec: Decomposition) -> LaurentPolynomial:
     """Sum over parts of brace(alternating monomial) times the part with
     z_i replaced by x_i - x_i^-1."""
     n = dec.n
-    xs = tuple(f"x{i}" for i in range(1, n + 1))
+    xs = xvars(n)
     diffs = []
     for i in range(n):
         g = LaurentPolynomial.gen(xs, xs[i])

@@ -689,6 +689,11 @@ def test_connected_sum_formula():
     assert connected_sum_check(hopf(), trefoil(), 1)
     assert connected_sum_check(whitehead(), trefoil(), 2)
     assert connected_sum_check(hopf(colors=(1, 1)), hopf(colors=(1, 1)), 1)
+    # a monochrome link summand is read in the band color, pole or none
+    links = {e.name: e.diagram for e in load_corpus() if not e.singular}
+    for name in ("chain2", "whitehead", "chain3", "borromean"):
+        assert connected_sum_check(whitehead(), links[name].monochrome(), 2)
+    assert connected_sum_check(borromean(), links["chain2"].monochrome(), 3)
 
 
 def test_delete_component_of_borromean_kills_potential():

@@ -273,6 +273,45 @@ def test_pow_negative_monomial():
     assert xy ** -2 == LaurentPolynomial(("x", "y"), {(-2, 4): Fraction(9, 4)})
 
 
+@pytest.mark.parametrize("make, const", [
+    (LaurentPolynomial, LaurentPolynomial.constant),
+    (lambda v, terms: TruncatedSeries(v, 4, terms), lambda v, c: TruncatedSeries.constant(v, 4, c)),
+], ids=["laurent", "series"])
+def test_constructor_and_operator_errors_are_pinned(make, const):
+    name = type(make(X, {})).__name__
+    with pytest.raises(ValueError, match=r"^exponent vector length mismatch$"):
+        make(X, {(1, 2): 1})
+    with pytest.raises(TypeError, match=r"^exact rational coefficient expected, got float$"):
+        make(X, {(1,): 1.5})
+    # the checks run in order: the coefficient's type, then a zero, then the length
+    with pytest.raises(TypeError, match="got float"):
+        make(X, {(1, 2): 0.0})
+    assert make(X, {(1, 2): 0}).is_zero
+    x = make(X, {(1,): 1})
+    with pytest.raises(AttributeError, match=rf"^{name} is immutable$"):
+        x.terms = {}
+    with pytest.raises(ValueError, match=r"^cannot embed: target misses some variables$"):
+        x.embed(("y",))
+    for diff, expected in ((x - 1, x + const(X, -1)), (1 - x, const(X, 1) + (-x)),
+                           (x - Fraction(1, 2), x + const(X, Fraction(-1, 2)))):
+        assert type(diff) is type(x) and diff == expected and diff.terms == expected.terms
+
+
+def test_series_only_errors_are_pinned():
+    with pytest.raises(ValueError, match=r"^cap must be >= 0$"):
+        TruncatedSeries(X, -1)
+    with pytest.raises(ValueError, match=r"^negative exponent in a power series$"):
+        TruncatedSeries(("x", "y"), 1, {(3, -1): 1})  # above the cap, still refused
+    with pytest.raises(ValueError, match=r"^exponent vector length mismatch$"):
+        TruncatedSeries(X, 1, {(-1, 0): 1})  # the length is checked before the sign
+    assert TruncatedSeries(X, 1, {(-1,): 0}).is_zero
+
+
+def test_negative_power_of_a_laurent_non_monomial_is_refused():
+    with pytest.raises(ValueError, match=r"^negative power of a non-monomial Laurent polynomial$"):
+        lp({(1,): 1, (0,): 1}) ** -1
+
+
 # -- exactness oracle: naive dict-of-Fraction arithmetic ----------------------
 #
 # A reference value maps a sorted tuple of (variable, nonzero exponent) pairs

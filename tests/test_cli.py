@@ -273,11 +273,15 @@ def test_absurd_strand_count_exits_2_before_allocating(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: braid has more than 1000 strands\n")
 
 
-def test_empty_components_block_is_named_as_the_input_error(tmp_path, capsys):
+@pytest.mark.parametrize("command", [
+    ["invariants"], ["invariants", "--json"], ["decompose"],
+    *[["polys", "--which", which] for which in ("conway", "homfly", "kauffman", "omega", "nbl")],
+], ids=lambda command: "-".join(a.lstrip("-") for a in command))
+def test_empty_components_block_is_named_as_the_input_error(tmp_path, capsys, command):
     path = tmp_path / "empty.pd"
     path.write_text("components: []\n")
-    code, _, err = run(capsys, "invariants", str(path))
-    assert (code, err) == (2, "error: the diagram has no component\n")
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert (code, out, err) == (2, "", "error: the diagram has no component\n")
 
 
 def test_recursion_deeper_than_the_interpreter_exits_3(tmp_path, capsys):
