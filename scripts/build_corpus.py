@@ -6,8 +6,13 @@ cross-checked are verified through two independent routes (Kauffman's state
 sum, which gives both the Conway polynomial and the potential function, vs
 the HOMFLY skein recursion at x = 1, y = z) so the frozen numbers are never
 copied from a single code path.
+
+    python3 scripts/build_corpus.py           # rewrite corpus_data/
+    python3 scripts/build_corpus.py --check   # write nothing; exit 1 if a
+                                              # file differs, listing it
 """
 
+import argparse
 import json
 import os
 import sys
@@ -155,8 +160,8 @@ def build_singular():
     return singular
 
 
-def main():
-    os.makedirs(OUT, exist_ok=True)
+def build_files():
+    """{file name: text} of every corpus file, built in memory."""
     entries, whitehead, wh_fig8 = build_links()
 
     # dual-route verification before freezing
@@ -184,43 +189,53 @@ def main():
                    "derived: local knotting leaves the quotient unchanged"),
     }
 
+    files = {}
     manifest = {"schema": "linkinv-corpus-1", "entries": []}
-    for d, expected, _ in entries:
-        if d.name == "whitehead":
-            expected = wh_expected
-        if d.name == "whitehead-sum-fig8":
-            expected = wf_expected
-        fn = f"{d.name}.pd"
-        with open(os.path.join(OUT, fn), "w") as fh:
-            fh.write(d.render_pd() + "\n")
-        manifest["entries"].append({
-            "name": d.name,
-            "file": fn,
-            "singular": False,
-            "expected": {k: {"value": v, "provenance": p}
-                         for k, (v, p) in expected.items()},
-        })
-
-    for name, s, expected in build_singular():
+    items = [(d.name, d, {"whitehead": wh_expected, "whitehead-sum-fig8": wf_expected}
+              .get(d.name, expected), False) for d, expected, _ in entries]
+    items += [(name, s, expected, True) for name, s, expected in build_singular()]
+    for name, diagram, expected, singular in items:
         fn = f"{name}.pd"
-        with open(os.path.join(OUT, fn), "w") as fh:
-            fh.write(s.render_pd() + "\n")
+        files[fn] = diagram.render_pd() + "\n"
         manifest["entries"].append({
             "name": name,
             "file": fn,
-            "singular": True,
+            "singular": singular,
             "expected": {k: {"value": v, "provenance": p}
                          for k, (v, p) in expected.items()},
         })
 
     for d, _, _ in entries:
-        again = parse_pd(open(os.path.join(OUT, f"{d.name}.pd")).read())
-        assert again == d, f"render round trip failed for {d.name}" 
+        assert parse_pd(files[f"{d.name}.pd"]) == d, f"render round trip failed for {d.name}"
+    files["expected.json"] = json.dumps(manifest, indent=2)
+    return files
 
-    with open(os.path.join(OUT, "expected.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2)
-    print(f"wrote {len(manifest['entries'])} corpus entries to {OUT}")
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="write nothing; list the corpus files that differ and exit 1 if any")
+    args = parser.parse_args(argv)
+    files = build_files()
+    if args.check:
+        stale = []
+        for fn, text in sorted(files.items()):
+            try:
+                with open(os.path.join(OUT, fn)) as fh:
+                    same = fh.read() == text
+            except FileNotFoundError:
+                same = False
+            if not same:
+                stale.append(fn)
+                print(f"differs: {fn}")
+        return 1 if stale else 0
+    os.makedirs(OUT, exist_ok=True)
+    for fn, text in files.items():
+        with open(os.path.join(OUT, fn), "w") as fh:
+            fh.write(text)
+    print(f"wrote {len(files) - 1} corpus entries to {OUT}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -241,7 +241,13 @@ class LaurentPolynomial(_Terms):
         return a == b
 
     def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
+        # as loose as __eq__, which aligns variable lists in any order and
+        # lifts numbers: a constant hashes as its number, any other
+        # polynomial as its terms with each exponent named by its variable
+        if not any(map(any, self.terms)):
+            return hash(self.constant_term())
+        return hash(frozenset((c, frozenset((v, e) for v, e in zip(self.variables, exps) if e))
+                              for exps, c in self.terms.items()))
 
     # -- arithmetic --------------------------------------------------------
 

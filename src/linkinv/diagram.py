@@ -30,30 +30,7 @@ class ParseError(DiagramError):
         super().__init__(message)
 
 
-# -- union-find and tracing ---------------------------------------------------
-
-def uf_find(parent: dict, a):
-    """Root of a's class in a dict-backed union-find, compressing the path."""
-    root = a
-    while parent.get(root, root) != root:
-        root = parent[root]
-    while parent.get(a, a) != a:
-        parent[a], a = root, parent[a]
-    return root
-
-
-def uf_union(parent: dict, a, b) -> bool:
-    """Merge the classes of a and b under the smaller root, so every root
-    is the minimum of its class; False when they were already one class."""
-    a, b = uf_find(parent, a), uf_find(parent, b)
-    if a == b:
-        return False
-    if a < b:
-        parent[b] = a
-    else:
-        parent[a] = b
-    return True
-
+# -- arc ends and tracing -----------------------------------------------------
 
 def far_ends(crossings):
     """The one table of arc ends: the arc at every slot, slot s of crossing
@@ -67,6 +44,21 @@ def far_ends(crossings):
         j = first.setdefault(arc, i)
         other[i], other[j] = j, i
     return flat, other
+
+
+def relink(flat, other, a, b) -> bool:
+    """The one way arcs are joined: join the arcs at slots a and b of the
+    tables of `far_ends`, both slots at a crossing that is going.  The
+    joined arc runs from other[a] to other[b], and both its ends take the
+    smaller label, so every label is the least one its arc absorbed.
+    False when a and b are the two ends of one arc, which closes off a
+    crossing-free circle."""
+    far_a, far_b = other[a], other[b]
+    if far_a == b:
+        return False
+    other[far_a], other[far_b] = far_b, far_a
+    flat[far_a] = flat[far_b] = min(flat[a], flat[b])
+    return True
 
 
 def parts(other):
@@ -115,32 +107,32 @@ def _walk(flat, other, entry):
         yield circle
 
 
-def walk_oriented(crossings, other, over_in):
-    """Arcs and circles along the stored directions, given `far_ends`'
-    `other`: each from the head slot of its minimal arc, slot 0 or over_in."""
-    flat = [arc for rec in crossings for arc in rec]
+def walk_oriented(flat, other, over_in):
+    """Circles along the stored directions, given the tables of
+    `far_ends`: each from the head slot of its minimal arc, slot 0 or
+    over_in."""
     heads = [4 * k + s for k, o in enumerate(over_in) for s in (UNDER_IN, o)]
-    return flat, list(_walk(flat, other, heads))
+    return list(_walk(flat, other, heads))
 
 
-def walk_unoriented(crossings, other):
-    """Arcs and circles with stored directions ignored, given `far_ends`'
-    `other`: each from the first slot of its minimal arc."""
-    flat = [arc for rec in crossings for arc in rec]
-    return flat, list(_walk(flat, other, [i for i, j in enumerate(other) if i < j]))
+def walk_unoriented(flat, other):
+    """Circles with stored directions ignored, given the tables of
+    `far_ends`: each from the first slot of its minimal arc."""
+    return list(_walk(flat, other, [i for i, j in enumerate(other) if i < j]))
 
 
 def _trace_oriented(crossings, over_in):
     """Arc cycles of `walk_oriented`."""
-    flat, circles = walk_oriented(crossings, far_ends(crossings)[1], over_in)
-    return [tuple(flat[i] for i in circle) for circle in circles]
+    flat, other = far_ends(crossings)
+    return [tuple(flat[i] for i in circle) for circle in walk_oriented(flat, other, over_in)]
 
 
 def _trace_unoriented(crossings):
     """Arc cycles of `walk_unoriented`, with the records rotated so slot 0
     is again the incoming under-strand: returns (crossings, over_in,
     cycles)."""
-    flat, circles = walk_unoriented(crossings, far_ends(crossings)[1])
+    flat, other = far_ends(crossings)
+    circles = walk_unoriented(flat, other)
     entered = {i for circle in circles for i in circle}
     new_crossings, over_in = [], []
     for k, rec in enumerate(crossings):
@@ -281,10 +273,9 @@ class LinkDiagram:
         m = len(self.components)
         if len(self.colors) != m:
             raise DiagramError("coloring arity mismatch: one color per component required")
-        if m:
-            n = max(self.colors)
-            if set(self.colors) != set(range(1, n + 1)):
-                raise DiagramError("coloring must be onto {1..n}")
+        palette = sorted(set(self.colors))
+        if palette != list(range(1, len(palette) + 1)):
+            raise DiagramError("coloring must be onto {1..n}")
 
         signs = tuple(1 if o == 3 else -1 for o in over_in)
         object.__setattr__(self, "heads", heads)
@@ -402,57 +393,51 @@ class LinkDiagram:
     def smooth_oriented(self, ci: int) -> "LinkDiagram":
         """Oriented smoothing; the component count changes by exactly one."""
         self._check_crossing(ci)
-        rec = self.crossings[ci]
-        o_in = self.over_in[ci]
-        merges = ((rec[UNDER_IN], rec[(o_in + 2) % 4]), (rec[o_in], rec[UNDER_OUT]))
-        return self._resolve({ci}, merges, (), False)
+        o_in = 4 * ci + self.over_in[ci]
+        return self._resolve({ci}, ((4 * ci, o_in ^ 2), (o_in, 4 * ci + UNDER_OUT)), (), False)
 
     def smooth_infinity(self, ci: int) -> "LinkDiagram":
         """The other planar smoothing; orientations are re-derived, so the
         result should be treated as unoriented downstream."""
         self._check_crossing(ci)
-        rec = self.crossings[ci]
-        o_in = self.over_in[ci]
-        merges = ((rec[UNDER_IN], rec[o_in]), (rec[UNDER_OUT], rec[(o_in + 2) % 4]))
-        return self._resolve({ci}, merges, (), True)
+        o_in = 4 * ci + self.over_in[ci]
+        return self._resolve({ci}, ((4 * ci, o_in), (4 * ci + UNDER_OUT, o_in ^ 2)), (), True)
 
-    def _resolve(self, dropped, merges, gone, reorient: bool):
-        """The one rebuild after arcs merge, shared by every surgery: drop
-        the crossings in `dropped`, join each arc pair in `merges`, and
-        forget the arcs in `gone` (those of deleted components).
+    def _resolve(self, dropped, joins, gone, reorient: bool):
+        """The one rebuild after arcs join, shared by every surgery: drop
+        the crossings in `dropped`, join the arcs at each pair of slots in
+        `joins` (slot s of crossing c at 4c + s, every slot at a dropped
+        crossing) by `relink`, and forget the arcs in `gone` (those of
+        deleted components).
 
         The labels are canonical, so the output is deterministic and one
         diagram reached by different surgeries gets one `conway` memo key
-        (`skein._key`): merged arcs keep the minimal id of their class, a
-        pair that is already one class closes off a crossing-free circle,
+        (`skein._key`): a joined arc keeps the least label it absorbed, a
+        pair that is already one arc closes off a crossing-free circle,
         each component starts at its minimal arc and components are ordered
-        by it, a component takes the least color of its arcs, and colors
-        are renumbered onto 1..n in their old order.
+        by it, a component takes the least color of the arcs it absorbed,
+        and colors are renumbered onto 1..n in their old order.
         With `reorient` the directions are re-derived by walking each
         cycle from its minimal arc (the unoriented smoothing).
         """
-        parent: dict = {}
+        flat, other = far_ends(self.crossings)
+        hue = {arc: self.colors[k] for arc, k in self.comp_of_arc.items()}  # arc -> least color
         loops = self._free_loops(gone)
-        for a, b in merges:
-            if not uf_union(parent, a, b):
-                loops.append(uf_find(parent, a))
-        crossings, over_in = [], []
-        for k, rec in enumerate(self.crossings):
-            if k not in dropped:
-                crossings.append(tuple(uf_find(parent, a) for a in rec))
-                over_in.append(self.over_in[k])
-        color_of_root: dict = {}
-        for arc, comp in self.comp_of_arc.items():
-            if arc not in gone:
-                root = uf_find(parent, arc)
-                c = self.colors[comp]
-                color_of_root[root] = min(color_of_root.get(root, c), c)
+        for a, b in joins:
+            la, lb = flat[a], flat[b]
+            if relink(flat, other, a, b):
+                hue[min(la, lb)] = min(hue[la], hue[lb])
+            else:
+                loops.append(la)
+        kept = [k for k in range(len(self.crossings)) if k not in dropped]
+        crossings = [tuple(flat[4 * k:4 * k + 4]) for k in kept]
+        over_in = [self.over_in[k] for k in kept]
         if reorient:
             crossings, over_in, comps = _trace_unoriented(crossings)
         else:
             comps = _trace_oriented(crossings, over_in)
         comps += [(arc,) for arc in loops]
-        colors = [min(color_of_root[a] for a in cyc) for cyc in comps]
+        colors = [min(hue[a] for a in cyc) for cyc in comps]
         comps, colors = self._canon_components(comps, colors)
         return LinkDiagram(crossings, comps, colors, over_in=over_in)
 
@@ -519,18 +504,18 @@ class LinkDiagram:
         """Drop every crossing that touches the arcs in `gone`; where only
         one strand goes, the other one heals across the crossing."""
         dropped = set()
-        merges = []
+        joins = []
         for ci, rec in enumerate(self.crossings):
             under_gone = rec[UNDER_IN] in gone
             over_gone = rec[1] in gone
             if under_gone or over_gone:
                 dropped.add(ci)
             if under_gone and not over_gone:
-                o_in = self.over_in[ci]
-                merges.append((rec[o_in], rec[(o_in + 2) % 4]))
+                o_in = 4 * ci + self.over_in[ci]
+                joins.append((o_in, o_in ^ 2))
             elif over_gone and not under_gone:
-                merges.append((rec[UNDER_IN], rec[UNDER_OUT]))
-        return self._resolve(dropped, merges, gone, False)
+                joins.append((4 * ci + UNDER_IN, 4 * ci + UNDER_OUT))
+        return self._resolve(dropped, joins, gone, False)
 
     def connected_sum(self, other: "LinkDiagram", i: int, j: int) -> "LinkDiagram":
         """Band the i-th component of self to the j-th component of other.

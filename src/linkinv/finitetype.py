@@ -17,23 +17,18 @@ from .transforms import component_conways, exp_expand_homfly, exp_expand_kauffma
 
 @dataclass(frozen=True)
 class InvariantFunction:
-    """An ambient-isotopy invariant packaged with its declared coloring
-    context ('monochromatic' allows every double point, 'distinct-colors' only
-    self-intersections of components)."""
+    """An ambient-isotopy invariant and its name.  The color rule for
+    double points lives in `SingularLink`, which refuses a marked crossing
+    between strands of two colors."""
 
     name: str
     fn: object
-    coloring: str = "monochromatic"
 
     def __call__(self, d: LinkDiagram) -> Fraction:
         return Fraction(self.fn(d))
 
     def __mul__(self, other: "InvariantFunction") -> "InvariantFunction":
-        return InvariantFunction(
-            f"{self.name}*{other.name}",
-            lambda d: self.fn(d) * other.fn(d),
-            self.coloring,
-        )
+        return InvariantFunction(f"{self.name}*{other.name}", lambda d: self.fn(d) * other.fn(d))
 
 
 def linking_parity() -> InvariantFunction:
@@ -57,7 +52,7 @@ def ck_coefficient(k: int) -> InvariantFunction:
         cs = conway_coeffs(d)
         return cs[k] if k < len(cs) else Fraction(0)
 
-    return InvariantFunction(f"c{k}", fn, "distinct-colors")
+    return InvariantFunction(f"c{k}", fn)
 
 
 def alpha_two() -> InvariantFunction:
@@ -75,7 +70,7 @@ def alpha_two() -> InvariantFunction:
             comp += nabla.coefficient((2,))
         return c2 - c1 * comp
 
-    return InvariantFunction("alpha2", fn, "distinct-colors")
+    return InvariantFunction("alpha2", fn)
 
 
 def homfly_exp_coefficient(k: int, i: int) -> InvariantFunction:

@@ -17,12 +17,15 @@ table it carries, by `diagram.walk_oriented` along its stored directions
 or by `diagram.walk_unoriented`, and resolve the first such crossing in
 walk order (`_first_under`).  Switching it strictly reduces the number of
 violations, smoothing reduces the crossing count, and a diagram without
-violations is descending, hence an unlink (split) after isotopy.  Both
-descents build their root and every child by `_reduce` before it is
-keyed.  It joins a smoothed crossing's slots in pairs, erases each curl
-(Reidemeister I) and each bigon that one strand passes over at both
-corners (Reidemeister II), relabels the joined arcs once and returns the
-far ends of the crossings it keeps.  D is a regular-isotopy invariant
+violations is descending, hence an unlink (split) after isotopy.  A node
+carries the two tables of `diagram.far_ends`, the arc at every slot and
+the slot at its other end, and only the root builds them.  A switch turns
+its crossing's four slots in place (`_turn`).  Both descents build their
+root and every child by `_reduce` before it is keyed.  It joins a
+smoothed crossing's slots in pairs, erases each curl (Reidemeister I) and
+each bigon that one strand passes over at both corners (Reidemeister II),
+every join by `diagram.relink`, which writes the smaller label onto both
+ends of the joined arc.  D is a regular-isotopy invariant
 with D(curl) = x^(+-1) * D(curl removed) (Kauffman, Trans. AMS 318,
 1990), and H an ambient-isotopy invariant, so no such move costs a node,
 a key or a skein step.  A reduction only lowers the crossing count
@@ -36,18 +39,18 @@ each miss and stores what the engine's step returns.  A step is a
 generator: it yields each child node, is sent that child's value and
 returns the node's value.  There are two steps:
 
-- the oriented HOMFLY rule x*H(L+) - x^-1*H(L-) = y*H(L0) on (crossings,
+- the oriented HOMFLY rule x*H(L+) - x^-1*H(L-) = y*H(L0) on (flat,
   other, over_in, loops) nodes, split unknot worth (x - x^-1)/y;
-- the unoriented Dubrovnik rule on (crossings, other, loops) nodes.
+- the unoriented Dubrovnik rule on (flat, other, loops) nodes.
 
 Each skein call memoizes values in a table: its `memo=`, else its scope's,
 else a fresh one.  Both engines key a node on `_unlabelled`, the node
-without its crossing records: its far ends `other` from `_reduce` are its
-slot pairing, so every relabeling of one diagram shares one entry.  The
-labels stay in the node, because the walk that picks the crossing to
-resolve reads them.  A switch keeps the labels, so along a run of switches
-the walk is fixed and the violations fall: a relabeling of a pending node
-never turns up below it, and every node spent is one table entry.
+without its labels `flat`: its far ends `other` are its slot pairing, so
+every relabeling of one diagram shares one entry.  The labels stay in the
+node, because the walk that picks the crossing to resolve reads them.  A
+switch keeps the labels, so along a run of switches the walk is fixed and
+the violations fall: a relabeling of a pending node never turns up below
+it, and every node spent is one table entry.
 `with scope(budget):` gives its block, in the current context only (a
 `contextvars.ContextVar`), the node budget and one table per engine, freed
 when the block exits; a `scope()` with no budget inside another keeps the
@@ -64,8 +67,7 @@ from typing import NamedTuple
 
 from .algebra import LaurentPolynomial, _unpack, fox_determinant, permutation_sign, \
     rewrite_in_difference
-from .diagram import LinkDiagram, disconnected, far_ends, uf_find, uf_union, walk_oriented, \
-    walk_unoriented
+from .diagram import LinkDiagram, disconnected, far_ends, relink, walk_oriented, walk_unoriented
 
 XYVARS = ("x", "y")
 
@@ -133,7 +135,7 @@ def _first_under(circles):
     return None
 
 
-# the memo key of a skein node (crossings, other, ...): `other` onwards
+# the memo key of a skein node (flat, other, ...): `other` onwards
 _unlabelled = itemgetter(slice(1, None))
 
 
@@ -177,14 +179,14 @@ def _descend(root, key, step, table, engine):
 _HOMFLY_FACTORS = {1: (_X ** -2, _X ** -1 * _Y), -1: (_X ** 2, -(_X * _Y))}
 
 
-def _reduced_oriented(crossings, over_in, loops, joins=()):
-    """The HOMFLY node (crossings, other, over_in, loops) of `_reduce`: the
+def _reduced_oriented(flat, other, over_in, loops, joins=()):
+    """The HOMFLY node (flat, other, over_in, loops) of `_reduce`: the
     given one smoothed by `joins`, its curls and reducible bigons gone; H
     is an ambient-isotopy invariant, so neither move changes its value."""
-    _, gone, crossings, other, loops = _reduce(crossings, loops, joins)
+    _, gone, flat, other, loops = _reduce(flat, other, loops, joins)
     if gone:
         over_in = tuple(o for c, o in enumerate(over_in) if c not in gone)
-    return crossings, other, over_in, loops
+    return flat, other, over_in, loops
 
 
 def homfly(d: LinkDiagram, memo=None) -> LaurentPolynomial:
@@ -193,27 +195,26 @@ def homfly(d: LinkDiagram, memo=None) -> LaurentPolynomial:
     unlinks: dict = {}  # m -> the m-component unlink, delta^(m - 1)
 
     def step(node):
-        # one HOMFLY node: oriented records, slot 0 the incoming under-strand
-        # and over_in the slot the over-strand enters by, their far ends,
-        # plus free loops
-        crossings, other, over_in, loops = node
-        circles = walk_oriented(crossings, other, over_in)[1]
+        # one HOMFLY node: the arc at every slot, slot 0 the incoming
+        # under-strand and over_in the slot the over-strand enters by, their
+        # far ends, plus free loops
+        flat, other, over_in, loops = node
+        circles = walk_oriented(flat, other, over_in)
         ci = _first_under(circles)
         if ci is None:
             m = len(circles) + loops
             if m not in unlinks:
                 unlinks[m] = _DELTA_H ** (m - 1)
             return unlinks[m]
-        rec, o = crossings[ci], over_in[ci]
+        o = over_in[ci]
         at_switch, at_smooth = _HOMFLY_FACTORS[1 if o == 3 else -1]
-        turned = (rec[3], rec[0], rec[1], rec[2]) if o == 3 else (rec[1], rec[2], rec[3], rec[0])
-        switched = (crossings[:ci] + (turned,) + crossings[ci + 1:],
-                    over_in[:ci] + (4 - o,) + over_in[ci + 1:], loops)
+        # the switch turns the record so the over-strand's entry is slot 0
+        switched = _turn(flat, other, ci, o) + (over_in[:ci] + (4 - o,) + over_in[ci + 1:], loops)
         value = at_switch * (yield _reduced_oriented(*switched))
         joins = ((4 * ci, 4 * ci + (o ^ 2)), (4 * ci + o, 4 * ci + 2))
-        return value + at_smooth * (yield _reduced_oriented(crossings, over_in, loops, joins))
+        return value + at_smooth * (yield _reduced_oriented(flat, other, over_in, loops, joins))
 
-    root = _reduced_oriented(d.crossings, d.over_in, len(d._free_loops(())))
+    root = _reduced_oriented(*far_ends(d.crossings), d.over_in, len(d._free_loops(())))
     return _descend(root, _unlabelled, step, memo, "homfly")
 
 
@@ -360,13 +361,31 @@ def conway(d: LinkDiagram, memo=None) -> LaurentPolynomial:
 
 # -- unoriented rule: Dubrovnik ------------------------------------------------
 
-def _reduce(crossings, loops, joins=()):
+def _turn(flat, other, c, r):
+    """The tables with crossing c turned by r quarters, in O(1) beyond the
+    copy: its slot s takes the arc slot s + r held, and the far ends
+    follow."""
+    base = 4 * c
+    flat, other = list(flat), list(other)
+    arcs, ends = flat[base:base + 4], other[base:base + 4]
+
+    def moved(k):
+        return base | ((k - r) & 3) if k >> 2 == c else k
+
+    for t in range(4):
+        s, far = moved(base | t), moved(ends[t])
+        flat[s] = arcs[t]
+        other[s], other[far] = far, s
+    return flat, other
+
+
+def _reduce(flat, other, loops, joins=()):
     """Join the arcs at each pair of slots in `joins`, all at one crossing
     (a smoothing), then remove every curl and every reducible bigon by
-    Reidemeister I and II moves: returns (e, gone, crossings, other,
-    loops), D(the given node) = x^e * D(the node left), `gone` the indices
-    of the crossings erased and `other` the far ends (`diagram.far_ends`)
-    of the crossings kept.
+    Reidemeister I and II moves: given the tables of `diagram.far_ends`,
+    returns (e, gone, flat, other, loops), D(the given node) = x^e * D(the
+    node left), `gone` the indices of the crossings erased and flat and
+    other the tables of the crossings kept.
 
     The moves are read off the faces of `_faces`.  A curl is a one-corner
     face, one arc at two adjacent slots s, s + 1, and contributes x for
@@ -375,29 +394,24 @@ def _reduce(crossings, loops, joins=()):
     parity from end to end, so one strand passes over at both crossings;
     it contributes 1.  Either move erases its crossings by joining the
     arcs at slots 0, 2 and at slots 1, 3.  Every join, a smoothing's too,
-    relinks the far-end pointers, and a strand that closes inside the
-    erased crossings becomes a free loop.  The crossings at the relinked
-    far ends are checked again, so each move costs O(1), and the kept
-    records are relabeled once, every joined arc by the least label it
-    absorbed."""
-    flat, other = far_ends(crossings)
+    is a `diagram.relink`, which writes the least label onto both ends of
+    the joined arc, and a strand that closes inside the erased crossings
+    becomes a free loop.  The crossings at the relinked far ends are
+    checked again, so each move costs O(1)."""
+    flat, other = list(flat), list(other)
     gone = {a >> 2 for a, _ in joins}
-    uf: dict = {}
     todo: list = []
 
     def join(pairs):
-        nonlocal loops, todo
+        nonlocal loops
         for a, b in pairs:
-            far_a, far_b = other[a], other[b]
-            if far_a == b:
-                loops += 1
+            if relink(flat, other, a, b):
+                todo.extend((other[a] >> 2, other[b] >> 2))
             else:
-                other[far_a], other[far_b] = far_b, far_a
-                uf_union(uf, flat[a], flat[b])
-                todo += (far_a >> 2, far_b >> 2)
+                loops += 1
 
     join(joins)
-    todo = list(range(len(crossings)))  # every crossing, the last first
+    todo = list(range(len(flat) >> 2))  # every crossing, the last first
     exponent = 0
     while todo:
         c = todo.pop()
@@ -418,30 +432,30 @@ def _reduce(crossings, loops, joins=()):
         gone.update(erased)
         join([(4 * e + s, 4 * e + s + 2) for e in erased for s in (0, 1)])
     if gone:
-        kept = [c for c in range(len(crossings)) if c not in gone]
+        kept = [c for c in range(len(flat) >> 2) if c not in gone]
         moved = {c: 4 * j for j, c in enumerate(kept)}  # each kept crossing's first slot
         other = [moved[k >> 2] | (k & 3) for c in kept for k in other[4 * c:4 * c + 4]]
-        crossings = tuple(tuple(uf_find(uf, arc) for arc in crossings[c]) for c in kept)
-    return exponent, gone, crossings, tuple(other), loops
+        flat = [a for c in kept for a in flat[4 * c:4 * c + 4]]
+    return exponent, gone, tuple(flat), tuple(other), loops
 
 
-def _reduced(crossings, loops, joins=()):
-    """Yield the Dubrovnik node (crossings, other, loops) of `_reduce` and
+def _reduced(flat, other, loops, joins=()):
+    """Yield the Dubrovnik node (flat, other, loops) of `_reduce` and
     return the value of the node it was reduced from."""
-    exponent, _, *node = _reduce(crossings, loops, joins)
+    exponent, _, *node = _reduce(flat, other, loops, joins)
     value = yield tuple(node)
     return _X ** exponent * value if exponent else value
 
 
 def _unoriented_step(node):
-    """One Dubrovnik node: (crossings, other, loops), crossing records with
+    """One Dubrovnik node: (flat, other, loops), the arc at every slot with
     the under-strand at slots {0, 2}, their far ends and a count of
     crossing-free circles.  Every child it yields is reduced."""
-    crossings, other, loops = node
-    if not crossings:
+    flat, other, loops = node
+    if not flat:
         return _DELTA_D ** (loops - 1)
-    circles = walk_unoriented(crossings, other)[1]
-    into = [-1] * (4 * len(crossings))  # the circle entering at each slot
+    circles = walk_unoriented(flat, other)
+    into = [-1] * len(flat)  # the circle entering at each slot
     for cid, circle in enumerate(circles):
         for i in circle:
             into[i] = cid
@@ -456,17 +470,15 @@ def _unoriented_step(node):
     ci = _first_under(circles)
     if ci is None:
         selfw = 0
-        for c in range(len(crossings)):
+        for c in range(len(flat) >> 2):
             u, o, sgn = entries(c)
             if into[u] == into[o]:
                 selfw += sgn
         return (_X ** selfw) * _DELTA_D ** (len(circles) + loops - 1)
     u, o, sgn = entries(ci)
-    rec = crossings[ci]
-    switched = crossings[:ci] + ((rec[1], rec[2], rec[3], rec[0]),) + crossings[ci + 1:]
-    at_switch = yield from _reduced(switched, loops)
-    at_sm0 = yield from _reduced(crossings, loops, ((u, o ^ 2), (o, u ^ 2)))
-    at_sm_inf = yield from _reduced(crossings, loops, ((u, o), (u ^ 2, o ^ 2)))
+    at_switch = yield from _reduced(*_turn(flat, other, ci, 1), loops)
+    at_sm0 = yield from _reduced(flat, other, loops, ((u, o ^ 2), (o, u ^ 2)))
+    at_sm_inf = yield from _reduced(flat, other, loops, ((u, o), (u ^ 2, o ^ 2)))
     return at_switch + sgn * (_Y * at_sm0) - sgn * (_Y * at_sm_inf)
 
 
@@ -475,7 +487,7 @@ def dubrovnik(d: LinkDiagram, memo=None) -> LaurentPolynomial:
     diagram: D+ - D- = y(D0 - Dinf), positive kink multiplies by x, and a
     split unknot contributes 1 + (x - x^-1)/y."""
     _require_component(d)
-    exponent, _, *root = _reduce(d.crossings, len(d._free_loops(())))
+    exponent, _, *root = _reduce(*far_ends(d.crossings), len(d._free_loops(())))
     value = _descend(tuple(root), _unlabelled, _unoriented_step, memo, "dubrovnik")
     return _X ** exponent * value
 

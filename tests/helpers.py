@@ -6,10 +6,103 @@ from math import comb, factorial, lcm
 
 from linkinv.alexander import PotentialFunction
 from linkinv.algebra import LaurentPolynomial, TruncatedSeries, _pack, _unpack, fox_determinant
-from linkinv.diagram import LinkDiagram, far_ends, uf_find, uf_union
+from linkinv.diagram import UNDER_IN, UNDER_OUT, LinkDiagram, _trace_oriented, \
+    _trace_unoriented, far_ends
 from linkinv.skein import _CORNERS, _DELTA_D, _DELTA_H, _FLIPPED, _HOMFLY_FACTORS, _X, _Y, \
     _descend, _faces, _key
 from linkinv.transforms import _CH, SeriesWithPole, _pascal, _read_off, _sinh_unit
+
+
+def uf_find(parent: dict, a):
+    """Root of a's class in a dict-backed union-find, compressing the path."""
+    root = a
+    while parent.get(root, root) != root:
+        root = parent[root]
+    while parent.get(a, a) != a:
+        parent[a], a = root, parent[a]
+    return root
+
+
+def uf_union(parent: dict, a, b) -> bool:
+    """Merge the classes of a and b under the smaller root, so every root
+    is the minimum of its class; False when they were already one class."""
+    a, b = uf_find(parent, a), uf_find(parent, b)
+    if a == b:
+        return False
+    if a < b:
+        parent[b] = a
+    else:
+        parent[a] = b
+    return True
+
+
+def uf_resolve(d: LinkDiagram, dropped, merges, gone, reorient: bool) -> LinkDiagram:
+    """The oracle for `LinkDiagram._resolve`: drop the crossings in
+    `dropped`, merge each pair of arc labels in `merges` in a union-find
+    whose roots are class minima, and forget the arcs in `gone`; a pair
+    already one class closes off a crossing-free circle, and each class
+    takes the least color of its arcs."""
+    parent: dict = {}
+    loops = d._free_loops(gone)
+    for a, b in merges:
+        if not uf_union(parent, a, b):
+            loops.append(uf_find(parent, a))
+    crossings, over_in = [], []
+    for k, rec in enumerate(d.crossings):
+        if k not in dropped:
+            crossings.append(tuple(uf_find(parent, a) for a in rec))
+            over_in.append(d.over_in[k])
+    color_of_root: dict = {}
+    for arc, comp in d.comp_of_arc.items():
+        if arc not in gone:
+            root = uf_find(parent, arc)
+            c = d.colors[comp]
+            color_of_root[root] = min(color_of_root.get(root, c), c)
+    if reorient:
+        crossings, over_in, comps = _trace_unoriented(crossings)
+    else:
+        comps = _trace_oriented(crossings, over_in)
+    comps += [(arc,) for arc in loops]
+    colors = [min(color_of_root[a] for a in cyc) for cyc in comps]
+    comps, colors = d._canon_components(comps, colors)
+    return LinkDiagram(crossings, comps, colors, over_in=over_in)
+
+
+def uf_smooth(d: LinkDiagram, ci: int, oriented: bool) -> LinkDiagram:
+    """The oracle for `smooth_oriented` (or, not `oriented`,
+    `smooth_infinity`) by arc merges in `uf_resolve`."""
+    rec, o = d.crossings[ci], d.over_in[ci]
+    if oriented:
+        merges = ((rec[UNDER_IN], rec[(o + 2) % 4]), (rec[o], rec[UNDER_OUT]))
+    else:
+        merges = ((rec[UNDER_IN], rec[o]), (rec[UNDER_OUT], rec[(o + 2) % 4]))
+    return uf_resolve(d, {ci}, merges, (), not oriented)
+
+
+def uf_delete(d: LinkDiagram, keep) -> LinkDiagram:
+    """The oracle for `delete_component` and `component`: every component
+    not in `keep` deleted by arc merges in `uf_resolve`."""
+    gone = {a for k, cyc in enumerate(d.components) if k not in keep for a in cyc}
+    dropped, merges = set(), []
+    for ci, rec in enumerate(d.crossings):
+        under_gone, over_gone = rec[UNDER_IN] in gone, rec[1] in gone
+        if under_gone or over_gone:
+            dropped.add(ci)
+        if under_gone and not over_gone:
+            o = d.over_in[ci]
+            merges.append((rec[o], rec[(o + 2) % 4]))
+        elif over_gone and not under_gone:
+            merges.append((rec[UNDER_IN], rec[UNDER_OUT]))
+    return uf_resolve(d, dropped, merges, gone, False)
+
+
+def record_switch(d: LinkDiagram, ci: int) -> LinkDiagram:
+    """The oracle for `switch`: the record turned so that the over-strand's
+    entry becomes slot 0, the incoming under-strand."""
+    o = d.over_in[ci]
+    rec = d.crossings[ci][o:] + d.crossings[ci][:o]
+    return LinkDiagram(d.crossings[:ci] + (rec,) + d.crossings[ci + 1:], d.components,
+                       d.colors, over_in=d.over_in[:ci] + (4 - o,) + d.over_in[ci + 1:])
 
 
 def disjoint_union(a: LinkDiagram, b: LinkDiagram) -> LinkDiagram:

@@ -24,8 +24,6 @@ from linkinv.diagram import (
     disconnected,
     far_ends,
     parse_pd,
-    uf_find,
-    uf_union,
 )
 from linkinv.skein import conway, homfly
 
@@ -35,6 +33,8 @@ from helpers import (
     mono_numerator,
     packed_fox_determinant,
     tuple_exact_quotient,
+    uf_find,
+    uf_union,
 )
 
 

@@ -297,6 +297,25 @@ def test_constructor_and_operator_errors_are_pinned(make, const):
         assert type(diff) is type(x) and diff == expected and diff.terms == expected.terms
 
 
+def test_equal_polynomials_hash_equal():
+    # __eq__ aligns variable lists and lifts numbers, so hashing must too
+    x = LaurentPolynomial.gen(("x",), "x")
+    xy = LaurentPolynomial.gen(("x", "y"), "x")
+    yx = LaurentPolynomial(("y", "x"), {(0, 1): 1, (1, -1): Fraction(1, 2)})
+    pairs = [
+        (x, xy),
+        (LaurentPolynomial(("x", "y"), {(1, 0): 1, (-1, 1): Fraction(1, 2)}), yx),
+        (LaurentPolynomial.constant(("x",), 3), 3),
+        (LaurentPolynomial.constant(("x", "y"), Fraction(3, 2)), Fraction(3, 2)),
+        (LaurentPolynomial.zero(("x",)), 0),
+        (LaurentPolynomial.zero(("x",)), LaurentPolynomial.zero(("y", "z"))),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b), (a, b)
+    assert len({x, xy, x * LaurentPolynomial.one(("y", "x"))}) == 1
+    assert x != LaurentPolynomial.gen(("y",), "y")
+
+
 def test_series_only_errors_are_pinned():
     with pytest.raises(ValueError, match=r"^cap must be >= 0$"):
         TruncatedSeries(X, -1)

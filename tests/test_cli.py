@@ -4,7 +4,9 @@ import json
 import os
 import random
 import shutil
+import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -163,6 +165,14 @@ def test_corpus_loads_and_round_trips():
         assert len(link.crossings) <= 16
 
 
+def test_corpus_files_match_their_build_script():
+    # the script rebuilds every corpus file in memory and writes nothing
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "build_corpus.py")
+    done = subprocess.run([sys.executable, script, "--check"], capture_output=True, text=True,
+                          timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+
+
 @pytest.mark.parametrize("budget", ["1", "0"])
 def test_budget_applies_to_invariants_too(capsys, budget):
     # the report runs no skein engine, so the budget leaves it alone, while
@@ -271,6 +281,22 @@ def test_absurd_strand_count_exits_2_before_allocating(tmp_path, capsys):
     path.write_text("braid(99999999999999999999): 1\n")
     code, out, err = run(capsys, "invariants", str(path))
     assert (code, out, err) == (2, "", "error: braid has more than 1000 strands\n")
+
+
+@pytest.mark.parametrize("name,text,flags", [
+    ("hopf.braid", "braid(2): 1 1\n", ["--colors", "1,99999999999"]),
+    ("hopf.pd", "X[1,3,2,4] X[3,1,4,2]\ncomponents: [[1,2],[3,4]]\ncolors: [1,99999999999]\n",
+     []),
+], ids=["braid", "pd"])
+def test_huge_colour_exits_2_without_counting_up_to_it(tmp_path, capsys, name, text, flags):
+    # the onto check compares the distinct colours with 1..k, k their
+    # count, so it costs nothing that grows with the colour itself
+    path = tmp_path / name
+    path.write_text(text)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "polys", str(path), "--which", "omega", *flags)
+    assert time.perf_counter() - start < 5
+    assert (code, out, err) == (2, "", "error: coloring must be onto {1..n}\n")
 
 
 @pytest.mark.parametrize("command", [

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linkinv.corpus import load_corpus
 from linkinv.diagram import (
     MAX_STRANDS,
     BraidWord,
@@ -14,7 +17,7 @@ from linkinv.diagram import (
     parse_singular,
 )
 
-from helpers import disjoint_union
+from helpers import disjoint_union, record_switch, uf_delete, uf_smooth
 
 HOPF_PD = """
 X[1,3,2,4] X[3,1,4,2]
@@ -352,3 +355,38 @@ def test_render_pd_round_trips_coloured_closures(sw, palette, named):
     back = parse_pd(d.render_pd())
     assert back == d
     assert (back.colors, back.name) == (d.colors, d.name)
+
+
+def surgery_diagrams():
+    """The corpus links and 300 seeded closures of 2-5-strand words with
+    random colourings onto {1..k}, about two in three of them
+    multi-coloured."""
+    diagrams = [e.link for e in load_corpus()]
+    rng = random.Random(20261026)
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        word = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(1, 12))]
+        d = braid_closure(BraidWord(n, word))
+        d = d.recolor(onto([rng.randint(1, d.m) for _ in range(d.m)]))
+        diagrams.append(d)
+    return diagrams
+
+
+def test_surgery_matches_union_find_oracle():
+    # the far-end relinks give what merging arc labels in a union-find
+    # gave: labels, components, colours and directions alike
+    diagrams = surgery_diagrams()
+    assert sum(max(d.colors, default=1) > 1 for d in diagrams) > 150
+    checked = 0
+    for d in diagrams:
+        for ci in range(len(d.crossings)):
+            assert d.switch(ci) == record_switch(d, ci)
+            assert d.smooth_oriented(ci) == uf_smooth(d, ci, True), (d, ci)
+            assert d.smooth_infinity(ci) == uf_smooth(d, ci, False), (d, ci)
+            checked += 3
+        if d.m > 1:
+            for i in range(d.m):
+                assert d.delete_component(i) == uf_delete(d, set(range(d.m)) - {i}), (d, i)
+                assert d.component(i) == uf_delete(d, {i}), (d, i)
+                checked += 2
+    assert checked > 5000

@@ -663,17 +663,27 @@ def test_curl_stripping_matches_curl_keeping_oracle_on_curls(shared_memos):
             slots.update(s for s in range(4) if rec[s] == rec[(s + 1) % 4])
     assert slots == {0, 1, 2, 3}
     # every curl goes: the figure-8 curls leave one free loop
-    assert _reduce(*_node(braid_closure(BraidWord(2, [1])))) == (1, {0}, (), (), 1)
-    assert _reduce(*_node(braid_closure(BraidWord(2, [-1])))) == (-1, {0}, (), (), 1)
+    assert _reduce(*_tables(braid_closure(BraidWord(2, [1])))) == (1, {0}, (), (), 1)
+    assert _reduce(*_tables(braid_closure(BraidWord(2, [-1])))) == (-1, {0}, (), (), 1)
     for d in curl_diagrams():
         # these hold no reducible bigon, so the reducer is the curl stripper
-        e, _, crossings, _, loops = _reduce(*_node(d))
-        assert (e, (crossings, loops)) == strip_kinks(*_node(d))
-        assert not reducible(crossings)
+        e, _, flat, other, loops = _reduce(*_tables(d))
+        assert (e, (_records(flat), loops)) == strip_kinks(*_node(d))
+        assert not reducible(other)
 
 
 def _node(d):
     return d.crossings, len(d._free_loops(()))
+
+
+def _tables(d):
+    """The (flat, other, loops) input `_reduce` takes for d."""
+    return (*far_ends(d.crossings), len(d._free_loops(())))
+
+
+def _records(flat):
+    """The crossing records of a node's per-slot arc labels."""
+    return tuple(tuple(flat[i:i + 4]) for i in range(0, len(flat), 4))
 
 
 def _turn(rec, quarter):
@@ -735,13 +745,13 @@ def test_homfly_stores_n_plus_1_entries_on_torus_links(n):
 
 # -- the Reidemeister I/II reducer and HOMFLY on tuple nodes -------------------
 
-def reducible(crossings):
-    """Whether a node holds a curl, a one-corner face of `_faces`, or a
-    reducible bigon, a two-corner face whose corners sit at different
-    crossings and differ in slot parity, so that each of its arcs keeps
-    its parity from end to end."""
+def reducible(other):
+    """Whether a node with far ends `other` holds a curl, a one-corner face
+    of `_faces`, or a reducible bigon, a two-corner face whose corners sit
+    at different crossings and differ in slot parity, so that each of its
+    arcs keeps its parity from end to end."""
     corners: dict = {}
-    for k, f in enumerate(_faces(far_ends(crossings)[1])):
+    for k, f in enumerate(_faces(other)):
         corners.setdefault(f, []).append(k)
     return any(len(ks) == 1 or (len(ks) == 2 and ks[0] >> 2 != ks[1] >> 2 and (ks[1] - ks[0]) & 1)
                for ks in corners.values())
@@ -753,7 +763,7 @@ def test_no_reducible_node_reaches_either_table():
     for d in diagrams:
         for engine in (homfly, dubrovnik):
             for node in _run(_descend, engine, d)[2]:
-                assert not reducible(node[0]), (engine.__name__, node)
+                assert not reducible(node[1]), (engine.__name__, node)
 
 
 @pytest.mark.parametrize("entry", CORPUS_LINKS, ids=lambda e: e.name)
@@ -797,9 +807,9 @@ def test_reducer_keeps_clasps():
     # every bigon of a reduced alternating diagram is a clasp, one strand
     # over at one corner and under at the other
     for make in (hopf, trefoil, fig8, solomon, whitehead, borromean):
-        crossings, loops = _node(make())
-        other = tuple(far_ends(crossings)[1])
-        assert _reduce(crossings, loops) == (0, set(), crossings, other, loops), make.__name__
+        flat, other, loops = _tables(make())
+        assert _reduce(flat, other, loops) == (0, set(), tuple(flat), tuple(other), loops), \
+            make.__name__
 
 
 # (strands, word, the curls' exponent of x in D, crossings and free loops
@@ -820,22 +830,22 @@ REDUCIBLE = [
                          ids=[" ".join(map(str, case[1])) for case in REDUCIBLE])
 def test_reducer_hand_cases(strands, word, exponent, left, loops):
     d = braid_closure(BraidWord(strands, word))
-    e, gone, crossings, _, free = _reduce(*_node(d))
-    assert (e, len(crossings), free) == (exponent, left, loops)
-    assert len(gone) + len(crossings) == len(d.crossings) and not reducible(crossings)
+    e, gone, flat, other, free = _reduce(*_tables(d))
+    assert (e, len(flat) // 4, free) == (exponent, left, loops)
+    assert len(gone) + len(flat) // 4 == len(d.crossings) and not reducible(other)
     assert homfly(d, memo={}) == labelled_homfly(d)
     assert dubrovnik(d, memo={}) == labelled_dubrovnik(d, {})
 
 
 def _reduce_calls(monkeypatch, diagrams):
-    """Every (crossings, loops, joins) the HOMFLY and Dubrovnik descents of
-    `diagrams` pass to `_reduce`, with what it returned."""
+    """Every (flat, other, loops, joins) the HOMFLY and Dubrovnik descents
+    of `diagrams` pass to `_reduce`, with what it returned."""
     calls = []
     real = skein._reduce
 
-    def recording(crossings, loops, joins=()):
-        out = real(crossings, loops, joins)
-        calls.append(((crossings, loops, joins), out))
+    def recording(flat, other, loops, joins=()):
+        out = real(flat, other, loops, joins)
+        calls.append(((tuple(flat), tuple(other), loops, joins), out))
         return out
 
     monkeypatch.setattr(skein, "_reduce", recording)
@@ -848,12 +858,16 @@ def _reduce_calls(monkeypatch, diagrams):
 
 def test_one_pass_reducer_matches_two_pass_oracle(monkeypatch):
     # every switch and smoothing the descents reduce, against smoothing by
-    # a union-find relabel and then reducing on rebuilt far ends
+    # a union-find relabel and then reducing on rebuilt far ends; every
+    # input table, a switch's turned one too, is the far ends of its labels
     diagrams = [make() for make, _ in NODE_COUNTS] + list(seeded_closures(20261024, 40))
     diagrams += [braid_closure(BraidWord(n, w)) for n, w in pool_words()]
     smoothings = 0
-    for (crossings, loops, joins), out in _reduce_calls(monkeypatch, diagrams):
+    for (flat, given, loops, joins), out in _reduce_calls(monkeypatch, diagrams):
+        crossings = _records(flat)
+        assert given == tuple(far_ends(crossings)[1]), (crossings, given)
         exponent, gone, kept, other, free = out
+        kept = _records(kept)
         if joins:
             ci = joins[0][0] >> 2
             want = two_pass_reduce(crossings, loops, ci, [(a & 3, b & 3) for a, b in joins])
@@ -868,9 +882,10 @@ def test_one_pass_reducer_matches_two_pass_oracle(monkeypatch):
     assert smoothings > 5000
 
 
-def test_far_ends_runs_once_per_reduced_child(monkeypatch):
-    # the node carries the far ends `_reduce` built, so neither the memo
-    # key nor the walk rebuilds them
+def test_far_ends_runs_once_per_engine_call(monkeypatch):
+    # only the root builds the tables: every child carries the ones its
+    # parent's switch or `_reduce` left, so neither a child, the memo key
+    # nor the walk rebuilds them
     diagrams = list(seeded_closures(20261025, 100))
     counts = {"far_ends": 0, "_reduce": 0}
 
@@ -888,7 +903,7 @@ def test_far_ends_runs_once_per_reduced_child(monkeypatch):
         homfly(d, memo={})
         kauffman_f(d, memo={})
     assert counts["_reduce"] > 1500
-    assert counts["far_ends"] == counts["_reduce"]
+    assert counts["far_ends"] == 2 * len(diagrams)
 
 
 def test_homfly_unknot_and_unlinks():
@@ -1132,7 +1147,8 @@ def walk_diagrams():
 
 
 def _unoriented_visits(crossings):
-    flat, circles = walk_unoriented(crossings, far_ends(crossings)[1])
+    flat, other = far_ends(crossings)
+    circles = walk_unoriented(flat, other)
     return [(cid, flat[i], i >> 2, i & 3) for cid, circle in enumerate(circles) for i in circle]
 
 
@@ -1146,13 +1162,13 @@ def test_walks_match_dict_oracles():
         diagrams = [d] + [f(ci) for ci in range(len(d.crossings))
                           for f in (d.switch, d.smooth_oriented)]
         nodes = [(e.crossings, e.over_in) for e in diagrams]
-        nodes += [(node[0], node[2]) for node in _run(_descend, homfly, d, 100)[2]]
+        nodes += [(_records(node[0]), node[2]) for node in _run(_descend, homfly, d, 100)[2]]
         for crossings, over_in in nodes:
             assert _trace_oriented(crossings, over_in) == dict_trace_oriented(crossings, over_in)
         oriented += len(nodes)
         nodes = [e.crossings for e in diagrams]
-        for engine in (dubrovnik, labelled_dubrovnik):
-            nodes += [node[0] for node in _run(_descend, engine, d, 100)[2]]
+        nodes += [_records(node[0]) for node in _run(_descend, dubrovnik, d, 100)[2]]
+        nodes += [node[0] for node in _run(_descend, labelled_dubrovnik, d, 100)[2]]
         for crossings in nodes:
             assert _unoriented_visits(crossings) == list(dict_walk_unoriented(crossings))
         unoriented += len(nodes)
