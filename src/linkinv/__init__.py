@@ -51,7 +51,7 @@ from .invariants import (
     two_color_tables,
     unoriented_sl,
 )
-from .skein import SkeinBudgetError, conway, dubrovnik, homfly, kauffman_f
+from .skein import ResourceError, SkeinBudgetError, conway, dubrovnik, homfly, kauffman_f
 from .transforms import (
     CoefficientTable,
     Decomposition,

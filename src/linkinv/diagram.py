@@ -127,15 +127,17 @@ def _trace_oriented(crossings, over_in):
     return [tuple(flat[i] for i in circle) for circle in walk_oriented(flat, other, over_in)]
 
 
-def _trace_unoriented(crossings):
-    """Arc cycles of `walk_unoriented`, with the records rotated so slot 0
-    is again the incoming under-strand: returns (crossings, over_in,
-    cycles)."""
-    flat, other = far_ends(crossings)
-    circles = walk_unoriented(flat, other)
+def _trace_unoriented(flat, other, kept):
+    """Arc cycles of `walk_unoriented` through the crossings `kept` of the
+    tables of `far_ends`, whose slots reach only each other, with their
+    records rotated so slot 0 is again the incoming under-strand: returns
+    (crossings, over_in, cycles)."""
+    circles = list(_walk(flat, other, [i for k in kept for i in range(4 * k, 4 * k + 4)
+                                       if i < other[i]]))
     entered = {i for circle in circles for i in circle}
     new_crossings, over_in = [], []
-    for k, rec in enumerate(crossings):
+    for k in kept:
+        rec = tuple(flat[4 * k:4 * k + 4])
         o = 1 if 4 * k + 1 in entered else 3
         if 4 * k + UNDER_OUT in entered:
             rec, o = rec[2:] + rec[:2], o ^ 2
@@ -429,13 +431,16 @@ class LinkDiagram:
                 hue[min(la, lb)] = min(hue[la], hue[lb])
             else:
                 loops.append(la)
+        # the relinked tables are the far ends of the kept crossings: their
+        # slots reach only each other, so the walks start from them alone
         kept = [k for k in range(len(self.crossings)) if k not in dropped]
-        crossings = [tuple(flat[4 * k:4 * k + 4]) for k in kept]
-        over_in = [self.over_in[k] for k in kept]
         if reorient:
-            crossings, over_in, comps = _trace_unoriented(crossings)
+            crossings, over_in, comps = _trace_unoriented(flat, other, kept)
         else:
-            comps = _trace_oriented(crossings, over_in)
+            crossings = [tuple(flat[4 * k:4 * k + 4]) for k in kept]
+            over_in = [self.over_in[k] for k in kept]
+            heads = [4 * k + s for k in kept for s in (UNDER_IN, self.over_in[k])]
+            comps = [tuple(flat[i] for i in circle) for circle in _walk(flat, other, heads)]
         comps += [(arc,) for arc in loops]
         colors = [min(hue[a] for a in cyc) for cyc in comps]
         comps, colors = self._canon_components(comps, colors)

@@ -78,7 +78,11 @@ _DELTA_H = (_X - _X ** -1) * _Y ** -1
 _DELTA_D = LaurentPolynomial.one(XYVARS) + _DELTA_H
 
 
-class SkeinBudgetError(RuntimeError):
+class ResourceError(RuntimeError):
+    """A computation stopped at a resource limit; the CLI exits 3 on it."""
+
+
+class SkeinBudgetError(ResourceError):
     """Raised when the resolution tree of `engine` exceeds the node budget."""
 
     def __init__(self, engine, budget):

@@ -1,16 +1,19 @@
 """Diagram and polynomial helpers shared by the tests; not part of the
 library's interface."""
 
+import argparse
 from fractions import Fraction
 from math import comb, factorial, lcm
 
 from linkinv.alexander import PotentialFunction
 from linkinv.algebra import LaurentPolynomial, TruncatedSeries, _pack, _unpack, fox_determinant
+from linkinv.cli import cmd_decompose, cmd_invariants, cmd_polys, cmd_verify
 from linkinv.diagram import UNDER_IN, UNDER_OUT, LinkDiagram, _trace_oriented, \
     _trace_unoriented, far_ends
 from linkinv.skein import _CORNERS, _DELTA_D, _DELTA_H, _FLIPPED, _HOMFLY_FACTORS, _X, _Y, \
     _descend, _faces, _key
-from linkinv.transforms import _CH, SeriesWithPole, _pascal, _read_off, _sinh_unit
+from linkinv.suites import SUITES
+from linkinv.transforms import DEFAULT_CAP, _CH, SeriesWithPole, _pascal, _read_off, _sinh_unit
 
 
 def uf_find(parent: dict, a):
@@ -59,7 +62,7 @@ def uf_resolve(d: LinkDiagram, dropped, merges, gone, reorient: bool) -> LinkDia
             c = d.colors[comp]
             color_of_root[root] = min(color_of_root.get(root, c), c)
     if reorient:
-        crossings, over_in, comps = _trace_unoriented(crossings)
+        crossings, over_in, comps = _trace_unoriented(*far_ends(crossings), range(len(crossings)))
     else:
         comps = _trace_oriented(crossings, over_in)
     comps += [(arc,) for arc in loops]
@@ -644,3 +647,52 @@ def dict_exp_quotient(d: LinkDiagram, poly, shift: int, cap: int, provenance: st
         den = dict_scaled_mul(den, comp, prec)
     out = dict_scaled_mul(num, dict_scaled_inverse(den, prec), prec)
     return _read_off(dict_unscaled(out, pad, prec), provenance, cap)
+
+
+# -- the argparse parser that `cli.parse_args` replaced ---------------------
+
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"cap and budget must be >= 0, got {value}")
+    return value
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="linkinv",
+        description="Exact link invariants from PD codes and braid words.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_common(p, with_input=True):
+        if with_input:
+            p.add_argument("input", help="diagram file (PD or braid grammar), or - for stdin")
+            p.add_argument("--colors", help="comma-separated colors per component")
+        p.add_argument("--cap", type=nonnegative_int, default=DEFAULT_CAP,
+                       help="total-degree bound for series (default 12)")
+        p.add_argument("--json", action="store_true", help="machine-readable output")
+        p.add_argument("--budget", type=nonnegative_int, default=None,
+                       help="skein node budget of HOMFLY and Dubrovnik/Kauffman "
+                            "(default 10^6); nothing else spends it")
+
+    p = sub.add_parser("invariants", help="full invariant report")
+    add_common(p)
+    p.set_defaults(fn=cmd_invariants)
+
+    p = sub.add_parser("polys", help="print one polynomial")
+    add_common(p)
+    p.add_argument("--which", required=True,
+                   choices=["conway", "homfly", "kauffman", "omega", "nbl"])
+    p.set_defaults(fn=cmd_polys)
+
+    p = sub.add_parser("decompose", help="brace-monomial decomposition parts")
+    add_common(p)
+    p.set_defaults(fn=cmd_decompose)
+
+    p = sub.add_parser("verify", help="run the verification suites")
+    add_common(p, with_input=False)
+    p.add_argument("--corpus", default=None, help="corpus directory (default: bundled)")
+    p.add_argument("--suite", default=None, choices=sorted(SUITES),
+                   help="run a single suite (default: all)")
+    p.set_defaults(fn=cmd_verify)
+    return parser

@@ -12,10 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linkinv.cli import main
+from linkinv.cli import main, parse_args
 from linkinv.corpus import DATA_DIR, load_corpus
 from linkinv.diagram import BraidWord, braid_closure, parse_pd
 from linkinv.skein import homfly
+from linkinv.suites import SUITES
+
+from helpers import build_parser
 
 HOPF = os.path.join(DATA_DIR, "hopf-plus.pd")
 BORROMEAN = os.path.join(DATA_DIR, "borromean.pd")
@@ -377,3 +380,141 @@ def test_deep_braids_under_a_small_budget_exit_0_or_3(which, engine, n, length, 
         assert (out, err) == ("", f"error: {engine} skein node budget of 50 exceeded\n")
     else:
         assert err == ""
+
+
+# -- the option table against the argparse parser it replaced ----------------
+
+VALUES = {
+    "--colors": ["1,2", "1", "-1,2", "-", ""],
+    "--cap": ["0", "5", "12", "-1", "-5", "x", "", "1.5", " 7", "+3"],
+    "--budget": ["0", "1", "1000000", "-5", "ten", ""],
+    "--which": ["conway", "homfly", "kauffman", "omega", "nbl", "bogus", "Conway", ""],
+    "--corpus": ["dir", "-", ""],
+    "--suite": [*sorted(SUITES), "nonsense", ""],
+}
+# full names and prefixes, some of them ambiguous in one command or another
+SPELLINGS = {"--colors": ["--colors", "--col", "--co"], "--cap": ["--cap", "--ca", "--c"],
+             "--budget": ["--budget", "--b"], "--which": ["--which", "--w"],
+             "--corpus": ["--corpus", "--cor"], "--suite": ["--suite", "--s"]}
+FLAGS = ["--json", "--js", "--j", "--json=", "--json=yes"]
+STRAYS = ["-", "-5", "extra", "--bogus", "--bogus=1", "-x", "-1,2", "-x y", "-h", "--he", "-h=x"]
+COMMAND = st.sampled_from(["invariants", "polys", "decompose", "verify"] * 4
+                          + ["bogus", "-", "--json", "-h", None])
+
+
+def _option_tokens(option):
+    spelled, value = st.sampled_from(SPELLINGS[option]), st.sampled_from(VALUES[option])
+    return st.one_of(st.tuples(spelled, value).map(list),
+                     st.tuples(spelled, value).map(lambda sv: ["=".join(sv)]),
+                     spelled.map(lambda s: [s]))
+
+
+PIECE = st.one_of(*map(_option_tokens, SPELLINGS),
+                  *(st.sampled_from(tokens).map(lambda s: [s])
+                    for tokens in (FLAGS, STRAYS, ["-", "hopf.pd"])))
+
+
+def _argv(command, pieces, at, source):
+    if source:  # an input among the pieces, so more commands parse
+        pieces.insert(at, [source])
+    return [command] * bool(command) + [token for piece in pieces for token in piece]
+
+
+ARGV = st.builds(_argv, COMMAND, st.lists(PIECE, max_size=6), st.integers(0, 6),
+                 st.sampled_from([None, "-", "hopf.pd"]))
+
+
+def parsed(parse, argv):
+    """("ok", the parsed fields), or (exit code, stdout, the error line)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return "ok", vars(parse(argv))
+        except SystemExit as exc:
+            lines = err.getvalue().splitlines()
+            return exc.code, out.getvalue(), lines[-1] if lines else ""
+
+
+def named(line):
+    """The argument an argparse error line names, or its whole message."""
+    message = line.split(": error: ", 1)[1]
+    return message.split(": ")[0] if message.startswith("argument ") else message
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(ARGV)
+def test_parser_matches_argparse_oracle(argv):
+    want = parsed(lambda a: build_parser().parse_args(a), argv)
+    got = parsed(parse_args, argv)
+    if want[0] == "ok":
+        assert got == want
+    elif want[0] == 0:  # help
+        assert got[0] == 0 and got[1].startswith("usage: linkinv")
+    else:
+        assert got[0] == want[0] == 2
+        assert named(got[2]) == named(want[2])
+        # the messages are argparse's, save the name of its type function
+        assert got[2].split(": error: ")[1] == \
+            want[2].split(": error: ")[1].replace("nonnegative_int", "int")
+
+
+@pytest.mark.parametrize("argv,fields", [
+    (["polys", "--which=nbl", "-", "--cap", "3", "--cap=4"],
+     {"which": "nbl", "input": "-", "cap": 4}),
+    (["decompose", "--js", "--bud", "7", "x.pd"], {"json": True, "budget": 7, "input": "x.pd"}),
+    (["verify", "--suite", "lemma41", "--suite=congruences"], {"suite": "congruences"}),
+    (["invariants", "--colors", "-1", "f"], {"colors": "-1", "input": "f"}),
+])
+def test_option_spellings(argv, fields):
+    args = vars(parse_args(argv))
+    assert {key: args[key] for key in fields} == fields
+
+
+@pytest.mark.parametrize("argv,error", [
+    ([], "linkinv: error: the following arguments are required: command"),
+    (["polys", HOPF], "linkinv polys: error: the following arguments are required: --which"),
+    (["invariants", HOPF, "extra"], "linkinv invariants: error: unrecognized arguments: extra"),
+    (["verify", "--c", "1"],
+     "linkinv verify: error: ambiguous option: --c could match --cap, --corpus"),
+    (["invariants", HOPF, "--cap", "x"],
+     "linkinv invariants: error: argument --cap: invalid int value: 'x'"),
+])
+def test_usage_errors_exit_2_after_a_usage_line(capsys, argv, error):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    usage, line = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: linkinv") and line == error
+
+
+@pytest.mark.parametrize("argv,usage", [
+    (["-h"], "usage: linkinv [-h] {invariants,polys,decompose,verify} ..."),
+    (["polys", "--help"], "usage: linkinv polys [-h] [--colors COLORS] [--cap CAP] [--json] "
+                          "[--budget BUDGET] --which {conway,homfly,kauffman,omega,nbl} input"),
+    (["verify", "-h", "--bogus"], "usage: linkinv verify [-h] [--cap CAP]"),
+])
+def test_help_prints_usage_and_exits_0(capsys, argv, usage):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 0 and out.err == ""
+    assert out.out.startswith(usage)
+
+
+SRC_ENV = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                                     "..", "src")}
+
+
+def test_importing_the_cli_loads_no_argument_parser():
+    code = "import sys, linkinv.cli; print(sorted({'argparse', 'locale'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=SRC_ENV)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def test_module_entry_point_reads_sys_argv():
+    with open(HOPF) as fh:
+        text = fh.read()
+    done = subprocess.run([sys.executable, "-m", "linkinv.cli", "polys", "-", "--which", "conway"],
+                          input=text, capture_output=True, text=True, timeout=60, env=SRC_ENV)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "z\n", "")

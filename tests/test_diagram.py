@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linkinv import diagram
 from linkinv.corpus import load_corpus
 from linkinv.diagram import (
     MAX_STRANDS,
@@ -12,6 +13,7 @@ from linkinv.diagram import (
     ParseError,
     SingularLink,
     braid_closure,
+    far_ends,
     parse_braid,
     parse_pd,
     parse_singular,
@@ -390,3 +392,26 @@ def test_surgery_matches_union_find_oracle():
                 assert d.component(i) == uf_delete(d, {i}), (d, i)
                 checked += 2
     assert checked > 5000
+
+
+def test_surgery_builds_one_far_end_table(monkeypatch):
+    # each surgery relinks one table of far ends and walks it from the kept
+    # crossings, instead of building a second one for the walk; a switch
+    # builds none
+    calls = []
+
+    def counting(crossings):
+        calls.append(len(crossings))
+        return far_ends(crossings)
+
+    monkeypatch.setattr(diagram, "far_ends", counting)
+    for d in surgery_diagrams()[:60]:
+        for ci in range(len(d.crossings)):
+            for surgery, want in ((d.switch, 0), (d.smooth_oriented, 1), (d.smooth_infinity, 1)):
+                calls.clear()
+                surgery(ci)
+                assert calls == [len(d.crossings)] * want, (d, ci, surgery.__name__)
+        for i in range(d.m if d.m > 1 else 0):
+            calls.clear()
+            d.delete_component(i)
+            assert calls == [len(d.crossings)], (d, i)

@@ -25,6 +25,7 @@ from linkinv.diagram import (
 )
 from linkinv.skein import (
     DEFAULT_BUDGET,
+    ResourceError,
     SkeinBudgetError,
     _descend,
     _faces,
@@ -258,6 +259,15 @@ def test_budget_error():
         assert info.value.engine == name
         assert info.value.budget == 2
         assert str(info.value) == f"{name} skein node budget of 2 exceeded"
+
+
+@pytest.mark.parametrize("name,engine", [("homfly", homfly), ("dubrovnik", kauffman_f)])
+def test_budget_error_is_a_resource_error(name, engine):
+    # the CLI's exit 3 catches the one ResourceError
+    with pytest.raises(ResourceError) as info, scope(2):
+        engine(borromean())
+    assert type(info.value) is SkeinBudgetError
+    assert (info.value.engine, info.value.budget) == (name, 2)
 
 
 ENGINES = [("homfly", homfly), ("dubrovnik", dubrovnik), ("dubrovnik", kauffman_f)]
