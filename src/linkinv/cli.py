@@ -41,7 +41,10 @@ def _read_diagram(args):
             text = fh.read()
     colors = None
     if args.colors:
-        colors = tuple(int(c) for c in args.colors.split(","))
+        try:
+            colors = tuple(int(c) for c in args.colors.split(","))
+        except ValueError:
+            raise DiagramError(f"--colors takes comma-separated integers, not {args.colors!r}")
     if text.lstrip().startswith("braid("):
         d = braid_closure(parse_braid(text), colors=colors)
     else:

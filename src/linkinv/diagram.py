@@ -7,7 +7,10 @@ is explicit: every component is an ordered cycle of arcs, and the crossing
 sign is recomputed from orientation plus over/under data (positive exactly
 when the over-strand enters at slot 3).
 
-Diagrams are immutable; all surgery operations return new values.
+Diagrams are immutable; all surgery operations return new values.  Only
+outside input is validated (`LinkDiagram(...)`, the parsers, the braid
+closure, `recolor`); surgery on a validated diagram builds its result with
+the trusted `LinkDiagram._make`.
 """
 
 from __future__ import annotations
@@ -61,33 +64,24 @@ def relink(flat, other, a, b) -> bool:
     return True
 
 
-def parts(other):
-    """The crossings of each connected part of the diagram graph, found by
-    following the far ends `other`: each part in index order, parts by
-    first crossing."""
-    found = [False] * (len(other) >> 2)
-    groups = []
-    for c in range(len(found)):
-        if not found[c]:
-            found[c] = True
-            group = [c]
-            for x in group:
-                for i in range(4 * x, 4 * x + 4):
-                    y = other[i] >> 2
-                    if not found[y]:
-                        found[y] = True
-                        group.append(y)
-            groups.append(sorted(group))
-    return groups
-
-
 def disconnected(d: "LinkDiagram", other) -> bool:
     """`LinkDiagram.is_split` from the far ends `other` of d's crossings,
     for a caller that has built them."""
     if d.m <= 1:
         return False
-    # a crossing-free circle next to anything else is split
-    return bool(d._free_loops(())) or len(parts(other)) > 1
+    if d._free_loops(()):
+        return True  # a crossing-free circle next to anything else is split
+    # the crossings reached from crossing 0 along the far ends
+    found = bytearray(len(other) >> 2)
+    found[0] = 1
+    reached = [0]
+    for x in reached:
+        for i in range(4 * x, 4 * x + 4):
+            y = other[i] >> 2
+            if not found[y]:
+                found[y] = 1
+                reached.append(y)
+    return len(reached) < len(found)
 
 
 def _walk(flat, other, entry):
@@ -153,6 +147,9 @@ class LinkDiagram:
     components: tuple of arc cycles in traversal order; a crossing-free
         unknot component is a 1-cycle whose arc appears in no crossing.
     colors: one color per component, onto {1..n}.
+
+    The constructor validates its arguments and derives the over-strand
+    directions; surgery results come from `_make`, which derives only.
     """
 
     __slots__ = ("crossings", "components", "colors", "name",
@@ -165,23 +162,39 @@ class LinkDiagram:
         for attr, value in (("crossings", crossings), ("components", components),
                             ("colors", colors), ("name", name)):
             object.__setattr__(self, attr, value)
-        self._validate(tuple(over_in) if over_in is not None else None)
+        self._derive(self._validate(tuple(over_in) if over_in is not None else None))
+
+    @classmethod
+    def _make(cls, crossings, components, colors, over_in, name=None) -> "LinkDiagram":
+        """Trusted constructor for surgery on a validated diagram: the
+        arguments are tuples of ints that `_validate` would accept, so only
+        the derived fields are computed."""
+        self = object.__new__(cls)
+        for attr, value in (("crossings", crossings), ("components", components),
+                            ("colors", colors), ("name", name)):
+            object.__setattr__(self, attr, value)
+        self._derive(over_in)
+        return self
 
     def __setattr__(self, *args):
         raise AttributeError("LinkDiagram is immutable")
 
     # -- validation ----------------------------------------------------------
 
-    def _validate(self, over_in_hint):
-        occurrences: dict = {}
-        for ci, rec in enumerate(self.crossings):
+    def _validate(self, hint):
+        """Check outside input and return its over-strand directions.
+
+        The directions live on the slots of the `far_ends` table: +1 where
+        the strand enters, -1 where it leaves, 0 while unknown.  The
+        under-strand enters at slot 0; the over-strand's entry comes from
+        the hint or is inferred from the component order."""
+        crossings = self.crossings
+        for ci, rec in enumerate(crossings):
             if len(rec) != 4:
                 raise DiagramError(f"crossing {ci} does not have 4 slots")
-            for s, arc in enumerate(rec):
-                occurrences.setdefault(arc, []).append((ci, s))
+        flat, other = far_ends(crossings)
 
-        comp_of_arc = {}
-        succ = {}
+        comp_of_arc, succ = {}, {}
         for k, cyc in enumerate(self.components):
             if not cyc:
                 raise DiagramError(f"component {k} is empty")
@@ -189,102 +202,91 @@ class LinkDiagram:
                 if arc in comp_of_arc:
                     raise DiagramError(f"arc {arc} listed in two components")
                 comp_of_arc[arc] = k
-                succ[arc] = cyc[(i + 1) % len(cyc)]
-        for arc, occ in occurrences.items():
+                succ[arc] = cyc[i + 1 - len(cyc)]
+        for i, arc in enumerate(flat):
             if arc not in comp_of_arc:
                 raise DiagramError(f"arc {arc} appears in a crossing but in no component")
-            if len(occ) != 2:
-                raise DiagramError(f"arc {arc} used {len(occ)} times in crossings, expected 2")
+            if other[i] == i or other[other[i]] != i:
+                raise DiagramError(
+                    f"arc {arc} used {flat.count(arc)} times in crossings, expected 2")
+        used = set(flat)
         for k, cyc in enumerate(self.components):
-            if len(cyc) == 1 and cyc[0] not in occurrences:
-                continue  # crossing-free unknot component
-            for arc in cyc:
-                if arc not in occurrences:
-                    raise DiagramError(f"arc {arc} of component {k} touches no crossing")
+            loose = [arc for arc in cyc if arc not in used]
+            if loose and len(cyc) > 1:  # a one-arc component may be crossing-free
+                raise DiagramError(f"arc {loose[0]} of component {k} touches no crossing")
 
-        heads: dict = {}
-        tails: dict = {}
+        way = [0] * len(flat)
 
-        def set_head(arc, pos):
-            if arc in heads:
-                raise DiagramError(f"arc {arc} has two incoming ends")
-            heads[arc] = pos
+        def enter(ci, s):
+            # the strand enters crossing ci at slot s and leaves at s ^ 2
+            for i, d, end in ((4 * ci + s, 1, "incoming"), (4 * ci + (s ^ 2), -1, "outgoing")):
+                if way[other[i]] == d:
+                    raise DiagramError(f"arc {flat[i]} has two {end} ends")
+                way[i] = d
 
-        def set_tail(arc, pos):
-            if arc in tails:
-                raise DiagramError(f"arc {arc} has two outgoing ends")
-            tails[arc] = pos
-
-        # Under transits are forced by the record convention.
-        for ci, rec in enumerate(self.crossings):
-            if succ.get(rec[UNDER_IN]) != rec[UNDER_OUT]:
+        for ci, rec in enumerate(crossings):
+            if succ[rec[UNDER_IN]] != rec[UNDER_OUT]:
                 raise DiagramError(
                     f"crossing {ci}: under-strand {rec[UNDER_IN]}->{rec[UNDER_OUT]} "
                     "contradicts component orientation")
-            set_head(rec[UNDER_IN], (ci, UNDER_IN))
-            set_tail(rec[UNDER_OUT], (ci, UNDER_OUT))
+            enter(ci, UNDER_IN)
 
-        over_in = [None] * len(self.crossings)
-        if over_in_hint is not None:
-            if len(over_in_hint) != len(self.crossings):
+        if hint is not None:
+            if len(hint) != len(crossings):
                 raise DiagramError("over_in hint length mismatch")
-            for ci, s in enumerate(over_in_hint):
+            for ci, (rec, s) in enumerate(zip(crossings, hint)):
                 if s not in (1, 3):
                     raise DiagramError("over_in entries must be 1 or 3")
-                rec = self.crossings[ci]
-                if succ.get(rec[s]) != rec[(s + 2) % 4]:
+                if succ[rec[s]] != rec[s ^ 2]:
                     raise DiagramError(
                         f"crossing {ci}: declared over-strand direction "
                         "contradicts component orientation")
-                set_head(rec[s], (ci, s))
-                set_tail(rec[(s + 2) % 4], (ci, (s + 2) % 4))
-                over_in[ci] = s
+                enter(ci, s)
         else:
-            # Infer over-strand directions by constraint propagation; a
-            # direction is possible when it matches the component successor
-            # and neither end is already claimed.
-            undecided = set(range(len(self.crossings)))
+            # a direction is possible when it matches the component
+            # successor and neither far end is already claimed the same way
             progress = True
-            while undecided and progress:
+            while progress:
                 progress = False
-                for ci in sorted(undecided):
-                    rec = self.crossings[ci]
-                    p, q = rec[1], rec[3]
-                    can1 = succ.get(p) == q and p not in heads and q not in tails
-                    can3 = succ.get(q) == p and q not in heads and p not in tails
+                for ci, rec in enumerate(crossings):
+                    if way[4 * ci + 1]:
+                        continue
+                    far1, far3 = way[other[4 * ci + 1]], way[other[4 * ci + 3]]
+                    can1 = succ[rec[1]] == rec[3] and far1 != 1 and far3 != -1
+                    can3 = succ[rec[3]] == rec[1] and far3 != 1 and far1 != -1
                     if not can1 and not can3:
                         raise DiagramError(
                             f"crossing {ci}: over-strand direction inconsistent "
                             "with component orientation")
                     if can1 != can3:
-                        s = 1 if can1 else 3
-                        set_head(rec[s], (ci, s))
-                        set_tail(rec[(s + 2) % 4], (ci, (s + 2) % 4))
-                        over_in[ci] = s
-                        undecided.discard(ci)
+                        enter(ci, 1 if can1 else 3)
                         progress = True
+            undecided = [ci for ci in range(len(crossings)) if not way[4 * ci + 1]]
             if undecided:
                 raise DiagramError(
-                    "over-strand direction ambiguous at crossings "
-                    f"{sorted(undecided)}; construct the diagram with over_in")
+                    f"over-strand direction ambiguous at crossings {undecided}; "
+                    "construct the diagram with over_in")
 
-        for arc in occurrences:
-            if arc not in heads or arc not in tails:
-                raise DiagramError(f"arc {arc} is missing an endpoint assignment")
-
-        m = len(self.components)
-        if len(self.colors) != m:
+        if len(self.colors) != len(self.components):
             raise DiagramError("coloring arity mismatch: one color per component required")
         palette = sorted(set(self.colors))
         if palette != list(range(1, len(palette) + 1)):
             raise DiagramError("coloring must be onto {1..n}")
+        return tuple(1 if way[4 * ci + 1] == 1 else 3 for ci in range(len(crossings)))
 
+    def _derive(self, over_in):
+        """Set the fields that follow from the crossings, the components
+        and the over-strand directions."""
+        heads, tails = {}, {}
+        for ci, rec in enumerate(self.crossings):
+            o = over_in[ci]
+            heads[rec[UNDER_IN]], heads[rec[o]] = (ci, UNDER_IN), (ci, o)
+            tails[rec[UNDER_OUT]], tails[rec[o ^ 2]] = (ci, UNDER_OUT), (ci, o ^ 2)
         signs = tuple(1 if o == 3 else -1 for o in over_in)
-        object.__setattr__(self, "heads", heads)
-        object.__setattr__(self, "tails", tails)
-        object.__setattr__(self, "over_in", tuple(over_in))
-        object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "comp_of_arc", comp_of_arc)
+        comp_of_arc = {arc: k for k, cyc in enumerate(self.components) for arc in cyc}
+        for attr, value in (("over_in", over_in), ("signs", signs), ("heads", heads),
+                            ("tails", tails), ("comp_of_arc", comp_of_arc)):
+            object.__setattr__(self, attr, value)
 
     # -- basics ----------------------------------------------------------
 
@@ -366,11 +368,12 @@ class LinkDiagram:
     def monochrome(self) -> "LinkDiagram":
         if all(c == 1 for c in self.colors):
             return self
-        return self.recolor((1,) * self.m)
+        return LinkDiagram._make(self.crossings, self.components, (1,) * self.m,
+                                 self.over_in, self.name)
 
     def with_name(self, name) -> "LinkDiagram":
-        return LinkDiagram(self.crossings, self.components, self.colors, name,
-                           over_in=self.over_in)
+        return LinkDiagram._make(self.crossings, self.components, self.colors,
+                                 self.over_in, name)
 
     # -- surgery -------------------------------------------------------------
 
@@ -390,7 +393,7 @@ class LinkDiagram:
             new_over = 3
         crossings = self.crossings[:ci] + (new,) + self.crossings[ci + 1:]
         over_in = self.over_in[:ci] + (new_over,) + self.over_in[ci + 1:]
-        return LinkDiagram(crossings, self.components, self.colors, over_in=over_in)
+        return LinkDiagram._make(crossings, self.components, self.colors, over_in)
 
     def smooth_oriented(self, ci: int) -> "LinkDiagram":
         """Oriented smoothing; the component count changes by exactly one."""
@@ -412,15 +415,15 @@ class LinkDiagram:
         crossing) by `relink`, and forget the arcs in `gone` (those of
         deleted components).
 
-        The labels are canonical, so the output is deterministic and one
-        diagram reached by different surgeries gets one `conway` memo key
-        (`skein._key`): a joined arc keeps the least label it absorbed, a
-        pair that is already one arc closes off a crossing-free circle,
-        each component starts at its minimal arc and components are ordered
-        by it, a component takes the least color of the arcs it absorbed,
-        and colors are renumbered onto 1..n in their old order.
-        With `reorient` the directions are re-derived by walking each
-        cycle from its minimal arc (the unoriented smoothing).
+        The labels are canonical, so the output is deterministic (the
+        union-find oracle of the tests pins it): a joined arc keeps the
+        least label it absorbed, a pair that is already one arc closes off
+        a crossing-free circle, each component starts at its minimal arc
+        and components are ordered by it, a component takes the least color
+        of the arcs it absorbed, and colors are renumbered onto 1..n in
+        their old order.  With `reorient` the directions are re-derived by
+        walking each cycle from its minimal arc (the unoriented smoothing).
+        The result is built by `_make`, unchecked.
         """
         flat, other = far_ends(self.crossings)
         hue = {arc: self.colors[k] for arc, k in self.comp_of_arc.items()}  # arc -> least color
@@ -444,7 +447,7 @@ class LinkDiagram:
         comps += [(arc,) for arc in loops]
         colors = [min(hue[a] for a in cyc) for cyc in comps]
         comps, colors = self._canon_components(comps, colors)
-        return LinkDiagram(crossings, comps, colors, over_in=over_in)
+        return LinkDiagram._make(tuple(crossings), comps, colors, tuple(over_in))
 
     def _free_loops(self, skip_arcs):
         return [cyc[0] for cyc in self.components
@@ -453,12 +456,10 @@ class LinkDiagram:
     @staticmethod
     def _canon_components(comps, colors):
         def rotated(cyc):
-            if len(cyc) <= 1:
-                return tuple(cyc)
             i = cyc.index(min(cyc))
-            return tuple(cyc[i:] + cyc[:i])
+            return cyc[i:] + cyc[:i]
 
-        comps = [rotated(list(c)) for c in comps]
+        comps = [rotated(tuple(c)) for c in comps]
         order = sorted(range(len(comps)), key=lambda k: comps[k][0])
         comps = tuple(comps[k] for k in order)
         colors = [colors[k] for k in order]
@@ -487,7 +488,7 @@ class LinkDiagram:
         comps = list(self.components)
         comps[i] = tuple(reversed(cyc))
         comps, colors = self._canon_components(comps, self.colors)
-        return LinkDiagram(new_crossings, comps, colors, over_in=over_in)
+        return LinkDiagram._make(tuple(new_crossings), comps, colors, tuple(over_in))
 
     def delete_component(self, i: int) -> "LinkDiagram":
         """Remove one component, healing the crossings it participated in."""
@@ -546,7 +547,7 @@ class LinkDiagram:
         cyc_a = list(self.components[i])
         cyc_b = list(b_comps[j])
         a_free = cyc_a[0] not in self.heads
-        b_free = b_comps[j][0] not in {x + shift for x in other.heads}
+        b_free = other.components[j][0] not in other.heads
 
         crossings = self.crossings + tuple(b_cross)
         rest_comps = [c for k, c in enumerate(self.components) if k != i] + \
@@ -580,8 +581,7 @@ class LinkDiagram:
         comps = [merged] + rest_comps
         colors = [self.colors[i]] + rest_colors
         comps2, colors2 = self._canon_components(comps, colors)
-        return LinkDiagram(crossings, comps2, colors2,
-                           over_in=self.over_in + other.over_in)
+        return LinkDiagram._make(crossings, comps2, colors2, self.over_in + other.over_in)
 
     # -- rendering -----------------------------------------------------------
 
@@ -812,13 +812,9 @@ def braid_closure(b: BraidWord, colors=None, name=None) -> LinkDiagram:
     link and 'braid(2): 1 1 1' the positive trefoil).
     """
     n = b.strands
-    next_arc = 1
-    current = []
-    start = []
-    for _ in range(n):
-        current.append(next_arc)
-        start.append(next_arc)
-        next_arc += 1
+    start = list(range(1, n + 1))
+    current = start[:]
+    next_arc = n + 1
     crossings = []
     for w in b.word:
         i = abs(w) - 1
@@ -836,15 +832,9 @@ def braid_closure(b: BraidWord, colors=None, name=None) -> LinkDiagram:
     crossings = [tuple(rename.get(a, a) for a in rec) for rec in crossings]
     # over-in slot per record construction: positive -> slot 3, negative -> slot 1
     over_in = [3 if w > 0 else 1 for w in b.word]
-    comps = _trace_oriented(crossings, over_in)
     # strands that never cross become free loops
-    crossing_arcs = {a for rec in crossings for a in rec}
-    for p in range(n):
-        if start[p] not in crossing_arcs and start[p] == current[p]:
-            comps.append((start[p],))
+    comps = _trace_oriented(crossings, over_in) + [(a,) for a, b in zip(start, current) if a == b]
     comps, _ = LinkDiagram._canon_components(comps, [1] * len(comps))
     if colors is None:
         colors = (1,) * len(comps)
-    if len(colors) != len(comps):
-        raise DiagramError("coloring arity mismatch for braid closure")
     return LinkDiagram(crossings, comps, colors, name, over_in=over_in)

@@ -8,12 +8,179 @@ from math import comb, factorial, lcm
 from linkinv.alexander import PotentialFunction
 from linkinv.algebra import LaurentPolynomial, TruncatedSeries, _pack, _unpack, fox_determinant
 from linkinv.cli import cmd_decompose, cmd_invariants, cmd_polys, cmd_verify
-from linkinv.diagram import UNDER_IN, UNDER_OUT, LinkDiagram, _trace_oriented, \
+from linkinv.diagram import UNDER_IN, UNDER_OUT, DiagramError, LinkDiagram, _trace_oriented, \
     _trace_unoriented, far_ends
 from linkinv.skein import _CORNERS, _DELTA_D, _DELTA_H, _FLIPPED, _HOMFLY_FACTORS, _X, _Y, \
     _descend, _faces, _key
 from linkinv.suites import SUITES
 from linkinv.transforms import DEFAULT_CAP, _CH, SeriesWithPole, _pascal, _read_off, _sinh_unit
+
+
+def dict_validate(self, over_in_hint):
+    """The oracle for `LinkDiagram._validate`, as it was before it moved
+    onto the far-end table: per-arc dicts of occurrences, successors,
+    heads and tails.  `self` is any object with crossings, components and
+    colors; the derived fields are set on it."""
+    occurrences: dict = {}
+    for ci, rec in enumerate(self.crossings):
+        if len(rec) != 4:
+            raise DiagramError(f"crossing {ci} does not have 4 slots")
+        for s, arc in enumerate(rec):
+            occurrences.setdefault(arc, []).append((ci, s))
+
+    comp_of_arc = {}
+    succ = {}
+    for k, cyc in enumerate(self.components):
+        if not cyc:
+            raise DiagramError(f"component {k} is empty")
+        for i, arc in enumerate(cyc):
+            if arc in comp_of_arc:
+                raise DiagramError(f"arc {arc} listed in two components")
+            comp_of_arc[arc] = k
+            succ[arc] = cyc[(i + 1) % len(cyc)]
+    for arc, occ in occurrences.items():
+        if arc not in comp_of_arc:
+            raise DiagramError(f"arc {arc} appears in a crossing but in no component")
+        if len(occ) != 2:
+            raise DiagramError(f"arc {arc} used {len(occ)} times in crossings, expected 2")
+    for k, cyc in enumerate(self.components):
+        if len(cyc) == 1 and cyc[0] not in occurrences:
+            continue  # crossing-free unknot component
+        for arc in cyc:
+            if arc not in occurrences:
+                raise DiagramError(f"arc {arc} of component {k} touches no crossing")
+
+    heads: dict = {}
+    tails: dict = {}
+
+    def set_head(arc, pos):
+        if arc in heads:
+            raise DiagramError(f"arc {arc} has two incoming ends")
+        heads[arc] = pos
+
+    def set_tail(arc, pos):
+        if arc in tails:
+            raise DiagramError(f"arc {arc} has two outgoing ends")
+        tails[arc] = pos
+
+    # Under transits are forced by the record convention.
+    for ci, rec in enumerate(self.crossings):
+        if succ.get(rec[UNDER_IN]) != rec[UNDER_OUT]:
+            raise DiagramError(
+                f"crossing {ci}: under-strand {rec[UNDER_IN]}->{rec[UNDER_OUT]} "
+                "contradicts component orientation")
+        set_head(rec[UNDER_IN], (ci, UNDER_IN))
+        set_tail(rec[UNDER_OUT], (ci, UNDER_OUT))
+
+    over_in = [None] * len(self.crossings)
+    if over_in_hint is not None:
+        if len(over_in_hint) != len(self.crossings):
+            raise DiagramError("over_in hint length mismatch")
+        for ci, s in enumerate(over_in_hint):
+            if s not in (1, 3):
+                raise DiagramError("over_in entries must be 1 or 3")
+            rec = self.crossings[ci]
+            if succ.get(rec[s]) != rec[(s + 2) % 4]:
+                raise DiagramError(
+                    f"crossing {ci}: declared over-strand direction "
+                    "contradicts component orientation")
+            set_head(rec[s], (ci, s))
+            set_tail(rec[(s + 2) % 4], (ci, (s + 2) % 4))
+            over_in[ci] = s
+    else:
+        # Infer over-strand directions by constraint propagation; a
+        # direction is possible when it matches the component successor
+        # and neither end is already claimed.
+        undecided = set(range(len(self.crossings)))
+        progress = True
+        while undecided and progress:
+            progress = False
+            for ci in sorted(undecided):
+                rec = self.crossings[ci]
+                p, q = rec[1], rec[3]
+                can1 = succ.get(p) == q and p not in heads and q not in tails
+                can3 = succ.get(q) == p and q not in heads and p not in tails
+                if not can1 and not can3:
+                    raise DiagramError(
+                        f"crossing {ci}: over-strand direction inconsistent "
+                        "with component orientation")
+                if can1 != can3:
+                    s = 1 if can1 else 3
+                    set_head(rec[s], (ci, s))
+                    set_tail(rec[(s + 2) % 4], (ci, (s + 2) % 4))
+                    over_in[ci] = s
+                    undecided.discard(ci)
+                    progress = True
+        if undecided:
+            raise DiagramError(
+                "over-strand direction ambiguous at crossings "
+                f"{sorted(undecided)}; construct the diagram with over_in")
+
+    for arc in occurrences:
+        if arc not in heads or arc not in tails:
+            raise DiagramError(f"arc {arc} is missing an endpoint assignment")
+
+    m = len(self.components)
+    if len(self.colors) != m:
+        raise DiagramError("coloring arity mismatch: one color per component required")
+    palette = sorted(set(self.colors))
+    if palette != list(range(1, len(palette) + 1)):
+        raise DiagramError("coloring must be onto {1..n}")
+
+    signs = tuple(1 if o == 3 else -1 for o in over_in)
+    object.__setattr__(self, "heads", heads)
+    object.__setattr__(self, "tails", tails)
+    object.__setattr__(self, "over_in", tuple(over_in))
+    object.__setattr__(self, "signs", signs)
+    object.__setattr__(self, "comp_of_arc", comp_of_arc)
+
+
+def mutated_inputs(diagrams, rng, count):
+    """`count` (crossings, components, colors, over_in) inputs, each one
+    of `diagrams` with one or two random faults: an arc rewritten, a record
+    rotated, permuted or cut short, a component reversed, shortened or
+    given a new arc, the over_in hint corrupted or dropped, or a color
+    changed or dropped.  Some stay valid."""
+    out = []
+    for _ in range(count):
+        d = rng.choice(diagrams)
+        crossings = [list(rec) for rec in d.crossings]
+        components = [list(cyc) for cyc in d.components]
+        colors = list(d.colors)
+        over_in = list(d.over_in)
+        arcs = d.arcs() or [1]
+        for _ in range(rng.randint(1, 2)):
+            fault = rng.randrange(10)
+            if fault == 0 and crossings:
+                rec = rng.choice(crossings)
+                rec[rng.randrange(len(rec))] = rng.choice(arcs + [max(arcs) + 1])
+            elif fault == 1 and crossings:
+                rec = rng.choice(crossings)
+                k = rng.randrange(1, len(rec))
+                rec[:] = rec[k:] + rec[:k]
+            elif fault == 2 and crossings:
+                rng.shuffle(rng.choice(crossings))
+            elif fault == 3:
+                cyc = rng.choice(components)
+                cyc.reverse()
+                if over_in and rng.random() < 0.5:  # and its over-strands' hints
+                    over_in = [4 - o if rec[1] in cyc else o for o, rec in zip(over_in, crossings)]
+            elif fault == 4:
+                cyc = rng.choice(components)
+                del cyc[rng.randrange(len(cyc) or 1):]
+            elif fault == 5 and over_in:
+                over_in[rng.randrange(len(over_in))] = rng.choice((0, 1, 2, 3))
+            elif fault == 6 and over_in is not None:
+                over_in = None if rng.random() < 0.8 else over_in[:-1]
+            elif fault == 7 and colors:
+                colors[rng.randrange(len(colors))] = rng.randint(1, len(colors) + 1)
+            elif fault == 8 and colors:
+                (rng.choice(crossings) if crossings and rng.random() < 0.5 else colors).pop()
+            elif fault == 9:
+                cyc = rng.choice(components)
+                cyc.insert(rng.randint(0, len(cyc)), max(arcs) + 1)
+        out.append((crossings, components, colors, over_in))
+    return out
 
 
 def uf_find(parent: dict, a):

@@ -302,6 +302,29 @@ def test_huge_colour_exits_2_without_counting_up_to_it(tmp_path, capsys, name, t
     assert (code, out, err) == (2, "", "error: coloring must be onto {1..n}\n")
 
 
+@pytest.mark.parametrize("value", ["a,b", "2,1,", "1,,2"])
+def test_colors_that_are_not_integers_exit_2_naming_the_option(tmp_path, capsys, value):
+    path = tmp_path / "hopf.braid"
+    path.write_text("braid(2): 1 1\n")
+    code, out, err = run(capsys, "polys", str(path), "--which", "omega", "--colors", value)
+    assert (code, out, err) == (
+        2, "", f"error: --colors takes comma-separated integers, not {value!r}\n")
+
+
+@pytest.mark.parametrize("name,text,flags", [
+    ("hopf.braid", "braid(2): 1 1\n", ["--colors", "1,2,3"]),
+    ("hopf.pd", HOPF_CROSSINGS + "components: [[1,2],[3,4]]\ncolors: [1,2,3]\n", []),
+    ("hopf-flag.pd", HOPF_CROSSINGS + "components: [[1,2],[3,4]]\n", ["--colors", "1"]),
+], ids=["braid", "pd", "pd-flag"])
+def test_wrong_colour_count_is_one_message(tmp_path, capsys, name, text, flags):
+    # a braid closure and a PD input are checked by the same validator
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, "polys", str(path), "--which", "omega", *flags)
+    assert (code, out, err) == (
+        2, "", "error: coloring arity mismatch: one color per component required\n")
+
+
 @pytest.mark.parametrize("command", [
     ["invariants"], ["invariants", "--json"], ["decompose"],
     *[["polys", "--which", which] for which in ("conway", "homfly", "kauffman", "omega", "nbl")],

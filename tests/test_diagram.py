@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from linkinv.diagram import (
     MAX_STRANDS,
     BraidWord,
     DiagramError,
+    LinkDiagram,
     ParseError,
     SingularLink,
     braid_closure,
@@ -19,7 +21,8 @@ from linkinv.diagram import (
     parse_singular,
 )
 
-from helpers import disjoint_union, record_switch, uf_delete, uf_smooth
+from helpers import dict_validate, disjoint_union, mutated_inputs, record_switch, uf_delete, \
+    uf_smooth
 
 HOPF_PD = """
 X[1,3,2,4] X[3,1,4,2]
@@ -250,8 +253,9 @@ def test_braid_permutation():
 
 
 def test_random_surgery_fuzz():
-    # every surgery revalidates the full structure; a long random walk over
-    # switch/smooth/reverse/delete must never produce an invalid diagram
+    # surgery builds without a check, so the parse of each rendering is what
+    # revalidates: a long random walk over switch/smooth/reverse/delete must
+    # never produce an invalid diagram
     import random
     rng = random.Random(20240810)
     for trial in range(60):
@@ -415,3 +419,67 @@ def test_surgery_builds_one_far_end_table(monkeypatch):
             calls.clear()
             d.delete_component(i)
             assert calls == [len(d.crossings)], (d, i)
+
+
+def test_validate_matches_dict_oracle_on_mutated_inputs():
+    # the far-end validator accepts and rejects what the per-arc dict
+    # validator did, and derives the same fields from what it accepts
+    inputs = mutated_inputs(surgery_diagrams(), random.Random(20261101), 4000)
+    # the second component is over at all its crossings, so only the hint's
+    # successor check sees it reversed
+    d = braid_closure(BraidWord(2, [1, -1, 1, -1]))
+    inputs.append((d.crossings, [d.components[0], d.components[1][::-1]], d.colors, d.over_in))
+    accepted = 0
+    for crossings, components, colors, over_in in inputs:
+        old = SimpleNamespace(crossings=tuple(map(tuple, crossings)),
+                              components=tuple(map(tuple, components)), colors=tuple(colors))
+        hint = tuple(over_in) if over_in is not None else None
+        try:
+            dict_validate(old, hint)
+        except DiagramError:
+            with pytest.raises(DiagramError):
+                LinkDiagram(crossings, components, colors, over_in=over_in)
+            continue
+        new = LinkDiagram(crossings, components, colors, over_in=over_in)
+        derived = ("over_in", "signs", "heads", "tails", "comp_of_arc")
+        assert [getattr(old, f) for f in derived] == [getattr(new, f) for f in derived], \
+            (crossings, components, colors, over_in)
+        accepted += 1
+    assert 400 < accepted < 3600
+
+
+def _fields(d):
+    return [getattr(d, f) for f in LinkDiagram.__slots__]
+
+
+def _same_as_validated(d, colors=None, name=None):
+    # d against the full check of its own fields, or of d's records with
+    # the given colors or name
+    full = LinkDiagram(d.crossings, d.components, colors or d.colors, name or d.name,
+                       over_in=d.over_in)
+    return _fields(d) == _fields(full)
+
+
+def test_make_results_match_the_validating_constructor():
+    # every surgery result built by _make is what the full check derives
+    # from its crossings, components, colors and directions, field by field
+    checked = 0
+    for d in surgery_diagrams():
+        results = [f(ci) for ci in range(len(d.crossings))
+                   for f in (d.switch, d.smooth_oriented, d.smooth_infinity)]
+        results += [f(i) for i in range(d.m) for f in (d.reverse_component, d.component)]
+        results += [d.delete_component(i) for i in range(d.m)]
+        for r in results:
+            assert _same_as_validated(r), (d, r)
+        assert _same_as_validated(d.with_name("renamed"), name="renamed")
+        assert _same_as_validated(d.with_name("renamed").monochrome(), colors=(1,) * d.m,
+                                  name="renamed")
+        checked += len(results) + 2
+    trefoil = braid_closure(BraidWord(2, [1, 1, 1]))
+    fig8 = braid_closure(BraidWord(3, [1, -2, 1, -2]))
+    for e in load_corpus():
+        for knot in (trefoil, fig8):
+            for comp in range(e.link.m):
+                assert _same_as_validated(e.link.connected_sum(knot, comp, 0)), (e.name, comp)
+                checked += 1
+    assert checked > 8000
