@@ -38,7 +38,6 @@ from .finitetype import (
     type_falsify,
 )
 from .invariants import (
-    InvariantReport,
     UndefinedInvariantError,
     alpha_coeffs,
     beta_hat,

@@ -32,6 +32,10 @@ EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
+# the largest --cap: the series work grows without limit in the cap and
+# never reaches a node budget, so a larger one is refused as input
+MAX_CAP = 64
+
 
 def _read_diagram(args):
     if args.input == "-":
@@ -58,13 +62,11 @@ def cmd_invariants(args) -> int:
     d = _read_diagram(args)
     report = build_report(d, args.cap)
     if args.json:
-        print(report.to_json())
+        print(json.dumps(report, indent=2))
     else:
-        data = report.to_json_dict()
-        for key, value in data.items():
-            if value is None or key == "schema":
-                continue
-            print(f"{key}: {value}")
+        for key, value in report.items():
+            if value is not None and key != "schema":
+                print(f"{key}: {value}")
     return EXIT_OK
 
 
@@ -135,7 +137,7 @@ def cmd_verify(args) -> int:
 _REQUIRED = object()
 _INPUT = "diagram file (PD or braid grammar), or - for stdin"
 _COMMON = {
-    "--cap": (int, DEFAULT_CAP, "total-degree bound for series (default 12)"),
+    "--cap": (int, DEFAULT_CAP, f"total-degree bound for series, at most {MAX_CAP} (default 12)"),
     "--json": (bool, False, "machine-readable output"),
     "--budget": (int, None, "skein node budget of HOMFLY and Dubrovnik/Kauffman "
                             "(default 10^6); nothing else spends it"),
@@ -231,6 +233,8 @@ def _value(name, option, kind, text):
             _fail(name, f"argument {option}: invalid int value: {text!r}")
         if value < 0:
             _fail(name, f"argument {option}: cap and budget must be >= 0, got {value}")
+        if option == "--cap" and value > MAX_CAP:
+            _fail(name, f"argument {option}: cap must be <= {MAX_CAP}, got {value}")
         return value
     if kind is not str and text not in kind:
         choices = ", ".join(map(repr, kind))

@@ -1,10 +1,11 @@
 """Named numeric invariants read off the polynomial and series layer,
-with the cross-identities between them enforced as built-in validators."""
+with the cross-identities between them enforced as built-in validators.
+
+`build_report` returns the `linkinv-report-1` dict that `linkinv
+invariants --json` prints."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -14,12 +15,12 @@ from .diagram import LinkDiagram
 from .skein import conway
 from .transforms import (
     DEFAULT_CAP,
+    CoefficientTable,
     component_conways,
     decompose,
     potential_series,
     reduced_polynomial,
     starred_inverse,
-    table_from_series,
     zvars,
 )
 
@@ -125,9 +126,9 @@ def _tables(d: LinkDiagram, om, reduced, comps, cap: int):
     series = potential_series(om, cap).series
     inverse = starred_inverse(comps, zvars(2), cap)
     reduced = TruncatedSeries.from_laurent(reduced, cap)
-    c_table = table_from_series(series, "potential-series")
-    a_table = table_from_series(series * inverse, "potential-series-quotient")
-    d_table = table_from_series(reduced * inverse, "reduced-quotient")
+    c_table = CoefficientTable(dict(series.terms))
+    a_table = CoefficientTable(dict((series * inverse).terms))
+    d_table = CoefficientTable(dict((reduced * inverse).terms))
     if any(v.denominator != 1 for v in d_table.entries.values()):
         raise ArithmeticError("reduced quotient is not integral")
 
@@ -272,103 +273,55 @@ MU_BAR_NOTE = (
 )
 
 
-@dataclass
-class InvariantReport:
-    """Everything the pipeline can say about one link, exact throughout."""
-
-    name: str
-    components: int
-    colors: tuple
-    linking_matrix: list
-    conway: str
-    c_coeffs: list
-    alpha_coeffs: list
-    omega: str
-    omega_sign_provenance: str
-    reduced: str | None = None
-    series_cap: int = DEFAULT_CAP
-    c_table: dict | None = None
-    alpha_table: dict | None = None
-    delta_table: dict | None = None
-    betas: dict | None = None
-    beta_hats: dict | None = None
-    sato_levine_unoriented: str | None = None
-    casson_walker: str | None = None
-    gamma: str | None = None
-    congruences: list | None = None
-    notes: list = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        def table(t):
-            if t is None:
-                return None
-            return {f"{i},{j}": str(v) for (i, j), v in sorted(t.items())}
-
-        return {
-            "schema": "linkinv-report-1",
-            "name": self.name,
-            "components": self.components,
-            "colors": list(self.colors),
-            "linking_matrix": self.linking_matrix,
-            "conway": self.conway,
-            "c": [str(c) for c in self.c_coeffs],
-            "alpha": [str(a) for a in self.alpha_coeffs],
-            "omega": self.omega,
-            "omega_sign_provenance": self.omega_sign_provenance,
-            "reduced": self.reduced,
-            "cap": self.series_cap,
-            "c_table": table(self.c_table),
-            "alpha_table": table(self.alpha_table),
-            "delta_table": table(self.delta_table),
-            "beta": {str(k): str(v) for k, v in (self.betas or {}).items()} or None,
-            "beta_hat": {str(k): str(v) for k, v in (self.beta_hats or {}).items()} or None,
-            "sato_levine_unoriented": self.sato_levine_unoriented,
-            "casson_walker_surrogate": self.casson_walker,
-            "gamma": self.gamma,
-            "congruences": self.congruences,
-            "notes": self.notes,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+def _keyed(entries: dict) -> dict:
+    """entries as a report writes them: each index tuple joined as "k,i",
+    each exact value as text, in index order."""
+    return {",".join(map(str, idx)): str(v) for idx, v in sorted(entries.items())}
 
 
-def build_report(d: LinkDiagram, cap: int = DEFAULT_CAP) -> InvariantReport:
+def build_report(d: LinkDiagram, cap: int = DEFAULT_CAP) -> dict:
+    """Everything the pipeline can say about d, exact throughout: the
+    `linkinv-report-1` object that `invariants --json` prints, keys in
+    schema order.  A field that does not apply to d stays None."""
     om = potential_function(d)
     nabla = conway(d)
     comps = component_conways(d)
-    report = InvariantReport(
-        name=d.name or "link",
-        components=d.m,
-        colors=d.colors,
-        linking_matrix=d.linking_matrix(),
-        conway=nabla.render(),
-        c_coeffs=list(_c_coeffs(nabla, d.m)),
-        alpha_coeffs=list(_alphas(nabla, comps, d.m, cap)),
-        omega=om.render(),
-        omega_sign_provenance=om.sign_provenance,
-        series_cap=cap,
-    )
+    report = {
+        "schema": "linkinv-report-1",
+        "name": d.name or "link",
+        "components": d.m,
+        "colors": list(d.colors),
+        "linking_matrix": d.linking_matrix(),
+        "conway": nabla.render(),
+        "c": [str(c) for c in _c_coeffs(nabla, d.m)],
+        "alpha": [str(a) for a in _alphas(nabla, comps, d.m, cap)],
+        "omega": om.render(),
+        "omega_sign_provenance": om.sign_provenance,
+        "reduced": None,
+        "cap": cap,
+        **dict.fromkeys(("c_table", "alpha_table", "delta_table", "beta", "beta_hat",
+                         "sato_levine_unoriented", "casson_walker_surrogate", "gamma",
+                         "congruences")),
+        "notes": [],
+    }
     if d.m >= 2:
         reduced = reduced_polynomial(decompose(om))
-        report.reduced = reduced.render()
+        report["reduced"] = reduced.render()
     if d.n_colors == 2:
         c_t, a_t, d_t = _tables(d, om, reduced, comps, cap)
-        report.c_table = c_t.entries
-        report.alpha_table = a_t.entries
-        report.delta_table = d_t.entries
-        report.notes.append(MU_BAR_NOTE)
+        report.update(c_table=_keyed(c_t.entries), alpha_table=_keyed(a_t.entries),
+                      delta_table=_keyed(d_t.entries), notes=[MU_BAR_NOTE])
         if d.m == 2:
             lk = total_lk(d)
-            report.sato_levine_unoriented = str(c_t.get(1, 1))
+            report["sato_levine_unoriented"] = str(c_t.get(1, 1))
             if lk != 0:
-                report.casson_walker = str(_surrogate(c_t, lk))
+                report["casson_walker_surrogate"] = str(_surrogate(c_t, lk))
             ks = range(1, cap // 2 + 1)
-            report.beta_hats = {k: _signed_row_one(a_t, k) for k in ks}
+            report["beta_hat"] = _keyed({(k,): _signed_row_one(a_t, k) for k in ks}) or None
             if lk == 0:
-                report.betas = {k: _signed_row_one(d_t, k) for k in ks}
-            report.congruences = [row for row in congruence_rows(comps, d_t, min(cap, 8))
-                                  if row["flagged"]]
+                report["beta"] = _keyed({(k,): _signed_row_one(d_t, k) for k in ks}) or None
+            report["congruences"] = [row for row in congruence_rows(comps, d_t, min(cap, 8))
+                                     if row["flagged"]]
     if d.m == 3:
-        report.gamma = str(_gamma(d, nabla, comps, GAMMA_CAP))
+        report["gamma"] = str(_gamma(d, nabla, comps, GAMMA_CAP))
     return report

@@ -329,19 +329,12 @@ def reduced_quotient(d: LinkDiagram, cap: int = DEFAULT_CAP) -> TruncatedSeries:
 
 @dataclass(frozen=True)
 class CoefficientTable:
-    """Exact coefficients read off one of the series, tagged with which
-    series they came from so downstream consumers can refuse misuse."""
+    """Exact coefficients read off one of the series, keyed by exponent tuple."""
 
     entries: dict
-    provenance: str
-    cap: int
 
     def get(self, *idx) -> Fraction:
         return self.entries.get(tuple(idx), Fraction(0))
-
-
-def table_from_series(series: TruncatedSeries, provenance: str) -> CoefficientTable:
-    return CoefficientTable(dict(series.terms), provenance, series.cap)
 
 
 def traldi_expand(om: PotentialFunction, cap: int = DEFAULT_CAP) -> CoefficientTable:
@@ -351,7 +344,7 @@ def traldi_expand(om: PotentialFunction, cap: int = DEFAULT_CAP) -> CoefficientT
     if len(om.variables) != 2 or om.pole:
         raise ValueError("two-variable link potential required")
     if om.is_zero:
-        return CoefficientTable({}, "traldi", cap)
+        return CoefficientTable({})
     exps = next(iter(om.numerator.terms))
     lam = abs(exps[0]) % 2
     shift = LaurentPolynomial.monomial(om.variables, (-lam, -lam), 1)
@@ -368,7 +361,7 @@ def traldi_expand(om: PotentialFunction, cap: int = DEFAULT_CAP) -> CoefficientT
     for c in series.terms.values():
         if c.denominator != 1:
             raise ArithmeticError("two-variable expansion is not integral")
-    return CoefficientTable(dict(series.terms), "traldi", cap)
+    return CoefficientTable(dict(series.terms))
 
 
 # -- exponential expansions ---------------------------------------------------
@@ -516,7 +509,7 @@ def substitute_exponential(f: LaurentPolynomial, shift: int, cap: int) -> Series
     return _unscaled(rows, pad, cap + pad, _pascal(cap + pad))
 
 
-def _read_off(sp: SeriesWithPole, provenance: str, cap: int) -> CoefficientTable:
+def _read_off(sp: SeriesWithPole) -> CoefficientTable:
     """Table (h-degree, c-degree) -> coefficient of series / h^pole_order:
     a^i h^j lands at (i + j - pole_order, i)."""
     entries = {}
@@ -524,18 +517,18 @@ def _read_off(sp: SeriesWithPole, provenance: str, cap: int) -> CoefficientTable
         if i + j < sp.pole_order:
             raise ArithmeticError("negative powers of h did not cancel")
         entries[(i + j - sp.pole_order, i)] = coeff
-    return CoefficientTable(entries, provenance, cap)
+    return CoefficientTable(entries)
 
 
 def exp_expand_homfly(h_poly: LaurentPolynomial, cap: int = DEFAULT_CAP) -> CoefficientTable:
-    return _read_off(substitute_exponential(h_poly, 0, cap), "homfly-exp", cap)
+    return _read_off(substitute_exponential(h_poly, 0, cap))
 
 
 def exp_expand_kauffman(f_poly: LaurentPolynomial, cap: int = DEFAULT_CAP) -> CoefficientTable:
-    return _read_off(substitute_exponential(f_poly, -1, cap), "kauffman-exp", cap)
+    return _read_off(substitute_exponential(f_poly, -1, cap))
 
 
-def _exp_quotient(d: LinkDiagram, poly, shift: int, cap: int, provenance: str) -> CoefficientTable:
+def _exp_quotient(d: LinkDiagram, poly, shift: int, cap: int) -> CoefficientTable:
     """poly(d) over poly of each component but those whose poly is 1, in
     scaled form: one triangular division per component; the components
     are knots, whose expansions have no pole."""
@@ -548,15 +541,15 @@ def _exp_quotient(d: LinkDiagram, poly, shift: int, cap: int, provenance: str) -
             if comp_pad:
                 raise ArithmeticError("a component's exponential expansion has a pole")
             out = _scaled_divide(out, comp, prec, binom)
-    return _read_off(_unscaled(out, pad, prec, binom), provenance, cap)
+    return _read_off(_unscaled(out, pad, prec, binom))
 
 
 def homfly_exp_quotient(d: LinkDiagram, cap: int = DEFAULT_CAP) -> CoefficientTable:
     """H of the link over the product of the component H's, after the
     exponential substitution (the division happens in the h-adic ring)."""
-    return _exp_quotient(d, homfly, 0, cap, "homfly-exp-quotient")
+    return _exp_quotient(d, homfly, 0, cap)
 
 
 def kauffman_exp_quotient(d: LinkDiagram, cap: int = DEFAULT_CAP) -> CoefficientTable:
     """The same quotient for the Dubrovnik version F of the Kauffman polynomial."""
-    return _exp_quotient(d, kauffman_f, -1, cap, "kauffman-exp-quotient")
+    return _exp_quotient(d, kauffman_f, -1, cap)

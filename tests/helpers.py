@@ -801,7 +801,7 @@ def dict_substitute_exponential(f: LaurentPolynomial, shift: int, cap: int) -> S
     return dict_unscaled(moments, pad, cap + pad)
 
 
-def dict_exp_quotient(d: LinkDiagram, poly, shift: int, cap: int, provenance: str):
+def dict_exp_quotient(d: LinkDiagram, poly, shift: int, cap: int):
     """The oracle for `transforms._exp_quotient`: the numerator's moments
     times the inverse of the product of the components' moments."""
     num, pad = dict_moments(poly(d), shift, cap)
@@ -813,7 +813,7 @@ def dict_exp_quotient(d: LinkDiagram, poly, shift: int, cap: int, provenance: st
             raise ArithmeticError("a component's exponential expansion has a pole")
         den = dict_scaled_mul(den, comp, prec)
     out = dict_scaled_mul(num, dict_scaled_inverse(den, prec), prec)
-    return _read_off(dict_unscaled(out, pad, prec), provenance, cap)
+    return _read_off(dict_unscaled(out, pad, prec))
 
 
 # -- the argparse parser that `cli.parse_args` replaced ---------------------

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linkinv.cli import main, parse_args
+from linkinv.cli import MAX_CAP, main, parse_args
 from linkinv.corpus import DATA_DIR, load_corpus
 from linkinv.diagram import BraidWord, braid_closure, parse_pd
 from linkinv.skein import homfly
@@ -241,6 +241,38 @@ def test_negative_cap_is_input_error(capsys, command):
         main(command + ["--cap", "-1"])
     assert exc.value.code == 2
     assert "argument --cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", [str(MAX_CAP + 1), "1" + "0" * 29])
+@pytest.mark.parametrize("command", EVERY_COMMAND)
+def test_cap_above_the_limit_is_input_error(capsys, command, cap):
+    # the series work grows without limit in the cap, so a cap past the
+    # limit is refused before any of it starts
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--cap", cap])
+    assert time.perf_counter() - start < 1
+    assert exc.value.code == 2
+    assert f"argument --cap: cap must be <= {MAX_CAP}, got {cap}" in capsys.readouterr().err
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "golden.json")
+
+
+@pytest.mark.parametrize("name", [e.name for e in load_corpus() if not e.singular])
+def test_invariants_prints_the_golden_report(capsys, name):
+    # both forms of the report on every corpus link: --json is the recorded
+    # object, and the plain form is its non-null fields but `schema`, in order
+    with open(GOLDEN) as fh:
+        want = json.load(fh)["reports"][name]
+    path = os.path.join(DATA_DIR, f"{name}.pd")
+    code, out, err = run(capsys, "invariants", path, "--json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report == want
+    assert run(capsys, "invariants", path) == (0, "".join(
+        f"{key}: {value}\n" for key, value in report.items()
+        if value is not None and key != "schema"), "")
 
 
 HOPF_CROSSINGS = "X[1,3,2,4] X[3,1,4,2]\n"
