@@ -63,7 +63,6 @@ from .transforms import (
     reconstruct,
     reduced_polynomial,
     reduced_quotient,
-    starred,
     traldi_expand,
 )
 

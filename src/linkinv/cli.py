@@ -21,7 +21,7 @@ import sys
 from types import SimpleNamespace
 
 from .alexander import potential_function
-from .diagram import DiagramError, braid_closure, parse_braid, parse_pd
+from .diagram import DiagramError, _excerpt, braid_closure, parse_braid, parse_pd
 from .invariants import build_report
 from .skein import ResourceError, conway, homfly, kauffman_f, scope
 from .suites import SUITES, run_suites
@@ -48,7 +48,8 @@ def _read_diagram(args):
         try:
             colors = tuple(int(c) for c in args.colors.split(","))
         except ValueError:
-            raise DiagramError(f"--colors takes comma-separated integers, not {args.colors!r}")
+            raise DiagramError(
+                f"--colors takes comma-separated integers, not {_excerpt(args.colors)}")
     if text.lstrip().startswith("braid("):
         d = braid_closure(parse_braid(text), colors=colors)
     else:
@@ -136,20 +137,22 @@ def cmd_verify(args) -> int:
 # choices; an option or input still at _REQUIRED after parsing is missing.
 _REQUIRED = object()
 _INPUT = "diagram file (PD or braid grammar), or - for stdin"
+_CAP = {"--cap": (int, DEFAULT_CAP,
+                  f"total-degree bound for series, at most {MAX_CAP} (default 12)")}
 _COMMON = {
-    "--cap": (int, DEFAULT_CAP, f"total-degree bound for series, at most {MAX_CAP} (default 12)"),
     "--json": (bool, False, "machine-readable output"),
     "--budget": (int, None, "skein node budget of HOMFLY and Dubrovnik/Kauffman "
                             "(default 10^6); nothing else spends it"),
 }
-_DIAGRAM = {"--colors": (str, None, "comma-separated colors per component"), **_COMMON}
+_COLORS = {"--colors": (str, None, "comma-separated colors per component")}
+_DIAGRAM = {**_COLORS, **_COMMON}
 COMMANDS = {
-    "invariants": (cmd_invariants, "full invariant report", True, _DIAGRAM),
+    "invariants": (cmd_invariants, "full invariant report", True, {**_COLORS, **_CAP, **_COMMON}),
     "polys": (cmd_polys, "print one polynomial", True,
               {**_DIAGRAM, "--which": (tuple(POLYS), _REQUIRED, "the polynomial to print")}),
     "decompose": (cmd_decompose, "brace-monomial decomposition parts", True, _DIAGRAM),
     "verify": (cmd_verify, "run the verification suites", False, {
-        **_COMMON,
+        **_CAP, **_COMMON,
         "--corpus": (str, None, "corpus directory (default: bundled)"),
         "--suite": (tuple(sorted(SUITES)), None, "run a single suite (default: all)")}),
 }
@@ -230,7 +233,7 @@ def _value(name, option, kind, text):
         try:
             value = int(text)
         except ValueError:
-            _fail(name, f"argument {option}: invalid int value: {text!r}")
+            _fail(name, f"argument {option}: invalid int value: {_excerpt(text)}")
         if value < 0:
             _fail(name, f"argument {option}: cap and budget must be >= 0, got {value}")
         if option == "--cap" and value > MAX_CAP:

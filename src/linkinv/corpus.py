@@ -8,7 +8,7 @@ import json
 import os
 from dataclasses import dataclass
 
-from .diagram import LinkDiagram, SingularLink, parse_pd, parse_singular
+from .diagram import LinkDiagram, parse_pd, parse_singular
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "corpus_data")
 

@@ -793,7 +793,10 @@ def parse_braid(text: str) -> BraidWord:
     mo = _BRAID.match(text.strip())
     if not mo:
         raise ParseError("expected 'braid(n): s1 s1 -s2 ...'")
-    strands = int(mo.group(1))
+    try:
+        strands = int(mo.group(1))
+    except ValueError:  # more digits than int() reads
+        raise DiagramError(f"braid has more than {MAX_STRANDS} strands")
     word = []
     for tok in mo.group(2).split():
         t = tok.replace("s", "")

@@ -9,19 +9,18 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .algebra import LaurentPolynomial, TruncatedSeries
+from .algebra import LaurentPolynomial
 from .alexander import potential_function
 from .diagram import LinkDiagram
 from .skein import conway
 from .transforms import (
     DEFAULT_CAP,
     CoefficientTable,
+    _conway_quotient,
+    _link_quotients,
     component_conways,
     decompose,
-    potential_series,
     reduced_polynomial,
-    starred_inverse,
-    zvars,
 )
 
 
@@ -73,9 +72,8 @@ def alpha_coeffs(d: LinkDiagram, cap: int = DEFAULT_CAP):
 
 def _alphas(nabla, comps, m: int, cap: int):
     """`alpha_coeffs` of an m-component link from its nabla and comps."""
-    series = TruncatedSeries.from_laurent(nabla, cap) * starred_inverse(comps, ("z",), cap)
     out = {}
-    for (k,), coeff in series.terms.items():
+    for (k,), coeff in _conway_quotient(nabla, comps, cap).terms.items():
         if k < m - 1 or (k - (m - 1)) % 2:
             raise InvariantValidationError("quotient series violates the z^(m-1) form")
         out[(k - (m - 1)) // 2] = coeff
@@ -121,16 +119,9 @@ def two_color_tables(d: LinkDiagram, cap: int = DEFAULT_CAP):
 
 def _tables(d: LinkDiagram, om, reduced, comps, cap: int):
     """The tables of `two_color_tables` from d's potential function om, its
-    reduced polynomial and its component Conways comps: the potential series
-    and the reduced polynomial, each divided by the same starred denominator."""
-    series = potential_series(om, cap).series
-    inverse = starred_inverse(comps, zvars(2), cap)
-    reduced = TruncatedSeries.from_laurent(reduced, cap)
-    c_table = CoefficientTable(dict(series.terms))
-    a_table = CoefficientTable(dict((series * inverse).terms))
-    d_table = CoefficientTable(dict((reduced * inverse).terms))
-    if any(v.denominator != 1 for v in d_table.entries.values()):
-        raise ArithmeticError("reduced quotient is not integral")
+    reduced polynomial and its component Conways comps: `_link_quotients`."""
+    c_table, a_table, d_table = (CoefficientTable(dict(series.terms))
+                                 for series in _link_quotients(om, reduced, comps, cap))
 
     m = d.m
     for label, table in (("c", c_table), ("alpha", a_table), ("delta", d_table)):

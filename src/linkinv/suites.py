@@ -26,14 +26,14 @@ from .invariants import alpha_coeffs, congruence_rows, gamma3, \
 from .skein import conway, dubrovnik, homfly, kauffman_f, scope
 from .transforms import (
     DEFAULT_CAP,
-    _quotients,
+    _conway_quotient,
+    _link_quotients,
     component_conways,
     decompose,
     homfly_exp_quotient,
     kauffman_exp_quotient,
     omega_from_reduced,
     parity_vector,
-    potential_series,
     reconstruct,
     reduced_polynomial,
 )
@@ -174,23 +174,26 @@ def suite_starred_pl_isotopy(entries, cap=DEFAULT_CAP):
     fig8 = braid_closure(BraidWord(3, [1, -2, 1, -2]))
     by_name = {e.name: e for e in entries}
 
-    def quotients(d, labels):
-        # one component_conways and one potential function per diagram
-        return [*_quotients(d, cap, labels).items(),
-                ("homfly", homfly_exp_quotient(d, cap)),
-                ("kauffman", kauffman_exp_quotient(d, cap))]
+    def quotients(d):
+        # one component_conways and, for a link, one potential function
+        comps = component_conways(d)
+        out = [("conway", _conway_quotient(conway(d), comps, cap))]
+        if d.m >= 2:
+            out += zip(("series", "reduced"),
+                       _link_quotients(potential_function(d), None, comps, cap)[1:])
+        return out + [("homfly", homfly_exp_quotient(d, cap)),
+                      ("kauffman", kauffman_exp_quotient(d, cap))]
 
     for name in PROBE_BASES:
         if name not in by_name:
             continue
         base = by_name[name].link
-        labels = ("conway", "series", "reduced") if base.m >= 2 else ("conway",)
-        expected = quotients(base, labels)
+        expected = quotients(base)
         for knot, kname in ((trefoil, "trefoil"), (fig8, "fig8")):
             for comp in range(base.m):
                 knotted = base.connected_sum(knot, comp, 0)
                 tag = f"{name}+{kname}@{comp}"
-                for (label, want), (_, got) in zip(expected, quotients(knotted, labels)):
+                for (label, want), (_, got) in zip(expected, quotients(knotted)):
                     out.append(Check("starred-pl-isotopy", f"{label} quotient {tag}",
                                      got == want))
     return out

@@ -7,7 +7,10 @@ by doubling the sum of the decomposition parts, the starred quotients by
 the component Conway polynomials, the two-variable expansion in
 y_i = x_i^2 - 1, and the exponential expansions of the HOMFLY and
 Dubrovnik/Kauffman polynomials.  Every series returned here is a
-TruncatedSeries; Q[c][[h]] is held over (a, h) with a = c*h.
+TruncatedSeries; Q[c][[h]] is held over (a, h) with a = c*h.  Every
+starred quotient is computed in `_conway_quotient` or `_link_quotients`,
+whose two quotients share one starred inverse, and every exponential
+table in `_exp_table`.
 
 The z-expansion computes on integers.  With z = 4w the root x(4w) =
 2w + sqrt(1 + 4w^2) of x - x^-1 = 4w and its inverse x(-4w) have integer
@@ -17,15 +20,16 @@ Z one variable at a time, and the w^alpha coefficient is divided by
 
 The exponential expansions compute on integers.  After the substitution,
 y^pad times the polynomial is a finite sum of w * e^((alpha*a + gamma*h)/2)
-over integer points (alpha, gamma) with integer weights w, so its
-a^i h^n coefficient is the integer moment M[i, n] = sum w*alpha^i*gamma^n
-over 2^(i+n) * i! * n!.  Series are kept in that scaled form as dense rows
+over integer points (alpha, gamma) with integer weights w, so its a^i h^n
+coefficient is the integer moment M[i, n] = sum w*alpha^i*gamma^n over
+2^(i+n) * i! * n!.  Series are kept in that scaled form as dense rows
 M[i][n], i + n <= prec, where a product is a binomial convolution.  A
 quotient divides the link's rows by each component's rows in turn, one
 triangular solve per component, which stays on integers when the
-component's constant term is +-1.  The factor s^-pad is one integer table
-over a common denominator, kept in a bounded cache per (prec, pad), and a
-result is turned into ordinary coefficients once.
+component's constant term is +-1; an expansion divides by nothing.  The
+factor s^-pad is one integer table over a common denominator, kept in a
+bounded cache per (prec, pad), and a result is turned into ordinary
+coefficients once.
 """
 
 from __future__ import annotations
@@ -67,27 +71,17 @@ def parity_vector(d: LinkDiagram) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SeriesWithPole:
-    """A truncated series together with a pole order; the value is
-    series / z^pole_order (or / h^pole_order for the exponential layer)."""
-
-    series: TruncatedSeries
-    pole_order: int = 0
-
-
 def component_conways(d: LinkDiagram):
     """Conway polynomials of the individual components, with their colors."""
     return [(conway(d.component(j)), d.colors[j]) for j in range(d.m)]
 
 
-def potential_series(om: PotentialFunction, cap: int = DEFAULT_CAP) -> SeriesWithPole:
-    """Expand the potential function as a series in z_i = x_i - x_i^-1.
+def potential_series(om: PotentialFunction, cap: int = DEFAULT_CAP) -> TruncatedSeries:
+    """Expand the numerator of the potential function as a series in
+    z_i = x_i - x_i^-1; the value is that series over z^om.pole.
 
     x_i is the root x(z_i) of x - x^-1 = z_i with constant term 1; the
-    result does not depend on which root is substituted.  For knots the
-    value has a simple pole in z; it is returned as the numerator series
-    with pole_order 1.  The images are x(4w) and x(-4w), whose w^m
+    result does not depend on which root is substituted.  The images are x(4w) and x(-4w), whose w^m
     coefficients are the z^m coefficients of `x_of_z` times (+-4)^m.
     """
     x, _ = x_of_z(cap)
@@ -98,7 +92,7 @@ def potential_series(om: PotentialFunction, cap: int = DEFAULT_CAP) -> SeriesWit
               for v, z in zip(om.variables, zs)}
     series = substitute_series(om.numerator, images, cap)
     terms = {e: Fraction(c, 4 ** sum(e)) for e, c in series.terms.items()}
-    return SeriesWithPole(TruncatedSeries(series.variables, cap, terms).embed(zs), int(om.pole))
+    return TruncatedSeries(series.variables, cap, terms).embed(zs)
 
 
 # -- decomposition over brace monomials --------------------------------------
@@ -260,22 +254,9 @@ def omega_from_reduced(nbl: LaurentPolynomial, parities) -> LaurentPolynomial:
 # -- starred quotients --------------------------------------------------------
 
 
-def starred(numerator, d: LinkDiagram, cap: int = DEFAULT_CAP) -> TruncatedSeries:
-    """Divide by the product of the component Conway polynomials.
-
-    With a one-variable numerator in z the denominators stay in z; with a
-    multivariate numerator each component's polynomial lands in the z
-    variable of its color.
-    """
-    if isinstance(numerator, LaurentPolynomial):
-        numerator = TruncatedSeries.from_laurent(numerator, cap)
-    numerator = numerator.truncate(cap)
-    return numerator * starred_inverse(component_conways(d), numerator.variables, cap)
-
-
-def starred_inverse(comps, variables, cap: int) -> TruncatedSeries:
-    """The series `starred` multiplies by: 1 over the product of the
-    Conway polynomials in comps, in z alone or in the z of each color."""
+def _starred_inverse(comps, variables, cap: int) -> TruncatedSeries:
+    """1 over the product of the Conway polynomials in comps, in z alone
+    or, over z1..zn, each in the z of its component's color."""
     multivariate = variables != ("z",)
     denom = TruncatedSeries.one(variables, cap)
     for nabla, color in comps:
@@ -286,42 +267,38 @@ def starred_inverse(comps, variables, cap: int) -> TruncatedSeries:
     return denom.invert()
 
 
-def _quotients(d: LinkDiagram, cap: int, labels) -> dict:
-    """The starred quotients of d named in labels ("conway", "series",
-    "reduced"), from one `component_conways` and at most one potential
-    function and one `starred_inverse` in z1..zn; the three public
-    quotients wrap it."""
-    comps = component_conways(d)
-    om = potential_function(d) if set(labels) - {"conway"} else None
-    inverse = None if om is None else starred_inverse(comps, zvars(len(om.variables)), cap)
-    out = {}
-    for label in labels:
-        if label == "conway":
-            out[label] = (TruncatedSeries.from_laurent(conway(d), cap)
-                          * starred_inverse(comps, ("z",), cap))
-        elif label == "series":
-            sp = potential_series(om, cap)
-            if sp.pole_order:
-                raise ValueError("quotient series is defined for links, not knots")
-            out[label] = sp.series * inverse
-        else:
-            series = TruncatedSeries.from_laurent(reduced_polynomial(decompose(om)), cap) * inverse
-            if any(c.denominator != 1 for c in series.terms.values()):
-                raise ArithmeticError("reduced quotient is not integral")
-            out[label] = series
-    return out
+def _conway_quotient(nabla, comps, cap: int) -> TruncatedSeries:
+    """A link's Conway polynomial nabla over those of its components comps."""
+    return TruncatedSeries.from_laurent(nabla, cap) * _starred_inverse(comps, ("z",), cap)
+
+
+def _link_quotients(om: PotentialFunction, reduced, comps, cap: int) -> tuple:
+    """(potential series, its quotient, reduced quotient) of a link with
+    potential function om, reduced polynomial reduced (None derives it from
+    om) and component Conways comps: both quotients divide by one
+    `_starred_inverse` in z1..zn."""
+    if om.pole:
+        raise ValueError("quotient series is defined for links, not knots")
+    if reduced is None:
+        reduced = reduced_polynomial(decompose(om))
+    series = potential_series(om, cap)
+    inverse = _starred_inverse(comps, series.variables, cap)
+    delta = TruncatedSeries.from_laurent(reduced, cap) * inverse
+    if any(c.denominator != 1 for c in delta.terms.values()):
+        raise ArithmeticError("reduced quotient is not integral")
+    return series, series * inverse, delta
 
 
 def conway_quotient(d: LinkDiagram, cap: int = DEFAULT_CAP) -> TruncatedSeries:
-    return _quotients(d, cap, ("conway",))["conway"]
+    return _conway_quotient(conway(d), component_conways(d), cap)
 
 
 def potential_series_quotient(d: LinkDiagram, cap: int = DEFAULT_CAP) -> TruncatedSeries:
-    return _quotients(d, cap, ("series",))["series"]
+    return _link_quotients(potential_function(d), None, component_conways(d), cap)[1]
 
 
 def reduced_quotient(d: LinkDiagram, cap: int = DEFAULT_CAP) -> TruncatedSeries:
-    return _quotients(d, cap, ("reduced",))["reduced"]
+    return _link_quotients(potential_function(d), None, component_conways(d), cap)[2]
 
 
 # -- coefficient tables -------------------------------------------------------
@@ -473,83 +450,58 @@ def _sigma(prec: int, pad: int) -> tuple:
     return den, tuple(int(c * den) for c in scaled)
 
 
-def _unscaled(rows: list, pad: int, prec: int, binom: list) -> SeriesWithPole:
-    """G = s^-pad * (y^pad * f), with pole order pad, from the scaled rows
-    of y^pad * f.  The product with s^-pad is a binomial convolution in h
-    alone against the integer table of `_sigma`, so the ordinary
-    coefficients are the only fractions:
-    rows[i][n] / (den * 2^(i+n) * i! * n!)."""
+def _exp_table(f: LaurentPolynomial, divisors, shift: int, cap: int) -> CoefficientTable:
+    """f over each of divisors but those equal to 1, after the substitution
+    x -> e^((c+shift)h/2), y -> e^(h/2) - e^(-h/2) = h*s, as the table
+    (h-degree, c-degree) -> coefficient through h-degree cap.
+
+    A divisor is a knot's polynomial, without a pole.  With pad from
+    `_moments`, the value is G / h^pad for G = s^-pad * (the quotient of
+    the moment rows) through total degree cap + pad, so a^i h^n lands at
+    (i + n - pad, i).  The product with s^-pad is a binomial convolution
+    in h alone against the integer table of `_sigma`, so the ordinary
+    coefficients rows[i][n] / (den * 2^(i+n) * i! * n!) are the only
+    fractions."""
+    rows, pad = _moments(f, shift, cap)
+    prec = cap + pad
+    binom = _pascal(prec)
+    for g in divisors:
+        if g != 1:
+            den_rows, den_pad = _moments(g, shift, prec)
+            if den_pad:
+                raise ArithmeticError("a component's exponential expansion has a pole")
+            rows = _scaled_divide(rows, den_rows, prec, binom)
     den = 1
     if pad:
         den, sig = _sigma(prec, pad)
         rows = [[sum(binom[n][n1] * sig[n1] * row[n - n1] for n1 in range(0, n + 1, 2))
                  for n in range(len(row))] for row in rows]
     fact = [factorial(k) for k in range(prec + 1)]
-    terms = {}
+    entries = {}
     for i, row in enumerate(rows):
         for n, c in enumerate(row):
             if c:
+                if i + n < pad:
+                    raise ArithmeticError("negative powers of h did not cancel")
                 q = Fraction(c, den * fact[i] * fact[n] << (i + n))
-                terms[(i, n)] = q.numerator if q.denominator == 1 else q
-    return SeriesWithPole(TruncatedSeries._make(_CH, prec, terms), pad)
-
-
-def substitute_exponential(f: LaurentPolynomial, shift: int, cap: int) -> SeriesWithPole:
-    """Substitute x -> e^((c+shift)h/2), y -> e^(h/2) - e^(-h/2) = h*s into
-    a Laurent polynomial in (x, y).
-
-    With pad = -(least power of y), y^pad * f becomes a finite sum of
-    w * e^((alpha*a + gamma*h)/2) over integer points (see `_moments`), so
-    its coefficients are integer moments over factorials.  The value is
-    G / h^pad for the power series G = s^-pad * (y^pad * f), returned as
-    SeriesWithPole(G, pad) through total degree cap + pad, so that the
-    value is exact through h-degree cap.
-    """
-    rows, pad = _moments(f, shift, cap)
-    return _unscaled(rows, pad, cap + pad, _pascal(cap + pad))
-
-
-def _read_off(sp: SeriesWithPole) -> CoefficientTable:
-    """Table (h-degree, c-degree) -> coefficient of series / h^pole_order:
-    a^i h^j lands at (i + j - pole_order, i)."""
-    entries = {}
-    for (i, j), coeff in sp.series.terms.items():
-        if i + j < sp.pole_order:
-            raise ArithmeticError("negative powers of h did not cancel")
-        entries[(i + j - sp.pole_order, i)] = coeff
+                entries[(i + n - pad, i)] = q.numerator if q.denominator == 1 else q
     return CoefficientTable(entries)
 
 
 def exp_expand_homfly(h_poly: LaurentPolynomial, cap: int = DEFAULT_CAP) -> CoefficientTable:
-    return _read_off(substitute_exponential(h_poly, 0, cap))
+    return _exp_table(h_poly, (), 0, cap)
 
 
 def exp_expand_kauffman(f_poly: LaurentPolynomial, cap: int = DEFAULT_CAP) -> CoefficientTable:
-    return _read_off(substitute_exponential(f_poly, -1, cap))
-
-
-def _exp_quotient(d: LinkDiagram, poly, shift: int, cap: int) -> CoefficientTable:
-    """poly(d) over poly of each component but those whose poly is 1, in
-    scaled form: one triangular division per component; the components
-    are knots, whose expansions have no pole."""
-    out, pad = _moments(poly(d), shift, cap)
-    prec = cap + pad
-    binom = _pascal(prec)
-    for f in (poly(d.component(j)) for j in range(d.m)):
-        if f != 1:
-            comp, comp_pad = _moments(f, shift, prec)
-            if comp_pad:
-                raise ArithmeticError("a component's exponential expansion has a pole")
-            out = _scaled_divide(out, comp, prec, binom)
-    return _read_off(_unscaled(out, pad, prec, binom))
+    return _exp_table(f_poly, (), -1, cap)
 
 
 def homfly_exp_quotient(d: LinkDiagram, cap: int = DEFAULT_CAP) -> CoefficientTable:
     """H of the link over the product of the component H's, after the
     exponential substitution (the division happens in the h-adic ring)."""
-    return _exp_quotient(d, homfly, 0, cap)
+    return _exp_table(homfly(d), (homfly(d.component(j)) for j in range(d.m)), 0, cap)
 
 
 def kauffman_exp_quotient(d: LinkDiagram, cap: int = DEFAULT_CAP) -> CoefficientTable:
     """The same quotient for the Dubrovnik version F of the Kauffman polynomial."""
-    return _exp_quotient(d, kauffman_f, -1, cap)
+    return _exp_table(kauffman_f(d), (kauffman_f(d.component(j)) for j in range(d.m)), -1, cap)

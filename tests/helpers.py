@@ -13,7 +13,7 @@ from linkinv.diagram import UNDER_IN, UNDER_OUT, DiagramError, LinkDiagram, _tra
 from linkinv.skein import _CORNERS, _DELTA_D, _DELTA_H, _FLIPPED, _HOMFLY_FACTORS, _X, _Y, \
     _descend, _faces, _key
 from linkinv.suites import SUITES
-from linkinv.transforms import DEFAULT_CAP, _CH, SeriesWithPole, _pascal, _read_off, _sinh_unit
+from linkinv.transforms import DEFAULT_CAP, _CH, CoefficientTable, _pascal, _sinh_unit
 
 
 def dict_validate(self, over_in_hint):
@@ -781,9 +781,9 @@ def dict_scaled_inverse(series: dict, cap: int) -> dict:
     return out
 
 
-def dict_unscaled(series: dict, pad: int, cap: int) -> SeriesWithPole:
-    """G = s^-pad * (y^pad * f) with pole order pad, s^-pad built from
-    `_sinh_unit` and multiplied in scaled form over one common denominator."""
+def dict_unscaled(series: dict, pad: int, cap: int) -> TruncatedSeries:
+    """G = s^-pad * (y^pad * f), s^-pad built from `_sinh_unit` and
+    multiplied in scaled form over one common denominator."""
     den = 1
     if pad:
         sigma = {e: c * (factorial(e[1]) << e[1])
@@ -792,18 +792,32 @@ def dict_unscaled(series: dict, pad: int, cap: int) -> SeriesWithPole:
         series = dict_scaled_mul(series, {e: int(c * den) for e, c in sigma.items()}, cap)
     terms = {(i, n): Fraction(c, den * factorial(i) * factorial(n) << (i + n))
              for (i, n), c in series.items()}
-    return SeriesWithPole(TruncatedSeries(_CH, cap, terms), pad)
+    return TruncatedSeries(_CH, cap, terms)
 
 
-def dict_substitute_exponential(f: LaurentPolynomial, shift: int, cap: int) -> SeriesWithPole:
-    """The oracle for `transforms.substitute_exponential`."""
+def dict_substitute_exponential(f: LaurentPolynomial, shift: int, cap: int):
+    """(G, pad) with G / h^pad the exponential substitution into f, G
+    through total degree cap + pad: the oracle for `transforms._exp_table`
+    with no divisor."""
     moments, pad = dict_moments(f, shift, cap)
-    return dict_unscaled(moments, pad, cap + pad)
+    return dict_unscaled(moments, pad, cap + pad), pad
 
 
-def dict_exp_quotient(d: LinkDiagram, poly, shift: int, cap: int):
-    """The oracle for `transforms._exp_quotient`: the numerator's moments
-    times the inverse of the product of the components' moments."""
+def exp_read_off(series: TruncatedSeries, pad: int) -> CoefficientTable:
+    """The table (h-degree, c-degree) -> coefficient of series / h^pad:
+    a^i h^j lands at (i + j - pad, i)."""
+    entries = {}
+    for (i, j), coeff in series.terms.items():
+        if i + j < pad:
+            raise ArithmeticError("negative powers of h did not cancel")
+        entries[(i + j - pad, i)] = coeff
+    return CoefficientTable(entries)
+
+
+def dict_exp_quotient(d: LinkDiagram, poly, shift: int, cap: int) -> CoefficientTable:
+    """The oracle for `transforms._exp_table` dividing poly(d) by the poly
+    of each component: the numerator's moments times the inverse of the
+    product of the components' moments."""
     num, pad = dict_moments(poly(d), shift, cap)
     prec = cap + pad
     den = {(0, 0): 1}
@@ -813,7 +827,7 @@ def dict_exp_quotient(d: LinkDiagram, poly, shift: int, cap: int):
             raise ArithmeticError("a component's exponential expansion has a pole")
         den = dict_scaled_mul(den, comp, prec)
     out = dict_scaled_mul(num, dict_scaled_inverse(den, prec), prec)
-    return _read_off(dict_unscaled(out, pad, prec))
+    return exp_read_off(dict_unscaled(out, pad, prec), pad)
 
 
 # -- the argparse parser that `cli.parse_args` replaced ---------------------
@@ -831,12 +845,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact link invariants from PD codes and braid words.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_input=True):
+    def add_common(p, with_input=True, with_cap=True):
         if with_input:
             p.add_argument("input", help="diagram file (PD or braid grammar), or - for stdin")
             p.add_argument("--colors", help="comma-separated colors per component")
-        p.add_argument("--cap", type=nonnegative_int, default=DEFAULT_CAP,
-                       help="total-degree bound for series (default 12)")
+        if with_cap:
+            p.add_argument("--cap", type=nonnegative_int, default=DEFAULT_CAP,
+                           help="total-degree bound for series (default 12)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--budget", type=nonnegative_int, default=None,
                        help="skein node budget of HOMFLY and Dubrovnik/Kauffman "
@@ -847,13 +862,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_invariants)
 
     p = sub.add_parser("polys", help="print one polynomial")
-    add_common(p)
+    add_common(p, with_cap=False)
     p.add_argument("--which", required=True,
                    choices=["conway", "homfly", "kauffman", "omega", "nbl"])
     p.set_defaults(fn=cmd_polys)
 
     p = sub.add_parser("decompose", help="brace-monomial decomposition parts")
-    add_common(p)
+    add_common(p, with_cap=False)
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("verify", help="run the verification suites")

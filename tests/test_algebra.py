@@ -24,7 +24,6 @@ from linkinv.transforms import (
     _CH,
     _pascal,
     _scaled_divide,
-    _unscaled,
     decompose,
     omega_from_reduced,
     parity_vector,
@@ -450,7 +449,9 @@ def _to_rows(f):
 
 
 def _from_rows(rows, cap):
-    return _unscaled(rows, 0, cap, _pascal(cap)).series
+    """The series of the dense scaled form."""
+    return TruncatedSeries(_CH, cap, {(i, n): Fraction(c, factorial(i) * factorial(n) << (i + n))
+                                      for i, row in enumerate(rows) for n, c in enumerate(row)})
 
 
 def _divide(f, g):

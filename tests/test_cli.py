@@ -98,13 +98,17 @@ def test_braid_input(tmp_path, capsys):
 
 def run_stdin(text, *argv):
     """main(argv) with `text` on stdin, for properties, which cannot take
-    the function-scoped capsys and tmp_path fixtures."""
+    the function-scoped capsys and tmp_path fixtures; a usage error's exit
+    code is returned as main's."""
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
     sys.stdin = io.StringIO(text)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(list(argv))
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
     finally:
         sys.stdin = saved
     return code, out.getvalue(), err.getvalue()
@@ -225,6 +229,7 @@ def test_budget_reaches_the_suites(capsys):
 EVERY_COMMAND = [
     ["invariants", HOPF], ["polys", HOPF, "--which", "conway"],
     ["decompose", HOPF], ["verify", "--suite", "lemma41"]]
+READS_CAP = ("invariants", "verify")  # polys and decompose take no --cap
 
 
 @pytest.mark.parametrize("command", EVERY_COMMAND)
@@ -240,7 +245,11 @@ def test_negative_cap_is_input_error(capsys, command):
     with pytest.raises(SystemExit) as exc:
         main(command + ["--cap", "-1"])
     assert exc.value.code == 2
-    assert "argument --cap" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if command[0] in READS_CAP:
+        assert "argument --cap: cap and budget must be >= 0, got -1" in err
+    else:
+        assert err.endswith(": error: unrecognized arguments: --cap -1\n")
 
 
 @pytest.mark.parametrize("cap", [str(MAX_CAP + 1), "1" + "0" * 29])
@@ -253,7 +262,24 @@ def test_cap_above_the_limit_is_input_error(capsys, command, cap):
         main(command + ["--cap", cap])
     assert time.perf_counter() - start < 1
     assert exc.value.code == 2
-    assert f"argument --cap: cap must be <= {MAX_CAP}, got {cap}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if command[0] in READS_CAP:
+        assert f"argument --cap: cap must be <= {MAX_CAP}, got {cap}" in err
+    else:
+        assert err.endswith(f": error: unrecognized arguments: --cap {cap}\n")
+
+
+@pytest.mark.parametrize("command", [c for c in EVERY_COMMAND if c[0] not in READS_CAP],
+                         ids=lambda command: command[0])
+def test_commands_that_read_no_cap_refuse_it(capsys, command):
+    # polys and decompose compute no series, so a cap they would ignore is
+    # a usage error, and neither usage line offers one
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--cap", "3"])
+    assert exc.value.code == 2
+    usage, line = capsys.readouterr().err.splitlines()
+    assert "--cap" not in usage
+    assert line == f"linkinv {command[0]}: error: unrecognized arguments: --cap 3"
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "golden.json")
@@ -423,6 +449,38 @@ def test_generated_malformed_pd_exits_2_with_short_message(sw, mutation, rng):
     assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 160
 
 
+def huge(low):
+    """Integers from low up to 10^30 as text, and one of 5000 digits, more
+    than int() reads."""
+    return st.one_of(st.integers(low, 10 ** 30).map(str), st.just("7" * 5000))
+
+
+HOPF_PD = HOPF_CROSSINGS + "components: [[1,2],[3,4]]\n"
+# (stdin, flags) of `invariants -`, each refused for one huge value
+HOSTILE = st.one_of(
+    huge(0).map(lambda v: (f"braid({v}): {v}\n", [])),
+    st.tuples(st.sampled_from(("", "-")), huge(3)).map(
+        lambda sv: (f"braid(3): 1 {''.join(sv)}\n", [])),
+    huge(3).map(lambda v: ("braid(2): 1 1\n", ["--colors", f"1,{v}"])),
+    huge(3).map(lambda v: (HOPF_PD + f"colors: [1,{v}]\n", [])),
+    huge(3).map(lambda v: (HOPF_PD, ["--colors", f"{v},1"])),
+    huge(MAX_CAP + 1).map(lambda v: ("braid(2): 1 1\n", ["--cap", v])),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(HOSTILE)
+def test_huge_values_exit_2_quickly_with_a_short_message(case):
+    # strand counts, generator indices, colours and caps: none starts work
+    # that grows with the value, and no message echoes much of it
+    text, flags = case
+    start = time.perf_counter()
+    code, out, err = run_stdin(text, "invariants", "-", *flags)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert all(len(line) < 160 for line in err.splitlines())
+
+
 @pytest.mark.parametrize("which,engine", [("kauffman", "dubrovnik"), ("homfly", "homfly")])
 @settings(max_examples=4, deadline=None, derandomize=True, database=None)
 @given(st.integers(3, 4), st.integers(200, 400), st.randoms(use_true_random=False))
@@ -514,8 +572,8 @@ def test_parser_matches_argparse_oracle(argv):
 
 
 @pytest.mark.parametrize("argv,fields", [
-    (["polys", "--which=nbl", "-", "--cap", "3", "--cap=4"],
-     {"which": "nbl", "input": "-", "cap": 4}),
+    (["polys", "--which=omega", "-", "--which", "nbl", "--budget", "3", "--budget=4"],
+     {"which": "nbl", "input": "-", "budget": 4}),
     (["decompose", "--js", "--bud", "7", "x.pd"], {"json": True, "budget": 7, "input": "x.pd"}),
     (["verify", "--suite", "lemma41", "--suite=congruences"], {"suite": "congruences"}),
     (["invariants", "--colors", "-1", "f"], {"colors": "-1", "input": "f"}),
@@ -544,7 +602,7 @@ def test_usage_errors_exit_2_after_a_usage_line(capsys, argv, error):
 
 @pytest.mark.parametrize("argv,usage", [
     (["-h"], "usage: linkinv [-h] {invariants,polys,decompose,verify} ..."),
-    (["polys", "--help"], "usage: linkinv polys [-h] [--colors COLORS] [--cap CAP] [--json] "
+    (["polys", "--help"], "usage: linkinv polys [-h] [--colors COLORS] [--json] "
                           "[--budget BUDGET] --which {conway,homfly,kauffman,omega,nbl} input"),
     (["verify", "-h", "--bogus"], "usage: linkinv verify [-h] [--cap CAP]"),
 ])

@@ -273,7 +273,7 @@ def test_report_reads_one_table_pass(monkeypatch, d, cap):
     calls = {"potential_function": 0, "potential_series": 0, "decompose": 0,
              "component_conways": 0, "conway": 0}
     for name in calls:
-        real = getattr(invariants, name)
+        real = getattr(transforms, name)
 
         def counting(*args, _name=name, _real=real, **kwargs):
             if _name != "conway" or args[0].m == d.m:  # components are knots
@@ -281,7 +281,8 @@ def test_report_reads_one_table_pass(monkeypatch, d, cap):
             return _real(*args, **kwargs)
 
         for module in (invariants, transforms):
-            monkeypatch.setattr(module, name, counting)
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
     rep = build_report(d, cap)
     assert calls["potential_function"] == 1
     assert calls["potential_series"] <= 1

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linkinv import transforms
-from helpers import dict_exp_quotient, dict_substitute_exponential, monomial_substitute_series
+from linkinv import suites, transforms
+from helpers import dict_exp_quotient, dict_substitute_exponential, exp_read_off, \
+    monomial_substitute_series
 from linkinv.algebra import LaurentPolynomial, TruncatedSeries, brace, x_of_z
 from linkinv.alexander import potential_function
 from linkinv.corpus import load_corpus
@@ -18,10 +19,8 @@ from linkinv.skein import conway, homfly, kauffman_f
 from linkinv.transforms import (
     _CH,
     Decomposition,
-    SeriesWithPole,
-    _exp_quotient,
-    _quotients,
-    _read_off,
+    _exp_table,
+    _link_quotients,
     _sigma,
     _sinh_unit,
     component_conways,
@@ -38,8 +37,6 @@ from linkinv.transforms import (
     reconstruct,
     reduced_polynomial,
     reduced_quotient,
-    starred,
-    substitute_exponential,
     traldi_expand,
     zvars,
 )
@@ -86,21 +83,20 @@ LINKS_2PLUS = [hopf, solomon, whitehead, borromean,
 
 
 def test_potential_series_hopf_is_one():
-    sp = potential_series(potential_function(hopf()), cap=8)
-    assert sp.pole_order == 0
-    assert sp.series == TruncatedSeries.one(("z1", "z2"), 8)
+    om = potential_function(hopf())
+    assert om.pole == 0
+    assert potential_series(om, cap=8) == TruncatedSeries.one(("z1", "z2"), 8)
 
 
 def test_potential_series_borromean():
-    sp = potential_series(potential_function(borromean()), cap=8)
-    expected = TruncatedSeries(("z1", "z2", "z3"), 8, {(1, 1, 1): 1})
-    assert sp.series == expected
+    series = potential_series(potential_function(borromean()), cap=8)
+    assert series == TruncatedSeries(("z1", "z2", "z3"), 8, {(1, 1, 1): 1})
 
 
 def test_potential_series_trefoil_pole():
-    sp = potential_series(potential_function(trefoil()), cap=8)
-    assert sp.pole_order == 1
-    assert sp.series == TruncatedSeries(("z1",), 8, {(0,): 1, (2,): 1})
+    om = potential_function(trefoil())
+    assert om.pole == 1
+    assert potential_series(om, cap=8) == TruncatedSeries(("z1",), 8, {(0,): 1, (2,): 1})
 
 
 def test_potential_series_root_independence():
@@ -113,7 +109,7 @@ def test_potential_series_root_independence():
             x, _ = x_of_z(9, var=zi)
             images[v] = (TruncatedSeries.gen((zi,), zi, 9) - x, -x)
         other = monomial_substitute_series(om.numerator, images, 9).embed(zvars(len(om.variables)))
-        assert potential_series(om, cap=9).series == other, make
+        assert potential_series(om, cap=9) == other, make
 
 
 def one_color_closures(seed, count, letters=14):
@@ -133,10 +129,10 @@ def monomial_potential_series(d, om, cap):
     the potential is nabla(z) / z."""
     if om.pole:
         nabla = conway(d).rename_variables({"z": "z1"})
-        return SeriesWithPole(TruncatedSeries.from_laurent(nabla, cap), 1)
+        return TruncatedSeries.from_laurent(nabla, cap)
     images = {v: x_of_z(cap, var=z) for v, z in zip(om.variables, zvars(len(om.variables)))}
     series = monomial_substitute_series(om.numerator, images, cap)
-    return SeriesWithPole(series.embed(zvars(len(om.variables))), 0)
+    return series.embed(zvars(len(om.variables)))
 
 
 @pytest.mark.parametrize("cap", [0, 5, 12])
@@ -149,10 +145,9 @@ def test_potential_series_matches_monomial_oracle(cap):
     for d in diagrams:
         om = potential_function(d)
         got, want = potential_series(om, cap), monomial_potential_series(d, om, cap)
-        assert got.pole_order == want.pole_order, d.name
-        assert got.series.variables == want.series.variables, d.name
-        assert got.series.cap == want.series.cap, d.name
-        assert got.series.terms == want.series.terms, d.name
+        assert got.variables == want.variables, d.name
+        assert got.cap == want.cap, d.name
+        assert got.terms == want.terms, d.name
 
 
 def test_reversing_a_component_negates_the_potential_and_inverts_its_variable():
@@ -163,14 +158,14 @@ def test_reversing_a_component_negates_the_potential_and_inverts_its_variable():
         if d.m < 2:
             continue
         om = potential_function(d)
-        series = potential_series(om, 8).series
+        series = potential_series(om, 8)
         for i in range(d.m):
             k = d.colors[i] - 1
             reversed_om = potential_function(d.reverse_component(i))
             flip = lambda e: e[:k] + (-e[k],) + e[k + 1:]
             assert reversed_om.numerator == LaurentPolynomial(
                 om.variables, {flip(e): -c for e, c in om.numerator.terms.items()}), (d.name, i)
-            assert potential_series(reversed_om, 8).series == TruncatedSeries(
+            assert potential_series(reversed_om, 8) == TruncatedSeries(
                 series.variables, 8,
                 {e: c if e[k] % 2 else -c for e, c in series.terms.items()}), (d.name, i)
             pairs += 1
@@ -180,16 +175,14 @@ def test_reversing_a_component_negates_the_potential_and_inverts_its_variable():
 def test_potential_series_degree_parity():
     for make in LINKS_2PLUS:
         d = make()
-        sp = potential_series(potential_function(d), cap=9)
-        for exps in sp.series.terms:
+        for exps in potential_series(potential_function(d), cap=9).terms:
             assert (sum(exps) - d.m) % 2 == 0
 
 
 def test_potential_series_four_y_integrality():
     for make in LINKS_2PLUS:
         d = make()
-        sp = potential_series(potential_function(d), cap=10)
-        for exps, coeff in sp.series.terms.items():
+        for exps, coeff in potential_series(potential_function(d), cap=10).terms.items():
             scaled = coeff * Fraction(4) ** sum(exps)
             assert scaled.denominator == 1, (d.name, exps, coeff)
 
@@ -198,10 +191,9 @@ def test_potential_series_matches_conway_diagonal():
     # z * series(z,...,z) equals the Conway polynomial, up to the cap
     for make in LINKS_2PLUS:
         d = make()
-        sp = potential_series(potential_function(d), cap=10)
         nabla = conway(d)
         diag = {}
-        for exps, coeff in sp.series.terms.items():
+        for exps, coeff in potential_series(potential_function(d), cap=10).terms.items():
             k = sum(exps) + 1
             diag[k] = diag.get(k, Fraction(0)) + coeff
         for k, coeff in diag.items():
@@ -414,9 +406,7 @@ def test_reduced_skein_relation():
 def test_starred_trivial_components():
     # unknotted components: quotient equals the numerator
     d = hopf()
-    nabla = conway(d)
-    s = starred(nabla, d, cap=8)
-    assert s == TruncatedSeries.from_laurent(nabla.rename_variables({"z": "z"}), 8)
+    assert conway_quotient(d, cap=8) == TruncatedSeries.from_laurent(conway(d), 8)
 
 
 def test_conway_quotient_pl_invariance():
@@ -473,9 +463,7 @@ def test_traldi_integer_entries():
 
 
 def test_substitute_exponential_unknot():
-    s = substitute_exponential(homfly(unknot()), 0, 6)
-    assert s.pole_order == 0
-    assert s.series.terms == {(0, 0): Fraction(1)}
+    assert _exp_table(homfly(unknot()), (), 0, 6).entries == {(0, 0): Fraction(1)}
     assert exp_expand_homfly(homfly(unknot()), 6).entries == {(0, 0): Fraction(1)}
 
 
@@ -534,10 +522,11 @@ def test_exp_quotients_pl_invariance():
 
 
 def test_starred_quotients_share_one_component_pass_and_one_potential(monkeypatch):
-    d = hopf().connected_sum(trefoil(), 0, 0)
-    want = {"conway": conway_quotient(d, 8), "series": potential_series_quotient(d, 8),
-            "reduced": reduced_quotient(d, 8)}
-    calls = {"component_conways": 0, "potential_function": 0, "starred_inverse": 0}
+    # the starred-pl-isotopy suite on the Hopf link: per diagram, the link
+    # and its four sums with a trefoil or a figure eight, one component pass,
+    # one potential function and two starred inverses, in z and in z1, z2
+    entries = [e for e in load_corpus() if e.name == "hopf-plus"]
+    calls = {"component_conways": 0, "potential_function": 0, "_starred_inverse": 0}
     for name in calls:
         real = getattr(transforms, name)
 
@@ -545,10 +534,24 @@ def test_starred_quotients_share_one_component_pass_and_one_potential(monkeypatc
             calls[_name] += 1
             return _real(*args)
 
-        monkeypatch.setattr(transforms, name, counting)
-    assert _quotients(d, 8, tuple(want)) == want
-    # one inverse in z for the Conway quotient, one in z1, z2 for the others
-    assert calls == {"component_conways": 1, "potential_function": 1, "starred_inverse": 2}
+        for module in (transforms, suites):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    checks = suites.suite_starred_pl_isotopy(entries, 8)
+    assert len(checks) == 4 * 5 and all(c.passed for c in checks)
+    assert calls == {"component_conways": 5, "potential_function": 5, "_starred_inverse": 10}
+
+
+def test_potential_series_quotient_is_refused_on_a_knot():
+    with pytest.raises(ValueError, match="defined for links, not knots"):
+        potential_series_quotient(trefoil(), 6)
+
+
+def test_a_reduced_quotient_off_the_integers_is_refused():
+    d = hopf()
+    half = LaurentPolynomial(zvars(2), {(0, 0): Fraction(1, 2)})
+    with pytest.raises(ArithmeticError, match="reduced quotient is not integral"):
+        _link_quotients(potential_function(d), half, component_conways(d), 6)
 
 
 def test_component_conways():
@@ -621,8 +624,9 @@ def _exp_sum(row, shift, cap):
 
 
 def oracle_substitute_exponential(f, shift, cap):
+    """(G, pad): the value is G / h^pad, G through total degree cap + pad."""
     if f.is_zero:
-        return SeriesWithPole(TruncatedSeries.zero(_CH, cap), 0)
+        return TruncatedSeries.zero(_CH, cap), 0
     xi = f.variables.index("x")
     yi = f.variables.index("y")
     pad = max(0, -min(e[yi] for e in f.terms))
@@ -635,16 +639,20 @@ def oracle_substitute_exponential(f, shift, cap):
     out = TruncatedSeries.zero(_CH, prec)
     for ky, row in by_y.items():
         out = out + _exp_sum(row, shift, prec) * s ** ky * h ** (ky + pad)
-    return SeriesWithPole(out, pad)
+    return out, pad
 
 
 def oracle_exp_quotient(d, poly, shift, cap, expand=oracle_substitute_exponential):
-    num = expand(poly(d), shift, cap)
-    out = num.series
+    out, pad = expand(poly(d), shift, cap)
     for j in range(d.m):
-        comp = expand(poly(d.component(j)), shift, cap + num.pole_order)
-        out = out * comp.series.invert()
-    return _read_off(SeriesWithPole(out, num.pole_order))
+        comp, _ = expand(poly(d.component(j)), shift, cap + pad)
+        out = out * comp.invert()
+    return exp_read_off(out, pad)
+
+
+def exp_quotient(d, poly, shift, cap):
+    """`_exp_table` of poly(d) over the poly of each component of d."""
+    return _exp_table(poly(d), [poly(d.component(j)) for j in range(d.m)], shift, cap)
 
 
 def _memo(fn, key=lambda *args: args):
@@ -682,13 +690,12 @@ def test_exponential_layer_matches_fraction_oracle(exp_oracle_cases, cap):
     diagrams, h_poly, f_poly, expand = exp_oracle_cases
     for d in diagrams:
         for poly, shift, label in ((h_poly, 0, "homfly"), (f_poly, -1, "kauffman")):
-            got = substitute_exponential(poly(d), shift, cap)
-            for want in (expand(poly(d), shift, cap),
-                         dict_substitute_exponential(poly(d), shift, cap)):
-                assert got.pole_order == want.pole_order, (d.name, label)
-                assert got.series.cap == want.series.cap, (d.name, label)
-                assert got.series.terms == want.series.terms, (d.name, label)
-            got = _exp_quotient(d, poly, shift, cap)
+            got = _exp_table(poly(d), (), shift, cap)
+            for series, pad in (expand(poly(d), shift, cap),
+                                dict_substitute_exponential(poly(d), shift, cap)):
+                assert series.cap == cap + pad, (d.name, label)
+                assert got == exp_read_off(series, pad), (d.name, label)
+            got = exp_quotient(d, poly, shift, cap)
             assert got == oracle_exp_quotient(d, poly, shift, cap, expand), (d.name, label)
             assert got == dict_exp_quotient(d, poly, shift, cap), (d.name, label)
 
@@ -713,7 +720,7 @@ def test_exp_quotient_skips_unknot_components(monkeypatch):
 
 def test_exp_quotient_refuses_a_component_pole():
     with pytest.raises(ArithmeticError, match="pole"):
-        _exp_quotient(hopf(), lambda _: Y ** -1, 0, 4)
+        exp_quotient(hopf(), lambda _: Y ** -1, 0, 4)
 
 
 @pytest.mark.parametrize("cap", [0, 5])
@@ -723,7 +730,7 @@ def test_exp_quotient_by_a_component_with_a_non_unit_constant(cap, shift):
     # the division leaves the integers
     def poly(d):
         return (X - X ** -1) * Y ** -1 + X * Y if d.m > 1 else 2 * X ** 2 + X * Y - Y ** 2
-    got = _exp_quotient(hopf(), poly, shift, cap)
+    got = exp_quotient(hopf(), poly, shift, cap)
     assert got == oracle_exp_quotient(hopf(), poly, shift, cap)
 
 
@@ -731,7 +738,7 @@ def test_exp_quotient_by_a_component_with_zero_constant_refuses():
     def poly(d):
         return (X - X ** -1) * Y ** -1 if d.m > 1 else X - X ** -1
     with pytest.raises(ZeroDivisionError, match="zero constant term"):
-        _exp_quotient(hopf(), poly, 0, 4)
+        exp_quotient(hopf(), poly, 0, 4)
 
 
 @pytest.mark.parametrize("fn", [
