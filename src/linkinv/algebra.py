@@ -613,9 +613,6 @@ class TruncatedSeries(_Terms):
 
     # -- basics ------------------------------------------------------------
 
-    def truncate(self, cap: int) -> "TruncatedSeries":
-        return TruncatedSeries(self.variables, min(self.cap, cap), self.terms)
-
     def embed(self, variables) -> "TruncatedSeries":
         variables, terms = self._embedded(variables)
         return TruncatedSeries(variables, self.cap, terms)

@@ -21,7 +21,7 @@ import sys
 from types import SimpleNamespace
 
 from .alexander import potential_function
-from .diagram import DiagramError, _excerpt, braid_closure, parse_braid, parse_pd
+from .diagram import DiagramError, _excerpt, _excerpt_int, braid_closure, parse_braid, parse_pd
 from .invariants import build_report
 from .skein import ResourceError, conway, homfly, kauffman_f, scope
 from .suites import SUITES, run_suites
@@ -234,10 +234,11 @@ def _value(name, option, kind, text):
             value = int(text)
         except ValueError:
             _fail(name, f"argument {option}: invalid int value: {_excerpt(text)}")
+        shown = _excerpt_int(value)
         if value < 0:
-            _fail(name, f"argument {option}: cap and budget must be >= 0, got {value}")
+            _fail(name, f"argument {option}: cap and budget must be >= 0, got {shown}")
         if option == "--cap" and value > MAX_CAP:
-            _fail(name, f"argument {option}: cap must be <= {MAX_CAP}, got {value}")
+            _fail(name, f"argument {option}: cap must be <= {MAX_CAP}, got {shown}")
         return value
     if kind is not str and text not in kind:
         choices = ", ".join(map(repr, kind))

@@ -147,12 +147,16 @@ class LinkDiagram:
     components: tuple of arc cycles in traversal order; a crossing-free
         unknot component is a 1-cycle whose arc appears in no crossing.
     colors: one color per component, onto {1..n}.
+    braid: the `BraidWord` a diagram of `braid_closure` closes, kept by
+        `recolor`, `monochrome` and `with_name`; None on every other
+        diagram, surgery results included.  Equality, hashing and
+        `render_pd` ignore it.
 
     The constructor validates its arguments and derives the over-strand
     directions; surgery results come from `_make`, which derives only.
     """
 
-    __slots__ = ("crossings", "components", "colors", "name",
+    __slots__ = ("crossings", "components", "colors", "name", "braid",
                  "heads", "tails", "over_in", "signs", "comp_of_arc")
 
     def __init__(self, crossings, components, colors, name=None, over_in=None):
@@ -160,7 +164,7 @@ class LinkDiagram:
         components = tuple(tuple(int(a) for a in cyc) for cyc in components)
         colors = tuple(int(c) for c in colors)
         for attr, value in (("crossings", crossings), ("components", components),
-                            ("colors", colors), ("name", name)):
+                            ("colors", colors), ("name", name), ("braid", None)):
             object.__setattr__(self, attr, value)
         self._derive(self._validate(tuple(over_in) if over_in is not None else None))
 
@@ -171,9 +175,14 @@ class LinkDiagram:
         the derived fields are computed."""
         self = object.__new__(cls)
         for attr, value in (("crossings", crossings), ("components", components),
-                            ("colors", colors), ("name", name)):
+                            ("colors", colors), ("name", name), ("braid", None)):
             object.__setattr__(self, attr, value)
         self._derive(over_in)
+        return self
+
+    def _closing(self, braid) -> "LinkDiagram":
+        """This diagram, just built, recorded as the closure of `braid`."""
+        object.__setattr__(self, "braid", braid)
         return self
 
     def __setattr__(self, *args):
@@ -363,17 +372,17 @@ class LinkDiagram:
 
     def recolor(self, colors) -> "LinkDiagram":
         return LinkDiagram(self.crossings, self.components, colors, self.name,
-                           over_in=self.over_in)
+                           over_in=self.over_in)._closing(self.braid)
 
     def monochrome(self) -> "LinkDiagram":
         if all(c == 1 for c in self.colors):
             return self
         return LinkDiagram._make(self.crossings, self.components, (1,) * self.m,
-                                 self.over_in, self.name)
+                                 self.over_in, self.name)._closing(self.braid)
 
     def with_name(self, name) -> "LinkDiagram":
         return LinkDiagram._make(self.crossings, self.components, self.colors,
-                                 self.over_in, name)
+                                 self.over_in, name)._closing(self.braid)
 
     # -- surgery -------------------------------------------------------------
 
@@ -615,6 +624,13 @@ def _excerpt(raw: str) -> str:
     return repr(raw[:_ECHO_LIMIT]) + "..."
 
 
+def _excerpt_int(value: int) -> str:
+    """An integer as it is written, or `_excerpt` of it past _ECHO_LIMIT
+    characters."""
+    text = str(value)
+    return text if len(text) <= _ECHO_LIMIT else _excerpt(text)
+
+
 def _is_int_list(value) -> bool:
     return isinstance(value, (list, tuple)) and all(type(v) is int for v in value)
 
@@ -778,7 +794,8 @@ class BraidWord:
             raise DiagramError(f"braid has more than {MAX_STRANDS} strands")
         for w in word:
             if w == 0 or abs(w) >= strands:
-                raise DiagramError(f"generator index {w} out of range for {strands} strands")
+                raise DiagramError(
+                    f"generator index {_excerpt_int(w)} out of range for {strands} strands")
         object.__setattr__(self, "strands", strands)
         object.__setattr__(self, "word", word)
 
@@ -840,4 +857,4 @@ def braid_closure(b: BraidWord, colors=None, name=None) -> LinkDiagram:
     comps, _ = LinkDiagram._canon_components(comps, [1] * len(comps))
     if colors is None:
         colors = (1,) * len(comps)
-    return LinkDiagram(crossings, comps, colors, name, over_in=over_in)
+    return LinkDiagram(crossings, comps, colors, name, over_in=over_in)._closing(b)

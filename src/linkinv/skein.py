@@ -32,6 +32,16 @@ a key or a skein step.  A reduction only lowers the crossing count
 and the violations are recomputed on the reduced node, so the descent
 still terminates.
 
+`homfly` has a second route, for the closure of a braid on at most
+HECKE_STRANDS = 5 strands: a diagram built by `diagram.braid_closure`,
+which records its word.  H of the closure is the Ocneanu trace of the
+word's image in the Hecke algebra H_n, an element held as {permutation:
+coefficient} over the n! basis elements (`_hecke_homfly`), and the work is
+linear in the word's length.  The route spends no node of the budget and
+reads no memo table.  Every other diagram, every surgery result included,
+takes the descent, which is also the route's test oracle on the same
+diagram read back from PD.
+
 `_descend` runs the descent as one loop over an explicit stack, so a deep
 diagram stops at its node budget, never at the interpreter's frame limit.
 It looks a node up in a memo table, spends one unit of the node budget on
@@ -67,7 +77,8 @@ from typing import NamedTuple
 
 from .algebra import LaurentPolynomial, _unpack, fox_determinant, permutation_sign, \
     rewrite_in_difference
-from .diagram import LinkDiagram, disconnected, far_ends, relink, walk_oriented, walk_unoriented
+from .diagram import BraidWord, LinkDiagram, disconnected, far_ends, relink, walk_oriented, \
+    walk_unoriented
 
 XYVARS = ("x", "y")
 
@@ -194,8 +205,13 @@ def _reduced_oriented(flat, other, over_in, loops, joins=()):
 
 
 def homfly(d: LinkDiagram, memo=None) -> LaurentPolynomial:
-    """HOMFLY polynomial in x, y with x*H(L+) - x^-1*H(L-) = y*H(L0)."""
+    """HOMFLY polynomial in x, y with x*H(L+) - x^-1*H(L-) = y*H(L0).  The
+    closure of a braid on at most HECKE_STRANDS strands takes the Hecke
+    trace (`_hecke_homfly`), which spends no node and reads no memo; every
+    other diagram takes the skein descent."""
     _require_component(d)
+    if d.braid is not None and d.braid.strands <= HECKE_STRANDS:
+        return _hecke_homfly(d.braid)
     unlinks: dict = {}  # m -> the m-component unlink, delta^(m - 1)
 
     def step(node):
@@ -220,6 +236,89 @@ def homfly(d: LinkDiagram, memo=None) -> LaurentPolynomial:
 
     root = _reduced_oriented(*far_ends(d.crossings), d.over_in, len(d._free_loops(())))
     return _descend(root, _unlabelled, step, memo, "homfly")
+
+
+# -- braid closures: the Ocneanu trace on the Hecke algebra --------------------
+
+HECKE_STRANDS = 5  # closures on more strands take the descent; H_n has n! basis elements
+
+# g_i^2 = (y/x)*g_i + x^-2 and g_i^-1 = x^2*g_i - x*y, from x*g_i - x^-1*g_i^-1 = y
+_G_SQUARE = (_Y * _X ** -1, _X ** -2)
+_G_INVERSE = (_X ** 2, -(_X * _Y))
+
+
+def _add_to(out: dict, w, c):
+    total = out.get(w)
+    out[w] = c if total is None else total + c
+
+
+def _times_g(element: dict, i: int) -> dict:
+    """element * g_i in the Hecke algebra H_n, an element being a dict
+    {w: coefficient} on the basis T_w, w a permutation of range(n) in
+    one-line notation and g_i = T_(s_i), s_i swapping positions i - 1 and
+    i: T_w*g_i is T_(w s_i) when the length grows, else
+    (y/x)*T_w + x^-2*T_(w s_i)."""
+    at_g, at_one = _G_SQUARE
+    out: dict = {}
+    for w, c in element.items():
+        ws = w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]
+        if w[i - 1] < w[i]:
+            _add_to(out, ws, c)
+        else:
+            _add_to(out, w, at_g * c)
+            _add_to(out, ws, at_one * c)
+    return {w: c for w, c in out.items() if c}
+
+
+def _times_letter(element: dict, letter: int) -> dict:
+    """element * g_i^(+-1) for the braid letter +-i."""
+    product = _times_g(element, abs(letter))
+    if letter > 0:
+        return product
+    at_g, at_one = _G_INVERSE
+    out = {w: at_g * c for w, c in product.items()}
+    for w, c in element.items():
+        _add_to(out, w, at_one * c)
+    return {w: c for w, c in out.items() if c}
+
+
+def _trace(element: dict, memo: dict) -> LaurentPolynomial:
+    """The Ocneanu trace of an element of H_n, normalized as H of the
+    closure: Tr(1 in H_1) = 1, Tr(a (x) 1) = delta*Tr(a) and
+    Tr(a*g_(n-1)*b) = Tr(a*b) for a, b in H_(n-1).  `memo` holds the trace
+    of each T_w met.  A w that moves n - 1 to position k is
+    T_u*g_(n-1)*...*g_(k+1), u = w without n - 1, so its trace is that of
+    T_u*g_(n-2)*...*g_(k+1) in H_(n-1)."""
+    value = LaurentPolynomial.zero(XYVARS)
+    for w, c in element.items():
+        tw = memo.get(w)
+        if tw is None:
+            n = len(w)
+            k = w.index(n - 1)
+            if n == 1:
+                tw = LaurentPolynomial.one(XYVARS)
+            elif k == n - 1:
+                tw = _DELTA_H * _trace({w[:-1]: 1}, memo)
+            else:
+                peeled = {w[:k] + w[k + 1:]: LaurentPolynomial.one(XYVARS)}
+                for i in range(n - 2, k, -1):
+                    peeled = _times_g(peeled, i)
+                tw = _trace(peeled, memo)
+            memo[w] = tw
+        value = value + c * tw
+    return value
+
+
+def _hecke_homfly(b: BraidWord) -> LaurentPolynomial:
+    """H of the closure of `b` as the trace of the word's image in
+    H_(b.strands), in time linear in the word's length (Jones, Ann. of
+    Math. 126, 1987; Morton and Short, J. Algorithms 11, 1990).  As H is an
+    ambient-isotopy invariant, g_i is sigma_i itself and no writhe factor
+    enters."""
+    element = {tuple(range(b.strands)): LaurentPolynomial.one(XYVARS)}
+    for letter in b.word:
+        element = _times_letter(element, letter)
+    return _trace(element, {})
 
 
 # -- Kauffman's state sum: Conway and the potential function ------------------

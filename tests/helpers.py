@@ -9,7 +9,7 @@ from linkinv.alexander import PotentialFunction
 from linkinv.algebra import LaurentPolynomial, TruncatedSeries, _pack, _unpack, fox_determinant
 from linkinv.cli import cmd_decompose, cmd_invariants, cmd_polys, cmd_verify
 from linkinv.diagram import UNDER_IN, UNDER_OUT, DiagramError, LinkDiagram, _trace_oriented, \
-    _trace_unoriented, far_ends
+    _trace_unoriented, far_ends, parse_pd
 from linkinv.skein import _CORNERS, _DELTA_D, _DELTA_H, _FLIPPED, _HOMFLY_FACTORS, _X, _Y, \
     _descend, _faces, _key
 from linkinv.suites import SUITES
@@ -285,6 +285,12 @@ def disjoint_union(a: LinkDiagram, b: LinkDiagram) -> LinkDiagram:
                        over_in=a.over_in + b.over_in)
 
 
+def as_pd(d: LinkDiagram) -> LinkDiagram:
+    """d read back from its PD text: an equal diagram that records no
+    braid, so that `skein.homfly` takes the skein descent on it."""
+    return parse_pd(d.render_pd())
+
+
 def mono_numerator(om: PotentialFunction) -> LaurentPolynomial:
     """(x - x^-1) * value with every variable set to x; a polynomial in the
     single variable x for links and the bare numerator for knots."""
@@ -293,6 +299,11 @@ def mono_numerator(om: PotentialFunction) -> LaurentPolynomial:
         return collapsed
     x = LaurentPolynomial.gen(("x",), "x")
     return (x - x ** -1) * collapsed
+
+
+def truncate(f: TruncatedSeries, cap: int) -> TruncatedSeries:
+    """f truncated at the smaller of its cap and `cap`."""
+    return TruncatedSeries(f.variables, min(f.cap, cap), f.terms)
 
 
 def monomial_substitute_series(f: LaurentPolynomial, images, cap: int) -> TruncatedSeries:
@@ -318,11 +329,11 @@ def monomial_substitute_series(f: LaurentPolynomial, images, cap: int) -> Trunca
             if key not in pos_cache:
                 pos, inv = images[v]
                 if e > 0:
-                    pos_cache[key] = pos.embed(nv).truncate(cap) ** e
+                    pos_cache[key] = truncate(pos.embed(nv), cap) ** e
                 else:
                     if inv is None:
                         raise ValueError(f"negative power of {v} but no inverse image given")
-                    pos_cache[key] = inv.embed(nv).truncate(cap) ** (-e)
+                    pos_cache[key] = truncate(inv.embed(nv), cap) ** (-e)
             term = term * pos_cache[key]
         out = out + term
     return out

@@ -450,9 +450,11 @@ def test_generated_malformed_pd_exits_2_with_short_message(sw, mutation, rng):
 
 
 def huge(low):
-    """Integers from low up to 10^30 as text, and one of 5000 digits, more
-    than int() reads."""
-    return st.one_of(st.integers(low, 10 ** 30).map(str), st.just("7" * 5000))
+    """Integers from low up to 10^30 as text, integers of 41 to 4300 digits,
+    longer than a message quotes but within what int() reads, and one of
+    5000 digits, more than int() reads."""
+    long = st.integers(41, 4300).flatmap(lambda k: st.integers(10 ** (k - 1), 10 ** k - 1))
+    return st.one_of(st.integers(low, 10 ** 30).map(str), long.map(str), st.just("7" * 5000))
 
 
 HOPF_PD = HOPF_CROSSINGS + "components: [[1,2],[3,4]]\n"
@@ -465,6 +467,7 @@ HOSTILE = st.one_of(
     huge(3).map(lambda v: (HOPF_PD + f"colors: [1,{v}]\n", [])),
     huge(3).map(lambda v: (HOPF_PD, ["--colors", f"{v},1"])),
     huge(MAX_CAP + 1).map(lambda v: ("braid(2): 1 1\n", ["--cap", v])),
+    huge(1).map(lambda v: ("braid(2): 1 1\n", ["--budget", f"-{v}"])),
 )
 
 
@@ -487,6 +490,12 @@ def test_huge_values_exit_2_quickly_with_a_short_message(case):
 def test_deep_braids_under_a_small_budget_exit_0_or_3(which, engine, n, length, rng):
     word = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length)]
     text = f"braid({n}): " + " ".join(map(str, word)) + "\n"
+    if which == "homfly":
+        # a closed braid's HOMFLY is a Hecke trace and spends no node; its
+        # PD text takes the descent, which the budget stops
+        code, out, err = run_stdin(text, "polys", "-", "--which", which, "--budget", "50")
+        assert (code, err) == (0, "") and out
+        text = braid_closure(BraidWord(n, word)).render_pd()
     code, out, err = run_stdin(text, "polys", "-", "--which", which, "--budget", "50")
     assert code in (0, 3)
     if code == 3:

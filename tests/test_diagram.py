@@ -20,6 +20,7 @@ from linkinv.diagram import (
     parse_pd,
     parse_singular,
 )
+from linkinv.invariants import build_report
 
 from helpers import dict_validate, disjoint_union, mutated_inputs, record_switch, uf_delete, \
     uf_smooth
@@ -363,6 +364,24 @@ def test_render_pd_round_trips_coloured_closures(sw, palette, named):
     assert (back.colors, back.name) == (d.colors, d.name)
 
 
+def test_a_closure_keeps_its_braid_through_recolouring_and_naming_only():
+    # the Whitehead link, two components
+    b = BraidWord(3, [1, -2, 1, -2, 1])
+    d = braid_closure(b)
+    assert d.braid is b
+    kept = [d.recolor((1, 2)), d.with_name("whitehead"), d.recolor((1, 2)).monochrome()]
+    assert all(k.braid is b for k in kept)
+    trefoil = braid_closure(BraidWord(2, [1, 1, 1]))
+    dropped = [d.switch(0), d.smooth_oriented(0), d.smooth_infinity(0), d.reverse_component(0),
+               d.component(0), d.delete_component(1), d.connected_sum(trefoil, 0, 0)]
+    assert all(r.braid is None for r in dropped)
+    # equality, hashing, the PD text and the report ignore it
+    back = parse_pd(d.render_pd())
+    assert back.braid is None
+    assert back == d and hash(back) == hash(d) and back.render_pd() == d.render_pd()
+    assert build_report(back, 3) == build_report(d, 3)
+
+
 def surgery_diagrams():
     """The corpus links and 300 seeded closures of 2-5-strand words with
     random colourings onto {1..k}, about two in three of them
@@ -449,7 +468,8 @@ def test_validate_matches_dict_oracle_on_mutated_inputs():
 
 
 def _fields(d):
-    return [getattr(d, f) for f in LinkDiagram.__slots__]
+    # every field but the braid, which no check derives
+    return [getattr(d, f) for f in LinkDiagram.__slots__ if f != "braid"]
 
 
 def _same_as_validated(d, colors=None, name=None):

@@ -67,8 +67,9 @@ def test_recorder_times_the_state_sum_determinant(layers):
 
 
 @pytest.mark.parametrize("which,nodes", [("conway", {"skein.conway.nodes": 1}),
-                                         ("homfly", {"skein.homfly.nodes": 4}),
+                                         ("homfly", {"skein.homfly.nodes": 0}),
                                          ("kauffman", {"skein.dubrovnik.nodes": 5})])
 def test_child_counts_skein_nodes(which, nodes):
+    # HOMFLY of a 3-strand closure is a Hecke trace, which fills no memo
     spec = {"strands": 3, "word": [1, -2, 1, -2], "which": which}
     assert compiled("child").skein_nodes(linkinv, spec) == nodes

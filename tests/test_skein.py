@@ -42,6 +42,7 @@ from linkinv.skein import (
 )
 
 from helpers import (
+    as_pd,
     bad_crossings,
     curl_keeping_step,
     dense_fox_determinant,
@@ -255,7 +256,7 @@ def test_budget_error():
     for engine, name in ((skein_conway, "conway"), (homfly, "homfly"),
                          (kauffman_f, "dubrovnik")):
         with pytest.raises(SkeinBudgetError) as info, scope(2):
-            engine(borromean(), memo={})
+            engine(as_pd(borromean()), memo={})
         assert info.value.engine == name
         assert info.value.budget == 2
         assert str(info.value) == f"{name} skein node budget of 2 exceeded"
@@ -265,7 +266,7 @@ def test_budget_error():
 def test_budget_error_is_a_resource_error(name, engine):
     # the CLI's exit 3 catches the one ResourceError
     with pytest.raises(ResourceError) as info, scope(2):
-        engine(borromean())
+        engine(as_pd(borromean()))
     assert type(info.value) is SkeinBudgetError
     assert (info.value.engine, info.value.budget) == (name, 2)
 
@@ -277,7 +278,7 @@ ENGINES = [("homfly", homfly), ("dubrovnik", dubrovnik), ("dubrovnik", kauffman_
 def test_no_call_outside_a_scope_answers_for_another(name, engine):
     # outside a scope every call starts from an empty table, so a warm call
     # does not let a later one pass a budget it cannot meet
-    d = borromean()
+    d = as_pd(borromean())
     engine(d)
 
     def outside_a_scope_with_budget_1():
@@ -293,7 +294,7 @@ def test_no_call_outside_a_scope_answers_for_another(name, engine):
 def test_a_scope_shares_its_tables_until_it_exits(name, engine):
     # inside a scope, calls that pass no memo share its table and spend its
     # budget; an explicit memo still wins
-    d = borromean()
+    d = as_pd(borromean())
     with scope():
         want = engine(d)
         table = skein._SCOPE.get().tables[name]
@@ -319,7 +320,7 @@ def test_a_nested_scope_keeps_the_enclosing_one():
             inner = skein._SCOPE.get()
             assert inner.budget == 7 and inner.tables is not outer.tables
             with pytest.raises(SkeinBudgetError) as info:
-                homfly(borromean())
+                homfly(as_pd(borromean()))
             assert info.value.budget == 7
         assert skein._SCOPE.get() is outer
     with scope():
@@ -345,7 +346,8 @@ def test_library_run_suites_shares_one_table(monkeypatch):
 
 
 def test_two_threads_keep_their_own_scopes():
-    want = homfly(borromean())
+    d = as_pd(borromean())
+    want = homfly(d)
     barrier = threading.Barrier(2)
     results = {}
 
@@ -353,7 +355,7 @@ def test_two_threads_keep_their_own_scopes():
         with scope(budget):
             barrier.wait(timeout=60)
             try:
-                results[budget] = homfly(borromean())
+                results[budget] = homfly(d)
             except SkeinBudgetError as exc:
                 results[budget] = exc
 
@@ -398,7 +400,7 @@ def test_cold_memo_node_counts(make, counts):
     for engine in (skein_conway, homfly, lambda d, memo: labelled_dubrovnik(d, memo),
                    labelled_homfly):
         memo = {}
-        engine(make(), memo=memo)
+        engine(as_pd(make()), memo=memo)
         sizes.append(len(memo))
     assert tuple(sizes) == counts
 
@@ -447,7 +449,9 @@ def seeded_closures(seed, count, letters=12):
 
 
 def _oracle_diagrams():
-    return [make() for make, _ in NODE_COUNTS] + list(seeded_closures(20261018, 40, letters=8))
+    # as PD, so that HOMFLY takes the descent
+    return [as_pd(make()) for make, _ in NODE_COUNTS] + [
+        as_pd(d) for d in seeded_closures(20261018, 40, letters=8)]
 
 
 @pytest.mark.parametrize("engine,name", [(homfly, "homfly"), (dubrovnik, "dubrovnik"),
@@ -487,7 +491,8 @@ def _near_the_frame_limit(fn, *args, **kwargs):
 
 
 def torus(n):
-    return braid_closure(BraidWord(2, [1] * n))
+    # T(2,n) as PD, so that HOMFLY takes the descent
+    return as_pd(braid_closure(BraidWord(2, [1] * n)))
 
 
 def deep_braid(strands, length):
@@ -495,7 +500,7 @@ def deep_braid(strands, length):
     curl and bigon is reduced: 60-150 pending nodes at 300-400 letters."""
     rng = random.Random(1)
     word = [rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(length)]
-    return braid_closure(BraidWord(strands, word))
+    return as_pd(braid_closure(BraidWord(strands, word)))
 
 
 def test_skein_depth_is_not_bounded_by_frames():
@@ -563,7 +568,7 @@ def test_engines_fill_a_caller_owned_memo(monkeypatch):
     # exactly one entry, and without a memo it caches nothing
     for engine in (conway, homfly, kauffman_f):
         memo = {}
-        engine(whitehead(), memo=memo)
+        engine(as_pd(whitehead()), memo=memo)
         assert memo, engine.__name__
     sums = []
     real = skein.state_sum
@@ -733,7 +738,8 @@ def test_pairing_key_tells_mirrors_and_quarter_turns_apart():
 def test_nodes_spent_equal_table_entries():
     # a switch keeps the labels and so the walk, so a relabeling of a
     # pending node never turns up below it and no key misses twice
-    diagrams = _oracle_diagrams() + [braid_closure(BraidWord(n, w)) for n, w in pool_words()]
+    diagrams = _oracle_diagrams() + [as_pd(braid_closure(BraidWord(n, w)))
+                                     for n, w in pool_words()]
     for d in diagrams:
         for engine in (homfly, dubrovnik):
             _, table, spent = _run(_descend, engine, d)
@@ -768,7 +774,7 @@ def reducible(other):
 
 
 def test_no_reducible_node_reaches_either_table():
-    diagrams = [e.link for e in CORPUS_LINKS] + list(seeded_closures(20261020, 40))
+    diagrams = [e.link for e in CORPUS_LINKS] + [as_pd(d) for d in seeded_closures(20261020, 40)]
     diagrams += [d.smooth_infinity(0) for d in diagrams if d.crossings]
     for d in diagrams:
         for engine in (homfly, dubrovnik):
@@ -784,13 +790,68 @@ def test_homfly_matches_labelled_oracle_on_corpus(entry):
 def test_homfly_matches_labelled_oracle_on_braids():
     memo = {}
     for d in seeded_closures(20261021, 120):
-        assert homfly(d, memo=memo) == labelled_homfly(d), d.crossings
+        want = labelled_homfly(d)
+        assert homfly(as_pd(d), memo=memo) == want, d.crossings
+        assert homfly(d) == want, d.crossings
 
 
 def test_homfly_matches_labelled_oracle_on_pool_words():
     for n, word in pool_words():
         d = braid_closure(BraidWord(n, word))
-        assert homfly(d, memo={}) == labelled_homfly(d), (n, word)
+        want = labelled_homfly(d)
+        assert homfly(as_pd(d), memo={}) == want, (n, word)
+        assert homfly(d) == want, (n, word)
+
+
+# -- HOMFLY of a closed braid: the Hecke trace against the descent -------------
+
+hecke_braid_words = st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.integers(1, max(n - 1, 1)).flatmap(lambda g: st.sampled_from((g, -g))),
+             max_size=20 if n > 1 else 0)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(hecke_braid_words)
+def test_hecke_trace_matches_the_descent(sw):
+    d = braid_closure(BraidWord(*sw))
+    assert homfly(d) == homfly(as_pd(d), memo={}), sw
+
+
+def test_hecke_trace_matches_the_benchmark_golden_values():
+    # every HOMFLY value the benchmark checks, as the CLI renders it
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "golden.json")) as fh:
+        values = json.load(fh)["values"]
+    checked = 0
+    for key, want in values.items():
+        which, strands, word, _ = key.split("|")
+        if which == "homfly":
+            d = braid_closure(BraidWord(int(strands), map(int, word.split())))
+            assert homfly(d).render() == want, key
+            checked += 1
+    assert checked >= 6
+
+
+def test_hecke_trace_spends_no_node():
+    # d_40 = (s1 s2)^40: the descent would spend its budget long before
+    # it ends; the trace spends none, and fills no memo table
+    d = braid_closure(BraidWord(3, [1, 2] * 40))
+    memo = {}
+    with scope(budget=0):
+        value = homfly(d, memo=memo)
+    assert memo == {}
+    assert value.set_variable_to_one("x").rename_variables({"y": "z"}) == conway(d)
+
+
+def test_closures_past_the_strand_bound_take_the_descent():
+    # the same link on 5 strands and, stabilized, on 6
+    word = [1, -2, 3, -4, 1, -2]
+    five, six = (braid_closure(BraidWord(n, word + [n - 1] * (n - 5))) for n in (5, 6))
+    with scope(budget=0):
+        want = homfly(five)
+        with pytest.raises(SkeinBudgetError):
+            homfly(six)
+    assert homfly(six) == want
 
 
 def _mirror(d):
@@ -843,7 +904,7 @@ def test_reducer_hand_cases(strands, word, exponent, left, loops):
     e, gone, flat, other, free = _reduce(*_tables(d))
     assert (e, len(flat) // 4, free) == (exponent, left, loops)
     assert len(gone) + len(flat) // 4 == len(d.crossings) and not reducible(other)
-    assert homfly(d, memo={}) == labelled_homfly(d)
+    assert homfly(as_pd(d), memo={}) == labelled_homfly(d)
     assert dubrovnik(d, memo={}) == labelled_dubrovnik(d, {})
 
 
@@ -872,6 +933,7 @@ def test_one_pass_reducer_matches_two_pass_oracle(monkeypatch):
     # input table, a switch's turned one too, is the far ends of its labels
     diagrams = [make() for make, _ in NODE_COUNTS] + list(seeded_closures(20261024, 40))
     diagrams += [braid_closure(BraidWord(n, w)) for n, w in pool_words()]
+    diagrams = [as_pd(d) for d in diagrams]
     smoothings = 0
     for (flat, given, loops, joins), out in _reduce_calls(monkeypatch, diagrams):
         crossings = _records(flat)
@@ -896,7 +958,7 @@ def test_far_ends_runs_once_per_engine_call(monkeypatch):
     # only the root builds the tables: every child carries the ones its
     # parent's switch or `_reduce` left, so neither a child, the memo key
     # nor the walk rebuilds them
-    diagrams = list(seeded_closures(20261025, 100))
+    diagrams = [as_pd(d) for d in seeded_closures(20261025, 100)]
     counts = {"far_ends": 0, "_reduce": 0}
 
     def counting(name, real):
@@ -1152,8 +1214,9 @@ def test_engines_reject_the_empty_diagram(engine):
 # -- the one walk against its dict-based oracles ------------------------------
 
 def walk_diagrams():
-    """The corpus links, 100 seeded closures and the curl diagrams."""
-    return [e.link for e in CORPUS_LINKS] + list(seeded_closures(20261023, 100)) + curl_diagrams()
+    """The corpus links, 100 seeded closures as PD and the curl diagrams."""
+    return ([e.link for e in CORPUS_LINKS] + [as_pd(d) for d in seeded_closures(20261023, 100)]
+            + curl_diagrams())
 
 
 def _unoriented_visits(crossings):
