@@ -350,8 +350,8 @@ def bracket(f: LaurentPolynomial) -> LaurentPolynomial:
 def rewrite_in_difference(f: LaurentPolynomial, zname: str = "z") -> LaurentPolynomial:
     """Rewrite a one-variable Laurent polynomial as a polynomial in z = x - x^-1.
 
-    Only defined when such a rewriting exists exactly (bar-invariant input
-    with uniform degree parity); raises ArithmeticError otherwise.
+    Only defined when such a rewriting exists exactly (bar-invariant
+    input); raises ArithmeticError otherwise.
     """
     if len(f.variables) != 1:
         raise ValueError("one-variable input required")

@@ -231,15 +231,13 @@ def congruence_rows(comps, d_table, cap: int):
     one: truncated-series coefficients below the cap do not depend on it."""
     unknotted = all(nabla == LaurentPolynomial.one(("z",)) for nabla, _ in comps)
     rows = []
+    # prefix[i, j]: the gcd of delta[k, l] over k <= i, l <= j
+    prefix: dict = {}
     for i in range(cap + 1):
         for j in range(cap + 1 - i):
             entry = d_table.get(i, j)
-            earlier = [int(d_table.get(k, l))
-                       for k in range(i + 1) for l in range(j + 1)
-                       if k + l < i + j]
-            modulus = 0
-            for v in earlier:
-                modulus = gcd(modulus, v)
+            modulus = gcd(prefix.get((i - 1, j), 0), prefix.get((i, j - 1), 0))
+            prefix[i, j] = gcd(modulus, int(entry))
             if modulus:
                 flagged = int(entry) % modulus != 0
             else:

@@ -18,6 +18,9 @@ coefficients, so `substitute_series` contracts the potential function over
 Z one variable at a time, and the w^alpha coefficient is divided by
 4^|alpha| once.
 
+The decomposition is one change of basis, to z_i and w_i = x_i + x_i^-1,
+and one triangular solve; its cost is polynomial in the exponents.
+
 The exponential expansions compute on integers.  After the substitution,
 y^pad times the polynomial is a finite sum of w * e^((alpha*a + gamma*h)/2)
 over integer points (alpha, gamma) with integer weights w, so its a^i h^n
@@ -37,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 
 from .algebra import (
     LaurentPolynomial,
@@ -115,13 +118,28 @@ def _alt_vector(subset, n):
     return tuple(vec)
 
 
+def _lucas(top: int) -> list:
+    """[(V_e, U_e) for e = 0..top] as coefficient lists in z: the Lucas
+    sequences of t^2 = z*t + 1, V_0 = 2, V_1 = z, U_0 = 0, U_1 = 1 and
+    S_(e+1) = z*S_e + S_(e-1).  Its roots are x and -x^-1 for z = x - x^-1,
+    so x^e = (V_e + w*U_e)/2 with w = x + x^-1."""
+    seq = [([2], []), ([0, 1], [1])]
+    while len(seq) <= top:  # S_(e-1) is two entries shorter than z*S_e
+        seq.append(tuple([a + b for a, b in zip([0, *s1], [*s0, 0, 0])]
+                         for s1, s0 in zip(seq[-1], seq[-2])))
+    return seq[:top + 1]
+
+
 def decompose(om) -> Decomposition:
     """Decompose a bar-invariant Laurent polynomial (or the numerator of a
     link potential function) over brace monomials.
 
-    Deterministic reduction: exponents are pushed into {-1,0,1}, sign
-    patterns normalized to alternation along increasing index, and odd
-    index sets eliminated into half-integer contributions.
+    By `_lucas`, x_i^e = (V_e + w_i*U_e)/2 and x_i^-e = (-1)^e * (V_e -
+    w_i*U_e)/2, so f = sum of Q_T(z) * w_T over index sets T, and Q_T = 0
+    for odd T as bar fixes z_i and negates w_i.  As {alt(S)} = 2^(1-|S|) *
+    sum over even T <= S of w_T * eps_(S-T) * z_(S-T), eps_k the signs of
+    `_alt_vector(S)`, each part is P_T = 2^(|T|-1) * (Q_T - sum over even
+    S > T of 2^(1-|S|) * eps_(S-T) * z_(S-T) * P_S).
     """
     f = om.numerator if isinstance(om, PotentialFunction) else om
     if isinstance(om, PotentialFunction) and om.pole:
@@ -129,68 +147,49 @@ def decompose(om) -> Decomposition:
     if bar_substitute(f) != f:
         raise ValueError("input is not bar-invariant")
     n = len(f.variables)
-    zv = zvars(n)
-    zero = (0,) * n
+    lucas = _lucas(max((abs(e) for p in f.terms for e in p), default=0))
 
-    items = []
-    remaining = dict(f.terms)
-    while remaining:
-        p = max(remaining)
-        coeff = remaining.pop(p)
-        if coeff == 0:
-            continue
-        if p == zero:
-            items.append((Fraction(coeff, 2), zero, zero))
-            continue
-        items.append((coeff, p, zero))
-        q = tuple(-e for e in p)
-        mirror = coeff if sum(p) % 2 == 0 else -coeff
-        left = remaining.get(q, 0) - mirror
-        if left:
-            remaining[q] = left
-        else:
-            remaining.pop(q, None)
+    # x_i -> z_i one variable at a time: T as a bitmask -> {exponents with
+    # those of z in front: 2^n * the coefficient of Q_T}
+    pending = {0: f.terms}
+    for i in range(n):
+        out: dict = {}
+        for mask, bucket in pending.items():
+            for p, c in bucket.items():
+                v, u = lucas[abs(p[i])]
+                if p[i] < 0:  # x^-e = (-1)^e * (V_e - w*U_e)/2
+                    c, u = -c if p[i] % 2 else c, [-a for a in u]
+                for key, seq in ((mask, v), (mask | 1 << i, u)):
+                    target = out.setdefault(key, {})
+                    for k, a in enumerate(seq):
+                        if a:
+                            q = p[:i] + (k,) + p[i + 1:]
+                            target[q] = target.get(q, 0) + c * a
+        pending = out
 
-    parts: dict = {}
-
-    def deposit(subset, zm, coeff):
-        key = frozenset(subset)
-        bucket = parts.setdefault(key, {})
-        bucket[zm] = bucket.get(zm, 0) + coeff
-
-    stack = list(items)
-    while stack:
-        coeff, p, zm = stack.pop()
-        if coeff == 0:
-            continue
-        # lower |p_i| where it is >= 2, then where the sign is off the
-        # alternation, by x^e = x^(e - 2s) + s*z*x^(e - s) for s = sign(e)
-        i = next((j for j, e in enumerate(p) if abs(e) >= 2), None)
-        support = [j + 1 for j, e in enumerate(p) if e != 0]
-        desired = _alt_vector(support, n)
-        if i is None:
-            i = next((j - 1 for j in support if p[j - 1] != desired[j - 1]), None)
-        if i is not None:
-            s = 1 if p[i] > 0 else -1
-            bump = tuple(zm[k] + (k == i) for k in range(n))
-            stack.append((coeff, tuple(p[k] - 2 * s * (k == i) for k in range(n)), zm))
-            stack.append((s * coeff, tuple(p[k] - s * (k == i) for k in range(n)), bump))
-            continue
-        if len(support) % 2 == 0:
-            deposit(support, zm, coeff)
-        else:
-            for j, idx in enumerate(sorted(support)):
-                rest = [s for s in support if s != idx]
-                sign = 1 if j % 2 == 0 else -1
-                bump = tuple(zm[k] + (1 if k == idx - 1 else 0) for k in range(n))
-                stack.append((Fraction(sign * coeff, 2), _alt_vector(rest, n), bump))
-
+    # D_T = 2^(n+1-|T|) * P_T is 2^n * Q_T less eps * z_(S-T) * D_S for each
+    # even S > T, pushed on once D_S is done; Q_T = 0 for odd T
     out = {}
-    for subset, bucket in parts.items():
-        poly = LaurentPolynomial(zv, bucket)
-        for c in poly.terms.values():
-            if c.denominator not in (1, 2):
-                raise ArithmeticError("decomposition part outside (1/2)Z")
+    while pending:
+        mask = max(pending, key=int.bit_count)
+        bucket = {zm: c for zm, c in pending.pop(mask).items() if c}
+        subset = frozenset(i + 1 for i in range(n) if mask >> i & 1)
+        eps = _alt_vector(subset, n)
+        sub = mask
+        while sub:
+            sub = (sub - 1) & mask
+            rest = mask & ~sub
+            if rest.bit_count() % 2:
+                continue
+            sign = prod(eps[i] for i in range(n) if rest >> i & 1)
+            target = pending.setdefault(sub, {})
+            for zm, c in bucket.items():
+                key = tuple(e + (rest >> i & 1) for i, e in enumerate(zm))
+                target[key] = target.get(key, 0) - sign * c
+        poly = LaurentPolynomial(zvars(n), {zm: Fraction(c, 1 << (n + 1 - len(subset)))
+                                            for zm, c in bucket.items()})
+        if any(c.denominator not in (1, 2) for c in poly.terms.values()):
+            raise ArithmeticError("decomposition part outside (1/2)Z")
         if poly:
             out[subset] = poly
     return Decomposition(n, out)

@@ -3,7 +3,7 @@ library's interface."""
 
 import argparse
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 from linkinv.alexander import PotentialFunction
 from linkinv.algebra import LaurentPolynomial, TruncatedSeries, _pack, _unpack, fox_determinant
@@ -13,7 +13,8 @@ from linkinv.diagram import UNDER_IN, UNDER_OUT, DiagramError, LinkDiagram, _tra
 from linkinv.skein import _CORNERS, _DELTA_D, _DELTA_H, _FLIPPED, _HOMFLY_FACTORS, _X, _Y, \
     _descend, _faces, _key
 from linkinv.suites import SUITES
-from linkinv.transforms import DEFAULT_CAP, _CH, CoefficientTable, _pascal, _sinh_unit
+from linkinv.transforms import DEFAULT_CAP, _CH, CoefficientTable, Decomposition, _alt_vector, \
+    _pascal, _sinh_unit, zvars
 
 
 def dict_validate(self, over_in_hint):
@@ -592,6 +593,91 @@ def polynomial_rewrite_in_difference(f: LaurentPolynomial, zname: str = "z") -> 
         coeff = out[(top,)] = rem.terms[(top,)]
         rem = rem - coeff * diff ** top
     return LaurentPolynomial((zname,), out)
+
+
+def rewriting_decompose(f: LaurentPolynomial) -> Decomposition:
+    """The oracle for `transforms.decompose` on a bar-invariant f: a
+    rewriting stack.  Each term is paired with its bar image, then
+    exponents are pushed into {-1, 0, 1} and sign patterns onto the
+    alternation by x^e = x^(e - 2s) + s*z*x^(e - s) for s = sign(e), and
+    odd index sets are eliminated into half-integer contributions.  A term
+    of exponent k splits into about Fibonacci(k) leaves per variable."""
+    n = len(f.variables)
+    zero = (0,) * n
+
+    items = []
+    remaining = dict(f.terms)
+    while remaining:
+        p = max(remaining)
+        coeff = remaining.pop(p)
+        if coeff == 0:
+            continue
+        if p == zero:
+            items.append((Fraction(coeff, 2), zero, zero))
+            continue
+        items.append((coeff, p, zero))
+        q = tuple(-e for e in p)
+        mirror = coeff if sum(p) % 2 == 0 else -coeff
+        left = remaining.get(q, 0) - mirror
+        if left:
+            remaining[q] = left
+        else:
+            remaining.pop(q, None)
+
+    parts: dict = {}
+    stack = list(items)
+    while stack:
+        coeff, p, zm = stack.pop()
+        if coeff == 0:
+            continue
+        i = next((j for j, e in enumerate(p) if abs(e) >= 2), None)
+        support = [j + 1 for j, e in enumerate(p) if e != 0]
+        desired = _alt_vector(support, n)
+        if i is None:
+            i = next((j - 1 for j in support if p[j - 1] != desired[j - 1]), None)
+        if i is not None:
+            s = 1 if p[i] > 0 else -1
+            bump = tuple(zm[k] + (k == i) for k in range(n))
+            stack.append((coeff, tuple(p[k] - 2 * s * (k == i) for k in range(n)), zm))
+            stack.append((s * coeff, tuple(p[k] - s * (k == i) for k in range(n)), bump))
+            continue
+        if len(support) % 2 == 0:
+            bucket = parts.setdefault(frozenset(support), {})
+            bucket[zm] = bucket.get(zm, 0) + coeff
+        else:
+            for j, idx in enumerate(sorted(support)):
+                rest = [s for s in support if s != idx]
+                sign = 1 if j % 2 == 0 else -1
+                bump = tuple(zm[k] + (1 if k == idx - 1 else 0) for k in range(n))
+                stack.append((Fraction(sign * coeff, 2), _alt_vector(rest, n), bump))
+
+    out = {}
+    for subset, bucket in parts.items():
+        poly = LaurentPolynomial(zvars(n), bucket)
+        if poly:
+            out[subset] = poly
+    return Decomposition(n, out)
+
+
+def rescan_congruence_rows(comps, d_table, cap: int):
+    """The oracle for `invariants.congruence_rows`: each entry's modulus is
+    the gcd of every earlier delta[k, l], k <= i, l <= j, rescanned."""
+    unknotted = all(nabla == LaurentPolynomial.one(("z",)) for nabla, _ in comps)
+    rows = []
+    for i in range(cap + 1):
+        for j in range(cap + 1 - i):
+            entry = d_table.get(i, j)
+            modulus = 0
+            for k in range(i + 1):
+                for l in range(j + 1):
+                    if k + l < i + j:
+                        modulus = gcd(modulus, int(d_table.get(k, l)))
+            row = {"i": i, "j": j, "delta": str(entry), "modulus": modulus,
+                   "flagged": bool(int(entry) % modulus != 0 if modulus else entry != 0)}
+            if unknotted:
+                row["equality_flagged"] = bool(entry != 0)
+            rows.append(row)
+    return rows
 
 
 def _tuple_add_product(out: dict, a: dict, b: dict, sign: int = 1) -> dict:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from linkinv import invariants, transforms
+from linkinv.algebra import LaurentPolynomial
 from linkinv.corpus import load_corpus
 from linkinv.diagram import BraidWord, braid_closure, parse_pd
 from linkinv.invariants import (
@@ -14,13 +15,15 @@ from linkinv.invariants import (
     casson_walker_surrogate,
     cochran_beta,
     congruence_report,
+    congruence_rows,
     conway_coeffs,
     gamma3,
     two_color_tables,
     unoriented_sl,
 )
+from linkinv.transforms import CoefficientTable, component_conways
 
-from helpers import disjoint_union
+from helpers import disjoint_union, rescan_congruence_rows
 
 
 def hopf(colors=(1, 2)):
@@ -225,6 +228,22 @@ def test_congruence_report_whitehead_finite():
 def test_congruence_report_unlink():
     rows = congruence_report(unlink(2, (1, 2)), 6)
     assert not any(r["flagged"] for r in rows)
+
+
+def test_congruence_rows_match_the_rescan_oracle():
+    # prefix gcds give the rows of the per-entry rescan, in the same order,
+    # on seeded tables with zeros, units and shared factors, and on links
+    rng = random.Random(12)
+    one, knotted = LaurentPolynomial.one(("z",)), LaurentPolynomial.gen(("z",), "z")
+    for _ in range(60):
+        cap = rng.randrange(0, 10)
+        table = CoefficientTable({(i, j): rng.choice([0, 0, 1, -1, 2, 3, 4, 6, -12, 35])
+                                  for i in range(cap + 1) for j in range(cap + 1 - i)})
+        comps = [(rng.choice([one, knotted]), 1), (one, 2)]
+        assert congruence_rows(comps, table, cap) == rescan_congruence_rows(comps, table, cap)
+    for d in (hopf(), whitehead(), unlink(2, (1, 2))):
+        comps, table = component_conways(d), two_color_tables(d, 8)[2]
+        assert congruence_rows(comps, table, 8) == rescan_congruence_rows(comps, table, 8)
 
 
 def test_build_report_hopf():

@@ -466,6 +466,7 @@ def test_descent_loop_matches_recursive_oracle(engine, name):
         assert _run(_descend, engine, d) == want
         spent = len(want[2])
         if not spent:  # skein_conway answers a split root before any lookup
+            assert engine is skein_conway and d.is_split(), (name, d.render_pd())
             continue
         assert _run(_descend, engine, d, spent)[0] == want[0]
         failed = _run(_descend, engine, d, spent - 1)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from linkinv import suites, transforms
 from helpers import dict_exp_quotient, dict_substitute_exponential, exp_read_off, \
-    monomial_substitute_series
+    monomial_substitute_series, rewriting_decompose
 from linkinv.algebra import LaurentPolynomial, TruncatedSeries, brace, x_of_z
 from linkinv.alexander import potential_function
 from linkinv.corpus import load_corpus
@@ -20,6 +20,7 @@ from linkinv.transforms import (
     _CH,
     Decomposition,
     _exp_table,
+    _lucas,
     _link_quotients,
     _sigma,
     _sinh_unit,
@@ -203,7 +204,7 @@ def test_potential_series_matches_conway_diagonal():
                 assert diag.get(k, Fraction(0)) == coeff
 
 
-# -- brace identities used by the decomposition ------------------------------
+# -- identities of brace monomials --------------------------------------------
 
 def _gens(n):
     xs = tuple(f"x{i}" for i in range(1, n + 1))
@@ -331,12 +332,48 @@ def _random_decomposition(rng, n, deg):
 def test_decompose_left_inverse_of_reconstruct_random():
     rng = random.Random(99)
     for _ in range(200):
-        n = rng.choice([1, 2, 3])
+        n = rng.choice([1, 2, 3, 4])
         dec = _random_decomposition(rng, n, 6)
         om = reconstruct(dec)
         back = decompose(om)
         assert back.n == dec.n
         assert back.parts == dec.parts
+
+
+def test_lucas_sequences_rewrite_powers_of_x():
+    # x^e = (V_e + w*U_e)/2 and x^-e = (-1)^e * (V_e - w*U_e)/2 with
+    # z = x - x^-1 and w = x + x^-1
+    x = LaurentPolynomial.gen(("x",), "x")
+    z, w = x - x ** -1, x + x ** -1
+
+    def at_z(coefficients):
+        return sum((c * z ** k for k, c in enumerate(coefficients)), LaurentPolynomial.zero(("x",)))
+
+    seq = _lucas(12)
+    assert len(seq) == 13 and _lucas(0) == [([2], [])]
+    for e, (v, u) in enumerate(seq):
+        assert 2 * x ** e == at_z(v) + w * at_z(u), e
+        assert 2 * x ** -e == (-1) ** e * (at_z(v) - w * at_z(u)), e
+
+
+def test_decompose_matches_the_rewriting_oracle():
+    # seeded bar-invariant polynomials in 1-4 variables, |exponent| <= 4
+    rng = random.Random(32)
+    for _ in range(300):
+        n = rng.choice([1, 2, 3, 4])
+        xs = tuple(f"x{i}" for i in range(1, n + 1))
+        f = LaurentPolynomial.constant(xs, rng.randrange(-3, 4))
+        for _ in range(rng.randrange(0, 6)):
+            exps = tuple(rng.randrange(-4, 5) for _ in range(n))
+            f = f + rng.randrange(-5, 6) * brace(LaurentPolynomial.monomial(xs, exps))
+        assert decompose(f) == rewriting_decompose(f), f
+
+
+def test_decompose_round_trips_a_long_torus_link():
+    # T(2,40) coloured (1,2): exponents up to 19, far past the rewriting stack
+    om = potential_function(braid_closure(BraidWord(2, [1] * 40), colors=(1, 2)))
+    assert max(max(map(abs, e)) for e in om.numerator.terms) == 19
+    assert reconstruct(decompose(om)) == om.numerator
 
 
 def test_reduced_polynomial_values():
