@@ -19,7 +19,7 @@ function spends no node budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # fox_determinant, the sparse determinant `state_sum` runs on the packed
 # state matrix, is unused here but stays importable under this name: the
@@ -62,8 +62,7 @@ def alexander_poly(d: LinkDiagram) -> LaurentPolynomial:
         tuple((e - lo) // 2 for e, lo in zip(exps, low)): c for exps, c in f.terms.items()})
 
 
-@dataclass(frozen=True)
-class PotentialFunction:
+class PotentialFunction(NamedTuple):
     """Conway potential function.
 
     For links (m >= 2) the value is `numerator`; for knots the value is

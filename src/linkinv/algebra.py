@@ -27,13 +27,14 @@ determinant packed alike.  `_exact_quotient` divides on packed terms too.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping
 
 
 def _coeff(value) -> int | Fraction:
+    if type(value) is int:  # before isinstance, which runs the ABC check for Fraction
+        return value
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
@@ -233,7 +234,7 @@ class LaurentPolynomial(_Terms):
         return LaurentPolynomial(*self._embedded(variables))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not LaurentPolynomial and isinstance(other, (int, Fraction)):
             other = LaurentPolynomial.constant(self.variables, other)
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
@@ -255,7 +256,7 @@ class LaurentPolynomial(_Terms):
         return LaurentPolynomial._make(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __add__(self, other) -> "LaurentPolynomial":
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not LaurentPolynomial and isinstance(other, (int, Fraction)):
             other = LaurentPolynomial.constant(self.variables, other)
         nv, a, b = self._aligned(other)
         out = dict(a)
@@ -266,7 +267,7 @@ class LaurentPolynomial(_Terms):
     __radd__ = __add__
 
     def __mul__(self, other) -> "LaurentPolynomial":
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not LaurentPolynomial and isinstance(other, (int, Fraction)):
             c = _coeff(other)
             return LaurentPolynomial._make(self.variables,
                                            _clean({e: c * v for e, v in self.terms.items()}))
@@ -500,7 +501,10 @@ def fox_determinant(rows, ncols: int, bits: int, nvars: int) -> dict:
     entry and pivot met is a minor, of |exponents| at most n*E, and every
     numerator a sum of products of two minors, at most 2*n*E < R/2, so
     all of them pack one-to-one."""
-    count = Counter(j for row in rows for j in row)  # column -> rows left that hold it
+    count: dict = {}  # column -> rows left that hold it
+    for row in rows:
+        for j in row:
+            count[j] = count.get(j, 0) + 1
     one = {0: 1}
     since = [one] * ncols  # the pivot each row's entries are current for
     active = list(range(ncols))
@@ -618,7 +622,7 @@ class TruncatedSeries(_Terms):
         return TruncatedSeries(variables, self.cap, terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not TruncatedSeries and isinstance(other, (int, Fraction)):
             other = TruncatedSeries.constant(self.variables, self.cap, other)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -636,7 +640,7 @@ class TruncatedSeries(_Terms):
                                      {e: -c for e, c in self.terms.items()})
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not TruncatedSeries and isinstance(other, (int, Fraction)):
             other = TruncatedSeries.constant(self.variables, self.cap, other)
         nv, a, b = self._aligned(other)
         cap = min(self.cap, other.cap)
@@ -649,7 +653,7 @@ class TruncatedSeries(_Terms):
     __radd__ = __add__
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not TruncatedSeries and isinstance(other, (int, Fraction)):
             c = _coeff(other)
             return TruncatedSeries._make(self.variables, self.cap,
                                          _clean({e: c * v for e, v in self.terms.items()}))

@@ -71,12 +71,13 @@ def cmd_invariants(args) -> int:
     return EXIT_OK
 
 
-# --which -> the polynomial of a diagram that `polys` prints
+# --which -> the polynomial of a diagram that `polys` prints; each engine
+# is looked up by its name in this module when called, not held
 POLYS = {
-    "conway": conway,
-    "homfly": homfly,
-    "kauffman": kauffman_f,
-    "omega": potential_function,
+    "conway": lambda d: conway(d),
+    "homfly": lambda d: homfly(d),
+    "kauffman": lambda d: kauffman_f(d),
+    "omega": lambda d: potential_function(d),
     "nbl": lambda d: reduced_polynomial(decompose(potential_function(d))),
 }
 

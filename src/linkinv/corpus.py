@@ -6,15 +6,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagram import LinkDiagram, parse_pd, parse_singular
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "corpus_data")
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     name: str
     path: str
     singular: bool

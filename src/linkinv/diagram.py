@@ -115,6 +115,31 @@ def walk_unoriented(flat, other):
     return list(_walk(flat, other, [i for i, j in enumerate(other) if i < j]))
 
 
+def walk_tangle(flat, other, ends):
+    """The walk of a tangle whose boundary points are the last `ends`
+    slots of the tables of `far_ends`: each strand from its earlier
+    boundary point, in boundary order, then the closed circles as
+    `walk_unoriented` walks them.  Returns the circles and the Brauer
+    diagram, the boundary point each boundary point is joined to."""
+    body = len(flat) - ends
+    seen = bytearray(len(flat))
+    circles, partner = [], [0] * ends
+    for p in range(body, len(flat)):
+        if seen[p]:
+            continue
+        circle = []
+        i = other[p]
+        while i < body:
+            seen[i] = seen[i ^ 2] = 1
+            circle.append(i)
+            i = other[i ^ 2]
+        seen[i] = 1
+        partner[p - body], partner[i - body] = i - body, p - body
+        circles.append(circle)
+    circles += _walk(flat, other, [i for i in range(body) if i < other[i] and not seen[i]])
+    return circles, tuple(partner)
+
+
 def _trace_oriented(crossings, over_in):
     """Arc cycles of `walk_oriented`."""
     flat, other = far_ends(crossings)

@@ -6,8 +6,8 @@ build the bundled singular families used as evidence and witnesses.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .diagram import BraidWord, DiagramError, LinkDiagram, SingularLink, braid_closure
 from .invariants import conway_coeffs
@@ -15,8 +15,7 @@ from .skein import conway, homfly, kauffman_f
 from .transforms import component_conways, exp_expand_homfly, exp_expand_kauffman
 
 
-@dataclass(frozen=True)
-class InvariantFunction:
+class InvariantFunction(NamedTuple):
     """An ambient-isotopy invariant and its name.  The color rule for
     double points lives in `SingularLink`, which refuses a marked crossing
     between strands of two colors."""

@@ -42,6 +42,20 @@ reads no memo table.  Every other diagram, every surgery result included,
 takes the descent, which is also the route's test oracle on the same
 diagram read back from PD.
 
+`kauffman_f` has the same second route, on the same closures: D of the
+closure is read off the word's image in the Birman-Murakami-Wenzl algebra
+BMW_n, an element held as {Brauer diagram: coefficient} over the (2n-1)!!
+diagrams (`_bmw_dubrovnik`).  Each basis element is a descending tangle,
+and a tangle times one more crossing is reduced back to descending
+tangles by the Dubrovnik step itself: `_unoriented_step` and `_reduce`
+run on tangle nodes, whose last slots are the boundary points and whose
+walk starts each strand at its earlier boundary point
+(`diagram.walk_tangle`).  Each reduction is done once per call per
+(diagram, letter), so the cost is polynomial in the word's length where
+the descent's is exponential.  Like the Hecke trace it spends no node of
+the budget and reads no memo table; wider braids and every other diagram
+take the descent, which is its test oracle.
+
 `_descend` runs the descent as one loop over an explicit stack, so a deep
 diagram stops at its node budget, never at the interpreter's frame limit.
 It looks a node up in a memo table, spends one unit of the node budget on
@@ -71,6 +85,7 @@ its value depends on its arguments alone.  `conway` keeps no table.
 from __future__ import annotations
 
 import contextlib
+import math
 from contextvars import ContextVar
 from operator import itemgetter
 from typing import NamedTuple
@@ -78,7 +93,7 @@ from typing import NamedTuple
 from .algebra import LaurentPolynomial, _unpack, fox_determinant, permutation_sign, \
     rewrite_in_difference
 from .diagram import BraidWord, LinkDiagram, disconnected, far_ends, relink, walk_oriented, \
-    walk_unoriented
+    walk_tangle, walk_unoriented
 
 XYVARS = ("x", "y")
 
@@ -154,14 +169,15 @@ def _first_under(circles):
 _unlabelled = itemgetter(slice(1, None))
 
 
-def _descend(root, key, step, table, engine):
+def _descend(root, key, step, table, engine, limit=None):
     """The one memoized skein descent: the value of a node is table[key],
     and a miss spends one unit of the scope's budget (`_Scope`) and stores
     what the generator step(node) returns once it has been sent the value
     of every child it yields.  Pending steps wait on a stack, not in
-    frames.  A None `table` is the scope's."""
+    frames.  A None `table` is the scope's, a None `limit` its budget."""
     here = _SCOPE.get()
-    limit = here.budget
+    if limit is None:
+        limit = here.budget
     if table is None:
         table = {} if here.tables is None else here.tables[engine]
     used = 0
@@ -482,13 +498,13 @@ def _turn(flat, other, c, r):
     return flat, other
 
 
-def _reduce(flat, other, loops, joins=()):
-    """Join the arcs at each pair of slots in `joins`, all at one crossing
-    (a smoothing), then remove every curl and every reducible bigon by
-    Reidemeister I and II moves: given the tables of `diagram.far_ends`,
-    returns (e, gone, flat, other, loops), D(the given node) = x^e * D(the
-    node left), `gone` the indices of the crossings erased and flat and
-    other the tables of the crossings kept.
+def _reduce(flat, other, loops, joins=(), ends=0):
+    """Join the arcs at each pair of slots in `joins`, all at crossings
+    that go (one, for a smoothing), then remove every curl and every
+    reducible bigon by Reidemeister I and II moves: given the tables of
+    `diagram.far_ends`, returns (e, gone, flat, other, loops), D(the given
+    node) = x^e * D(the node left), `gone` the indices of the crossings
+    erased and flat and other the tables of the crossings kept.
 
     The moves are read off the faces of `_faces`.  A curl is a one-corner
     face, one arc at two adjacent slots s, s + 1, and contributes x for
@@ -500,9 +516,14 @@ def _reduce(flat, other, loops, joins=()):
     is a `diagram.relink`, which writes the least label onto both ends of
     the joined arc, and a strand that closes inside the erased crossings
     becomes a free loop.  The crossings at the relinked far ends are
-    checked again, so each move costs O(1)."""
+    checked again, so each move costs O(1).  On a tangle the last `ends`
+    slots of both tables are its boundary points, which keep their order
+    after the crossings kept, and no face through them is a curl or a
+    bigon."""
     flat, other = list(flat), list(other)
     gone = {a >> 2 for a, _ in joins}
+    body = len(flat) - ends
+    count = body >> 2
     todo: list = []
 
     def join(pairs):
@@ -514,11 +535,11 @@ def _reduce(flat, other, loops, joins=()):
                 loops += 1
 
     join(joins)
-    todo = list(range(len(flat) >> 2))  # every crossing, the last first
+    todo = list(range(count))  # every crossing, the last first
     exponent = 0
     while todo:
         c = todo.pop()
-        if c in gone:
+        if c in gone or c >= count:
             continue
         base = 4 * c
         for i in range(4):
@@ -527,7 +548,8 @@ def _reduce(flat, other, loops, joins=()):
                 exponent += -1 if i & 1 else 1
                 erased = (c,)
                 break
-            if k >> 2 != c and (k - i) & 1 and other[(k & ~3) | ((k + 1) & 3)] == base | i:
+            if k < body and k >> 2 != c and (k - i) & 1 \
+                    and other[(k & ~3) | ((k + 1) & 3)] == base | i:
                 erased = (c, k >> 2)
                 break
         else:
@@ -535,29 +557,41 @@ def _reduce(flat, other, loops, joins=()):
         gone.update(erased)
         join([(4 * e + s, 4 * e + s + 2) for e in erased for s in (0, 1)])
     if gone:
-        kept = [c for c in range(len(flat) >> 2) if c not in gone]
+        kept = [c for c in range(count) if c not in gone]
         moved = {c: 4 * j for j, c in enumerate(kept)}  # each kept crossing's first slot
-        other = [moved[k >> 2] | (k & 3) for c in kept for k in other[4 * c:4 * c + 4]]
-        flat = [a for c in kept for a in flat[4 * c:4 * c + 4]]
+        # the boundary, four slots to a key, moves down by the slots erased
+        moved.update((c, 4 * (c - len(gone))) for c in range(count, (len(flat) + 3) >> 2))
+        other = [moved[k >> 2] | (k & 3) for c in kept for k in other[4 * c:4 * c + 4]] + [
+            moved[k >> 2] | (k & 3) for k in other[body:]]
+        flat = [a for c in kept for a in flat[4 * c:4 * c + 4]] + flat[body:]
     return exponent, gone, tuple(flat), tuple(other), loops
 
 
-def _reduced(flat, other, loops, joins=()):
+def _reduced(flat, other, loops, joins=(), ends=0):
     """Yield the Dubrovnik node (flat, other, loops) of `_reduce` and
     return the value of the node it was reduced from."""
-    exponent, _, *node = _reduce(flat, other, loops, joins)
+    exponent, _, *node = _reduce(flat, other, loops, joins, ends)
     value = yield tuple(node)
-    return _X ** exponent * value if exponent else value
+    return value * _X ** exponent if exponent else value
 
 
-def _unoriented_step(node):
+def _unoriented_step(node, ends=0, found=None):
     """One Dubrovnik node: (flat, other, loops), the arc at every slot with
     the under-strand at slots {0, 2}, their far ends and a count of
-    crossing-free circles.  Every child it yields is reduced."""
+    crossing-free circles.  Every child it yields is reduced.
+
+    With `ends`, the node is a tangle whose last `ends` slots are its
+    boundary points (`_bmw_dubrovnik`), walked by `walk_tangle`.  A
+    descending tangle is worth x^selfw * delta^(closed circles) times its
+    Brauer diagram, and `found` keeps the one with the fewest crossings
+    off its closed circles met for each diagram."""
     flat, other, loops = node
     if not flat:
         return _DELTA_D ** (loops - 1)
-    circles = walk_unoriented(flat, other)
+    if ends:
+        circles, brauer = walk_tangle(flat, other, ends)
+    else:
+        circles = walk_unoriented(flat, other)
     into = [-1] * len(flat)  # the circle entering at each slot
     for cid, circle in enumerate(circles):
         for i in circle:
@@ -573,16 +607,24 @@ def _unoriented_step(node):
     ci = _first_under(circles)
     if ci is None:
         selfw = 0
-        for c in range(len(flat) >> 2):
+        for c in range((len(flat) - ends) >> 2):
             u, o, sgn = entries(c)
             if into[u] == into[o]:
                 selfw += sgn
-        return (_X ** selfw) * _DELTA_D ** (len(circles) + loops - 1)
+        if not ends:
+            return (_X ** selfw) * _DELTA_D ** (len(circles) + loops - 1)
+        below = {i >> 2 for circle in circles[ends >> 1:] for i in circle}  # on closed circles
+        size = ((len(flat) - ends) >> 2) - len(below)
+        if brauer not in found or found[brauer][0] > size:
+            found[brauer] = (size, flat, other, below, selfw)
+        closed = len(circles) - (ends >> 1) + loops
+        value = _X ** selfw
+        return _Tangles({brauer: value * _DELTA_D ** closed if closed else value})
     u, o, sgn = entries(ci)
-    at_switch = yield from _reduced(*_turn(flat, other, ci, 1), loops)
-    at_sm0 = yield from _reduced(flat, other, loops, ((u, o ^ 2), (o, u ^ 2)))
-    at_sm_inf = yield from _reduced(flat, other, loops, ((u, o), (u ^ 2, o ^ 2)))
-    return at_switch + sgn * (_Y * at_sm0) - sgn * (_Y * at_sm_inf)
+    at_switch = yield from _reduced(*_turn(flat, other, ci, 1), loops, (), ends)
+    at_sm0 = yield from _reduced(flat, other, loops, ((u, o ^ 2), (o, u ^ 2)), ends)
+    at_sm_inf = yield from _reduced(flat, other, loops, ((u, o), (u ^ 2, o ^ 2)), ends)
+    return at_switch + (at_sm0 - at_sm_inf) * (sgn * _Y)
 
 
 def dubrovnik(d: LinkDiagram, memo=None) -> LaurentPolynomial:
@@ -596,5 +638,267 @@ def dubrovnik(d: LinkDiagram, memo=None) -> LaurentPolynomial:
 
 
 def kauffman_f(d: LinkDiagram, memo=None) -> LaurentPolynomial:
-    """Dubrovnik version of the Kauffman polynomial, F = x^-w(D) * D(D)."""
-    return (_X ** (-d.writhe())) * dubrovnik(d, memo=memo)
+    """Dubrovnik version of the Kauffman polynomial, F = x^-w(D) * D(D).
+    The closure of a braid on at most HECKE_STRANDS strands takes the
+    route in the BMW algebra (`_bmw_dubrovnik`), which spends no node and
+    reads no memo; every other diagram takes the skein descent."""
+    if d.braid is not None and d.braid.strands <= HECKE_STRANDS:
+        value = _bmw_dubrovnik(d.braid)
+    else:
+        value = dubrovnik(d, memo=memo)
+    return (_X ** (-d.writhe())) * value
+
+
+# -- braid closures: Dubrovnik in the Birman-Murakami-Wenzl algebra ------------
+
+class _Tangles(dict):
+    """A Dubrovnik value on tangles, {Brauer diagram: coefficient}: the sum
+    of coefficient * [diagram].  `_unoriented_step` combines values by +,
+    - and * by a polynomial on the right, so it runs on these unchanged."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        out = _Tangles(self)
+        for beta, c in other.items():
+            _add_to(out, beta, c)
+        return _Tangles({beta: c for beta, c in out.items() if c})
+
+    def __sub__(self, other):
+        return self + other * -1
+
+    def __mul__(self, scalar):
+        return _Tangles({beta: c * scalar for beta, c in self.items()})
+
+
+def _shape(p: LaurentPolynomial):
+    """(l1 norm, least y-degree, greatest y-degree) of p."""
+    ys = [e[1] for e in p.terms]
+    return sum(map(abs, p.terms.values())), min(ys), max(ys)
+
+
+def _spread(shapes: dict, images) -> dict:
+    """The shapes of sum_beta c_beta * images(beta), given the shape of
+    each c_beta, images(beta) a list of (gamma, shape of its coefficient,
+    ...).  A shape is (l1 norm, least y-degree, greatest y-degree), and
+    those found are bounds, as they leave out every cancellation."""
+    out: dict = {}
+    for beta, (norm, low, high) in shapes.items():
+        for g, (p_norm, p_low, p_high), *_ in images(beta):
+            got = out.get(g)
+            out[g] = (norm * p_norm, low + p_low, high + p_high) if got is None else (
+                got[0] + norm * p_norm, min(got[1], low + p_low), max(got[2], high + p_high))
+    return out
+
+
+class _Packing(NamedTuple):
+    """Kronecker's substitution for the coefficients of `_bmw_dubrovnik`.
+    The BMW algebra is graded mod 2 by x, y and every g_i of degree 1, so
+    the terms x^a*y^b of each coefficient share the parity of a + b, and
+    x^-parity times the coefficient lies where a + b is even.  There,
+    x^a*y^b goes to t^((a*radix + b)/2), radix odd, a ring map, and t to
+    2^bits; a coefficient is an int with the exponent it starts at and
+    its parity.  The maps commute with the word's linear steps, so only
+    the value read back must fit them: coefficients below 2^(bits-1) in
+    size and y-degrees from `low` on, fewer than `radix` of them.
+
+    A letter then costs a few big-int shifts and sums per product, not a
+    loop over terms: on LaurentPolynomial coefficients d_20 takes 62 ms,
+    not 5-8 ms, and a 366-letter random 4-braid 62 s, not 1.8 s (x86-64,
+    Python 3.11)."""
+
+    bits: int
+    radix: int
+    low: int
+
+    def terms(self, p: LaurentPolynomial, shift: int) -> list:
+        """x^shift * p as the (coefficient, exponent of t, parity) of each
+        of its terms."""
+        a, b = next(iter(p.terms))
+        parity = (a + b + shift) & 1
+        return [(c, (self.radix * (a + shift - parity) + b) >> 1, parity)
+                for (a, b), c in p.terms.items()]
+
+    def pack(self, p: LaurentPolynomial, shift: int):
+        """x^shift * p as (int, the exponent of t it starts at, parity)."""
+        terms = self.terms(p, shift)
+        start = min(e for _, e, _ in terms)
+        return sum(c << self.bits * (e - start) for c, e, _ in terms), start, terms[0][2]
+
+    def apply(self, element: dict, images) -> dict:
+        """sum_beta c_beta * images(beta) on packed coefficients, images(beta)
+        a list of (gamma, int, start, parity), the last three those of
+        `pack`."""
+        parts: dict = {}
+        for beta, (c, start, parity) in element.items():
+            for g, p, shift, p_parity in images(beta):
+                # x^parity * x^p_parity: x^2 is t^radix
+                e = start + shift + (self.radix if parity & p_parity else 0)
+                parts.setdefault(g, []).append((e, c, p, parity ^ p_parity))
+        out = {}
+        for g, terms in parts.items():
+            # a shift or a sum reads every digit of a big int, so the sum
+            # starts from the term that needs no shift, unshifted
+            terms.sort(key=itemgetter(0))
+            begin, c, p, parity = terms[0]
+            c = c if p == 1 else -c if p == -1 else c * p
+            for e, v, p, _ in terms[1:]:
+                if p == 1:
+                    c += v << self.bits * (e - begin)
+                elif p == -1:
+                    c -= v << self.bits * (e - begin)
+                else:
+                    c += v * p << self.bits * (e - begin)
+            if c:
+                out[g] = c, begin, parity
+        return out
+
+    def unpack(self, c: int, start: int, parity: int) -> LaurentPolynomial:
+        """The polynomial that packs to (c, start, parity), read off the
+        bytes of c plus half of 2^bits in every place, so that every digit
+        is positive."""
+        half, width = 1 << (self.bits - 1), self.bits // 8
+        places = c.bit_length() // self.bits + 2
+        ones = ((1 << self.bits * places) - 1) // ((1 << self.bits) - 1)
+        raw = (c + half * ones).to_bytes(places * width, "little")
+        terms = {}
+        for j in range(places):
+            digit = int.from_bytes(raw[j * width:(j + 1) * width], "little") - half
+            if digit:
+                twice = 2 * (start + j)
+                b = self.low + (twice - self.low) % self.radix
+                terms[(twice - b) // self.radix + parity, b] = digit
+        return LaurentPolynomial._make(XYVARS, terms)
+
+
+def _below(flat, other, n, letter):
+    """The tables of a tangle on n strands with the crossing of the braid
+    letter +-i put below it.  The boundary points are the tangle's last 2n
+    slots, the n at the top left to right, then the n at the bottom; a
+    braid letter is put below as `braid_closure` builds its record, the
+    under-strand in at slot 0."""
+    body = len(flat) - 2 * n
+    flat = list(flat[:body]) + [0] * 4 + list(flat[body:])
+    other = [k if k < body else k + 4 for k in other[:body]] + [0] * 4 + \
+        [k if k < body else k + 4 for k in other[body:]]
+    # its slots at the top left, bottom left, bottom right and top right
+    corners = (0, 1, 2, 3) if letter > 0 else (1, 2, 3, 0)
+    tl, bl, br, tr = (body + s for s in corners)
+    bottom = body + 4 + n + abs(letter) - 1  # the bottom point under the crossing's left
+    fresh = max(flat) + 1
+    for top, out, k in ((tl, bl, bottom), (tr, br, bottom + 1)):
+        far = other[k]
+        other[top], other[far] = far, top
+        flat[top] = flat[far]
+        other[out], other[k] = k, out
+        flat[out] = flat[k] = fresh
+        fresh += 1
+    return flat, other
+
+
+def _cancelled(word) -> list:
+    """The word with each letter cancelled against an inverse that at most
+    two letters commuting with both keep apart, then cyclically reduced.
+    Commuting letters far apart, cancelling a letter beside its inverse (a
+    Reidemeister II move) and conjugation are isotopies of the closure, so
+    none changes D or the writhe."""
+    out: list = []
+    for letter in word:
+        for k in range(len(out) - 1, max(len(out) - 4, -1), -1):
+            if out[k] == -letter:
+                del out[k]
+                break
+            if abs(abs(out[k]) - abs(letter)) < 2:  # does not commute with it
+                out.append(letter)
+                break
+        else:
+            out.append(letter)
+    start, end = 0, len(out)
+    while end - start > 1 and out[start] == -out[end - 1]:
+        start, end = start + 1, end - 1
+    return out[start:end]
+
+
+def _bmw_dubrovnik(b: BraidWord) -> LaurentPolynomial:
+    """D of the closure of `b` from the word's image in the BMW algebra on
+    n = b.strands strands (Birman and Wenzl, Trans. AMS 313, 1989;
+    Murakami, Osaka J. Math. 24, 1987), with one tangle reduction per
+    (diagram, letter) met, so that its cost is polynomial in the word's
+    length.
+
+    An element is {Brauer diagram: coefficient}.  [beta] is a descending
+    tangle of the diagram beta with no closed circle, taken at self-writhe
+    0 (Morton and Wassermann, arXiv:1012.3116); its representative is the
+    smallest one met before it is first used.  A letter maps [beta] to
+    [beta] * g_(+-i): the representative with the letter's crossing put
+    below, reduced to descending tangles by the Dubrovnik step on tangle
+    nodes (`_unoriented_step`).  D is the sum of the coefficients times D
+    of the closures of the [beta].  A first pass over the word on shapes
+    alone (`_spread`) finds every product and the bounds that size the
+    packed coefficients (`_Packing`), and a second takes the letters on
+    those.  Every descent runs on a table of this call and spends no node
+    of the budget."""
+    n, ends = b.strands, 2 * b.strands
+    found: dict = {}  # beta -> the smallest descending tangle met, as `_unoriented_step` keeps it
+    tangles: dict = {}  # one memo table for every tangle reduction
+    reps: dict = {}  # beta -> (flat, other, s): its representative, x^s * [beta]
+
+    def tangle_step(node):
+        return _unoriented_step(node, ends, found)
+
+    def value(reduced, step, table):
+        exponent, _, *node = reduced
+        return exponent, _descend(tuple(node), _unlabelled, step, table, "dubrovnik", math.inf)
+
+    def rep(beta):
+        if beta not in reps:
+            _, flat, other, below, s = found[beta]
+            if below:  # free the strands of the closed circles below them
+                joins = [(4 * c + t, 4 * c + t + 2) for c in below for t in (0, 1)]
+                _, _, flat, other, _ = _reduce(flat, other, 0, joins, ends)
+                (exps, _), = value((0, (), flat, other, 0), tangle_step, tangles)[1][beta].terms
+                s = exps[0]
+            reps[beta] = flat, other, s
+        return reps[beta]
+
+    identity = tuple(range(n, 2 * n)) + tuple(range(n))
+    reps[identity] = tuple(range(1, n + 1)) * 2, identity, 0
+    # (beta, letter) -> [(gamma, shape of p, p, shift)]: [beta] * g_letter is
+    # the sum of x^shift * p * [gamma]
+    products: dict = {}
+
+    def product(beta, letter):
+        if (beta, letter) not in products:
+            flat, other, s = rep(beta)
+            e, v = value(_reduce(*_below(flat, other, n, letter), 0, (), ends), tangle_step, tangles)
+            products[beta, letter] = [(g, _shape(p), p, e - s) for g, p in v.items()]
+        return products[beta, letter]
+
+    closures: dict = {}
+
+    def trace(beta):
+        # D of the closure of [beta], as (p, shift): x^shift * p
+        flat, other, s = rep(beta)
+        flat, other = list(flat), list(other)
+        body = len(flat) - ends
+        loops = sum(not relink(flat, other, body + k, body + n + k) for k in range(n))
+        e, v = value(_reduce(flat[:body], other[:body], loops), _unoriented_step, closures)
+        return v, e - s
+
+    # on shapes alone: every product the word reaches, and bounds on the
+    # coefficients and on D
+    word = _cancelled(b.word)
+    shapes = {identity: (1, 0, 0)}
+    for letter in word:
+        shapes = _spread(shapes, lambda beta: product(beta, letter))
+    traces = {beta: trace(beta) for beta in shapes}
+    bound, low, high = _spread(shapes, lambda beta: [(None, _shape(traces[beta][0]))])[None]
+    packing = _Packing((bound.bit_length() + 8) // 8 * 8, (high - low + 1) | 1, low)
+    packed = {key: [(g, *packing.pack(p, shift)) for g, _, p, shift in entries]
+              for key, entries in products.items()}
+    # on packed coefficients; a trace has few terms, each a shift
+    element = {identity: (1, 0, 0)}
+    for letter in word:
+        element = packing.apply(element, lambda beta: packed[beta, letter])
+    total = packing.apply(element, lambda beta: [(None, *t) for t in packing.terms(*traces[beta])])
+    return packing.unpack(*total[None]) if total else LaurentPolynomial.zero(XYVARS)

@@ -5,8 +5,8 @@ machine-readable summary."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import LaurentPolynomial, bar_substitute
 from .alexander import potential_function
@@ -43,8 +43,9 @@ Y = LaurentPolynomial.gen(("x", "y"), "y")
 Z = LaurentPolynomial.gen(("z",), "z")
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
+    """One named check of a suite and its outcome."""
+
     suite: str
     name: str
     passed: bool

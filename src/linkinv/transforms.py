@@ -37,10 +37,10 @@ coefficients once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, prod
+from typing import NamedTuple
 
 from .algebra import (
     LaurentPolynomial,
@@ -101,8 +101,7 @@ def potential_series(om: PotentialFunction, cap: int = DEFAULT_CAP) -> Truncated
 # -- decomposition over brace monomials --------------------------------------
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Parts of the unique expansion of a bar-invariant Laurent polynomial
     over brace monomials of even alternating index sets; coefficients lie
     in (1/2)Z."""
@@ -197,26 +196,30 @@ def decompose(om) -> Decomposition:
 
 def reconstruct(dec: Decomposition) -> LaurentPolynomial:
     """Sum over parts of brace(alternating monomial) times the part with
-    z_i replaced by x_i - x_i^-1."""
+    z_i replaced by x_i - x_i^-1, one variable at a time, on integers over
+    the parts' common denominator."""
     n = dec.n
     xs = xvars(n)
-    diffs = []
-    for i in range(n):
-        g = LaurentPolynomial.gen(xs, xs[i])
-        diffs.append(g - g ** -1)
+    den = lcm(*(Fraction(c).denominator for p in dec.parts.values() for c in p.terms.values()))
+    powers: dict = {}  # e -> the terms (exponent, coefficient) of (x - x^-1)^e
     total = LaurentPolynomial.zero(xs)
     for subset, poly in dec.parts.items():
         u = LaurentPolynomial.monomial(xs, _alt_vector(subset, n), 1)
-        front = brace(u)
-        body = LaurentPolynomial.zero(xs)
-        for exps, coeff in poly.terms.items():
-            term = LaurentPolynomial.constant(xs, coeff)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * diffs[i] ** e
-            body = body + term
-        total = total + front * body
-    return total
+        body = {p: int(c * den) for p, c in poly.terms.items()}
+        for i in range(n):
+            out: dict = {}
+            for p, c in body.items():
+                e = p[i]
+                if e not in powers:
+                    if e < 0:
+                        raise ValueError("negative power of z in a decomposition part")
+                    powers[e] = [(e - 2 * k, (-1) ** k * comb(e, k)) for k in range(e + 1)]
+                for a, b in powers[e]:
+                    q = p[:i] + (a,) + p[i + 1:]
+                    out[q] = out.get(q, 0) + c * b
+            body = out
+        total = total + brace(u) * LaurentPolynomial(xs, body)
+    return total * Fraction(1, den) if den > 1 else total
 
 
 def reduced_polynomial(dec: Decomposition) -> LaurentPolynomial:
@@ -303,8 +306,7 @@ def reduced_quotient(d: LinkDiagram, cap: int = DEFAULT_CAP) -> TruncatedSeries:
 # -- coefficient tables -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
+class CoefficientTable(NamedTuple):
     """Exact coefficients read off one of the series, keyed by exponent tuple."""
 
     entries: dict

@@ -395,13 +395,14 @@ def test_empty_components_block_is_named_as_the_input_error(tmp_path, capsys, co
 
 
 def test_recursion_deeper_than_the_interpreter_exits_3(tmp_path, capsys):
-    # the README's seeded 400-crossing 4-braid: with every curl and bigon
-    # reduced its Dubrovnik descent still has about 150 nodes pending when
-    # it stops at its node budget of 500, on an explicit stack
+    # the README's seeded 400-crossing 4-braid, given as PD so that it takes
+    # the descent: with every curl and bigon reduced its Dubrovnik descent
+    # still has about 150 nodes pending when it stops at its node budget of
+    # 500, on an explicit stack
     rng = random.Random(1)
     word = [rng.choice((1, -1)) * rng.randint(1, 3) for _ in range(400)]
-    path = tmp_path / "b4-400.braid"
-    path.write_text("braid(4): " + " ".join(map(str, word)) + "\n")
+    path = tmp_path / "b4-400.pd"
+    path.write_text(braid_closure(BraidWord(4, word)).render_pd())
     code, out, err = run(capsys, "polys", str(path), "--which", "kauffman", "--budget", "500")
     assert (code, out) == (3, "")
     assert err == "error: dubrovnik skein node budget of 500 exceeded\n"
@@ -490,12 +491,12 @@ def test_huge_values_exit_2_quickly_with_a_short_message(case):
 def test_deep_braids_under_a_small_budget_exit_0_or_3(which, engine, n, length, rng):
     word = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length)]
     text = f"braid({n}): " + " ".join(map(str, word)) + "\n"
-    if which == "homfly":
-        # a closed braid's HOMFLY is a Hecke trace and spends no node; its
-        # PD text takes the descent, which the budget stops
-        code, out, err = run_stdin(text, "polys", "-", "--which", which, "--budget", "50")
-        assert (code, err) == (0, "") and out
-        text = braid_closure(BraidWord(n, word)).render_pd()
+    # a closed braid's HOMFLY is a Hecke trace and its Dubrovnik polynomial
+    # a sum in the BMW algebra, and neither spends a node; its PD text takes
+    # the descent, which the budget stops
+    code, out, err = run_stdin(text, "polys", "-", "--which", which, "--budget", "50")
+    assert (code, err) == (0, "") and out
+    text = braid_closure(BraidWord(n, word)).render_pd()
     code, out, err = run_stdin(text, "polys", "-", "--which", which, "--budget", "50")
     assert code in (0, 3)
     if code == 3:
@@ -629,6 +630,16 @@ SRC_ENV = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(os.path.absp
 
 def test_importing_the_cli_loads_no_argument_parser():
     code = "import sys, linkinv.cli; print(sorted({'argparse', 'locale'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=SRC_ENV)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def test_start_up_loads_no_introspection_module():
+    # dataclasses would bring in inspect, dis and tokenize; the probe leaves
+    # out what the interpreter held before the import
+    code = ("import sys; bare = set(sys.modules); import linkinv.cli; linkinv.load_corpus(); "
+            "print(sorted({'dataclasses', 'inspect', 'dis', 'tokenize'} & (set(sys.modules) - bare)))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env=SRC_ENV)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

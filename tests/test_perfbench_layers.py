@@ -11,7 +11,7 @@ import types
 import pytest
 
 import linkinv
-from linkinv import skein
+from linkinv import cli, skein
 from linkinv.alexander import potential_function
 from linkinv.diagram import BraidWord, braid_closure, far_ends
 
@@ -68,8 +68,34 @@ def test_recorder_times_the_state_sum_determinant(layers):
 
 @pytest.mark.parametrize("which,nodes", [("conway", {"skein.conway.nodes": 1}),
                                          ("homfly", {"skein.homfly.nodes": 0}),
-                                         ("kauffman", {"skein.dubrovnik.nodes": 5})])
+                                         ("kauffman", {"skein.dubrovnik.nodes": 0})])
 def test_child_counts_skein_nodes(which, nodes):
-    # HOMFLY of a 3-strand closure is a Hecke trace, which fills no memo
+    # HOMFLY of a 3-strand closure is a Hecke trace and its Kauffman
+    # polynomial a sum in the BMW algebra, and neither fills a memo
     spec = {"strands": 3, "word": [1, -2, 1, -2], "which": which}
     assert compiled("child").skein_nodes(linkinv, spec) == nodes
+
+
+@pytest.mark.parametrize("which,nodes", [("homfly", {"skein.homfly.nodes": 4}),
+                                         ("kauffman", {"skein.dubrovnik.nodes": 5})])
+def test_child_counts_descent_nodes(which, nodes):
+    # a 6-strand closure is past HECKE_STRANDS and takes the descent, which
+    # fills the memo
+    spec = {"strands": 6, "word": [1, -2, 1, -2, 5], "which": which}
+    assert compiled("child").skein_nodes(linkinv, spec) == nodes
+
+
+@pytest.mark.parametrize("which,layer", [("conway", "skein.conway"), ("homfly", "skein.homfly"),
+                                         ("omega", "alexander.potential_function")])
+def test_traced_polys_records_its_engine(layers, which, layer, tmp_path, capsys):
+    # `cli.POLYS` looks its engines up when called, so the rebinding sees them
+    path = tmp_path / "b3.braid"
+    path.write_text("braid(3): 1 -2 1 -2 1\n")
+    recorder = layers.Recorder()
+    recorder.install()
+    try:
+        assert cli.main(["polys", str(path), "--which", which]) == 0
+    finally:
+        recorder.uninstall()
+    assert recorder.stats[layer][0] >= 1
+    assert capsys.readouterr().out

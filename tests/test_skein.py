@@ -552,7 +552,7 @@ def test_cold_memo_node_counts_relabel_key(make, count, stripped):
     keyed_curl_keeping_dubrovnik(make(), memo)
     assert len(memo) == count
     memo = {}
-    kauffman_f(make(), memo=memo)
+    dubrovnik(make(), memo=memo)
     assert len(memo) == stripped
 
 
@@ -560,7 +560,7 @@ def test_cold_memo_node_count_on_a_pool_word():
     # the b3-12 word of perfbench/pool.json: 2714 nodes with every curl kept
     (word,) = [w for n, w in pool_words() if n == 3 and len(w) == 12]
     memo = {}
-    kauffman_f(braid_closure(BraidWord(3, word)), memo=memo)
+    dubrovnik(braid_closure(BraidWord(3, word)), memo=memo)
     assert len(memo) == 28
 
 
@@ -848,11 +848,105 @@ def test_closures_past_the_strand_bound_take_the_descent():
     # the same link on 5 strands and, stabilized, on 6
     word = [1, -2, 3, -4, 1, -2]
     five, six = (braid_closure(BraidWord(n, word + [n - 1] * (n - 5))) for n in (5, 6))
+    for engine in (homfly, kauffman_f):
+        with scope(budget=0):
+            want = engine(five)
+            with pytest.raises(SkeinBudgetError):
+                engine(six)
+        assert engine(six) == want, engine.__name__
+
+
+# -- Dubrovnik of a closed braid: the BMW route against the descent -----------
+
+# the braid words of scripts/build_corpus.py
+CORPUS_BRAIDS = [(2, [1, 1]), (2, [-1, -1]), (2, [1, 1, 1]), (2, [-1, -1, -1]),
+                 (3, [1, -2, 1, -2]), (3, [1, -2, 1, -2, 1]), (3, [1, -2, 1, -2, 1, -2]),
+                 (2, [1] * 4), (2, [1] * 6), (2, [1] * 8), (3, [1, 1, 2, 2]), (3, [1, 2] * 3)]
+
+
+def test_bmw_route_matches_the_descent_on_corpus_pool_and_torus_braids():
+    words = CORPUS_BRAIDS + pool_words() + [(2, [1] * k) for k in range(1, 61)]
+    for n, word in words:
+        d = braid_closure(BraidWord(n, word))
+        assert kauffman_f(d) == kauffman_f(as_pd(d), memo={}), (n, word)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(hecke_braid_words)
+def test_bmw_route_matches_the_descent(sw):
+    d = braid_closure(BraidWord(*sw))
+    assert kauffman_f(d) == kauffman_f(as_pd(d), memo={}), sw
+
+
+bmw_words = st.integers(2, 5).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.integers(1, n - 1).flatmap(lambda g: st.sampled_from((g, -g))), max_size=20)))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(bmw_words, st.integers(0, 20), st.integers(1, 4), st.sampled_from((1, -1)))
+def test_bmw_route_braid_relations_and_markov_moves(sw, turn, i, sign):
+    # a rotation of the word, s_i s_(i+1) s_i = s_(i+1) s_i s_(i+1) and
+    # s_i s_j = s_j s_i for |i - j| > 1 at its end, and a stabilization
+    # that stays on the route
+    n, word = sw
+    base = kauffman_f(braid_closure(BraidWord(n, word)))
+    turn %= max(len(word), 1)
+    assert kauffman_f(braid_closure(BraidWord(n, word[turn:] + word[:turn]))) == base
+    if n > 2:
+        i = min(i, n - 2)
+        a, b = sign * i, sign * (i + 1)
+        assert kauffman_f(braid_closure(BraidWord(n, word + [a, b, a]))) == \
+            kauffman_f(braid_closure(BraidWord(n, word + [b, a, b])))
+    if n > 3:
+        a, b = sign * 1, -sign * (n - 1)
+        assert kauffman_f(braid_closure(BraidWord(n, word + [a, b]))) == \
+            kauffman_f(braid_closure(BraidWord(n, word + [b, a])))
+    if n < skein.HECKE_STRANDS:
+        assert kauffman_f(braid_closure(BraidWord(n + 1, word + [sign * n]))) == base
+
+
+def test_bmw_route_spends_no_node():
+    # d_20 = (s1 s2)^20: the descent expands 41 506 nodes on it; the route
+    # spends none and fills no memo table, and the mirror image's value is
+    # F(x^-1, -y)
+    word = [1, 2] * 20
+    memo = {}
     with scope(budget=0):
-        want = homfly(five)
-        with pytest.raises(SkeinBudgetError):
-            homfly(six)
-    assert homfly(six) == want
+        value = kauffman_f(braid_closure(BraidWord(3, word)), memo=memo)
+        mirror = kauffman_f(braid_closure(BraidWord(3, [-w for w in word])))
+    assert memo == {}
+    assert mirror == _at_mirror(value)
+
+
+def test_tangle_tables_keep_their_boundary():
+    # the identity on 3 strands with s2, then s2^-1, put below it: the bigon
+    # goes, and the boundary points end where they began, joined straight
+    flat, other = (1, 2, 3) * 2, (3, 4, 5, 0, 1, 2)
+    once = skein._below(flat, other, 3, 2)
+    assert skein._reduce(*once, 0, (), 6)[:2] == (0, set())
+    e, gone, flat2, other2, loops = skein._reduce(*skein._below(*once, 3, -2), 0, (), 6)
+    assert (e, gone, other2, loops) == (0, {0, 1}, other, 0)
+    assert diagram.walk_tangle(flat2, other2, 6) == ([[], [], []], other)
+    # a cup and a cap: s1 below its own cap closes a curl, not a bigon
+    _, cupcap = diagram.walk_tangle((1, 1, 2, 2), (1, 0, 3, 2), 4)
+    assert cupcap == (1, 0, 3, 2)
+    assert skein._reduce(*skein._below((1, 1, 2, 2), (1, 0, 3, 2), 2, 1), 0, (), 4)[:2] == (-1, {0})
+    # a letter meets its inverse across at most two letters that commute with it
+    assert skein._cancelled([2, 1, -1, 3, -2]) == [3] and skein._cancelled([1, -1]) == []
+    assert skein._cancelled([1, 3, 4, -1, 2]) == [3, 4, 2]
+    assert skein._cancelled([1, 2, -1, 2]) == [1, 2, -1, 2]
+    assert skein._cancelled([1, 3, 4, 3, -1, 2]) == [1, 3, 4, 3, -1, 2]
+
+
+@pytest.mark.parametrize("loops", [1, 2])
+def test_tangle_terminal_counts_its_free_loops(loops):
+    # a cup and a cap beside `loops` crossing-free circles: each circle is
+    # a factor delta of the diagram's coefficient
+    node = ((1, 1, 2, 2), (1, 0, 3, 2), loops)
+    value = skein._descend(node, skein._unlabelled, lambda x: skein._unoriented_step(x, 4, {}),
+                           {}, "dubrovnik", math.inf)
+    assert value == skein._Tangles({(1, 0, 3, 2): skein._DELTA_D ** loops})
 
 
 def _mirror(d):
@@ -915,8 +1009,9 @@ def _reduce_calls(monkeypatch, diagrams):
     calls = []
     real = skein._reduce
 
-    def recording(flat, other, loops, joins=()):
-        out = real(flat, other, loops, joins)
+    def recording(flat, other, loops, joins=(), ends=0):
+        out = real(flat, other, loops, joins, ends)
+        assert ends == 0  # a closed diagram's descent has no tangle boundary
         calls.append(((tuple(flat), tuple(other), loops, joins), out))
         return out
 
@@ -1192,17 +1287,25 @@ short_braid_words = st.integers(2, 4).flatmap(lambda n: st.tuples(
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(short_braid_words, st.integers(1, 3), st.sampled_from((1, -1)), st.integers(0, 12))
 def test_skein_markov_invariance(engine, sw, g, stab, turn):
+    # each closure takes the Hecke trace or the BMW sum, and read back as
+    # PD it takes the descent; both must agree
+    def value(strands, word):
+        d = braid_closure(BraidWord(strands, word))
+        got = engine(d, memo={})
+        assert engine(as_pd(d), memo={}) == got, (strands, word)
+        return got
+
     n, word = sw
     word = list(word)
-    base = engine(braid_closure(BraidWord(n, word)), memo={})
+    base = value(n, word)
     g = min(g, n - 1) * stab
     conjugated = [g] + word + [-g]
-    assert engine(braid_closure(BraidWord(n, conjugated)), memo={}) == base
+    assert value(n, conjugated) == base
     turn %= max(len(word), 1)
     rotated = word[turn:] + word[:turn]
-    assert engine(braid_closure(BraidWord(n, rotated)), memo={}) == base
+    assert value(n, rotated) == base
     stabilized = word + [stab * n]
-    assert engine(braid_closure(BraidWord(n + 1, stabilized)), memo={}) == base
+    assert value(n + 1, stabilized) == base
 
 
 @pytest.mark.parametrize("engine", (conway, potential_function, homfly, dubrovnik, kauffman_f))

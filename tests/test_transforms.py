@@ -366,7 +366,9 @@ def test_decompose_matches_the_rewriting_oracle():
         for _ in range(rng.randrange(0, 6)):
             exps = tuple(rng.randrange(-4, 5) for _ in range(n))
             f = f + rng.randrange(-5, 6) * brace(LaurentPolynomial.monomial(xs, exps))
-        assert decompose(f) == rewriting_decompose(f), f
+        dec = decompose(f)
+        assert dec == rewriting_decompose(f), f
+        assert reconstruct(dec) == f, f
 
 
 def test_decompose_round_trips_a_long_torus_link():
