@@ -828,7 +828,9 @@ class BraidWord:
         raise AttributeError("BraidWord is immutable")
 
 
-_BRAID = re.compile(r"braid\((\d+)\)\s*:\s*(.*)")
+# ASCII digits, as \d and int() take any script's (int() "_" too); the word may wrap
+_BRAID = re.compile(r"braid\(([0-9]+)\)\s*:(.*)", re.DOTALL)
+_LETTER = re.compile(r"([+-]?)s?([0-9]+)")
 
 
 def parse_braid(text: str) -> BraidWord:
@@ -841,10 +843,10 @@ def parse_braid(text: str) -> BraidWord:
         raise DiagramError(f"braid has more than {MAX_STRANDS} strands")
     word = []
     for tok in mo.group(2).split():
-        t = tok.replace("s", "")
+        letter = _LETTER.fullmatch(tok)
         try:
-            word.append(int(t))
-        except ValueError:
+            word.append(int(letter[1] + letter[2]))
+        except (TypeError, ValueError):  # no letter, or more digits than int() reads
             raise ParseError(f"bad braid letter {_excerpt(tok)}", text.index(tok))
     return BraidWord(strands, word)
 

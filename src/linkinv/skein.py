@@ -32,29 +32,27 @@ a key or a skein step.  A reduction only lowers the crossing count
 and the violations are recomputed on the reduced node, so the descent
 still terminates.
 
-`homfly` has a second route, for the closure of a braid on at most
-HECKE_STRANDS = 5 strands: a diagram built by `diagram.braid_closure`,
-which records its word.  H of the closure is the Ocneanu trace of the
-word's image in the Hecke algebra H_n, an element held as {permutation:
-coefficient} over the n! basis elements (`_hecke_homfly`), and the work is
-linear in the word's length.  The route spends no node of the budget and
-reads no memo table.  Every other diagram, every surgery result included,
-takes the descent, which is also the route's test oracle on the same
-diagram read back from PD.
-
-`kauffman_f` has the same second route, on the same closures: D of the
-closure is read off the word's image in the Birman-Murakami-Wenzl algebra
-BMW_n, an element held as {Brauer diagram: coefficient} over the (2n-1)!!
-diagrams (`_bmw_dubrovnik`).  Each basis element is a descending tangle,
-and a tangle times one more crossing is reduced back to descending
-tangles by the Dubrovnik step itself: `_unoriented_step` and `_reduce`
-run on tangle nodes, whose last slots are the boundary points and whose
-walk starts each strand at its earlier boundary point
-(`diagram.walk_tangle`).  Each reduction is done once per call per
-(diagram, letter), so the cost is polynomial in the word's length where
-the descent's is exponential.  Like the Hecke trace it spends no node of
-the budget and reads no memo table; wider braids and every other diagram
-take the descent, which is its test oracle.
+`homfly` and `kauffman_f` have a second route, for the closure of a braid
+on at most HECKE_STRANDS = 5 strands: a diagram built by
+`diagram.braid_closure`, which records its word.  Both routes run on one
+letter loop, `_braid_sum`, which cancels the word, takes it one letter at a
+time on an element held as {basis element: coefficient}, each (basis
+element, letter) product worked out once and every coefficient packed
+into one int (`_Packing`), and sums the traces of the basis elements.
+H of the closure is the Ocneanu trace of the word's image in the Hecke
+algebra H_n, over its n! permutations (`_hecke_homfly`), in time linear
+in the word's length.  D of the closure is read off its image in the
+Birman-Murakami-Wenzl algebra BMW_n, over its (2n-1)!! Brauer diagrams
+(`_bmw_dubrovnik`).  Each of these is a descending tangle, and a tangle
+times one more crossing is reduced back to descending tangles by the
+Dubrovnik step itself: `_unoriented_step` and `_reduce` run on tangle
+nodes, whose last slots are the boundary points and whose walk starts
+each strand at its earlier boundary point (`diagram.walk_tangle`), so the
+cost is polynomial in the word's length where the descent's is
+exponential.  Neither route spends a node of the budget or reads a memo
+table.  Every other diagram, every surgery result included, takes the
+descent, which is also each route's test oracle on the same diagram read
+back from PD.
 
 `_descend` runs the descent as one loop over an explicit stack, so a deep
 diagram stops at its node budget, never at the interpreter's frame limit.
@@ -100,8 +98,9 @@ XYVARS = ("x", "y")
 _X = LaurentPolynomial.gen(XYVARS, "x")
 _Y = LaurentPolynomial.gen(XYVARS, "y")
 # the value a split unknot contributes to H, (x - x^-1)/y, and to D, 1 more
+_ONE = LaurentPolynomial.one(XYVARS)
 _DELTA_H = (_X - _X ** -1) * _Y ** -1
-_DELTA_D = LaurentPolynomial.one(XYVARS) + _DELTA_H
+_DELTA_D = _ONE + _DELTA_H
 
 
 class ResourceError(RuntimeError):
@@ -254,13 +253,170 @@ def homfly(d: LinkDiagram, memo=None) -> LaurentPolynomial:
     return _descend(root, _unlabelled, step, memo, "homfly")
 
 
+# -- braid closures: a word one letter at a time --------------------------------
+
+def _cancelled(word) -> list:
+    """The word with each letter cancelled against an inverse that at most
+    two letters commuting with both keep apart, then cyclically reduced.
+    Commuting letters far apart, cancelling a letter beside its inverse (a
+    Reidemeister II move) and conjugation are isotopies of the closure, so
+    none changes H, D or the writhe."""
+    out: list = []
+    for letter in word:
+        for k in range(len(out) - 1, max(len(out) - 4, -1), -1):
+            if out[k] == -letter:
+                del out[k]
+                break
+            if abs(abs(out[k]) - abs(letter)) < 2:  # does not commute with it
+                out.append(letter)
+                break
+        else:
+            out.append(letter)
+    start, end = 0, len(out)
+    while end - start > 1 and out[start] == -out[end - 1]:
+        start, end = start + 1, end - 1
+    return out[start:end]
+
+
+def _shape(p: LaurentPolynomial):
+    """(l1 norm, least y-degree, greatest y-degree) of p."""
+    ys = [e[1] for e in p.terms]
+    return sum(map(abs, p.terms.values())), min(ys), max(ys)
+
+
+def _spread(shapes: dict, images) -> dict:
+    """The shapes of sum_beta c_beta * images(beta), given the shape of
+    each c_beta, images(beta) a list of (gamma, shape of its coefficient,
+    ...).  A shape is (l1 norm, least y-degree, greatest y-degree), and
+    those found are bounds, as they leave out every cancellation."""
+    out: dict = {}
+    for beta, (norm, low, high) in shapes.items():
+        for g, (p_norm, p_low, p_high), *_ in images(beta):
+            got = out.get(g)
+            out[g] = (norm * p_norm, low + p_low, high + p_high) if got is None else (
+                got[0] + norm * p_norm, min(got[1], low + p_low), max(got[2], high + p_high))
+    return out
+
+
+class _Packing(NamedTuple):
+    """Kronecker's substitution for the coefficients of `_braid_sum`.  The
+    BMW algebra is graded mod 2 by x, y and every g_i of degree 1, and in
+    H_n every factor of `_HOMFLY_FACTORS` and of delta_H has even a + b, so
+    the terms x^a*y^b of each coefficient share the parity of a + b, and
+    x^-parity times the coefficient lies where a + b is even.  There,
+    x^a*y^b goes to t^((a*radix + b)/2), radix odd, a ring map, and t to
+    2^bits; a coefficient is an int with the exponent it starts at and
+    its parity.  The maps commute with the word's linear steps, so only
+    the value read back must fit them: coefficients below 2^(bits-1) in
+    size and y-degrees from `low` on, fewer than `radix` of them.
+
+    A letter then costs a few big-int shifts and sums per product, not a
+    loop over terms: on LaurentPolynomial coefficients the BMW route takes
+    62 ms on d_20, not 5-8 ms, and 62 s on a 366-letter random 4-braid,
+    not 1.8 s (x86-64, Python 3.11)."""
+
+    bits: int
+    radix: int
+    low: int
+
+    def terms(self, p: LaurentPolynomial, shift: int) -> list:
+        """x^shift * p as the (coefficient, exponent of t, parity) of each
+        of its terms."""
+        a, b = next(iter(p.terms))
+        parity = (a + b + shift) & 1
+        return [(c, (self.radix * (a + shift - parity) + b) >> 1, parity)
+                for (a, b), c in p.terms.items()]
+
+    def pack(self, p: LaurentPolynomial, shift: int):
+        """x^shift * p as (int, the exponent of t it starts at, parity)."""
+        terms = self.terms(p, shift)
+        start = min(e for _, e, _ in terms)
+        return sum(c << self.bits * (e - start) for c, e, _ in terms), start, terms[0][2]
+
+    def apply(self, element: dict, images) -> dict:
+        """sum_beta c_beta * images(beta) on packed coefficients, images(beta)
+        a list of (gamma, int, start, parity), the last three those of
+        `pack`."""
+        parts: dict = {}
+        for beta, (c, start, parity) in element.items():
+            for g, p, shift, p_parity in images(beta):
+                # x^parity * x^p_parity: x^2 is t^radix
+                e = start + shift + (self.radix if parity & p_parity else 0)
+                parts.setdefault(g, []).append((e, c, p, parity ^ p_parity))
+        out = {}
+        for g, terms in parts.items():
+            # a shift or a sum reads every digit of a big int, so the sum
+            # starts from the term that needs no shift, unshifted
+            terms.sort(key=itemgetter(0))
+            begin, c, p, parity = terms[0]
+            c = c if p == 1 else -c if p == -1 else c * p
+            for e, v, p, _ in terms[1:]:
+                if p == 1:
+                    c += v << self.bits * (e - begin)
+                elif p == -1:
+                    c -= v << self.bits * (e - begin)
+                else:
+                    c += v * p << self.bits * (e - begin)
+            if c:
+                out[g] = c, begin, parity
+        return out
+
+    def unpack(self, c: int, start: int, parity: int) -> LaurentPolynomial:
+        """The polynomial that packs to (c, start, parity), read off the
+        bytes of c plus half of 2^bits in every place, so that every digit
+        is positive."""
+        half, width = 1 << (self.bits - 1), self.bits // 8
+        places = c.bit_length() // self.bits + 2
+        ones = ((1 << self.bits * places) - 1) // ((1 << self.bits) - 1)
+        raw = (c + half * ones).to_bytes(places * width, "little")
+        terms = {}
+        for j in range(places):
+            digit = int.from_bytes(raw[j * width:(j + 1) * width], "little") - half
+            if digit:
+                twice = 2 * (start + j)
+                b = self.low + (twice - self.low) % self.radix
+                terms[(twice - b) // self.radix + parity, b] = digit
+        return LaurentPolynomial._make(XYVARS, terms)
+
+
+def _braid_sum(word, identity, product, trace) -> LaurentPolynomial:
+    """The polynomial sum_beta c_beta * trace(beta) of the image sum_beta
+    c_beta * [beta] of the braid word `word` in an algebra whose basis
+    elements [beta] are keyed beta, [identity] the unit: the one letter
+    loop of both braid routes, `_hecke_homfly` and `_bmw_dubrovnik`.
+    product(beta, letter) is [beta] * g_letter as [(gamma, p, shift)], the
+    sum of x^shift * p * [gamma], and is called once per (beta, letter);
+    trace(beta) is (p, shift), x^shift * p.
+
+    The word is `_cancelled` first.  A pass over it on shapes alone
+    (`_spread`) finds every product and the bounds that size the packed
+    coefficients (`_Packing`), and a second takes the letters on those."""
+    word = _cancelled(word)
+    table: dict = {}  # (beta, letter) -> [(gamma, shape of p, p, shift)]
+    # on shapes alone: every product the word reaches, and bounds on the
+    # coefficients and on the sum
+    shapes = {identity: (1, 0, 0)}
+    for letter in word:
+        for beta in shapes:
+            if (beta, letter) not in table:
+                table[beta, letter] = [(g, _shape(p), p, e) for g, p, e in product(beta, letter)]
+        shapes = _spread(shapes, lambda beta: table[beta, letter])
+    traces = {beta: trace(beta) for beta in shapes}
+    bound, low, high = _spread(shapes, lambda beta: [(None, _shape(traces[beta][0]))])[None]
+    packing = _Packing((bound.bit_length() + 8) // 8 * 8, (high - low + 1) | 1, low)
+    packed = {key: [(g, *packing.pack(p, shift)) for g, _, p, shift in entries]
+              for key, entries in table.items()}
+    # on packed coefficients; a trace has few terms, each a shift
+    element = {identity: (1, 0, 0)}
+    for letter in word:
+        element = packing.apply(element, lambda beta: packed[beta, letter])
+    total = packing.apply(element, lambda beta: [(None, *t) for t in packing.terms(*traces[beta])])
+    return packing.unpack(*total[None]) if total else LaurentPolynomial.zero(XYVARS)
+
+
 # -- braid closures: the Ocneanu trace on the Hecke algebra --------------------
 
 HECKE_STRANDS = 5  # closures on more strands take the descent; H_n has n! basis elements
-
-# g_i^2 = (y/x)*g_i + x^-2 and g_i^-1 = x^2*g_i - x*y, from x*g_i - x^-1*g_i^-1 = y
-_G_SQUARE = (_Y * _X ** -1, _X ** -2)
-_G_INVERSE = (_X ** 2, -(_X * _Y))
 
 
 def _add_to(out: dict, w, c):
@@ -268,73 +424,58 @@ def _add_to(out: dict, w, c):
     out[w] = c if total is None else total + c
 
 
-def _times_g(element: dict, i: int) -> dict:
-    """element * g_i in the Hecke algebra H_n, an element being a dict
-    {w: coefficient} on the basis T_w, w a permutation of range(n) in
-    one-line notation and g_i = T_(s_i), s_i swapping positions i - 1 and
-    i: T_w*g_i is T_(w s_i) when the length grows, else
-    (y/x)*T_w + x^-2*T_(w s_i)."""
-    at_g, at_one = _G_SQUARE
-    out: dict = {}
-    for w, c in element.items():
-        ws = w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]
-        if w[i - 1] < w[i]:
-            _add_to(out, ws, c)
-        else:
-            _add_to(out, w, at_g * c)
-            _add_to(out, ws, at_one * c)
-    return {w: c for w, c in out.items() if c}
+def _hecke_letter(w, letter: int) -> list:
+    """T_w * g_i^(+-1) in H_n for the braid letter +-i, as [(permutation,
+    coefficient)], w a permutation of range(n) in one-line notation, g_i =
+    T_(s_i), s_i swapping positions i - 1 and i.  It is T_(w s_i) when the
+    length moves the letter's way; else T_w = T_(w s_i) * g_i^(+-1), and
+    the skein rule g_i^(+-1) = at_switch * g_i^(-+1) + at_smooth on the
+    letter, the factors of `_HOMFLY_FACTORS`, gives the rest."""
+    i = abs(letter)
+    ws = w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]
+    if (w[i - 1] < w[i]) == (letter > 0):
+        return [(ws, _ONE)]
+    at_switch, at_smooth = _HOMFLY_FACTORS[1 if letter > 0 else -1]
+    return [(ws, at_switch), (w, at_smooth)]
 
 
-def _times_letter(element: dict, letter: int) -> dict:
-    """element * g_i^(+-1) for the braid letter +-i."""
-    product = _times_g(element, abs(letter))
-    if letter > 0:
-        return product
-    at_g, at_one = _G_INVERSE
-    out = {w: at_g * c for w, c in product.items()}
-    for w, c in element.items():
-        _add_to(out, w, at_one * c)
-    return {w: c for w, c in out.items() if c}
-
-
-def _trace(element: dict, memo: dict) -> LaurentPolynomial:
-    """The Ocneanu trace of an element of H_n, normalized as H of the
-    closure: Tr(1 in H_1) = 1, Tr(a (x) 1) = delta*Tr(a) and
-    Tr(a*g_(n-1)*b) = Tr(a*b) for a, b in H_(n-1).  `memo` holds the trace
-    of each T_w met.  A w that moves n - 1 to position k is
+def _trace(w, memo: dict) -> LaurentPolynomial:
+    """The Ocneanu trace of T_w in H_n, normalized as H of the closure:
+    Tr(1 in H_1) = 1, Tr(a (x) 1) = delta*Tr(a) and Tr(a*g_(n-1)*b) =
+    Tr(a*b) for a, b in H_(n-1).  `memo` holds the trace of each T_w met,
+    T_(0) in H_1 from the start.  A w that moves n - 1 to position k is
     T_u*g_(n-1)*...*g_(k+1), u = w without n - 1, so its trace is that of
     T_u*g_(n-2)*...*g_(k+1) in H_(n-1)."""
-    value = LaurentPolynomial.zero(XYVARS)
-    for w, c in element.items():
-        tw = memo.get(w)
-        if tw is None:
-            n = len(w)
-            k = w.index(n - 1)
-            if n == 1:
-                tw = LaurentPolynomial.one(XYVARS)
-            elif k == n - 1:
-                tw = _DELTA_H * _trace({w[:-1]: 1}, memo)
-            else:
-                peeled = {w[:k] + w[k + 1:]: LaurentPolynomial.one(XYVARS)}
-                for i in range(n - 2, k, -1):
-                    peeled = _times_g(peeled, i)
-                tw = _trace(peeled, memo)
-            memo[w] = tw
-        value = value + c * tw
-    return value
+    tw = memo.get(w)
+    if tw is None:
+        n = len(w)
+        k = w.index(n - 1)
+        if k == n - 1:
+            tw = _DELTA_H * _trace(w[:-1], memo)
+        else:
+            peeled = {w[:k] + w[k + 1:]: _ONE}
+            for i in range(n - 2, k, -1):
+                out: dict = {}
+                for u, c in peeled.items():
+                    for v, p in _hecke_letter(u, i):
+                        _add_to(out, v, c * p)
+                peeled = out
+            tw = sum((c * _trace(u, memo) for u, c in peeled.items()),
+                     LaurentPolynomial.zero(XYVARS))
+        memo[w] = tw
+    return tw
 
 
 def _hecke_homfly(b: BraidWord) -> LaurentPolynomial:
     """H of the closure of `b` as the trace of the word's image in
-    H_(b.strands), in time linear in the word's length (Jones, Ann. of
-    Math. 126, 1987; Morton and Short, J. Algorithms 11, 1990).  As H is an
-    ambient-isotopy invariant, g_i is sigma_i itself and no writhe factor
-    enters."""
-    element = {tuple(range(b.strands)): LaurentPolynomial.one(XYVARS)}
-    for letter in b.word:
-        element = _times_letter(element, letter)
-    return _trace(element, {})
+    H_(b.strands), by `_braid_sum`, in time linear in the word's length
+    (Jones, Ann. of Math. 126, 1987; Morton and Short, J. Algorithms 11,
+    1990).  As H is an ambient-isotopy invariant, g_i is sigma_i itself
+    and no writhe factor enters."""
+    memo = {(0,): _ONE}  # w -> the trace of T_w
+    return _braid_sum(b.word, tuple(range(b.strands)),
+                      lambda w, letter: [(v, p, 0) for v, p in _hecke_letter(w, letter)],
+                      lambda w: (_trace(w, memo), 0))
 
 
 # -- Kauffman's state sum: Conway and the potential function ------------------
@@ -671,106 +812,6 @@ class _Tangles(dict):
         return _Tangles({beta: c * scalar for beta, c in self.items()})
 
 
-def _shape(p: LaurentPolynomial):
-    """(l1 norm, least y-degree, greatest y-degree) of p."""
-    ys = [e[1] for e in p.terms]
-    return sum(map(abs, p.terms.values())), min(ys), max(ys)
-
-
-def _spread(shapes: dict, images) -> dict:
-    """The shapes of sum_beta c_beta * images(beta), given the shape of
-    each c_beta, images(beta) a list of (gamma, shape of its coefficient,
-    ...).  A shape is (l1 norm, least y-degree, greatest y-degree), and
-    those found are bounds, as they leave out every cancellation."""
-    out: dict = {}
-    for beta, (norm, low, high) in shapes.items():
-        for g, (p_norm, p_low, p_high), *_ in images(beta):
-            got = out.get(g)
-            out[g] = (norm * p_norm, low + p_low, high + p_high) if got is None else (
-                got[0] + norm * p_norm, min(got[1], low + p_low), max(got[2], high + p_high))
-    return out
-
-
-class _Packing(NamedTuple):
-    """Kronecker's substitution for the coefficients of `_bmw_dubrovnik`.
-    The BMW algebra is graded mod 2 by x, y and every g_i of degree 1, so
-    the terms x^a*y^b of each coefficient share the parity of a + b, and
-    x^-parity times the coefficient lies where a + b is even.  There,
-    x^a*y^b goes to t^((a*radix + b)/2), radix odd, a ring map, and t to
-    2^bits; a coefficient is an int with the exponent it starts at and
-    its parity.  The maps commute with the word's linear steps, so only
-    the value read back must fit them: coefficients below 2^(bits-1) in
-    size and y-degrees from `low` on, fewer than `radix` of them.
-
-    A letter then costs a few big-int shifts and sums per product, not a
-    loop over terms: on LaurentPolynomial coefficients d_20 takes 62 ms,
-    not 5-8 ms, and a 366-letter random 4-braid 62 s, not 1.8 s (x86-64,
-    Python 3.11)."""
-
-    bits: int
-    radix: int
-    low: int
-
-    def terms(self, p: LaurentPolynomial, shift: int) -> list:
-        """x^shift * p as the (coefficient, exponent of t, parity) of each
-        of its terms."""
-        a, b = next(iter(p.terms))
-        parity = (a + b + shift) & 1
-        return [(c, (self.radix * (a + shift - parity) + b) >> 1, parity)
-                for (a, b), c in p.terms.items()]
-
-    def pack(self, p: LaurentPolynomial, shift: int):
-        """x^shift * p as (int, the exponent of t it starts at, parity)."""
-        terms = self.terms(p, shift)
-        start = min(e for _, e, _ in terms)
-        return sum(c << self.bits * (e - start) for c, e, _ in terms), start, terms[0][2]
-
-    def apply(self, element: dict, images) -> dict:
-        """sum_beta c_beta * images(beta) on packed coefficients, images(beta)
-        a list of (gamma, int, start, parity), the last three those of
-        `pack`."""
-        parts: dict = {}
-        for beta, (c, start, parity) in element.items():
-            for g, p, shift, p_parity in images(beta):
-                # x^parity * x^p_parity: x^2 is t^radix
-                e = start + shift + (self.radix if parity & p_parity else 0)
-                parts.setdefault(g, []).append((e, c, p, parity ^ p_parity))
-        out = {}
-        for g, terms in parts.items():
-            # a shift or a sum reads every digit of a big int, so the sum
-            # starts from the term that needs no shift, unshifted
-            terms.sort(key=itemgetter(0))
-            begin, c, p, parity = terms[0]
-            c = c if p == 1 else -c if p == -1 else c * p
-            for e, v, p, _ in terms[1:]:
-                if p == 1:
-                    c += v << self.bits * (e - begin)
-                elif p == -1:
-                    c -= v << self.bits * (e - begin)
-                else:
-                    c += v * p << self.bits * (e - begin)
-            if c:
-                out[g] = c, begin, parity
-        return out
-
-    def unpack(self, c: int, start: int, parity: int) -> LaurentPolynomial:
-        """The polynomial that packs to (c, start, parity), read off the
-        bytes of c plus half of 2^bits in every place, so that every digit
-        is positive."""
-        half, width = 1 << (self.bits - 1), self.bits // 8
-        places = c.bit_length() // self.bits + 2
-        ones = ((1 << self.bits * places) - 1) // ((1 << self.bits) - 1)
-        raw = (c + half * ones).to_bytes(places * width, "little")
-        terms = {}
-        for j in range(places):
-            digit = int.from_bytes(raw[j * width:(j + 1) * width], "little") - half
-            if digit:
-                twice = 2 * (start + j)
-                b = self.low + (twice - self.low) % self.radix
-                terms[(twice - b) // self.radix + parity, b] = digit
-        return LaurentPolynomial._make(XYVARS, terms)
-
-
 def _below(flat, other, n, letter):
     """The tables of a tangle on n strands with the crossing of the braid
     letter +-i put below it.  The boundary points are the tangle's last 2n
@@ -796,35 +837,12 @@ def _below(flat, other, n, letter):
     return flat, other
 
 
-def _cancelled(word) -> list:
-    """The word with each letter cancelled against an inverse that at most
-    two letters commuting with both keep apart, then cyclically reduced.
-    Commuting letters far apart, cancelling a letter beside its inverse (a
-    Reidemeister II move) and conjugation are isotopies of the closure, so
-    none changes D or the writhe."""
-    out: list = []
-    for letter in word:
-        for k in range(len(out) - 1, max(len(out) - 4, -1), -1):
-            if out[k] == -letter:
-                del out[k]
-                break
-            if abs(abs(out[k]) - abs(letter)) < 2:  # does not commute with it
-                out.append(letter)
-                break
-        else:
-            out.append(letter)
-    start, end = 0, len(out)
-    while end - start > 1 and out[start] == -out[end - 1]:
-        start, end = start + 1, end - 1
-    return out[start:end]
-
-
 def _bmw_dubrovnik(b: BraidWord) -> LaurentPolynomial:
     """D of the closure of `b` from the word's image in the BMW algebra on
     n = b.strands strands (Birman and Wenzl, Trans. AMS 313, 1989;
-    Murakami, Osaka J. Math. 24, 1987), with one tangle reduction per
-    (diagram, letter) met, so that its cost is polynomial in the word's
-    length.
+    Murakami, Osaka J. Math. 24, 1987), by `_braid_sum`, with one tangle
+    reduction per (diagram, letter) met, so that its cost is polynomial in
+    the word's length.
 
     An element is {Brauer diagram: coefficient}.  [beta] is a descending
     tangle of the diagram beta with no closed circle, taken at self-writhe
@@ -833,11 +851,8 @@ def _bmw_dubrovnik(b: BraidWord) -> LaurentPolynomial:
     [beta] * g_(+-i): the representative with the letter's crossing put
     below, reduced to descending tangles by the Dubrovnik step on tangle
     nodes (`_unoriented_step`).  D is the sum of the coefficients times D
-    of the closures of the [beta].  A first pass over the word on shapes
-    alone (`_spread`) finds every product and the bounds that size the
-    packed coefficients (`_Packing`), and a second takes the letters on
-    those.  Every descent runs on a table of this call and spends no node
-    of the budget."""
+    of the closures of the [beta].  Every descent runs on a table of this
+    call and spends no node of the budget."""
     n, ends = b.strands, 2 * b.strands
     found: dict = {}  # beta -> the smallest descending tangle met, as `_unoriented_step` keeps it
     tangles: dict = {}  # one memo table for every tangle reduction
@@ -863,16 +878,11 @@ def _bmw_dubrovnik(b: BraidWord) -> LaurentPolynomial:
 
     identity = tuple(range(n, 2 * n)) + tuple(range(n))
     reps[identity] = tuple(range(1, n + 1)) * 2, identity, 0
-    # (beta, letter) -> [(gamma, shape of p, p, shift)]: [beta] * g_letter is
-    # the sum of x^shift * p * [gamma]
-    products: dict = {}
 
     def product(beta, letter):
-        if (beta, letter) not in products:
-            flat, other, s = rep(beta)
-            e, v = value(_reduce(*_below(flat, other, n, letter), 0, (), ends), tangle_step, tangles)
-            products[beta, letter] = [(g, _shape(p), p, e - s) for g, p in v.items()]
-        return products[beta, letter]
+        flat, other, s = rep(beta)
+        e, v = value(_reduce(*_below(flat, other, n, letter), 0, (), ends), tangle_step, tangles)
+        return [(g, p, e - s) for g, p in v.items()]
 
     closures: dict = {}
 
@@ -885,20 +895,4 @@ def _bmw_dubrovnik(b: BraidWord) -> LaurentPolynomial:
         e, v = value(_reduce(flat[:body], other[:body], loops), _unoriented_step, closures)
         return v, e - s
 
-    # on shapes alone: every product the word reaches, and bounds on the
-    # coefficients and on D
-    word = _cancelled(b.word)
-    shapes = {identity: (1, 0, 0)}
-    for letter in word:
-        shapes = _spread(shapes, lambda beta: product(beta, letter))
-    traces = {beta: trace(beta) for beta in shapes}
-    bound, low, high = _spread(shapes, lambda beta: [(None, _shape(traces[beta][0]))])[None]
-    packing = _Packing((bound.bit_length() + 8) // 8 * 8, (high - low + 1) | 1, low)
-    packed = {key: [(g, *packing.pack(p, shift)) for g, _, p, shift in entries]
-              for key, entries in products.items()}
-    # on packed coefficients; a trace has few terms, each a shift
-    element = {identity: (1, 0, 0)}
-    for letter in word:
-        element = packing.apply(element, lambda beta: packed[beta, letter])
-    total = packing.apply(element, lambda beta: [(None, *t) for t in packing.terms(*traces[beta])])
-    return packing.unpack(*total[None]) if total else LaurentPolynomial.zero(XYVARS)
+    return _braid_sum(b.word, identity, product, trace)

@@ -10,8 +10,8 @@ from linkinv.algebra import LaurentPolynomial, TruncatedSeries, _pack, _unpack, 
 from linkinv.cli import cmd_decompose, cmd_invariants, cmd_polys, cmd_verify
 from linkinv.diagram import UNDER_IN, UNDER_OUT, DiagramError, LinkDiagram, _trace_oriented, \
     _trace_unoriented, far_ends, parse_pd
-from linkinv.skein import _CORNERS, _DELTA_D, _DELTA_H, _FLIPPED, _HOMFLY_FACTORS, _X, _Y, \
-    _descend, _faces, _key
+from linkinv.skein import XYVARS, _CORNERS, _DELTA_D, _DELTA_H, _FLIPPED, _HOMFLY_FACTORS, _X, \
+    _Y, _descend, _faces, _key
 from linkinv.suites import SUITES
 from linkinv.transforms import DEFAULT_CAP, _CH, CoefficientTable, Decomposition, _alt_vector, \
     _pascal, _sinh_unit, zvars
@@ -539,6 +539,75 @@ def labelled_homfly(d: LinkDiagram, memo=None):
 
     table = {} if memo is None else memo
     return _descend(d.monochrome(), _key, step, table, "homfly")
+
+
+def _hecke_add(out: dict, w, c):
+    total = out.get(w)
+    out[w] = c if total is None else total + c
+
+
+def _hecke_times_g(element: dict, i: int) -> dict:
+    """element * g_i in the Hecke algebra H_n, an element being a dict
+    {w: coefficient} on the basis T_w, w a permutation of range(n) in
+    one-line notation and g_i = T_(s_i), s_i swapping positions i - 1 and
+    i: T_w*g_i is T_(w s_i) when the length grows, else
+    (y/x)*T_w + x^-2*T_(w s_i), as g_i^2 = (y/x)*g_i + x^-2."""
+    out: dict = {}
+    for w, c in element.items():
+        ws = w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]
+        if w[i - 1] < w[i]:
+            _hecke_add(out, ws, c)
+        else:
+            _hecke_add(out, w, _Y * _X ** -1 * c)
+            _hecke_add(out, ws, _X ** -2 * c)
+    return {w: c for w, c in out.items() if c}
+
+
+def _hecke_times_letter(element: dict, letter: int) -> dict:
+    """element * g_i^(+-1) for the braid letter +-i, with
+    g_i^-1 = x^2*g_i - x*y from x*g_i - x^-1*g_i^-1 = y."""
+    product = _hecke_times_g(element, abs(letter))
+    if letter > 0:
+        return product
+    out = {w: _X ** 2 * c for w, c in product.items()}
+    for w, c in element.items():
+        _hecke_add(out, w, -(_X * _Y) * c)
+    return {w: c for w, c in out.items() if c}
+
+
+def _hecke_trace(element: dict, memo: dict) -> LaurentPolynomial:
+    """The Ocneanu trace of an element of H_n, normalized as H of the
+    closure: Tr(1 in H_1) = 1, Tr(a (x) 1) = delta*Tr(a) and
+    Tr(a*g_(n-1)*b) = Tr(a*b) for a, b in H_(n-1)."""
+    one = LaurentPolynomial.one(XYVARS)
+    value = LaurentPolynomial.zero(XYVARS)
+    for w, c in element.items():
+        tw = memo.get(w)
+        if tw is None:
+            n = len(w)
+            k = w.index(n - 1)
+            if n == 1:
+                tw = one
+            elif k == n - 1:
+                tw = _DELTA_H * _hecke_trace({w[:-1]: one}, memo)
+            else:
+                peeled = {w[:k] + w[k + 1:]: one}
+                for i in range(n - 2, k, -1):
+                    peeled = _hecke_times_g(peeled, i)
+                tw = _hecke_trace(peeled, memo)
+            memo[w] = tw
+        value = value + c * tw
+    return value
+
+
+def laurent_hecke_homfly(b) -> LaurentPolynomial:
+    """The oracle for `skein._hecke_homfly`: the whole element of H_n on
+    LaurentPolynomial coefficients multiplied by each letter of the word
+    as given, uncancelled and unpacked, then traced."""
+    element = {tuple(range(b.strands)): LaurentPolynomial.one(XYVARS)}
+    for letter in b.word:
+        element = _hecke_times_letter(element, letter)
+    return _hecke_trace(element, {})
 
 
 def strip_kinks(crossings, loops):

@@ -96,6 +96,15 @@ def test_braid_input(tmp_path, capsys):
     assert out.strip() == "1 + z^2"
 
 
+def test_braid_word_wrapped_over_lines_reads_whole(tmp_path, capsys):
+    path = tmp_path / "braid.txt"
+    runs = []
+    for text in ("braid(2): 1 1\n1\n", "braid(2): 1 1 1\n"):
+        path.write_text(text)
+        runs.append(run(capsys, "polys", str(path), "--which", "homfly"))
+    assert runs[0] == runs[1] and runs[0][0] == 0
+
+
 def run_stdin(text, *argv):
     """main(argv) with `text` on stdin, for properties, which cannot take
     the function-scoped capsys and tmp_path fixtures; a usage error's exit
@@ -317,6 +326,9 @@ MALFORMED = {
     "long-token": HOPF_CROSSINGS + LONG + "\ncomponents: [[1,2],[3,4]]\n",
     "long-arc": "X[1,3,2," + LONG + "]\ncomponents: [[1,2],[3,4]]\n",
     "long-braid-letter": "braid(2): 1 " + LONG + "\n",
+    "braid-letters-run-together": "braid(12): s1s1\n",
+    "braid-letter-underscore": "braid(12): 1_0\n",
+    "braid-non-ascii-digits": "braid(\u0663): \u0661 -\u0662\n",
     "deep-nesting": HOPF_CROSSINGS + "components: [[1,2],[3,4]]\ncolors: " + "-" * 5000 + "1\n",
     "parser-overflow": HOPF_CROSSINGS + "components: " + "-" * 100000 + "1\n",
     "stray-free-loop": "X[1,3,2,4] X[3,1,4,2] O[9] O[9]\ncomponents: [[1,2],[3,4]]\n",

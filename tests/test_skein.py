@@ -50,6 +50,7 @@ from helpers import (
     dict_walk_unoriented,
     disjoint_union,
     labelled_homfly,
+    laurent_hecke_homfly,
     laurent_state_matrix,
     pairing_key,
     split_by_component_groups,
@@ -819,6 +820,23 @@ def test_hecke_trace_matches_the_descent(sw):
     assert homfly(d) == homfly(as_pd(d), memo={}), sw
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(hecke_braid_words)
+def test_hecke_trace_matches_the_laurent_letter_loop(sw):
+    b = BraidWord(*sw)
+    assert homfly(braid_closure(b)) == laurent_hecke_homfly(b), sw
+
+
+def test_hecke_trace_matches_the_laurent_letter_loop_on_pool_and_long_words():
+    # d_200 and a 100-letter 5-braid are past the descent's reach, and
+    # their coefficients need the widest packing
+    rng = random.Random(20261021)
+    long5 = [rng.choice((1, -1)) * rng.randint(1, 4) for _ in range(100)]
+    for n, word in pool_words() + [(3, [1, 2] * 200), (5, long5)]:
+        b = BraidWord(n, word)
+        assert homfly(braid_closure(b)) == laurent_hecke_homfly(b), (n, word)
+
+
 def test_hecke_trace_matches_the_benchmark_golden_values():
     # every HOMFLY value the benchmark checks, as the CLI renders it
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "golden.json")) as fh:
@@ -883,27 +901,28 @@ bmw_words = st.integers(2, 5).flatmap(lambda n: st.tuples(
     st.lists(st.integers(1, n - 1).flatmap(lambda g: st.sampled_from((g, -g))), max_size=20)))
 
 
+@pytest.mark.parametrize("engine", [homfly, kauffman_f], ids=lambda e: e.__name__)
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(bmw_words, st.integers(0, 20), st.integers(1, 4), st.sampled_from((1, -1)))
-def test_bmw_route_braid_relations_and_markov_moves(sw, turn, i, sign):
+def test_bmw_route_braid_relations_and_markov_moves(engine, sw, turn, i, sign):
     # a rotation of the word, s_i s_(i+1) s_i = s_(i+1) s_i s_(i+1) and
     # s_i s_j = s_j s_i for |i - j| > 1 at its end, and a stabilization
-    # that stays on the route
+    # that stays on the route, which cancels each word (`_cancelled`)
     n, word = sw
-    base = kauffman_f(braid_closure(BraidWord(n, word)))
+    base = engine(braid_closure(BraidWord(n, word)))
     turn %= max(len(word), 1)
-    assert kauffman_f(braid_closure(BraidWord(n, word[turn:] + word[:turn]))) == base
+    assert engine(braid_closure(BraidWord(n, word[turn:] + word[:turn]))) == base
     if n > 2:
         i = min(i, n - 2)
         a, b = sign * i, sign * (i + 1)
-        assert kauffman_f(braid_closure(BraidWord(n, word + [a, b, a]))) == \
-            kauffman_f(braid_closure(BraidWord(n, word + [b, a, b])))
+        assert engine(braid_closure(BraidWord(n, word + [a, b, a]))) == \
+            engine(braid_closure(BraidWord(n, word + [b, a, b])))
     if n > 3:
         a, b = sign * 1, -sign * (n - 1)
-        assert kauffman_f(braid_closure(BraidWord(n, word + [a, b]))) == \
-            kauffman_f(braid_closure(BraidWord(n, word + [b, a])))
+        assert engine(braid_closure(BraidWord(n, word + [a, b]))) == \
+            engine(braid_closure(BraidWord(n, word + [b, a])))
     if n < skein.HECKE_STRANDS:
-        assert kauffman_f(braid_closure(BraidWord(n + 1, word + [sign * n]))) == base
+        assert engine(braid_closure(BraidWord(n + 1, word + [sign * n]))) == base
 
 
 def test_bmw_route_spends_no_node():

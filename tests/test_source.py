@@ -1,6 +1,7 @@
 """The library's source: every module but the package's `__init__` reads
 each name it imports, unless the import is marked `# noqa: F401` (a name
-kept for a caller that binds it through the module)."""
+kept for a caller that binds it through the module), and every private
+module-level name is read somewhere in the package."""
 
 import ast
 import os
@@ -57,3 +58,52 @@ def test_the_check_finds_an_unused_import():
 def test_modules_read_every_name_they_import(module):
     with open(os.path.join(SRC, module)) as fh:
         assert unused_imports(fh.read()) == []
+
+
+def _defined(statement):
+    """The names a module-level statement binds."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    targets = statement.targets if isinstance(statement, ast.Assign) else \
+        [statement.target] if isinstance(statement, ast.AnnAssign) else []
+    return [node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)]
+
+
+def unread_private_names(sources: dict) -> list:
+    """(module, name) of each module-level _name defined in sources, {module:
+    source}, that no statement but its own definition reads, as a name, an
+    attribute or an import."""
+    defined, read = [], {}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for statement in tree.body:
+            names = set()
+            for root in (statement, *_annotations(statement)):
+                for node in ast.walk(root):
+                    if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                        names.add(node.id)
+                    elif isinstance(node, ast.Attribute):
+                        names.add(node.attr)
+                    elif isinstance(node, ast.ImportFrom):
+                        names.update(alias.name for alias in node.names)
+            for name in _defined(statement):
+                if name.startswith("_") and not name.startswith("__"):
+                    defined.append((module, name, statement))
+            for name in names:
+                read.setdefault(name, []).append(statement)
+    return [(module, name) for module, name, statement in defined
+            if all(s is statement for s in read.get(name, ()))]
+
+
+def test_the_check_finds_an_unread_private_name():
+    sources = {"a.py": "_A = 1\n_B = _A\ndef _f(n):\n    return _f(n - 1)\n",
+               "b.py": "from .a import _B\nclass _C:\n    pass\nx: '_C'\n"}
+    assert unread_private_names(sources) == [("a.py", "_f")]
+
+
+def test_private_module_level_names_are_read():
+    sources = {}
+    for module in sorted(name for name in os.listdir(SRC) if name.endswith(".py")):
+        with open(os.path.join(SRC, module)) as fh:
+            sources[module] = fh.read()
+    assert unread_private_names(sources) == []
